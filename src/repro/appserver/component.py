@@ -10,7 +10,7 @@ shepherds a user request through multiple EJBs" (§3.1).
 """
 
 from repro.appserver.descriptors import ComponentKind
-from repro.appserver.http import HttpStatus, error_response
+from repro.appserver.http import HttpStatus, error_response, longest_prefix
 from repro.appserver.errors import (
     ApplicationException,
     ComponentUnavailableError,
@@ -43,6 +43,11 @@ class InvocationContext:
             component call's span.
     """
 
+    __slots__ = (
+        "server", "request", "transaction", "call_path", "shepherd_process",
+        "nontx_write_count", "trace", "current_span",
+    )
+
     def __init__(self, server, request=None):
         self.server = server
         self.request = request
@@ -59,10 +64,13 @@ class InvocationContext:
     def call(self, name, method, *args, **kwargs):
         """Invoke ``method`` on component ``name`` through the platform.
 
-        This is a generator; business methods use ``result = yield from
-        ctx.call(...)``.  The call is mediated by the naming service and the
-        target's container, which applies the interceptor chain (state
-        check, transaction demarcation, fault hooks).
+        Business methods use ``result = yield from ctx.call(...)``.  The
+        call is mediated by the naming service and the target's container,
+        which applies the interceptor chain (state check, transaction
+        demarcation, fault hooks).  The name is resolved here and the
+        container's invocation generator is returned as-is, so the
+        caller's ``yield from`` drives it without a wrapper generator in
+        between.
 
         Raises:
             NamingError: unbound or null-corrupted JNDI entry.
@@ -70,30 +78,36 @@ class InvocationContext:
                 the sentinel's retry-after estimate).
             InvocationError: the resolved container does not implement
                 ``method`` (a *wrong* JNDI entry sends the call to the wrong
-                container).
+                container); raised once the returned generator runs.
         """
-        binding = self.server.naming.lookup(name)
+        server = self.server
+        binding = server.naming.lookup(name)
         if isinstance(binding, Sentinel):
             raise ComponentUnavailableError(name, retry_after=binding.retry_after)
-        container = self.server.containers.get(binding)
+        container = server.containers.get(binding)
         if container is None:
             raise NamingError(name, f"entry points at unknown container {binding!r}")
-        result = yield from container.invoke(self, method, args, kwargs)
-        return result
+        return container.invoke(self, method, args, kwargs)
 
     # ------------------------------------------------------------------
     # Resource consumption
     # ------------------------------------------------------------------
     def consume(self, seconds):
-        """Generator: burn ``seconds`` of node CPU (with jitter, shared)."""
-        timing = self.server.timing
-        demand = timing.sample(self.server.rng, seconds)
-        yield from self.server.cpu.consume(demand)
+        """Burn ``seconds`` of node CPU (with jitter, shared).
+
+        Returns the CPU's consume generator, for ``yield from``; the
+        jitter is drawn now, as the generator is made.
+        """
+        server = self.server
+        return server.cpu.consume(server.timing.sample(server.rng, seconds))
 
     def io_delay(self, seconds):
-        """Generator: wait out an I/O latency (network/disk, no CPU held)."""
-        delay = self.server.timing.sample(self.server.rng, seconds)
-        yield self.server.kernel.timeout(delay)
+        """The timeout event of an I/O latency (network/disk, no CPU held).
+
+        Yield it: ``yield ctx.io_delay(seconds)``.
+        """
+        server = self.server
+        return server.kernel.timeout(server.timing.sample(server.rng, seconds))
 
 
 class Component:
@@ -176,7 +190,8 @@ class EntityBean(Component):
         return database
 
     def _charge(self, ctx):
-        yield from ctx.io_delay(self.server.timing.db_access_time)
+        """The database access latency, as an event to yield."""
+        return ctx.io_delay(self.server.timing.db_access_time)
 
     def _tx_id(self, ctx):
         """Enlist and return the current tx id, or None for auto-commit."""
@@ -190,33 +205,38 @@ class EntityBean(Component):
     # -- reads ----------------------------------------------------------
     def ejb_load(self, ctx, pk):
         """Generator: load one row by primary key (None if absent)."""
-        yield from self._charge(ctx)
+        yield self._charge(ctx)
         return self._db().read(self.table, pk)
 
-    def ejb_find(self, ctx, **equals):
-        """Generator: rows whose columns equal the given values."""
-        yield from self._charge(ctx)
-        return self._db().select(self.table, **equals)
+    def ejb_find(self, ctx, *, limit=None, key=None, **equals):
+        """Generator: rows whose columns equal the given values.
+
+        ``key`` orders and ``limit`` truncates the rows inside
+        :meth:`~repro.stores.database.Database.select`, so a finder that
+        keeps the first few rows copies only those.
+        """
+        yield self._charge(ctx)
+        return self._db().select(self.table, limit=limit, key=key, **equals)
 
     def ejb_count(self, ctx, **equals):
-        yield from self._charge(ctx)
+        yield self._charge(ctx)
         return len(self._db().select(self.table, **equals))
 
     # -- writes ---------------------------------------------------------
     def ejb_create(self, ctx, row):
         """Generator: insert a row (primary key must be present)."""
-        yield from self._charge(ctx)
+        yield self._charge(ctx)
         self._db().insert(self.table, row, tx_id=self._tx_id(ctx))
         return row
 
     def ejb_store(self, ctx, pk, **fields):
         """Generator: update columns of an existing row."""
-        yield from self._charge(ctx)
+        yield self._charge(ctx)
         self._db().update(self.table, pk, fields, tx_id=self._tx_id(ctx))
 
     def ejb_remove(self, ctx, pk):
         """Generator: delete a row."""
-        yield from self._charge(ctx)
+        yield self._charge(ctx)
         self._db().delete(self.table, pk, tx_id=self._tx_id(ctx))
 
 
@@ -247,11 +267,16 @@ class WebComponent(Component):
     def __init__(self):
         super().__init__()
         self._servlets = {}
+        #: URL -> servlet (None when nothing matches): the memo behind
+        #: :meth:`servlet_for`.  It lives on the instance, so a WAR
+        #: microreboot discards it with the instance.
+        self._routes = {}
         self.fragment_cache = {}
 
     def register_servlet(self, url_prefix, handler):
         """Map a URL prefix to a generator method ``handler(ctx, request)``."""
         self._servlets[url_prefix] = handler
+        self._routes.clear()
 
     def handle(self, ctx, request):
         """Generator: the WAR's entry point — route to a servlet.
@@ -270,11 +295,10 @@ class WebComponent(Component):
 
     def servlet_for(self, url):
         """Longest-prefix match of ``url`` against registered servlets."""
-        best = None
-        for prefix in self._servlets:
-            if url.startswith(prefix) and (best is None or len(prefix) > len(best)):
-                best = prefix
-        return self._servlets.get(best)
+        routes = self._routes
+        if url not in routes:
+            routes[url] = self._servlets.get(longest_prefix(url, self._servlets))
+        return routes[url]
 
     def cache_get(self, key):
         return self.fragment_cache.get(key)

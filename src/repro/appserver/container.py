@@ -15,6 +15,7 @@ from repro.appserver.errors import (
     AppServerError,
     ComponentUnavailableError,
     InvocationError,
+    StaleReferenceError,
     TransactionError,
 )
 
@@ -147,90 +148,94 @@ class Container:
         picked — is bracketed by a span, so a component whose injected
         fault fires pre-dispatch still shows up on the failed path (the
         property Pinpoint-style localization depends on).
+
+        One generator covers the span and the dispatch: every yield of the
+        business method passes through each enclosing generator, so the
+        request path keeps as few of them as it can.
         """
         trace = ctx.trace
-        if trace is None:
-            result = yield from self._invoke(ctx, method, args, kwargs)
-            return result
-        parent = ctx.current_span
-        span = trace.start_span(self.name, parent=parent)
-        if span is not None:
-            ctx.current_span = span
-        try:
-            result = yield from self._invoke(ctx, method, args, kwargs)
-        except BaseException as exc:
+        if trace is not None:
+            parent = ctx.current_span
+            span = trace.start_span(self.name, parent=parent)
             if span is not None:
-                trace.finish_span(span, outcome=type(exc).__name__)
-            ctx.current_span = parent
-            raise
-        if span is not None:
-            trace.finish_span(span, outcome=None)
-        ctx.current_span = parent
-        return result
-
-    def _invoke(self, ctx, method, args, kwargs):
-        self.server.assert_running()
-        if self.state is ContainerState.MICROREBOOTING:
-            raise ComponentUnavailableError(
-                self.name, retry_after=self.descriptor.microreboot_time
-            )
-        if self.state is ContainerState.STOPPED:
-            raise ComponentUnavailableError(self.name)
-        self.server.heap.check_allocation()
-        self._validate_group_references()
-
-        # The shepherd thread is "inside" the component from here on:
-        # faults injected via hooks (deadlocks, infinite loops) stall
-        # threads that a microreboot must be able to find and kill.
-        self.active_invocations[ctx] = method
-        began_tx = suspended_tx = None
-        instance = None
-        saved_write_count = None
+                ctx.current_span = span
         try:
-            for hook in list(self.persistent_invocation_hooks) + list(
-                self.invocation_hooks
-            ):
-                yield from hook(self, ctx, method)
-
-            began_tx, suspended_tx = self._apply_tx_attribute(ctx, method)
-            instance = self._pick_instance()
-            saved_write_count = ctx.nontx_write_count
-            ctx.nontx_write_count = 0
-            self.invocation_count += 1
-            if ctx.transaction is not None:
-                ctx.transaction.touch(self.name)
-            ctx.call_path.append(self.name)
-
-            handler = getattr(instance, method, None)
-            if method.startswith("_") or not callable(handler):
-                raise InvocationError(
-                    f"container {self.name!r} does not implement {method!r}"
+            server = self.server
+            server.assert_running()
+            if self.state is ContainerState.MICROREBOOTING:
+                raise ComponentUnavailableError(
+                    self.name, retry_after=self.descriptor.microreboot_time
                 )
-            result = yield from handler(ctx, *args, **kwargs)
-            self._post_invoke_demarcation_check(ctx, method)
-        except BaseException:
-            self.failed_invocation_count += 1
-            if (
-                instance is not None
-                and isinstance(instance, StatelessSessionBean)
-                and self.instances
-            ):
-                self._discard_instance(instance)
-            if began_tx is not None and began_tx.is_active:
-                self.server.transactions.rollback(began_tx)
-                ctx.transaction = None
+            if self.state is ContainerState.STOPPED:
+                raise ComponentUnavailableError(self.name)
+            server.heap.check_allocation()
+            if self.group_peers:
+                self._validate_group_references()
+
+            # The shepherd thread is "inside" the component from here on:
+            # faults injected via hooks (deadlocks, infinite loops) stall
+            # threads that a microreboot must be able to find and kill.
+            self.active_invocations[ctx] = method
+            began_tx = suspended_tx = None
+            instance = None
+            saved_write_count = None
+            try:
+                if self.persistent_invocation_hooks or self.invocation_hooks:
+                    for hook in [
+                        *self.persistent_invocation_hooks, *self.invocation_hooks
+                    ]:
+                        yield from hook(self, ctx, method)
+
+                began_tx, suspended_tx = self._apply_tx_attribute(ctx, method)
+                instance = self._pick_instance()
+                saved_write_count = ctx.nontx_write_count
+                ctx.nontx_write_count = 0
+                self.invocation_count += 1
+                if ctx.transaction is not None:
+                    ctx.transaction.touch(self.name)
+                ctx.call_path.append(self.name)
+
+                handler = getattr(instance, method, None)
+                if method.startswith("_") or not callable(handler):
+                    raise InvocationError(
+                        f"container {self.name!r} does not implement {method!r}"
+                    )
+                result = yield from handler(ctx, *args, **kwargs)
+                if ctx.nontx_write_count:
+                    self._post_invoke_demarcation_check(ctx, method)
+            except BaseException:
+                self.failed_invocation_count += 1
+                if (
+                    instance is not None
+                    and isinstance(instance, StatelessSessionBean)
+                    and self.instances
+                ):
+                    self._discard_instance(instance)
+                if began_tx is not None and began_tx.is_active:
+                    server.transactions.rollback(began_tx)
+                    ctx.transaction = None
+                raise
+            else:
+                if began_tx is not None and began_tx.is_active:
+                    server.transactions.commit(began_tx)
+                    ctx.transaction = None
+            finally:
+                self.active_invocations.pop(ctx, None)
+                if saved_write_count is not None:
+                    ctx.nontx_write_count += saved_write_count
+                if suspended_tx is not None:
+                    ctx.transaction = suspended_tx
+        except BaseException as exc:
+            if trace is not None:
+                if span is not None:
+                    trace.finish_span(span, outcome=type(exc).__name__)
+                ctx.current_span = parent
             raise
-        else:
-            if began_tx is not None and began_tx.is_active:
-                self.server.transactions.commit(began_tx)
-                ctx.transaction = None
-            return result
-        finally:
-            self.active_invocations.pop(ctx, None)
-            if saved_write_count is not None:
-                ctx.nontx_write_count += saved_write_count
-            if suspended_tx is not None:
-                ctx.transaction = suspended_tx
+        if trace is not None:
+            if span is not None:
+                trace.finish_span(span, outcome=None)
+            ctx.current_span = parent
+        return result
 
     def _validate_group_references(self):
         """Fail fast on metadata references into a recycled group peer.
@@ -242,8 +247,6 @@ class Container:
         coordinator's group expansion prevents, and an ablated coordinator
         does not), the dangling reference surfaces here.
         """
-        from repro.appserver.errors import StaleReferenceError
-
         for peer_name in self.group_peers:
             peer = self.server.containers.get(peer_name)
             if peer is None or peer.state is not ContainerState.RUNNING:

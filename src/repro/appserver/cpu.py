@@ -43,10 +43,6 @@ class ProcessorSharingCpu:
         """Instantaneous load: jobs per core."""
         return self.active_jobs / self.cores
 
-    def slowdown(self):
-        """Current stretch factor for a quantum of service."""
-        return max(1.0, self.active_jobs / self.cores)
-
     def consume(self, demand):
         """Generator: occupy the CPU for ``demand`` seconds of service.
 
@@ -63,7 +59,12 @@ class ProcessorSharingCpu:
             remaining = demand
             while remaining > 0:
                 slice_ = min(remaining, self.quantum)
-                yield self.kernel.timeout(slice_ * self.slowdown())
+                # Each quantum is stretched by the jobs per core sharing
+                # it (at least 1): max(1.0, active_jobs / cores).
+                stretch = (self._active + self._hogs) / self.cores
+                yield self.kernel.timeout(
+                    slice_ * (stretch if stretch > 1.0 else 1.0)
+                )
                 remaining -= slice_
         finally:
             self._active -= 1

@@ -21,7 +21,22 @@ class HttpStatus(enum.IntEnum):
 _request_ids = count(1)
 
 
-@dataclass
+def longest_prefix(url, prefixes):
+    """The longest of ``prefixes`` that ``url`` starts with, or None.
+
+    This is the one URL-prefix rule shared by servlet routing, the load
+    balancer's micro-failover check and the recovery manager's URL →
+    call-path diagnosis.  On a tie the first such prefix in iteration
+    order wins.
+    """
+    best = None
+    for prefix in prefixes:
+        if url.startswith(prefix) and (best is None or len(prefix) > len(best)):
+            best = prefix
+    return best
+
+
+@dataclass(slots=True)
 class HttpRequest:
     """One user operation's HTTP request.
 
@@ -46,11 +61,11 @@ class HttpRequest:
     cookie: str = None
     idempotent: bool = True
     client_id: int = 0
-    request_id: int = field(default_factory=lambda: next(_request_ids))
+    request_id: int = field(default_factory=_request_ids.__next__)
     trace: object = None
 
 
-@dataclass
+@dataclass(slots=True)
 class HttpResponse:
     """The reply to one request."""
 

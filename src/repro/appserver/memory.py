@@ -46,13 +46,16 @@ class HeapModel:
         self.capacity = capacity
         self.baseline = baseline
         self._leaked = {}
+        #: Running sum of ``_leaked``'s (integer) byte counts, kept by every
+        #: mutation so the per-request allocation check needs no sum.
+        self._leaked_total = 0
 
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
     @property
     def leaked_total(self):
-        return sum(self._leaked.values())
+        return self._leaked_total
 
     @property
     def used(self):
@@ -85,6 +88,7 @@ class HeapModel:
             raise ValueError(f"cannot leak a negative amount: {nbytes}")
         exhausted = self.available <= 0
         self._leaked[owner] = self._leaked.get(owner, 0) + nbytes
+        self._leaked_total += nbytes
         if exhausted:
             raise OutOfMemoryError_(f"heap exhausted while allocating for {owner!r}")
 
@@ -94,7 +98,7 @@ class HeapModel:
         Called on the request path: once leaks exhaust the heap, ordinary
         request processing starts failing with OOM errors.
         """
-        if self.available - nbytes <= 0:
+        if self.capacity - (self.baseline + self._leaked_total) - nbytes <= 0:
             raise OutOfMemoryError_(
                 f"allocation of {nbytes} bytes failed "
                 f"({self.available} of {self.capacity} available)"
@@ -107,7 +111,9 @@ class HeapModel:
         component's object graph becomes garbage and the post-µRB collection
         reclaims it.
         """
-        return self._leaked.pop(owner, 0)
+        freed = self._leaked.pop(owner, 0)
+        self._leaked_total -= freed
+        return freed
 
     def release_application(self, component_names):
         """Free leaks of every listed component (whole-application restart)."""
@@ -115,8 +121,9 @@ class HeapModel:
 
     def release_all(self):
         """Free every leak including the server's own (JVM restart)."""
-        freed = self.leaked_total
+        freed = self._leaked_total
         self._leaked.clear()
+        self._leaked_total = 0
         return freed
 
     def __repr__(self):

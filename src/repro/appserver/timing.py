@@ -130,7 +130,15 @@ class TimingModel:
         )
 
     def sample(self, rng, base):
-        """Apply multiplicative jitter to a base service time."""
-        if self.jitter <= 0:
+        """Apply multiplicative jitter to a base service time.
+
+        The factor is ``rng.uniform(1 - jitter, 1 + jitter)``, written out
+        as the very expression ``random.uniform`` evaluates (``a + (b - a)
+        * random()``): every CPU and I/O charge samples here, and the
+        inlined form draws and rounds identically.
+        """
+        jitter = self.jitter
+        if jitter <= 0:
             return base
-        return base * rng.uniform(1.0 - self.jitter, 1.0 + self.jitter)
+        low = 1.0 - jitter
+        return base * (low + ((1.0 + jitter) - low) * rng.random())

@@ -26,7 +26,7 @@ which clients observe as slow responses and network errors.
 
 import enum
 
-from repro.appserver.http import HttpResponse, HttpStatus
+from repro.appserver.http import HttpResponse, HttpStatus, longest_prefix
 from repro.core.hardening import HardeningPolicy
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -300,8 +300,10 @@ class LoadBalancer:
             )
             done.fail(exc)
             return
-        self._note_latency(node, self.kernel.now - started)
-        cookie = (response.payload or {}).get("cookie")
+        if self._shedding():
+            self._note_latency(node, self.kernel.now - started)
+        payload = response.payload
+        cookie = payload.get("cookie") if payload else None
         if cookie:
             self._affinity[cookie] = node
         done.succeed(response)
@@ -355,13 +357,9 @@ class LoadBalancer:
 
     def _touches(self, request, components):
         """Would this request's call path enter any recovering component?"""
-        best = None
-        for prefix in self.url_path_map:
-            if request.url.startswith(prefix) and (
-                best is None or len(prefix) > len(best)
-            ):
-                best = prefix
-        path = self.url_path_map.get(best, ())
+        path = self.url_path_map.get(
+            longest_prefix(request.url, self.url_path_map), ()
+        )
         return bool(set(path) & components)
 
     # ------------------------------------------------------------------
@@ -378,8 +376,7 @@ class LoadBalancer:
         }
 
     def _note_latency(self, node, elapsed):
-        if not self._shedding():
-            return
+        """Record one forwarded-response latency (while shedding)."""
         samples = self._latency.setdefault(node.name, [])
         samples.append(elapsed)
         if len(samples) > self.hardening.latency_samples:

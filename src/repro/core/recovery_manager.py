@@ -45,6 +45,7 @@ The RM runs one of two schedulers:
 import enum
 from dataclasses import dataclass, field
 
+from repro.appserver.http import longest_prefix
 from repro.core.hardening import HardeningPolicy
 from repro.core.recovery_graph import RecoveryGraph
 from repro.diagnosis.path_analysis import PathAnalyzer
@@ -323,11 +324,9 @@ class RecoveryManager:
     # ------------------------------------------------------------------
     def path_for_url(self, url):
         """Longest-prefix match into the static URL → call-path map."""
-        best = None
-        for prefix in self.url_path_map:
-            if url.startswith(prefix) and (best is None or len(prefix) > len(best)):
-                best = prefix
-        return list(self.url_path_map.get(best, ()))
+        return list(
+            self.url_path_map.get(longest_prefix(url, self.url_path_map), ())
+        )
 
     def _score(self, report):
         weight = self.kind_weights.get(report.kind, 1.0)

@@ -22,6 +22,9 @@ MEMORY_SIGNATURES = ("heap exhausted", "allocation of", "outofmemory")
 #: paper's canonical application-specific red flag).
 ID_KEYS = ("item_id", "bid_id", "buy_id", "user_id", "feedback_id", "to_user_id")
 
+#: Payload keys whose values are lists of entity ids.
+ID_LIST_KEYS = ("item_ids", "bid_ids", "old_item_ids")
+
 
 class SimpleDetector:
     """Stateless response classifier; returns a FailureKind or None.
@@ -48,24 +51,30 @@ class SimpleDetector:
         if getattr(response, "network_error", False):
             return FailureKind.NETWORK
         body = (response.body or "").lower()
+        # Plain loops rather than any() over a generator: this runs once
+        # per request.
         if response.is_error_status:
-            if any(signature in body for signature in MEMORY_SIGNATURES):
-                return FailureKind.RESOURCE_EXHAUSTION
+            for signature in MEMORY_SIGNATURES:
+                if signature in body:
+                    return FailureKind.RESOURCE_EXHAUSTION
             return FailureKind.HTTP_ERROR
-        if any(keyword in body for keyword in FAILURE_KEYWORDS):
-            return FailureKind.KEYWORD
+        for keyword in FAILURE_KEYWORDS:
+            if keyword in body:
+                return FailureKind.KEYWORD
         return self._application_specific(response, believes_logged_in)
 
     def _application_specific(self, response, believes_logged_in):
-        payload = response.payload or {}
+        payload = response.payload
+        if not payload:
+            return None
         if payload.get("login_required") and believes_logged_in:
             return FailureKind.APP_SPECIFIC
         for key in ID_KEYS:
             value = payload.get(key)
             if isinstance(value, int) and value < 0:
                 return FailureKind.APP_SPECIFIC
-        for key in ("item_ids", "bid_ids", "old_item_ids"):
-            ids = payload.get(key)
-            if ids and any(isinstance(v, int) and v < 0 for v in ids):
-                return FailureKind.APP_SPECIFIC
+        for key in ID_LIST_KEYS:
+            for value in payload.get(key) or ():
+                if isinstance(value, int) and value < 0:
+                    return FailureKind.APP_SPECIFIC
         return None

@@ -48,7 +48,7 @@ class IdentityManagerBean(EntityBean):
         transaction (sequence allocations must never roll back, or two
         transactions could be handed the same block).
         """
-        yield from ctx.io_delay(self.server.timing.db_access_time)
+        yield ctx.io_delay(self.server.timing.db_access_time)
         database = self._db()
         rows = database.select("id_sequences", relation=table)
         if not rows:
@@ -101,16 +101,16 @@ class ItemBean(EntityBean):
         return row
 
     def items_by_category(self, ctx, category_id, limit=20):
-        rows = yield from self.ejb_find(ctx, category_id=category_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, limit=limit, category_id=category_id)
+        return rows
 
     def items_by_region(self, ctx, region_id, limit=20):
-        rows = yield from self.ejb_find(ctx, region_id=region_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, limit=limit, region_id=region_id)
+        return rows
 
     def items_by_seller(self, ctx, seller_id, limit=20):
-        rows = yield from self.ejb_find(ctx, seller_id=seller_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, limit=limit, seller_id=seller_id)
+        return rows
 
     def create_item(self, ctx, item_id, name, seller_id, category_id,
                     region_id, initial_price):
@@ -166,13 +166,14 @@ class BidBean(EntityBean):
         return row
 
     def bids_for_item(self, ctx, item_id, limit=25):
-        rows = yield from self.ejb_find(ctx, item_id=item_id)
-        rows.sort(key=lambda r: -r["amount"])
-        return rows[:limit]
+        rows = yield from self.ejb_find(
+            ctx, limit=limit, key=lambda r: -r["amount"], item_id=item_id
+        )
+        return rows
 
     def bids_by_user(self, ctx, user_id, limit=25):
-        rows = yield from self.ejb_find(ctx, user_id=user_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, limit=limit, user_id=user_id)
+        return rows
 
 
 class BuyNowBean(EntityBean):
@@ -187,29 +188,26 @@ class BuyNowBean(EntityBean):
         return row
 
     def buys_by_user(self, ctx, user_id, limit=25):
-        rows = yield from self.ejb_find(ctx, buyer_id=user_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, limit=limit, buyer_id=user_id)
+        return rows
 
 
 class CategoryBean(EntityBean):
     def all_categories(self, ctx):
-        rows = yield from self.ejb_find(ctx)
-        rows.sort(key=lambda r: r["id"])
+        rows = yield from self.ejb_find(ctx, key=lambda r: r["id"])
         return rows
 
 
 class RegionBean(EntityBean):
     def all_regions(self, ctx):
-        rows = yield from self.ejb_find(ctx)
-        rows.sort(key=lambda r: r["id"])
+        rows = yield from self.ejb_find(ctx, key=lambda r: r["id"])
         return rows
 
 
 class OldItemBean(EntityBean):
     def recent_old_items(self, ctx, limit=20):
-        rows = yield from self.ejb_find(ctx)
-        rows.sort(key=lambda r: -r["id"])
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, limit=limit, key=lambda r: -r["id"])
+        return rows
 
     def get_old_item(self, ctx, item_id):
         row = yield from self.ejb_load(ctx, item_id)
@@ -232,5 +230,5 @@ class UserFeedbackBean(EntityBean):
         return row
 
     def feedback_for_user(self, ctx, user_id, limit=25):
-        rows = yield from self.ejb_find(ctx, to_user_id=user_id)
-        return rows[:limit]
+        rows = yield from self.ejb_find(ctx, limit=limit, to_user_id=user_id)
+        return rows

@@ -55,14 +55,14 @@ class EbidWar(WebComponent):
         return self.server.session_store
 
     def _store_delay(self, ctx):
-        access_time = getattr(self._store(), "access_time", 0.0005)
-        yield from ctx.io_delay(access_time)
+        """The session store's access latency, as an event to yield."""
+        return ctx.io_delay(getattr(self._store(), "access_time", 0.0005))
 
     def _load_session(self, ctx, request):
         """Generator: the caller's session, or None if not logged in."""
         if request.cookie is None:
             return None
-        yield from self._store_delay(ctx)
+        yield self._store_delay(ctx)
         data = self._store().read(request.cookie)
         if data is None:
             return None
@@ -70,7 +70,7 @@ class EbidWar(WebComponent):
         return data
 
     def _save_session(self, ctx, data):
-        yield from self._store_delay(ctx)
+        yield self._store_delay(ctx)
         self._store().write(data.session_id, data)
 
     def _login_required(self):
@@ -95,7 +95,7 @@ class EbidWar(WebComponent):
             self.fragment_cache.popitem(last=False)
 
     def _static(self, ctx, operation):
-        yield from ctx.io_delay(self.server.timing.static_content_time)
+        yield ctx.io_delay(self.server.timing.static_content_time)
         content = self.server.static_store.read(STATIC_PAGES[operation])
         return HttpResponse(HttpStatus.OK, body=content, payload={"static": operation})
 
@@ -157,7 +157,7 @@ class EbidWar(WebComponent):
         session = yield from self._load_session(ctx, request)
         if session is None:
             return self._login_required()
-        yield from self._store_delay(ctx)
+        yield self._store_delay(ctx)
         self._store().delete(session.session_id)
         return HttpResponse(
             HttpStatus.OK,

@@ -224,13 +224,18 @@ class ProbeOutcomeModel:
             rounds += 1
 
     def _probe(self, shard, op):
+        client_id = self._probe_ids.get(shard)
+        if client_id is None:
+            # The shard was removed between this probe's spawn and its
+            # first step (both in one tick): nothing is left to probe.
+            return
         request = HttpRequest(
             url=operation_url(op),
             operation=op,
             params=dict(PROBE_PARAMS.get(op, {})),
             cookie=None,
             idempotent=True,
-            client_id=self._probe_ids[shard],
+            client_id=client_id,
         )
         self.probes_sent += 1
         issued = self.kernel.now

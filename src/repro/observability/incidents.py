@@ -48,6 +48,8 @@ it cannot perturb a simulation.
 
 from dataclasses import dataclass, field
 
+from repro.appserver.http import longest_prefix
+
 #: Kinds the tracker subscribes to.  Deliberately excludes the
 #: per-request firehose (``request.*``): incident evidence is the handful
 #: of detector/RM/LB events per failure, so tracking costs O(incidents),
@@ -76,11 +78,7 @@ DEFAULT_QUIET_PERIOD = 30.0
 
 def path_for_url(url, url_path_map):
     """Longest-prefix match into a URL → call-path map (the RM's rule)."""
-    best = None
-    for prefix in url_path_map:
-        if url.startswith(prefix) and (best is None or len(prefix) > len(best)):
-            best = prefix
-    return tuple(url_path_map.get(best, ()))
+    return tuple(url_path_map.get(longest_prefix(url, url_path_map), ()))
 
 
 @dataclass

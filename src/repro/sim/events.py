@@ -131,20 +131,28 @@ class _Condition(Event):
     __slots__ = ("events", "_completed")
 
     def __init__(self, kernel, events):
-        super().__init__(kernel)
-        self.events = list(events)
+        # Event.__init__'s fields, set inline: every request waits on an
+        # AnyOf (reply vs. timeout), so this constructor is on its path.
+        self.kernel = kernel
+        self.callbacks = []
+        self.defused = False
+        self.abandoned = False
+        self._value = _PENDING
+        self._ok = None
+        self.events = events = list(events)
         self._completed = 0
-        if not self.events:
+        if not events:
             self.succeed(self._snapshot())
             return
-        for event in self.events:
+        observe = self._observe
+        for event in events:
             if event.kernel is not kernel:
                 raise SimulationError("cannot mix events from different kernels")
             if event.callbacks is None:
                 # Already processed: account for it immediately.
-                self._observe(event)
-            else:
-                event.callbacks.append(self._observe)
+                observe(event)
+            elif self._value is _PENDING:
+                event.callbacks.append(observe)
 
     def _snapshot(self):
         """Mapping of processed sub-events to their values, in yield order.
@@ -156,15 +164,34 @@ class _Condition(Event):
         return {e: e._value for e in self.events if e.callbacks is None and e._ok}
 
     def _observe(self, event):
-        if self.triggered:
+        if self._value is not _PENDING:  # already triggered
             return
         if not event._ok:
             event.defused = True
             self.fail(event._value)
-            return
-        self._completed += 1
-        if self._check():
+        else:
+            self._completed += 1
+            if not self._check():
+                return
             self.succeed(self._snapshot())
+        self._detach()
+
+    def _detach(self):
+        """Stop observing the sub-events that are still pending.
+
+        Once the condition has triggered, observing a later sub-event is a
+        no-op.  Left on that event's callbacks, the observer would keep the
+        condition and every value it reaches alive until the event fires;
+        a request's reply-or-timeout condition would hold the reply until
+        the timeout, long after the reply was consumed.
+        """
+        observe = self._observe
+        for event in self.events:
+            if event.callbacks is not None:
+                try:
+                    event.callbacks.remove(observe)
+                except ValueError:
+                    pass  # not attached (yet, in __init__)
 
     def _check(self):
         raise NotImplementedError

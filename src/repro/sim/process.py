@@ -1,6 +1,7 @@
 """Generator-based simulated processes."""
 
-import inspect
+from heapq import heappush
+from types import GeneratorType
 
 from repro.sim.errors import Interrupt, SimulationError
 from repro.sim.events import _PENDING, Event
@@ -25,19 +26,30 @@ class Process(Event):
     __slots__ = ("_generator", "name", "_waiting_on")
 
     def __init__(self, kernel, generator, name=None):
-        if not inspect.isgenerator(generator):
+        if not isinstance(generator, GeneratorType):
             raise SimulationError(
                 f"Process requires a generator, got {type(generator).__name__}"
             )
-        super().__init__(kernel)
+        # Event.__init__'s fields, set inline: one process is spawned per
+        # request hop, so this constructor is on the request path.
+        self.kernel = kernel
+        self.callbacks = []
+        self.defused = False
+        self.abandoned = False
+        self._value = _PENDING
+        self._ok = None
         self._generator = generator
-        self.name = name or getattr(generator, "__name__", "process")
+        self.name = name or generator.__name__
         self._waiting_on = None
         # Kick the process off via an immediately-scheduled event so that it
-        # starts running in kernel event order, not synchronously.
+        # starts running in kernel event order, not synchronously.  The
+        # start event is fresh, so succeed()'s already-triggered check is
+        # skipped and it is enqueued exactly as succeed() would.
         start = Event(kernel)
         start.callbacks.append(self._resume)
-        start.succeed()
+        start._ok = True
+        start._value = None
+        heappush(kernel._queue, (kernel._now, next(kernel._sequence), start))
 
     @property
     def is_alive(self):
@@ -65,29 +77,29 @@ class Process(Event):
             # The process already finished (e.g. an interrupt raced with the
             # event it was waiting for); drop the stale wakeup.
             return
-        if (
-            self._waiting_on is not None
-            and trigger is not self._waiting_on
-            and self._waiting_on.callbacks is not None
-        ):
-            # Interrupted while waiting: stop listening to the old event so a
-            # later trigger does not resume us at the wrong yield point, and
-            # mark the event abandoned so resource queues skip it.
-            try:
-                self._waiting_on.callbacks.remove(self._resume)
-            except ValueError:
-                pass
-            self._waiting_on.abandoned = True
-        self._waiting_on = None
+        waiting = self._waiting_on
+        if waiting is not None:
+            if trigger is not waiting and waiting.callbacks is not None:
+                # Interrupted while waiting: stop listening to the old event
+                # so a later trigger does not resume us at the wrong yield
+                # point, and mark the event abandoned so resource queues
+                # skip it.
+                try:
+                    waiting.callbacks.remove(self._resume)
+                except ValueError:
+                    pass
+                waiting.abandoned = True
+            self._waiting_on = None
 
+        generator = self._generator
         event = trigger
         while True:
             try:
                 if event._ok:
-                    target = self._generator.send(event._value)
+                    target = generator.send(event._value)
                 else:
                     event.defused = True
-                    target = self._generator.throw(event._value)
+                    target = generator.throw(event._value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -101,7 +113,7 @@ class Process(Event):
                     f"process {self.name!r} yielded {target!r}, expected an Event"
                 )
                 try:
-                    self._generator.throw(exc)
+                    generator.throw(exc)
                 except BaseException as err:  # noqa: BLE001 - report the real error
                     self.fail(err)
                     return

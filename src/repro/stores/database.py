@@ -24,7 +24,7 @@ fault-injection surface), so the simulated service can sustain paper-scale
 datasets (1.5 M bids) without the simulator itself becoming the bottleneck.
 """
 
-from itertools import count
+from itertools import count, islice
 
 from repro.sim.resources import Lock
 
@@ -196,25 +196,37 @@ class Database:
         row = self._table(table_name).rows.get(pk)
         return dict(row) if row is not None else None
 
-    def select(self, table_name, **equals):
-        """All rows matching the column=value filters (copies).
+    def select(self, table_name, *, limit=None, key=None, **equals):
+        """Rows matching the column=value filters (copies).
 
         Single-column equality filters are served from a hash index (built
         on first use); multi-column filters narrow via the first column's
-        index and scan the rest.
+        index and scan the rest.  ``key`` sorts the matches (stably, like
+        ``sorted``) and ``limit`` keeps the first ``limit`` of them; only
+        the rows returned are copied, so the result equals a full select
+        followed by ``sort(key=key)`` and ``[:limit]``.  ``limit`` and
+        ``key`` are therefore not usable as column names here.
         """
         table = self._table(table_name)
+        rows = table.rows
         if not equals:
-            return [dict(row) for row in table.rows.values()]
-        columns = sorted(equals)
-        index = table.ensure_index(columns[0])
-        pks = index.get(table._key(equals[columns[0]]), ())
-        out = []
-        for pk in pks:
-            row = table.rows[pk]
-            if all(row.get(col) == equals[col] for col in columns[1:]):
-                out.append(dict(row))
-        return out
+            matches = rows.values()
+        else:
+            columns = sorted(equals)
+            first = columns[0]
+            pks = table.ensure_index(first).get(table._key(equals[first]), ())
+            matches = map(rows.__getitem__, pks)
+            if len(columns) > 1:
+                rest = columns[1:]
+                matches = (
+                    row for row in matches
+                    if all(row.get(col) == equals[col] for col in rest)
+                )
+        if key is not None:
+            matches = sorted(matches, key=key)
+        if limit is not None:
+            matches = islice(matches, limit)
+        return [dict(row) for row in matches]
 
     def count(self, table_name):
         return len(self._table(table_name).rows)

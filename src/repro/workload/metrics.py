@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from repro.telemetry.metrics import MetricsRegistry
 
 
-@dataclass
+@dataclass(slots=True)
 class OperationRecord:
     """One HTTP request as the client experienced it."""
 
@@ -27,7 +27,7 @@ class OperationRecord:
     retries: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class ActionRecord:
     """One user action: operations culminating in a commit point."""
 
@@ -75,20 +75,22 @@ class TawAccounting:
     def record_action(self, action):
         """Account one finished action (Taw semantics: all-or-nothing)."""
         self.actions.append(action)
+        operations = action.operations
         committed = action.committed
         if committed:
             self._good_actions.inc()
+            requests, series = self._good, self._good_series
         else:
             self._bad_actions.inc()
-        for op in action.operations:
+            requests, series = self._bad, self._bad_series
+        if operations:
+            # One counter bump per action: integral float counts add up
+            # exactly, so this equals one inc() per operation.
+            requests.inc(len(operations))
+        for op in operations:
             when = op.completed_at if op.completed_at is not None else op.issued_at
             bucket = int(when)
-            if committed:
-                self._good.inc()
-                self._good_series[bucket] = self._good_series.get(bucket, 0) + 1
-            else:
-                self._bad.inc()
-                self._bad_series[bucket] = self._bad_series.get(bucket, 0) + 1
+            series[bucket] = series.get(bucket, 0) + 1
             if op.response_time is not None:
                 self.response_times.append((when, op.response_time))
                 self._response_time_hist.observe(op.response_time)

@@ -6,6 +6,7 @@ from repro.appserver.http import (
     HttpStatus,
     error_response,
     exception_page,
+    longest_prefix,
 )
 
 
@@ -51,3 +52,12 @@ def test_comparable_payload_strips_volatile_keys():
                  "price": 10},
     )
     assert response.comparable_payload() == {"item_id": 3, "price": 10}
+
+
+def test_longest_prefix_prefers_the_longest_then_the_first():
+    prefixes = ["/ebid", "/ebid/View", "/ebid/ViewItem", "/static"]
+    assert longest_prefix("/ebid/ViewItem?id=3", prefixes) == "/ebid/ViewItem"
+    assert longest_prefix("/ebid/ViewUserInfo", prefixes) == "/ebid/View"
+    assert longest_prefix("/nowhere", prefixes) is None
+    first, second = "/a/b", "".join(["/a", "/b"])
+    assert longest_prefix("/a/bc", [first, second]) is first

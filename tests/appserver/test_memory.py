@@ -1,6 +1,7 @@
 """Unit tests for the heap model and leak attribution."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.appserver.errors import OutOfMemoryError_
 from repro.appserver.memory import OWNER_SERVER, HeapModel
@@ -110,3 +111,43 @@ def test_leak_on_exhausted_heap_raises_but_records():
     with pytest.raises(OutOfMemoryError_):
         heap.leak("A", MB)
     assert heap.leaked_by("A") == 91 * MB
+
+
+OWNERS = ("A", "B", OWNER_SERVER)
+
+heap_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("leak"), st.sampled_from(OWNERS),
+                  st.integers(0, 40 * MB)),
+        st.tuples(st.just("release"), st.sampled_from(OWNERS), st.just(0)),
+        st.tuples(st.just("release_all"), st.just(None), st.just(0)),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ops=heap_ops, request=st.integers(0, 100 * MB))
+def test_running_total_tracks_every_leak_and_release(ops, request):
+    """``leaked_total`` is the per-owner sum after any sequence, and the
+    allocation check fails exactly when ``available - request <= 0``."""
+    heap = make_heap()
+    for op, owner, nbytes in ops:
+        if op == "leak":
+            try:
+                heap.leak(owner, nbytes)
+            except OutOfMemoryError_:
+                pass
+        elif op == "release":
+            heap.release_owner(owner)
+        else:
+            heap.release_all()
+        per_owner = sum(heap.leaked_by(o) for o in OWNERS)
+        assert heap.leaked_total == per_owner
+        available = heap.capacity - (heap.baseline + per_owner)
+        assert heap.available == available
+        if available - request <= 0:
+            with pytest.raises(OutOfMemoryError_):
+                heap.check_allocation(request)
+        else:
+            heap.check_allocation(request)

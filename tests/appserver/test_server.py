@@ -22,6 +22,18 @@ def test_unknown_url_is_404():
     assert response.status == HttpStatus.NOT_FOUND
 
 
+def test_servlet_registered_after_a_lookup_takes_effect():
+    """The WAR memoizes URL → servlet; registering a servlet resets it."""
+    system = build_toy_system()
+    assert issue(system, "/toy/nothing-here").status == HttpStatus.NOT_FOUND
+    war = system.server.containers["ToyWAR"].instances[0]
+    war.register_servlet("/toy/nothing", war.greet_servlet)
+    response = issue(system, "/toy/nothing-here", {"who": "again"})
+    assert response.status == HttpStatus.OK
+    assert response.body == "hello again"
+    assert issue(system, "/toy/elsewhere").status == HttpStatus.NOT_FOUND
+
+
 def test_application_exception_becomes_500_with_keywords():
     system = build_toy_system()
     response = issue(system, "/toy/balance", {"account_id": 999})

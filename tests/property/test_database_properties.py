@@ -111,9 +111,13 @@ def test_auto_commit_is_durable_through_crash(ops):
 
 
 @settings(max_examples=100, deadline=None)
-@given(ops=operations)
-def test_indexes_always_agree_with_scans(ops):
-    """Hash-index lookups must equal a brute-force scan at every point."""
+@given(ops=operations, limit=st.none() | st.integers(min_value=0, max_value=6))
+def test_indexes_always_agree_with_scans(ops, limit):
+    """Hash-index lookups must equal a brute-force scan at every point.
+
+    A limited and ordered select equals the full select sorted and sliced,
+    and the rows it returns are copies.
+    """
     database = Database(Kernel())
     database.create_table("t")
     database.tables["t"].ensure_index("v")  # build the index up front
@@ -125,3 +129,21 @@ def test_indexes_always_agree_with_scans(ops):
             if row.get("v") == value
         }
         assert indexed == scanned
+
+    def descending_v(row):
+        return -row["v"]
+
+    for value in {row["v"] for row in database.tables["t"].rows.values()}:
+        for equals in ({}, {"v": value}, {"v": value, "id": 5}):
+            full = database.select("t", **equals)
+            limited = database.select("t", limit=limit, **equals)
+            assert limited == full[:limit]
+            full.sort(key=descending_v)
+            ordered = database.select(
+                "t", limit=limit, key=descending_v, **equals
+            )
+            assert ordered == full[:limit]
+    before = database.snapshot("t")
+    for row in database.select("t", limit=limit, key=descending_v):
+        row["v"] = -1
+    assert database.snapshot("t") == before

@@ -224,16 +224,23 @@ def test_run_until_triggered_respects_limit():
 
 
 def test_any_of_triggers_on_first():
+    """...and stops observing the sub-events still pending, so they do
+    not hold the condition (and its value) until they fire."""
     kernel = Kernel()
     results = []
+    pending = []
 
     def proc():
         first = kernel.timeout(1.0, value="fast")
         second = kernel.timeout(5.0, value="slow")
+        pending.append(second)
         outcome = yield kernel.any_of([first, second])
         results.append((kernel.now, list(outcome.values())))
 
     kernel.process(proc())
+    kernel.run(until=2.0)
+    assert results == [(1.0, ["fast"])]
+    assert pending[0].callbacks == []
     kernel.run()
     assert results == [(1.0, ["fast"])]
 
@@ -258,13 +265,17 @@ def test_any_of_with_already_processed_event():
     kernel.run(until=0.5)
     results = []
 
+    pending = []
+
     def proc():
-        outcome = yield kernel.any_of([done, kernel.timeout(9.0)])
+        pending.append(kernel.timeout(9.0))
+        outcome = yield kernel.any_of([done, pending[0]])
         results.append(list(outcome.values()))
 
     kernel.process(proc())
     kernel.run(until=1.0)
     assert results == [["early"]]
+    assert pending[0].callbacks == []  # triggered before it was attached
 
 
 def test_all_of_empty_list_triggers_immediately():
@@ -285,14 +296,20 @@ def test_any_of_propagates_failure():
     event = kernel.event()
     caught = []
 
+    pending = []
+
     def proc():
+        pending.append(kernel.timeout(10.0))
         try:
-            yield kernel.any_of([event, kernel.timeout(10.0)])
+            yield kernel.any_of([event, pending[0]])
         except RuntimeError as exc:
             caught.append(str(exc))
 
     kernel.process(proc())
     event.fail(RuntimeError("sub-event failed"))
+    kernel.run(until=1.0)
+    assert caught == ["sub-event failed"]
+    assert pending[0].callbacks == []
     kernel.run()
     assert caught == ["sub-event failed"]
 
