@@ -216,7 +216,9 @@ class LoadBalancer:
             "lb.failover.begin",
             node=node.name,
             mode=mode.value,
-            components=tuple(components),
+            # Sorted: callers may pass a set, whose order follows string
+            # hashing and would make the timeline vary with the hash seed.
+            components=tuple(sorted(components)),
         )
 
     def end_failover(self, node):

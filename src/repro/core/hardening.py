@@ -187,4 +187,7 @@ class RecoveryStormLimiter:
         return True
 
     def release(self):
-        self.active = max(0, self.active - 1)
+        """Give back a slot taken by :meth:`admit`."""
+        if self.active <= 0:
+            raise RuntimeError("storm limiter released with no slot held")
+        self.active -= 1

@@ -40,11 +40,23 @@ The RM runs one of two schedulers:
   coarsened just because every failing path crosses the WAR.  Dispatch
   order is deterministic (sorted group keys, one dispatch per report),
   preserving the same-seed ⇒ same-trace contract.
+
+A scheduler only *chooses* a recovery — its level, its candidate and the
+escalation ladder it advances — and registers it as an in-flight entry.
+One executor, :meth:`RecoveryManager._execute`, then carries out and
+records every recovery: the serial scheduler runs it inline, the parallel
+scheduler and :meth:`RecoveryManager.preempt` run it as kernel processes.
+The safety steps every recovery owes, even one whose action raised —
+record it, release its storm-limiter slot, advance its backoff, notify
+the listeners — therefore live in that executor's single ``finally``.
+The schedulers differ there only in which evidence a finished recovery
+retires (:meth:`RecoveryManager._forget`).
 """
 
 import enum
 from dataclasses import dataclass, field
 
+from repro.appserver.errors import AppServerError
 from repro.appserver.http import longest_prefix
 from repro.core.hardening import HardeningPolicy
 from repro.core.recovery_graph import RecoveryGraph
@@ -100,13 +112,13 @@ class RecoveryAction:
 
 @dataclass
 class _GroupLadder:
-    """Escalation state for one dependency group (parallel scheduler).
+    """Escalation state for one incident.
 
-    The serial scheduler keeps one incident's worth of this state in the
-    RM itself; the parallel scheduler keeps one ladder per dependency
-    group (keyed by the group's canonical name) plus a single node ladder
-    for the node-wide rungs, so two independent components escalating at
-    once never share attempts, tried sets, or level state.
+    The serial scheduler keeps its one incident on the node ladder; the
+    parallel scheduler keeps one ladder per dependency group (keyed by the
+    group's canonical name) plus the node ladder for the node-wide rungs,
+    so two independent components escalating at once never share
+    attempts, tried sets, or level state.
     """
 
     key: str
@@ -117,17 +129,18 @@ class _GroupLadder:
     ejb_attempts: int = 0
 
 
-@dataclass
+@dataclass(eq=False)
 class _Inflight:
-    """One dispatched-but-unfinished recovery (parallel scheduler)."""
+    """One dispatched-but-unfinished recovery (either scheduler)."""
 
     action: "RecoveryAction"
-    level_index: int
     ladder: _GroupLadder
-    #: Expanded component targets, or None for node-exclusive coarse
-    #: actions (which conflict with everything).
+    #: Expanded component targets, or None for actions that conflict with
+    #: everything: node-exclusive coarse actions, and every action of the
+    #: one-at-a-time serial scheduler.
     targets: frozenset = None
-    candidate: str = None
+    #: Health-alert driven: no failure yet, so reactive state stays as is.
+    preemptive: bool = False
 
 
 #: The recursive policy's escalation ladder (§4).
@@ -198,7 +211,6 @@ class RecoveryManager:
                 self._paths_containing[component] = (
                     self._paths_containing.get(component, 0) + 1
                 )
-        self._ejb_attempts_this_incident = 0
         #: Scores are computed over a sliding window so a brief, self-
         #: healing burst (e.g. each client's one login prompt after a JVM
         #: restart lost the sessions) decays instead of accumulating
@@ -263,26 +275,21 @@ class RecoveryManager:
                 analyzer=self.path_analyzer,
             )
 
-        #: Parallel-scheduler state (untouched in serial mode): one
-        #: escalation ladder per dependency group plus the node ladder
-        #: for the node-wide rungs; in-flight dispatches; per-component
-        #: staleness cutoffs.
+        #: Escalation state: the node ladder holds the serial scheduler's
+        #: incident or the parallel scheduler's node-wide rungs, and the
+        #: parallel scheduler adds one ladder per dependency group.  Every
+        #: unfinished recovery sits in ``_inflight``; per-component
+        #: staleness cutoffs are set by the parallel scheduler only.
         self._ladders = {}
         self._node_ladder = _GroupLadder("node")
         self._inflight = []
         self._component_last_end = {}
-        self._node_last_end = None
         self._dispatch_seq = 0
 
         self.inbox = Queue(kernel)
         self.scores = {}
         self.actions = []
         self.human_notified = False
-        self.recovering = False
-        self._last_action_end = None
-        self._last_level_index = -1
-        self._last_action_ok = True
-        self._tried_this_incident = set()
         self._process = None
         #: Observers called with each completed RecoveryAction (the load
         #: balancer hooks in here for failover coordination, §5.3).
@@ -308,6 +315,11 @@ class RecoveryManager:
     @property
     def server(self):
         return self.coordinator.server
+
+    @property
+    def recovering(self):
+        """True while any recovery, reactive or preemptive, is in flight."""
+        return bool(self._inflight)
 
     def start(self):
         """Spawn the RM's event loop."""
@@ -420,12 +432,26 @@ class RecoveryManager:
             ),
         )
 
-    def _biggest_leaker(self):
-        """Memory-attribution diagnosis for resource-exhaustion reports."""
+    def _leaker(self, now, exclude):
+        """Memory-attribution diagnosis for resource-exhaustion reports.
+
+        The biggest leaker, unless excluded.  A leaker still inside its
+        backoff is struck and skipped: it was µRB'd recently and the heap
+        is exhausted *again*, and deferring would leave the node in OOM
+        meltdown until the backoff lapses (every request fails, and each
+        report re-extends the backoff via the flap strike).  Exhaustion
+        does not pass on its own — count the flap evidence, then coarsen:
+        the node-wide rungs free every component's leak at once.
+        """
+        candidate = None
         for owner in self.server.heap.owners_by_leak():
             if owner in self.server.containers:
-                return owner
-        return None
+                candidate = owner
+                break
+        if candidate is not None and self._in_backoff(candidate, now):
+            self._flap_strike(candidate)
+            return None
+        return None if candidate in exclude else candidate
 
     # ------------------------------------------------------------------
     # The event loop
@@ -459,49 +485,34 @@ class RecoveryManager:
             if self.scheduler == "parallel":
                 self._dispatch_parallel(report)
             elif self._should_act(report):
-                yield from self._recover(report)
+                yield from self._dispatch_serial(report)
 
     def _is_stale(self, report):
         """Drop reports that predate the recovery that would answer them.
 
-        Serial mode judges against the single last action.  Parallel mode
-        judges per component: a report is stale only if it predates the
-        last finished recovery of a component *on its own path* (or the
-        last node-wide recovery) — evidence about one group must not be
-        discarded because an independent group just finished recovering.
+        The cutoff is the node ladder's last recovery — every reactive
+        one under the serial scheduler, the node-wide rungs under the
+        parallel one — or, with the parallel scheduler, the last finished
+        recovery of a component *on the report's own path*: evidence
+        about one group must not be discarded because an independent
+        group just finished recovering.
         """
-        if self.scheduler == "parallel":
-            cutoff = self._node_last_end or 0.0
-            for component in self.path_for_url(report.url):
-                cutoff = max(
-                    cutoff, self._component_last_end.get(component, 0.0)
-                )
-            if report.time < cutoff:
-                self._reports_stale.inc()
-                return True
-            if (
-                self._node_last_end is not None
-                and report.kind is FailureKind.APP_SPECIFIC
-                and report.time < self._node_last_end + self.post_recovery_grace
-            ):
-                # Login prompts are the aftermath of session-destroying
-                # (node-wide) recoveries; µRBs preserve sessions, so only
-                # coarse actions open the grace window here.
-                return True
-            return False
-        if self._last_action_end is not None:
-            if report.time < self._last_action_end:
-                self._reports_stale.inc()
-                return True  # stale: the failure predates the last recovery
-            if (
-                report.kind is FailureKind.APP_SPECIFIC
-                and report.time < self._last_action_end + self.post_recovery_grace
-            ):
-                # Expected aftermath: a session-destroying recovery
-                # produces one login prompt per client; give the
-                # population time to re-log-in before reacting.
-                return True
-        return False
+        node_end = self._node_ladder.last_action_end
+        cutoff = node_end or 0.0
+        for component in self.path_for_url(report.url):
+            cutoff = max(cutoff, self._component_last_end.get(component, 0.0))
+        if report.time < cutoff:
+            self._reports_stale.inc()
+            return True
+        # Expected aftermath: a session-destroying recovery produces one
+        # login prompt per client; give the population time to re-log-in
+        # before reacting.  µRBs preserve sessions, so under the parallel
+        # scheduler only the node-wide rungs open this grace window.
+        return (
+            node_end is not None
+            and report.kind is FailureKind.APP_SPECIFIC
+            and report.time < node_end + self.post_recovery_grace
+        )
 
     def _should_act(self, report):
         if self.recovering or self.human_notified:
@@ -510,6 +521,13 @@ class RecoveryManager:
             return True
         return any(
             score >= self.score_threshold for score in self.scores.values()
+        )
+
+    def _quiet(self, ladder, now):
+        """True when ``ladder`` finished no recovery within the window."""
+        return (
+            ladder.last_action_end is None
+            or now - ladder.last_action_end > self.escalation_window
         )
 
     def _next_level_index(self, now, report):
@@ -521,195 +539,58 @@ class RecoveryManager:
         hot candidates remain (up to ``max_ejb_attempts``); after that,
         progressively larger subsets are rebooted.
         """
-        if (
-            self._last_action_end is None
-            or now - self._last_action_end > self.escalation_window
-        ):
-            self._tried_this_incident = set()
-            self._ejb_attempts_this_incident = 0
+        ladder = self._node_ladder
+        if self._quiet(ladder, now):
+            ladder.tried = set()
+            ladder.ejb_attempts = 0
             return 0
         if (
-            self._last_level_index <= 0
+            ladder.last_level_index <= 0
             # An errored µRB is evidence the fine-grained machinery itself
             # is hurt; coarsen instead of retrying at the same grain.
-            and self._last_action_ok
-            and self._ejb_attempts_this_incident < self.max_ejb_attempts
+            and ladder.last_action_ok
+            and ladder.ejb_attempts < self.max_ejb_attempts
             and report.kind is not FailureKind.RESOURCE_EXHAUSTION
-            and self._candidate(
-                self._tried_this_incident | self.active_quarantines()
-            )
+            and self._candidate(ladder.tried | self.active_quarantines())
             is not None
         ):
             return 0
-        return min(self._last_level_index + 1, len(LEVELS) - 1)
+        return min(ladder.last_level_index + 1, len(LEVELS) - 1)
 
-    def _recover(self, report):
-        """Generator: choose and execute one recovery action."""
+    def _dispatch_serial(self, report):
+        """Generator: choose one recovery and execute it inline."""
         now = self.kernel.now
+        resource = report.kind is FailureKind.RESOURCE_EXHAUSTION
+        ladder = self._node_ladder
         if self.policy == "process-restart":
             level_index = LEVELS.index("jvm")
         else:
             level_index = self._next_level_index(now, report)
-        level = LEVELS[level_index]
-        target = ()
         candidate = None
-        hardening = self.hardening
-
-        if level == "ejb":
-            quarantined = self.active_quarantines()
-            exclude = self._tried_this_incident | quarantined
-            if report.kind is FailureKind.RESOURCE_EXHAUSTION:
-                candidate = self._biggest_leaker()
-                if candidate is not None and self._in_backoff(candidate, now):
-                    # The leaker was µRB'd recently and the heap is
-                    # exhausted *again*: deferring would leave the node
-                    # in OOM meltdown until the backoff lapses (every
-                    # request fails, and each report re-extends the
-                    # backoff via the flap strike).  Exhaustion does not
-                    # pass on its own — count the flap evidence, then
-                    # coarsen: the node-wide rungs free every
-                    # component's leak at once.
-                    self._flap_strike(candidate)
-                    candidate = None
-                elif candidate in exclude:
-                    candidate = None
+        if level_index == 0:
+            exclude = ladder.tried | self.active_quarantines()
+            if resource:
+                candidate = self._leaker(now, exclude)
             else:
                 candidate = self._candidate(exclude, record=True)
-                if (
-                    hardening.enabled
-                    and candidate is not None
-                    and self._in_backoff(candidate, now)
-                ):
+                if candidate is not None and self._in_backoff(candidate, now):
                     # The chosen target is still inside its backoff: wait
                     # it out rather than recycling the component.
                     self._flap_strike(candidate)
-                    return self._defer("backoff", level, (candidate,))
+                    return self._defer("backoff", "ejb", (candidate,))
             if candidate is None:
                 level_index += 1
-                level = LEVELS[level_index]
-
-        if (
-            hardening.enabled
-            and level == "war"
-            and report.kind is not FailureKind.RESOURCE_EXHAUSTION
-        ):
-            # About to coarsen beyond single-component µRBs — but when the
-            # hottest candidate overall (tried this incident or not) is a
-            # component we recently recovered and it is still in backoff,
-            # the recovery evidently did not stick.  That is flap
-            # evidence: grounds for waiting (and eventually quarantining
-            # the flapper), not for escalating to a far more disruptive
-            # level.
-            hot = self._candidate(self.active_quarantines())
-            if hot is not None and self._in_backoff(hot, now):
-                self._flap_strike(hot)
-                return self._defer("backoff", level, (hot,))
-
-        if hardening.enabled and level not in ("ejb", "human"):
-            key = "node" if level in NODE_WIDE_LEVELS else level
-            if now < self._backoff_until.get(key, 0.0):
-                # A coarse recovery just ran (or was recently deferred):
-                # give the node room to breathe — and external trouble
-                # (a flaky LB link, a slow disk) time to pass — before
-                # recycling it at an even coarser grain.
-                return self._defer("backoff", level, ())
-
-        if (
-            self.storm_limiter is not None
-            and level != "human"
-            and not self.storm_limiter.admit(who=self.server.name)
-        ):
-            return self._defer("storm", level, ())
-        admitted = self.storm_limiter is not None and level != "human"
-
-        action = RecoveryAction(
-            decided_at=now,
-            level=level,
-            target=(candidate,) if candidate is not None else target,
-            trigger=report.kind,
-        )
-        self.recovering = True
-        try:
-            # Everything from here on runs inside the action: group
-            # expansion can raise (a stale URL-map name unknown to the
-            # coordinator), and when it does the admitted storm-limiter
-            # slot must still be released and the candidate's backoff key
-            # must still advance — otherwise storms of failing actions
-            # wedge the limiter.
-            if level == "ejb":
-                target = tuple(self.coordinator.expand_targets([candidate]))
-                action.target = target
-                self._tried_this_incident |= set(target)
-                self._ejb_attempts_this_incident += 1
-            self.kernel.trace.publish(
-                "rm.decision",
-                server=self.server.name,
-                level=level,
-                target=action.target,
-                trigger=report.kind.value,
-            )
-            for listener in self.begin_listeners:
-                listener(action)
-            if level == "ejb":
-                yield from self.coordinator.microreboot(list(target))
-            elif level == "war":
-                event = yield from self.coordinator.microreboot_war()
-                action.target = event.components
-            elif level == "application":
-                event = yield from self.coordinator.restart_application()
-                action.target = event.components
-            elif level == "jvm":
-                yield from self._restart_jvm()
-            elif level == "os":
-                yield from self._reboot_os()
-            else:  # human
-                self.human_notified = True
-        except Exception as exc:  # noqa: BLE001 - a failed action must not
-            # wedge the RM: before this handler existed, an action that
-            # raised left ``actions`` unappended, ``_last_action_end``
-            # stale, and the scores intact, so the next report replayed the
-            # same escalation state forever.  Record the failed action and
-            # reset incident state exactly like the success path; the
-            # escalation ladder then tries the next-coarser level.
-            action.error = f"{type(exc).__name__}: {exc}"
-            self._action_errors.inc()
-            # The incident-attempt state must not survive a raised action
-            # either: a stale ``_tried_this_incident`` would keep excluding
-            # candidates that were never actually recovered, wedging the
-            # ladder at a level whose action cannot complete.
-            self._tried_this_incident = set()
-            self._ejb_attempts_this_incident = 0
-        finally:
-            self.recovering = False
-            action.finished_at = self.kernel.now
-            self.actions.append(action)
-            self._actions_by_level.inc(level)
-            self._last_action_end = action.finished_at
-            self._last_level_index = level_index
-            self._last_action_ok = action.ok
-            self.scores = {}
-            self._recent_reports = []
-            if self.path_analyzer is not None:
-                # Paths observed before the recovery are as stale as the
-                # scores: re-targeting must be based on post-recovery data.
-                self.path_analyzer.clear()
-            self.inbox.drain()  # reports queued during recovery are stale
-            self.kernel.trace.publish(
-                "rm.action.end",
-                server=self.server.name,
-                level=level,
-                target=action.target,
-                ok=action.ok,
-                error=action.error,
-                duration=action.finished_at - action.decided_at,
-            )
-            self._check_recurring()
-            if admitted:
-                self.storm_limiter.release()
-            if hardening.enabled and level != "human":
-                self._note_recovery(level, action)
-            for listener in self.listeners:
-                listener(action)
+        level = LEVELS[level_index]
+        if self._coarse_deferred(level, now, resource):
+            return
+        if not self._admit(level, ()):
+            return
+        if candidate is not None:
+            ladder.tried |= self._targets(candidate)
+            ladder.ejb_attempts += 1
+        entry = self._entry(level, report.kind, ladder, candidate)
+        self._inflight.append(entry)
+        yield from self._execute(entry)
 
     # ------------------------------------------------------------------
     # The parallel scheduler (dependency-aware concurrent dispatch)
@@ -723,15 +604,19 @@ class RecoveryManager:
         return ladder
 
     def _reset_stale_ladders(self, now):
-        """Groups quiet past the escalation window start fresh incidents."""
+        """Groups quiet past the escalation window start fresh incidents.
+
+        A node-wide rung that ran within the window keeps every group's
+        incident open: the group escalated to it, so the next report must
+        keep climbing the node ladder, not restart at a fresh µRB.
+        """
+        if not self._quiet(self._node_ladder, now):
+            return
         for key in sorted(self._ladders):
             ladder = self._ladders[key]
             if any(entry.ladder is ladder for entry in self._inflight):
                 continue
-            if (
-                ladder.last_action_end is not None
-                and now - ladder.last_action_end > self.escalation_window
-            ):
+            if ladder.last_action_end is not None and self._quiet(ladder, now):
                 del self._ladders[key]
 
     def _conflicts(self, targets, entry):
@@ -743,10 +628,10 @@ class RecoveryManager:
         """Start at most one recovery for this report, without blocking.
 
         The dependency-aware twin of the serial ``_should_act`` +
-        ``_recover`` pair: a hot candidate whose dependency group is
-        already recovering is skipped (its group stays serialized) and the
-        next-hottest *independent* candidate is considered instead, so one
-        report can only ever start a recovery in a group that is idle.
+        ``_dispatch_serial`` pair: a hot candidate whose dependency group
+        is already recovering is skipped (its group stays serialized) and
+        the next-hottest *independent* candidate is considered instead, so
+        one report can only ever start a recovery in a group that is idle.
         Candidates are re-diagnosed from the current scores on every
         dispatch — a deferred recovery never acts on a candidate captured
         earlier.
@@ -783,30 +668,12 @@ class RecoveryManager:
         skip = set()
         while True:
             if resource:
-                candidate = self._biggest_leaker()
-                if candidate is not None and self._in_backoff(candidate, now):
-                    # Same contract as the serial ladder: a re-exhausted
-                    # heap whose biggest leaker is inside its backoff is
-                    # grounds for coarsening, not deferring — waiting
-                    # out the backoff means waiting in OOM meltdown.
-                    self._flap_strike(candidate)
-                    candidate = None
-                if candidate in exclude | skip:
-                    candidate = None
+                candidate = self._leaker(now, exclude | skip)
             else:
                 candidate = self._candidate(exclude | skip, record=True)
             if candidate is None:
                 return self._dispatch_coarse(report, now, resource)
-            try:
-                targets = frozenset(
-                    self.coordinator.expand_targets([candidate])
-                )
-            except Exception:  # noqa: BLE001 — unknown to the coordinator
-                # (e.g. a stale URL-map name): dispatch the bare candidate
-                # anyway; the execution hits the same error, records an
-                # errored action, and still advances the candidate's
-                # backoff key.
-                targets = frozenset((candidate,))
+            targets = self._targets(candidate)
             ladder = self._ladder_for(targets)
             if (
                 not ladder.last_action_ok
@@ -827,38 +694,12 @@ class RecoveryManager:
                 skip |= targets
                 skip.add(candidate)
                 continue
-            if (
-                self.storm_limiter is not None
-                and not self.storm_limiter.admit(who=self.server.name)
-            ):
-                # The storm limiter is the global concurrency cap.
-                # Deferred, not cancelled: scores survive, and the next
-                # report re-diagnoses from scratch.
-                return self._defer("storm", "ejb", (candidate,))
-            admitted = self.storm_limiter is not None
+            if not self._admit("ejb", (candidate,)):
+                return
             ladder.tried |= targets
             ladder.ejb_attempts += 1
-            action = RecoveryAction(
-                decided_at=now,
-                level="ejb",
-                target=(candidate,),
-                trigger=report.kind,
-            )
-            entry = _Inflight(
-                action=action,
-                level_index=0,
-                ladder=ladder,
-                targets=targets,
-                candidate=candidate,
-            )
-            self._inflight.append(entry)
-            self.recovering = True
-            self._dispatch_seq += 1
-            self.kernel.process(
-                self._execute(entry, admitted),
-                name=f"rm-{self.server.name}-recovery-{self._dispatch_seq}",
-            )
-            return
+            entry = self._entry("ejb", report.kind, ladder, candidate, targets)
+            return self._start(entry, "recovery")
 
     def _dispatch_coarse(self, report, now, resource):
         """The node-wide rungs (WAR and coarser) are node-exclusive."""
@@ -867,76 +708,127 @@ class RecoveryManager:
             # escalation is retried on the next report once the node is
             # quiet.
             return
-        hardening = self.hardening
-        level_index = self._node_level_index(now)
-        level = LEVELS[level_index]
-        if hardening.enabled and level == "war" and not resource:
-            # Same flap check as the serial ladder: when the hottest
-            # candidate overall is a component still in backoff, the last
-            # recovery evidently did not stick — grounds for waiting (and
-            # eventually quarantining), not for a far more disruptive
+        level = LEVELS[self._node_level_index(now)]
+        if self._coarse_deferred(level, now, resource):
+            return
+        if not self._admit(level, ()):
+            return
+        entry = self._entry(level, report.kind, self._node_ladder)
+        self._start(entry, "recovery")
+
+    def _node_level_index(self, now):
+        """The node ladder's next rung (never finer than the WAR)."""
+        war = LEVELS.index("war")
+        if self._quiet(self._node_ladder, now):
+            return war
+        return min(
+            max(self._node_ladder.last_level_index + 1, war), len(LEVELS) - 1
+        )
+
+    # ------------------------------------------------------------------
+    # Gates shared by the schedulers
+    # ------------------------------------------------------------------
+    def _targets(self, candidate):
+        """The candidate's recovery group, as dispatch sees it.
+
+        A name unknown to the coordinator (e.g. a stale URL-map name)
+        falls back to the bare candidate: the execution hits the same
+        error, records an errored action, and still advances the
+        candidate's backoff key.
+        """
+        try:
+            return frozenset(self.coordinator.expand_targets([candidate]))
+        except AppServerError:
+            return frozenset((candidate,))
+
+    def _coarse_deferred(self, level, now, resource):
+        """Hardening gates on the coarse rungs; True when ``level`` waits."""
+        if not self.hardening.enabled:
+            return False
+        if level == "war" and not resource:
+            # About to coarsen beyond single-component µRBs — but when the
+            # hottest candidate overall (tried this incident or not) is a
+            # component we recently recovered and it is still in backoff,
+            # the recovery evidently did not stick.  That is flap
+            # evidence: grounds for waiting (and eventually quarantining
+            # the flapper), not for escalating to a far more disruptive
             # level.
             hot = self._candidate(self.active_quarantines())
             if hot is not None and self._in_backoff(hot, now):
                 self._flap_strike(hot)
-                return self._defer("backoff", level, (hot,))
-        if hardening.enabled and level != "human":
+                self._defer("backoff", level, (hot,))
+                return True
+        if level not in ("ejb", "human"):
             key = "node" if level in NODE_WIDE_LEVELS else level
             if now < self._backoff_until.get(key, 0.0):
-                return self._defer("backoff", level, ())
+                # A coarse recovery just ran (or was recently deferred):
+                # give the node room to breathe — and external trouble
+                # (a flaky LB link, a slow disk) time to pass — before
+                # recycling it at an even coarser grain.
+                self._defer("backoff", level, ())
+                return True
+        return False
+
+    def _admit(self, level, targets):
+        """Take a storm-limiter slot for ``level``; False when deferred.
+
+        The storm limiter is the global concurrency cap.  Deferred, not
+        cancelled: scores survive, and the next report re-diagnoses from
+        scratch.  Notifying a human takes no slot.
+        """
         if (
-            self.storm_limiter is not None
-            and level != "human"
-            and not self.storm_limiter.admit(who=self.server.name)
+            self.storm_limiter is None
+            or level == "human"
+            or self.storm_limiter.admit(who=self.server.name)
         ):
-            return self._defer("storm", level, ())
-        admitted = self.storm_limiter is not None and level != "human"
+            return True
+        self._defer("storm", level, targets)
+        return False
+
+    # ------------------------------------------------------------------
+    # The executor (every recovery, whichever scheduler chose it)
+    # ------------------------------------------------------------------
+    def _entry(
+        self, level, trigger, ladder, candidate=None, targets=None,
+        preemptive=False,
+    ):
+        """The in-flight record of a recovery decided now."""
         action = RecoveryAction(
-            decided_at=now, level=level, target=(), trigger=report.kind
+            decided_at=self.kernel.now,
+            level=level,
+            target=() if candidate is None else (candidate,),
+            trigger=trigger,
         )
-        entry = _Inflight(
-            action=action,
-            level_index=level_index,
-            ladder=self._node_ladder,
-            targets=None,
+        return _Inflight(
+            action=action, ladder=ladder, targets=targets, preemptive=preemptive
         )
+
+    def _start(self, entry, kind):
+        """Register ``entry`` in flight and execute it as a kernel process."""
         self._inflight.append(entry)
-        self.recovering = True
         self._dispatch_seq += 1
         self.kernel.process(
-            self._execute(entry, admitted),
-            name=f"rm-{self.server.name}-recovery-{self._dispatch_seq}",
+            self._execute(entry),
+            name=f"rm-{self.server.name}-{kind}-{self._dispatch_seq}",
         )
 
-    def _node_level_index(self, now):
-        """The node ladder's next rung (never finer than the WAR)."""
-        ladder = self._node_ladder
-        war = LEVELS.index("war")
-        if (
-            ladder.last_action_end is None
-            or now - ladder.last_action_end > self.escalation_window
-        ):
-            ladder.last_level_index = -1
-            ladder.last_action_ok = True
-            return war
-        return min(max(ladder.last_level_index + 1, war), len(LEVELS) - 1)
+    def _execute(self, entry):
+        """Generator: carry out one in-flight recovery and record it.
 
-    def _execute(self, entry, admitted):
-        """Process body: run one dispatched recovery to completion.
-
-        The parallel twin of :meth:`_recover`'s act/record half — same
-        try/except/finally contract (an errored action is recorded, its
-        storm slot released, its backoff advanced) — but completion
-        bookkeeping is scoped to the entry's ladder and targets instead
-        of global incident state.
+        Everything from the group expansion on runs inside the action:
+        expansion can raise (a stale URL-map name unknown to the
+        coordinator), and an action that raised must still be recorded,
+        release its storm-limiter slot and advance its backoff key —
+        otherwise storms of failing actions wedge the limiter.
         """
         action = entry.action
         level = action.level
         ladder = entry.ladder
+        flags = {"preemptive": True} if entry.preemptive else {}
         try:
-            if level == "ejb":
+            if level == "ejb":  # the target is still just the candidate
                 action.target = tuple(
-                    self.coordinator.expand_targets([entry.candidate])
+                    self.coordinator.expand_targets(action.target)
                 )
             self.kernel.trace.publish(
                 "rm.decision",
@@ -944,6 +836,7 @@ class RecoveryManager:
                 level=level,
                 target=action.target,
                 trigger=action.trigger.value,
+                **flags,
             )
             for listener in self.begin_listeners:
                 listener(action)
@@ -961,37 +854,30 @@ class RecoveryManager:
                 yield from self._reboot_os()
             else:  # human
                 self.human_notified = True
-        except Exception as exc:  # noqa: BLE001 — same contract as _recover
+        except Exception as exc:  # noqa: BLE001 - a failed action must not
+            # wedge the RM: before this handler existed, an action that
+            # raised left ``actions`` unappended, the ladder's last end
+            # stale, and the scores intact, so the next report replayed the
+            # same escalation state forever.  Record the failed action and
+            # retire evidence exactly like the success path; the
+            # escalation ladder then tries the next-coarser level.
             action.error = f"{type(exc).__name__}: {exc}"
             self._action_errors.inc()
-            # The group's ladder must not keep excluding targets that were
-            # never actually recovered; the cleared ladder coarsens on the
-            # next report via last_action_ok.
+            # The ladder's attempt state must not survive a raised action
+            # either: a stale tried set would keep excluding candidates
+            # that were never actually recovered, wedging the ladder at a
+            # level whose action cannot complete.
             ladder.tried = set()
             ladder.ejb_attempts = 0
         finally:
             action.finished_at = self.kernel.now
             self.actions.append(action)
             self._actions_by_level.inc(level)
-            self._last_action_end = action.finished_at
             ladder.last_action_end = action.finished_at
-            ladder.last_level_index = entry.level_index
+            ladder.last_level_index = LEVELS.index(level)
             ladder.last_action_ok = action.ok
             self._inflight.remove(entry)
-            self.recovering = bool(self._inflight)
-            if level == "ejb":
-                recycled = set(action.target or ()) | set(entry.targets or ())
-                for component in recycled:
-                    self._component_last_end[component] = action.finished_at
-                self._forget_evidence(recycled)
-            else:
-                # The node itself was recycled: all evidence predates it.
-                self._node_last_end = action.finished_at
-                self._component_last_end = {}
-                self.scores = {}
-                self._recent_reports = []
-                if self.path_analyzer is not None:
-                    self.path_analyzer.clear()
+            self._forget(entry)
             self.kernel.trace.publish(
                 "rm.action.end",
                 server=self.server.name,
@@ -1000,14 +886,60 @@ class RecoveryManager:
                 ok=action.ok,
                 error=action.error,
                 duration=action.finished_at - action.decided_at,
+                **flags,
             )
-            self._check_recurring()
-            if admitted:
+            if self.storm_limiter is not None and level != "human":
                 self.storm_limiter.release()
-            if self.hardening.enabled and level != "human":
-                self._note_recovery(level, action)
+            # A preemptive µRB is planned maintenance, not failure-driven
+            # recovery: no recurring-failure count and deliberately NO
+            # _note_recovery.  Counting it toward flap detection would
+            # quarantine a slowly-leaking component for being rejuvenated
+            # on schedule, and advancing its backoff would defer the
+            # *reactive* recovery that an actual failure needs.  The
+            # policy's per-component cooldown is the preemption loop-guard
+            # (same contract as RejuvenationService, whose rolling µRBs
+            # bypass the RM).
+            if not entry.preemptive:
+                self._check_recurring()
+                if self.hardening.enabled and level != "human":
+                    self._note_recovery(level, action)
             for listener in self.listeners:
                 listener(action)
+
+    def _forget(self, entry):
+        """Retire the evidence a finished recovery has answered.
+
+        The one completion step where the schedulers differ.  The serial
+        scheduler wipes every score and drops the reports queued during
+        the recovery.  The parallel scheduler recycling the node wipes
+        every score too, but after a µRB it forgets only evidence through
+        the recycled components and makes them the staleness cutoff for
+        reports on their paths.  A preemptive µRB answered no failure: it
+        sets those cutoffs and forgets nothing.
+        """
+        action = entry.action
+        if self.scheduler == "serial":
+            if not entry.preemptive:
+                self._wipe_evidence()
+                self.inbox.drain()  # reports queued during recovery are stale
+        elif action.level != "ejb":
+            # The node itself was recycled: all evidence predates it.
+            self._component_last_end = {}
+            self._wipe_evidence()
+        else:
+            recycled = set(action.target or ()) | set(entry.targets or ())
+            for component in recycled:
+                self._component_last_end[component] = action.finished_at
+            if not entry.preemptive:
+                self._forget_evidence(recycled)
+
+    def _wipe_evidence(self):
+        self.scores = {}
+        self._recent_reports = []
+        if self.path_analyzer is not None:
+            # Paths observed before the recovery are as stale as the
+            # scores: re-targeting must be based on post-recovery data.
+            self.path_analyzer.clear()
 
     def _forget_evidence(self, components):
         """Evidence through just-recycled components is stale; keep the rest.
@@ -1055,119 +987,26 @@ class RecoveryManager:
         if self._in_backoff(component, now):
             self._defer("backoff", "ejb", (component,))
             return None
-        if self.scheduler == "serial":
-            if self.recovering:
-                return None
-        else:
-            try:
-                targets = frozenset(
-                    self.coordinator.expand_targets([component])
-                )
-            except Exception:  # noqa: BLE001 — same contract as dispatch
-                targets = frozenset((component,))
-            if any(
-                self._conflicts(targets, entry) for entry in self._inflight
-            ):
-                return None
-        if (
-            self.storm_limiter is not None
-            and not self.storm_limiter.admit(who=self.server.name)
-        ):
-            self._defer("storm", "ejb", (component,))
+        # Under the serial scheduler every entry conflicts with everything.
+        targets = (
+            self._targets(component) if self.scheduler == "parallel" else None
+        )
+        if any(self._conflicts(targets, entry) for entry in self._inflight):
             return None
-        admitted = self.storm_limiter is not None
-        action = RecoveryAction(
-            decided_at=now,
-            level="ejb",
-            target=(component,),
-            trigger=FailureKind.PREDICTED,
+        if not self._admit("ejb", (component,)):
+            return None
+        entry = self._entry(
+            "ejb",
+            FailureKind.PREDICTED,
+            # A throwaway ladder: preemptions must not consume the
+            # component's real escalation state.
+            _GroupLadder(f"preempt:{component}"),
+            component,
+            targets,
+            preemptive=True,
         )
-        if self.scheduler == "serial":
-            self.recovering = True
-        else:
-            self._inflight.append(
-                _Inflight(
-                    action=action,
-                    level_index=0,
-                    # A throwaway ladder: preemptions must not consume the
-                    # component's real dependency-group escalation state.
-                    ladder=_GroupLadder(f"preempt:{component}"),
-                    targets=targets,
-                    candidate=component,
-                )
-            )
-            self.recovering = True
-        self._dispatch_seq += 1
-        self.kernel.process(
-            self._execute_preemptive(action, component, admitted),
-            name=f"rm-{self.server.name}-preempt-{self._dispatch_seq}",
-        )
-        return action
-
-    def _execute_preemptive(self, action, component, admitted):
-        """Process body: one preemptive µRB, reactive state untouched.
-
-        Same try/except/finally contract as the reactive executors (an
-        errored action is recorded, its storm slot released, its backoff
-        advanced) minus the incident bookkeeping: scores, tried sets,
-        ladders, and ``_last_action_end`` all belong to *reactive*
-        incidents and stay exactly as they were.
-        """
-        level = "ejb"
-        try:
-            action.target = tuple(
-                self.coordinator.expand_targets([component])
-            )
-            self.kernel.trace.publish(
-                "rm.decision",
-                server=self.server.name,
-                level=level,
-                target=action.target,
-                trigger=action.trigger.value,
-                preemptive=True,
-            )
-            for listener in self.begin_listeners:
-                listener(action)
-            yield from self.coordinator.microreboot(list(action.target))
-        except Exception as exc:  # noqa: BLE001 — same contract as _recover
-            action.error = f"{type(exc).__name__}: {exc}"
-            self._action_errors.inc()
-        finally:
-            action.finished_at = self.kernel.now
-            self.actions.append(action)
-            self._actions_by_level.inc(level)
-            if self.scheduler == "serial":
-                self.recovering = False
-            else:
-                self._inflight = [
-                    entry for entry in self._inflight
-                    if entry.action is not action
-                ]
-                self.recovering = bool(self._inflight)
-                for name in set(action.target or (component,)):
-                    self._component_last_end[name] = action.finished_at
-            self.kernel.trace.publish(
-                "rm.action.end",
-                server=self.server.name,
-                level=level,
-                target=action.target,
-                ok=action.ok,
-                error=action.error,
-                duration=action.finished_at - action.decided_at,
-                preemptive=True,
-            )
-            if admitted:
-                self.storm_limiter.release()
-            # Deliberately NO _note_recovery: a preemptive µRB is planned
-            # maintenance, not failure-driven recovery.  Counting it
-            # toward flap detection would quarantine a slowly-leaking
-            # component for being rejuvenated on schedule, and advancing
-            # its backoff would defer the *reactive* recovery that an
-            # actual failure needs.  The policy's per-component cooldown
-            # is the preemption loop-guard (same contract as
-            # RejuvenationService, whose rolling µRBs bypass the RM).
-            for listener in self.listeners:
-                listener(action)
+        self._start(entry, "preempt")
+        return entry.action
 
     # ------------------------------------------------------------------
     # Hardening: backoff, flap quarantine, storm deferral

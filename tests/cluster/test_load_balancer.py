@@ -215,6 +215,17 @@ def test_round_robin_rotation_survives_failover_churn():
     assert [lb._next_good_node().name for _ in range(3)] == ["n0", "n1", "n2"]
 
 
+def test_failover_begin_publishes_components_sorted():
+    """Callers pass sets; the timeline must not follow string hashing."""
+    kernel = Kernel()
+    kernel.trace.enabled = True
+    nodes = ring_nodes()
+    lb = LoadBalancer(kernel, nodes)
+    lb.begin_failover(nodes[0], FailoverMode.MICRO, components=("Item", "Bid"))
+    (begin,) = kernel.trace.events(kinds="lb.failover.begin")
+    assert begin.fields["components"] == ("Bid", "Item")
+
+
 def test_cluster_ids_never_collide(cluster):
     """The high-low key blocks keep concurrent nodes collision-free."""
     cookies = [login(cluster, uid) for uid in range(1, 10)]

@@ -83,6 +83,16 @@ class TestRecoveryStormLimiter:
         limiter.release()
         assert limiter.admit("rm1")
 
+    def test_release_without_a_held_slot_raises(self):
+        limiter = RecoveryStormLimiter(Kernel(), limit=1)
+        with pytest.raises(RuntimeError, match="no slot held"):
+            limiter.release()
+        assert limiter.admit("rm0")
+        limiter.release()
+        with pytest.raises(RuntimeError, match="no slot held"):
+            limiter.release()
+        assert limiter.active == 0
+
     def test_window_cap_resets_as_time_passes(self):
         kernel = Kernel()
         limiter = RecoveryStormLimiter(

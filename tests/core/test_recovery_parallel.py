@@ -191,3 +191,30 @@ def test_war_demand_needs_twice_the_evidence_when_unlocalized():
     # (Account crossed threshold on the way — the specific candidate
     # still wins over the node-wide rung.)
     assert rm.actions[0].target == ("Account", "Ledger")
+
+
+@pytest.mark.parametrize("gap", [5.0, 10.0, 20.0, 30.0, 40.0, 50.0])
+@pytest.mark.parametrize("url", ["/toy/greet", "/toy/balance"])
+def test_single_group_faults_escalate_alike_under_both_schedulers(url, gap):
+    """One failing group walks the same ladder under either scheduler.
+
+    With nothing independent to recover concurrently, the parallel
+    scheduler's per-group ladder plus node ladder must reproduce the
+    serial incident ladder: a node-wide rung keeps the group's incident
+    open, so the next round climbs on instead of restarting at a µRB.
+    """
+
+    def actions(scheduler):
+        system = build_toy_system()
+        rm = make_rm(system, scheduler=scheduler)
+
+        def rounds():
+            for _ in range(8):
+                burst(rm, system, url)
+                yield system.kernel.timeout(gap)
+
+        system.kernel.process(rounds())
+        system.kernel.run(until=8 * gap + 50.0)
+        return [(a.level, a.target) for a in rm.actions]
+
+    assert actions("parallel") == actions("serial")
