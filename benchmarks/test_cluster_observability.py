@@ -159,16 +159,11 @@ def test_storm_correlation_standard_scale():
     assert all(value >= 0.0 for value in phases.values())
     assert sum(phases.values()) == pytest.approx(meta["span"], abs=1e-4)
 
-    # The rollup plane saw the whole cluster and flagged the sick shards.
+    # The rollup plane saw the whole cluster.
     summary = cluster["summary"]
     assert summary["shards"] >= STANDARD["n_shards"]
     assert summary["sessions"] == STANDARD["n_sessions"]
     assert summary["probe_p99"] is not None
-    assert len(cluster["capacity_signals"]) > 0
-    pressured = set(summary["pressured_shards"])
-    assert pressured <= struck, (
-        "capacity pressure fired on a shard the storm never struck"
-    )
 
     requests = outcome["good_requests"] + outcome["failed_requests"]
     payload = _recorded_obs("cluster") or {}
@@ -183,7 +178,6 @@ def test_storm_correlation_standard_scale():
         "meta_span_s": meta["span"],
         "phases": phases,
         "migrations_attributed": len(meta["migrations"]),
-        "capacity_signals": len(cluster["capacity_signals"]),
         "slo_violations": summary["slo_violations"],
         "requests": requests,
         "wall_s": round(wall, 2),

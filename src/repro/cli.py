@@ -14,6 +14,7 @@ Usage::
     python -m repro slo figure1.jsonl --window 30 --availability 0.999
     python -m repro health prediction.jsonl
     python -m repro alerts prediction.jsonl
+    python -m repro shards storm.jsonl --json view.json --prom metrics.prom
 
 Each experiment prints its rendered table (and ASCII figures, where the
 paper has a figure) to stdout; ``--out-dir`` additionally writes one text
@@ -28,7 +29,10 @@ availability/latency windows against a policy.  ``health`` and
 ``alerts`` replay the timeline through the predictive stack — online
 MTTF/hazard estimators, blended component health scores, and the
 declarative alert rules — rendering scores (sickest first) and
-fired/resolved alerts with lead times versus the stitched incidents.
+fired/resolved alerts with lead times versus the stitched incidents;
+``shards`` renders the cluster plane's per-shard rollups and storm
+meta-incidents.  These five replay the timeline bus by bus (one kernel
+per arm or policy) and print one ``[bus <id>]`` section per bus.
 """
 
 import argparse
@@ -43,24 +47,23 @@ from repro.diagnosis.report import summarize_paths
 from repro.ebid.descriptors import URL_PATH_MAP
 from repro.observability import (
     ClusterIncidentCorrelator,
+    IncidentTracker,
+    RequestWindows,
+    ShardView,
     SloPolicy,
-    health_from_timeline,
-    incidents_from_timeline,
+    predictive_chain,
     registry_from_cluster,
     registry_from_health,
     registry_from_observability,
-    render_prometheus,
+    render_prometheus_buses,
+    replay,
     shard_of_incident,
-    shard_windows_from_records,
-    shards_from_timeline,
     summarize_alerts,
     summarize_health,
     summarize_incidents,
     summarize_shards,
     summarize_slo,
     timeline_shards,
-    windows_from_records,
-    write_incidents,
 )
 from repro.telemetry import (
     TimelineError,
@@ -208,12 +211,12 @@ def build_parser():
         "shards",
         help="render the cluster observability plane's per-shard rollups "
              "from a megascale/storm timeline: availability, probe "
-             "p50/p99, failovers, migration flow, capacity signals, and "
-             "the storm meta-incident waterfall with migration marks",
+             "p50/p99, failovers, migration flow, and the storm "
+             "meta-incident waterfall with migration marks",
     )
     shards.add_argument("file", type=Path)
     shards.add_argument("--shard", default=None,
-                        help="limit the table and signals to one shard")
+                        help="limit the table to one shard")
     shards.add_argument("--json", type=Path, default=None,
                         help="also write the rollup view as JSON here")
     shards.add_argument("--prom", type=Path, default=None,
@@ -254,6 +257,162 @@ def _load_timeline(path):
     except TimelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+
+
+def _tracker():
+    return IncidentTracker(url_path_map=URL_PATH_MAP)
+
+
+def _incidents(args, consumers, end):
+    tracker, requests = consumers
+    incidents = tracker.finalize()
+    if args.shard is not None:
+        incidents = [
+            i for i in incidents if shard_of_incident(i) == args.shard
+        ]
+    return (
+        summarize_incidents(incidents),
+        [i.to_dict() for i in incidents],
+        registry_from_observability(incidents, requests.windows(end)),
+    )
+
+
+def _slo(args, consumers, end):
+    source, tracker = consumers
+    policy = SloPolicy(
+        window=args.window,
+        availability_target=args.availability,
+        latency_target=args.latency,
+    )
+    if args.shard is not None:
+        windows = source.slo_windows(args.shard, policy=policy)
+    else:
+        windows = source.windows(end, policy=policy)
+    return (
+        summarize_slo(windows, policy=policy),
+        windows,
+        registry_from_observability(tracker.finalize(), windows),
+    )
+
+
+def _health(args, consumers, end):
+    tracker, _hub, registry = consumers
+    tracker.finalize()
+    rows = registry.snapshot(end)
+    return summarize_health(rows), rows, registry_from_health(rows)
+
+
+def _alerts(args, consumers, end):
+    tracker, _hub, registry = consumers
+    incidents = tracker.finalize()
+    alerts = registry.alert_engine.finalize(end)
+    return summarize_alerts(alerts, incidents=incidents), alerts, None
+
+
+def _shards(args, consumers, end):
+    view, tracker = consumers
+    snapshot = view.snapshot()
+    metas = [
+        meta.to_dict() for meta in ClusterIncidentCorrelator().correlate(
+            tracker.finalize(),
+            replacements=view.replacements,
+            migrations=view.migrations,
+            storm=view.storm,
+        )
+    ]
+    return (
+        summarize_shards(snapshot, meta_incidents=metas, shard=args.shard),
+        dict(snapshot, meta_incidents=metas),
+        registry_from_cluster(snapshot["shards"]),
+    )
+
+
+#: Timeline subcommand -> (fresh consumers for one bus, renderer of one
+#: replayed bus returning (text, exported data, Prometheus registry)).
+REPLAYS = {
+    "incidents": (lambda args: [_tracker(), RequestWindows()], _incidents),
+    "slo": (
+        lambda args: [
+            ShardView() if args.shard is not None else RequestWindows(),
+            _tracker(),
+        ],
+        _slo,
+    ),
+    "health": (lambda args: predictive_chain(URL_PATH_MAP), _health),
+    "alerts": (lambda args: predictive_chain(URL_PATH_MAP), _alerts),
+    "shards": (lambda args: [ShardView(), _tracker()], _shards),
+}
+
+
+def _write_json(args, sections):
+    """``--json``: incidents as JSONL, the shard view as one document.
+
+    A multi-bus timeline tags each incident line with its ``bus`` and
+    keys the shard views by bus.
+    """
+    multi = len(sections) > 1
+    if args.command == "incidents":
+        lines = [
+            json.dumps(dict(incident, bus=bus) if multi else incident,
+                       sort_keys=True) + "\n"
+            for bus, _text, incidents, _registry in sections
+            for incident in incidents
+        ]
+        args.json.write_text("".join(lines), encoding="utf-8")
+        return f"[{len(lines)} incident(s) written to {args.json}]"
+    views = {str(bus): view for bus, _text, view, _registry in sections}
+    payload = views if multi else sections[0][2]
+    args.json.write_text(
+        json.dumps(payload, indent=2, sort_keys=True) + "\n",
+        encoding="utf-8",
+    )
+    return f"[shard rollup view written to {args.json}]"
+
+
+def replay_command(args):
+    """``repro incidents|slo|health|alerts|shards``: one replay per bus.
+
+    A multi-bus timeline (one bus per kernel: per policy, per arm)
+    renders one ``[bus <id>]`` section per bus, each exactly what that
+    bus's records alone would render; Prometheus samples gain a
+    ``bus`` label.
+    """
+    records = _load_timeline(args.file)
+    if records is None:
+        return 2
+    build, render = REPLAYS[args.command]
+    sections = [
+        (bus, *render(args, consumers, end))
+        for bus, consumers, end in replay(records, lambda: build(args))
+    ]
+    if args.command == "slo" and args.shard is not None \
+            and not any(windows for _bus, _text, windows, _r in sections):
+        seen = timeline_shards(records)
+        hint = f" (shards in timeline: {', '.join(seen)})" if seen else ""
+        print(
+            f"error: no shard SLO windows for {args.shard!r}{hint}",
+            file=sys.stderr,
+        )
+        return 2
+    multi = len(sections) > 1
+    print(
+        "\n\n".join(
+            f"[bus {bus}]\n{text}" if multi else text
+            for bus, text, _data, _registry in sections
+        )
+    )
+    if getattr(args, "json", None) is not None:
+        print(_write_json(args, sections))
+    if getattr(args, "prom", None) is not None:
+        registries = {
+            bus if multi else None: registry
+            for bus, _text, _data, registry in sections
+        }
+        args.prom.write_text(
+            render_prometheus_buses(registries), encoding="utf-8"
+        )
+        print(f"[Prometheus exposition written to {args.prom}]")
+    return 0
 
 
 def run_experiment(name, seed=0, full=False, quick=False, jobs=1):
@@ -299,126 +458,8 @@ def main(argv=None):
         print(summarize_paths(records, limit=args.limit))
         return 0
 
-    if args.command == "incidents":
-        records = _load_timeline(args.file)
-        if records is None:
-            return 2
-        incidents = incidents_from_timeline(records, url_path_map=URL_PATH_MAP)
-        if args.shard is not None:
-            incidents = [
-                i for i in incidents
-                if shard_of_incident(i) == args.shard
-            ]
-        print(summarize_incidents(incidents))
-        if args.json is not None:
-            written = write_incidents(args.json, incidents)
-            print(f"[{written} incident(s) written to {args.json}]")
-        if args.prom is not None:
-            windows = windows_from_records(records)
-            registry = registry_from_observability(incidents, windows)
-            args.prom.write_text(
-                render_prometheus(registry), encoding="utf-8"
-            )
-            print(f"[Prometheus exposition written to {args.prom}]")
-        return 0
-
-    if args.command == "health":
-        records = _load_timeline(args.file)
-        if records is None:
-            return 2
-        rows, _alerts, _incidents = health_from_timeline(
-            records, url_path_map=URL_PATH_MAP
-        )
-        print(summarize_health(rows))
-        if args.prom is not None:
-            registry = registry_from_health(rows)
-            args.prom.write_text(
-                render_prometheus(registry), encoding="utf-8"
-            )
-            print(f"[Prometheus exposition written to {args.prom}]")
-        return 0
-
-    if args.command == "alerts":
-        records = _load_timeline(args.file)
-        if records is None:
-            return 2
-        _rows, alerts, incidents = health_from_timeline(
-            records, url_path_map=URL_PATH_MAP
-        )
-        print(summarize_alerts(alerts, incidents=incidents))
-        return 0
-
-    if args.command == "slo":
-        records = _load_timeline(args.file)
-        if records is None:
-            return 2
-        policy = SloPolicy(
-            window=args.window,
-            availability_target=args.availability,
-            latency_target=args.latency,
-        )
-        if args.shard is not None:
-            windows = shard_windows_from_records(
-                records, args.shard, policy=policy
-            )
-            if not windows:
-                seen = timeline_shards(records)
-                hint = (
-                    f" (shards in timeline: {', '.join(seen)})"
-                    if seen else ""
-                )
-                print(
-                    f"error: no shard SLO windows for {args.shard!r}{hint}",
-                    file=sys.stderr,
-                )
-                return 2
-        else:
-            windows = windows_from_records(records, policy=policy)
-        print(summarize_slo(windows, policy=policy))
-        if args.prom is not None:
-            incidents = incidents_from_timeline(
-                records, url_path_map=URL_PATH_MAP
-            )
-            registry = registry_from_observability(incidents, windows)
-            args.prom.write_text(
-                render_prometheus(registry), encoding="utf-8"
-            )
-            print(f"[Prometheus exposition written to {args.prom}]")
-        return 0
-
-    if args.command == "shards":
-        records = _load_timeline(args.file)
-        if records is None:
-            return 2
-        view = shards_from_timeline(records)
-        incidents = incidents_from_timeline(records, url_path_map=URL_PATH_MAP)
-        correlator = ClusterIncidentCorrelator()
-        metas = correlator.correlate(
-            incidents, migrations=view["migrations"], storm=view["storm"]
-        )
-        meta_dicts = [m.to_dict() for m in metas]
-        print(
-            summarize_shards(
-                view, meta_incidents=meta_dicts, shard=args.shard
-            )
-        )
-        if args.json is not None:
-            payload = dict(view)
-            payload["meta_incidents"] = meta_dicts
-            args.json.write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                encoding="utf-8",
-            )
-            print(f"[shard rollup view written to {args.json}]")
-        if args.prom is not None:
-            registry = registry_from_cluster(
-                view["shards"], signals=view["capacity_signals"]
-            )
-            args.prom.write_text(
-                render_prometheus(registry), encoding="utf-8"
-            )
-            print(f"[Prometheus exposition written to {args.prom}]")
-        return 0
+    if args.command in REPLAYS:
+        return replay_command(args)
 
     if args.command == "run" and args.list_scenarios:
         _print_experiments()

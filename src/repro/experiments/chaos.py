@@ -165,12 +165,13 @@ class ChaosClusterRig:
         # publishing, so enabling them enables tracing on this kernel.
         self.incident_tracker = None
         self.slo_engine = None
+        bus = self.kernel.trace
         if observability:
-            self.kernel.trace.enabled = True
+            bus.enabled = True
             self.incident_tracker = IncidentTracker(
-                kernel=self.kernel, url_path_map=URL_PATH_MAP
+                bus=bus, url_path_map=URL_PATH_MAP
             )
-            self.slo_engine = SloEngine(self.metrics, kernel=self.kernel)
+            self.slo_engine = SloEngine(self.metrics, bus=bus)
 
         # Prediction stack (estimators → health scores → alert rules →
         # proactive policy).  In "shadow" mode the stack observes and
@@ -185,13 +186,13 @@ class ChaosClusterRig:
         self.policies = []
         if prediction is not None:
             self.estimator_hub = EstimatorHub(
-                kernel=self.kernel,
+                bus=bus,
                 tracker=self.incident_tracker,
                 url_path_map=URL_PATH_MAP,
             )
-            self.alert_engine = AlertEngine(kernel=self.kernel)
+            self.alert_engine = AlertEngine(bus=bus)
             self.health_registry = ComponentHealthRegistry(
-                kernel=self.kernel,
+                bus=bus,
                 hub=self.estimator_hub,
                 alert_engine=self.alert_engine,
             )

@@ -378,28 +378,26 @@ class MegascaleRig:
         self.shard_metrics = None
         self.correlator = None
         if observability:
-            self.kernel.trace.enabled = True
+            bus = self.kernel.trace
+            bus.enabled = True
             self.incident_tracker = IncidentTracker(
-                kernel=self.kernel, url_path_map=URL_PATH_MAP
+                bus=bus, url_path_map=URL_PATH_MAP
             )
-            self.slo_engine = SloEngine(self.metrics, kernel=self.kernel)
+            self.slo_engine = SloEngine(self.metrics, bus=bus)
             hub = EstimatorHub(
-                kernel=self.kernel,
+                bus=bus,
                 tracker=self.incident_tracker,
                 url_path_map=URL_PATH_MAP,
             )
-            self.health_registry = ComponentHealthRegistry(
-                kernel=self.kernel, hub=hub
-            )
+            self.health_registry = ComponentHealthRegistry(bus=bus, hub=hub)
             for node in self.cluster.nodes:
                 self.health_registry.register(
                     node.system.server.name, COMPONENT_TARGETS
                 )
             if cluster_plane:
                 self.shard_metrics = ShardMetricsAggregator(
-                    bus=self.kernel.trace, cluster=self.cluster
+                    bus=bus, cluster=self.cluster
                 )
-                self.shard_metrics.bind_engine(self.engine)
                 self.probe_model.observer = self.shard_metrics.observe_probe
                 self.correlator = ClusterIncidentCorrelator()
 
@@ -592,7 +590,7 @@ class MegascaleRig:
         return out
 
     def _cluster_outcome(self):
-        """The observability plane's view: rollups, signals, correlation.
+        """The observability plane's view: rollups and correlation.
 
         Everything here is derived by passive observers — popping the
         ``cluster`` key must leave an outcome byte-identical to a
@@ -614,7 +612,6 @@ class MegascaleRig:
         return {
             "rollup": plane.rows(),
             "summary": plane.cluster_summary(),
-            "capacity_signals": list(plane.capacity_signals),
             "meta_incidents": [m.to_dict() for m in metas],
             "unclustered_incidents": self.correlator.unclustered,
         }
@@ -720,13 +717,10 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
         cluster = o.get("cluster")
         if cluster:
             summary = cluster["summary"]
-            pressured = summary["pressured_shards"]
             result.notes.append(
                 f"{arm} rollup: cluster probe p50/p99 "
                 f"{summary['probe_p50']}/{summary['probe_p99']}s, "
-                f"{summary['slo_violations']} shard-SLO window violation(s), "
-                f"{len(cluster['capacity_signals'])} capacity signal(s), "
-                f"pressured at end: {pressured if pressured else 'none'}"
+                f"{summary['slo_violations']} shard-SLO window violation(s)"
             )
     steady, faulted = outcomes["steady"], outcomes["shardfault"]
     if steady["availability"] and faulted["availability"]:

@@ -309,7 +309,6 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
             note = (
                 f"{arm} rollup: cluster probe p99 {summary['probe_p99']}s, "
                 f"{summary['slo_violations']} shard-SLO window violation(s), "
-                f"{len(cluster['capacity_signals'])} capacity signal(s), "
                 f"{len(metas)} meta-incident(s)"
             )
             if metas:

@@ -5,7 +5,7 @@ story: :class:`IncidentTracker` stitches fault → detection → diagnosis →
 recovery → quiet into per-incident MTTR phase decompositions,
 :class:`SloEngine` judges rolling availability/latency windows (publishing
 ``slo.violated`` back onto the bus), and the exporter renders both as
-Prometheus text exposition or JSONL.  On top of that sits the predictive
+Prometheus text exposition.  On top of that sits the predictive
 half: :class:`EstimatorHub` keeps streaming per-component MTTF /
 failure-rate / hazard estimates, :class:`ComponentHealthRegistry` blends
 hazard + SLO burn + flap history + heap trend into bounded 0–100 health
@@ -13,16 +13,19 @@ scores, and :class:`AlertEngine` thresholds them into sticky
 ``alert.fired`` / ``alert.resolved`` bus events.  Everything here is
 passive — it subscribes, it never schedules — so enabling observability
 cannot change what a simulation does, only what it tells you.
+
+Every consumer speaks one protocol, a ``kinds`` filter plus
+``feed(t, kind, fields)``: a live run subscribes ``feed`` to its bus,
+and :func:`replay` drives fresh consumers from a recorded timeline.
 """
 
 from repro.observability.cluster import (
     ClusterIncidentCorrelator,
     MetaIncident,
     ShardMetricsAggregator,
+    ShardView,
     shard_of_incident,
     shard_of_name,
-    shard_windows_from_records,
-    shards_from_timeline,
     timeline_shards,
 )
 from repro.observability.alerts import (
@@ -41,13 +44,13 @@ from repro.observability.estimators import (
     WARMUP,
 )
 from repro.observability.exporter import (
-    health_from_timeline,
-    incidents_from_timeline,
+    predictive_chain,
     registry_from_cluster,
     registry_from_health,
     registry_from_observability,
     render_prometheus,
-    write_incidents,
+    render_prometheus_buses,
+    replay,
 )
 from repro.observability.health import (
     ComponentHealthRegistry,
@@ -70,12 +73,12 @@ from repro.observability.report import (
     summarize_slo,
 )
 from repro.observability.slo import (
+    RequestWindows,
     SloEngine,
     SloPolicy,
     SloWindow,
     aggregate_slo,
     compute_windows,
-    windows_from_records,
 )
 
 __all__ = [
@@ -93,7 +96,9 @@ __all__ = [
     "IncidentTracker",
     "MetaIncident",
     "MovingAverage",
+    "RequestWindows",
     "ShardMetricsAggregator",
+    "ShardView",
     "SloEngine",
     "SloPolicy",
     "SloWindow",
@@ -104,25 +109,22 @@ __all__ = [
     "alert_lead_times",
     "compute_windows",
     "default_rules",
-    "health_from_timeline",
-    "incidents_from_timeline",
     "max_concurrent_actions",
     "median",
     "path_for_url",
+    "predictive_chain",
     "registry_from_cluster",
     "registry_from_health",
     "registry_from_observability",
     "render_prometheus",
+    "render_prometheus_buses",
+    "replay",
     "shard_of_incident",
     "shard_of_name",
-    "shard_windows_from_records",
-    "shards_from_timeline",
     "summarize_alerts",
     "summarize_health",
     "summarize_incidents",
     "summarize_shards",
     "summarize_slo",
     "timeline_shards",
-    "windows_from_records",
-    "write_incidents",
 ]

@@ -156,11 +156,9 @@ class AlertEngine:
     scrape-shaped clock.
     """
 
-    def __init__(self, rules=None, bus=None, kernel=None):
+    def __init__(self, rules=None, bus=None):
         self.rules = tuple(rules if rules is not None else default_rules())
-        self.bus = bus if bus is not None else (
-            kernel.trace if kernel is not None else None
-        )
+        self.bus = bus
         self.alerts = []  # every Alert ever fired, in fire order
         self._active = {}  # (rule.name, key) -> Alert
         self._pending = {}  # (rule.name, key) -> since timestamp

@@ -1,19 +1,15 @@
-"""Cluster observability plane: shard rollups, storm correlation, capacity.
+"""Cluster observability plane: shard rollups and storm correlation.
 
 The megascale/storm stack (1M sessions, 128 sharded nodes) outgrew the flat
 run-scoped incident/SLO layer: a K-shard fault storm is *one* operational
-event, not K unrelated incidents, and the autoscaling work needs per-shard
-load/latency signals with hysteresis-friendly semantics.  Three pieces:
+event, not K unrelated incidents.  Three pieces:
 
 * :class:`ShardMetricsAggregator` — folds cohort batch outcomes, probe
   results, LB failover counters, and storm/reshard events into bounded
   per-shard rollups (availability, Gaw, probe p50/p99 via mergeable
   :class:`~repro.telemetry.metrics.Histogram` sketches, failover rate,
   population, migration flow) plus a deterministic cluster-level
-  reduction.  It also runs the **capacity signal engine**: a per-shard
-  load score smoothed by a sustained-pressure EWMA with hysteresis bands,
-  publishing sticky ``capacity.pressure`` / ``capacity.relief`` events —
-  the interface scale-out/in policies will consume.
+  reduction.
 * :class:`ClusterIncidentCorrelator` — stitches concurrent shard-attributed
   incidents into :class:`MetaIncident` records (storm detection: K shards
   degrading within a correlation window; wave detection via onset
@@ -22,10 +18,10 @@ load/latency signals with hysteresis-friendly semantics.  Three pieces:
   detect/decide/migrate/drain phases that sum exactly to the meta-incident
   span — the same clamped-segment contract as
   :meth:`~repro.observability.incidents.Incident.phases`.
-* Offline helpers — the aggregator publishes ``shard.rollup`` /
-  ``shard.window`` summary events at collect time, so recorded timelines
-  can rebuild the whole view (``repro shards``, ``repro slo --shard``)
-  without replaying the workload.
+* :class:`ShardView` — the aggregator publishes ``shard.rollup`` /
+  ``shard.window`` summary events at collect time, so a recorded timeline
+  replayed through this consumer rebuilds the whole view (``repro
+  shards``, ``repro slo --shard``) without replaying the workload.
 
 Everything here is **passive**: the plane subscribes and samples but never
 schedules kernel work, so arm outcomes are byte-identical with the plane
@@ -37,7 +33,6 @@ import re
 
 from repro.observability.slo import SloPolicy, SloWindow, compute_windows
 from repro.telemetry.metrics import Histogram
-from repro.telemetry.trace import RESERVED_KEYS
 
 #: Anything named ``shardNNN`` or ``shardNNN-<resource>`` belongs to that
 #: shard; flat single-node names (``node1``) deliberately never match, so
@@ -46,7 +41,6 @@ _SHARD_NAME_RE = re.compile(r"^(shard\d+)(?:-|$)")
 
 #: Bus kinds the aggregator folds into per-shard rollups.
 SHARD_ROLLUP_KINDS = (
-    "cohort.failures",
     "cohort.migrate",
     "cohort.migrate.arrived",
     "lb.failover.begin",
@@ -58,12 +52,6 @@ SHARD_ROLLUP_KINDS = (
     "reshard.migrate",
     "reshard.policy",
 )
-
-#: Seconds of recent user-visible failures feeding the capacity stress term.
-SIGNAL_WINDOW = 20.0
-#: Fraction of a shard's population failing inside SIGNAL_WINDOW that
-#: saturates the user-stress term.
-STRESS_SATURATION = 0.05
 
 
 def shard_of_name(name):
@@ -128,67 +116,35 @@ class _ShardRollup:
 
 
 class ShardMetricsAggregator:
-    """Passive per-shard rollup + capacity signal engine.
+    """Passive per-shard rollups.
 
     Three intake channels, all observer-side:
 
-    * a TraceBus subscription over :data:`SHARD_ROLLUP_KINDS`;
+    * :meth:`feed` over :data:`kinds` (live when given a ``bus``);
     * :meth:`observe_probe`, called by the probe model per probe (the
       probe EWMAs keep no history, so p50/p99 need live observation);
     * :meth:`collect`, an end-of-run read-only pull of the cohort
       engine's per-shard good/bad series and populations.
-
-    Capacity signals are evaluated at most once per simulated second per
-    shard (piggybacked on the per-second probes, mirroring the health
-    registry's alert throttle): ``score = relative_load × (1 + 2·probe
-    stress + 2·user stress)`` sits at 1.0 for a healthy, evenly loaded
-    shard, and the sustained-pressure EWMA must clear ``pressure_high``
-    to fire ``capacity.pressure`` and fall back through ``pressure_low``
-    to fire ``capacity.relief`` — the hysteresis band keeps the ring from
-    flapping.
     """
 
-    def __init__(self, bus=None, cluster=None, policy=None,
-                 pressure_high=1.6, pressure_low=1.15, pressure_alpha=0.35,
-                 probe_alpha=0.3):
-        if pressure_low >= pressure_high:
-            raise ValueError("hysteresis bands must satisfy low < high")
+    kinds = SHARD_ROLLUP_KINDS
+
+    def __init__(self, bus=None, cluster=None, policy=None):
         self.policy = policy or SloPolicy()
-        self.pressure_high = pressure_high
-        self.pressure_low = pressure_low
-        self.pressure_alpha = pressure_alpha
-        self.probe_alpha = probe_alpha
-        self.capacity_signals = []
         self.migrations = []  # reshard.migrate windows, for attribution
         self.replacement_checks = 0  # reshard.policy sightings
         self.storm = None
         self.duration = None
         self._bus = bus
         self._cluster = cluster
-        self._engine = None
-        self._mean_sessions = None
         self._rollups = {}
-        self._probe_stress = {}
-        self._recent_bad = {}  # shard -> [[second, count], ...] trimmed
-        self._recent_bad_sum = {}
-        self._ewma = {}
-        self._peak = {}
-        self._pressured = {}
-        self._last_eval = {}
-        self._collected = False
+        self._slo = {}
         if bus is not None:
-            bus.subscribe(self._on_event, kinds=SHARD_ROLLUP_KINDS)
+            bus.subscribe(self.feed, self.kinds)
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
-    def bind_engine(self, engine):
-        """Attach the cohort engine for load context and the final pull."""
-        self._engine = engine
-        shards = max(1, len(engine.shard_sessions) or 1)
-        total = sum(engine.shard_sessions.values())
-        self._mean_sessions = max(1.0, total / shards)
-
     def _rollup(self, shard):
         rollup = self._rollups.get(shard)
         if rollup is None:
@@ -203,20 +159,13 @@ class ShardMetricsAggregator:
         return shard_of_name(node)
 
     # ------------------------------------------------------------------
-    # Intake: bus events
+    # Intake
     # ------------------------------------------------------------------
-    def _on_event(self, event):
-        kind = event.kind
-        fields = event.fields
-        if kind == "cohort.failures":
-            shard = fields.get("shard")
-            if shard:
-                self._note_bad(shard, event.t, fields.get("count", 0))
-        elif kind == "cohort.migrate":
-            source, target = fields.get("source"), fields.get("target")
-            sessions = fields.get("sessions", 0)
+    def feed(self, t, kind, fields):
+        if kind == "cohort.migrate":
+            source = fields.get("source")
             if source:
-                self._rollup(source).migrated_out += sessions
+                self._rollup(source).migrated_out += fields.get("sessions", 0)
         elif kind == "cohort.migrate.arrived":
             target = fields.get("target")
             if target:
@@ -235,7 +184,7 @@ class ShardMetricsAggregator:
                 self._rollup(shard).brick_crashes += 1
         elif kind == "storm.begin":
             self.storm = {
-                "at": round(event.t, 6),
+                "at": round(t, 6),
                 "shards": list(fields.get("shards", ())),
                 "events": fields.get("events"),
                 "horizon": fields.get("horizon"),
@@ -248,11 +197,11 @@ class ShardMetricsAggregator:
                 rollup.storm_kinds.add(fields.get("kind"))
         elif kind == "storm.end":
             if self.storm is not None:
-                self.storm["ended_at"] = round(event.t, 6)
+                self.storm["ended_at"] = round(t, 6)
         elif kind == "reshard.migrate":
             self.migrations.append(
                 {
-                    "at": round(event.t, 6),
+                    "at": round(t, 6),
                     "source": fields.get("source"),
                     "target": fields.get("target"),
                     "sessions": fields.get("sessions", 0),
@@ -262,31 +211,6 @@ class ShardMetricsAggregator:
         elif kind == "reshard.policy":
             self.replacement_checks += 1
 
-    def _note_bad(self, shard, t, count):
-        second = int(t)
-        recent = self._recent_bad.setdefault(shard, [])
-        if recent and recent[-1][0] == second:
-            recent[-1][1] += count
-        else:
-            recent.append([second, count])
-        self._recent_bad_sum[shard] = (
-            self._recent_bad_sum.get(shard, 0) + count
-        )
-        self._trim_recent(shard, t)
-
-    def _trim_recent(self, shard, now):
-        recent = self._recent_bad.get(shard)
-        if not recent:
-            return
-        horizon = now - SIGNAL_WINDOW
-        total = self._recent_bad_sum.get(shard, 0)
-        while recent and recent[0][0] < horizon:
-            total -= recent.pop(0)[1]
-        self._recent_bad_sum[shard] = total
-
-    # ------------------------------------------------------------------
-    # Intake: probes
-    # ------------------------------------------------------------------
     def observe_probe(self, t, shard, op, ok, latency):
         """Record one synthetic probe outcome (called by the probe model)."""
         rollup = self._rollup(shard)
@@ -294,125 +218,57 @@ class ShardMetricsAggregator:
         if not ok:
             rollup.probe_failures += 1
         rollup.probe_latency.observe(latency)
-        stress = self._probe_stress.get(shard, 0.0)
-        self._probe_stress[shard] = stress + self.probe_alpha * (
-            (0.0 if ok else 1.0) - stress
-        )
-        last = self._last_eval.get(shard)
-        if last is None or t - last >= 1.0:
-            self._last_eval[shard] = t
-            self._evaluate_capacity(shard, t)
-
-    # ------------------------------------------------------------------
-    # Capacity signal engine
-    # ------------------------------------------------------------------
-    def _evaluate_capacity(self, shard, t):
-        sessions = 0
-        relative_load = 1.0
-        if self._engine is not None:
-            sessions = self._engine.shard_sessions.get(shard, 0)
-            relative_load = sessions / self._mean_sessions
-        self._trim_recent(shard, t)
-        recent_bad = self._recent_bad_sum.get(shard, 0)
-        user_stress = min(
-            1.0, recent_bad / max(1.0, STRESS_SATURATION * sessions)
-        )
-        probe_stress = self._probe_stress.get(shard, 0.0)
-        score = relative_load * (1.0 + 2.0 * probe_stress + 2.0 * user_stress)
-        previous = self._ewma.get(shard, 1.0)
-        ewma = previous + self.pressure_alpha * (score - previous)
-        self._ewma[shard] = ewma
-        if ewma > self._peak.get(shard, 0.0):
-            self._peak[shard] = ewma
-        pressured = self._pressured.get(shard, False)
-        if not pressured and ewma >= self.pressure_high:
-            self._pressured[shard] = True
-            self._signal("pressure", shard, t, score, ewma)
-        elif pressured and ewma <= self.pressure_low:
-            self._pressured[shard] = False
-            self._signal("relief", shard, t, score, ewma)
-
-    def headroom(self, shard):
-        """Remaining capacity before the pressure band, in [0, 1]."""
-        ewma = self._ewma.get(shard, 1.0)
-        return max(0.0, 1.0 - ewma / self.pressure_high)
-
-    def _signal(self, name, shard, t, score, ewma):
-        record = {
-            "t": round(t, 6),
-            "shard": shard,
-            "signal": name,
-            "score": round(score, 6),
-            "ewma": round(ewma, 6),
-            "headroom": round(max(0.0, 1.0 - ewma / self.pressure_high), 6),
-        }
-        self.capacity_signals.append(record)
-        if self._bus is not None:
-            self._bus.publish(
-                f"capacity.{name}", shard=shard,
-                score=record["score"], ewma=record["ewma"],
-                headroom=record["headroom"],
-            )
 
     # ------------------------------------------------------------------
     # Collection + reduction
     # ------------------------------------------------------------------
-    def collect(self, engine=None, duration=None):
+    def collect(self, engine, duration):
         """End-of-run pull: fold the cohort series, judge per-shard SLO
         windows, and publish the ``shard.*`` summary events.
 
         Read-only against the engine; safe to call after the kernel has
         drained.  Idempotent per run (the rig calls it once).
         """
-        engine = engine if engine is not None else self._engine
         self.duration = duration
-        shard_slo = {}
-        if engine is not None:
-            width = self.policy.window
-            shards = sorted(
-                set(engine.shard_good_series) | set(engine.shard_bad_series)
+        width = self.policy.window
+        shards = sorted(
+            set(engine.shard_good_series) | set(engine.shard_bad_series)
+        )
+        for shard in shards:
+            good_series = engine.shard_good_series.get(shard, {})
+            bad_series = engine.shard_bad_series.get(shard, {})
+            rollup = self._rollup(shard)
+            rollup.good = sum(good_series.values())
+            rollup.bad = sum(bad_series.values())
+            rollup.sessions = engine.shard_sessions.get(shard, 0)
+            buckets = {}
+            for second, n in good_series.items():
+                start = int(second // width) * width
+                entry = buckets.setdefault(start, [0, 0])
+                entry[0] += n
+            for second, n in bad_series.items():
+                start = int(second // width) * width
+                entry = buckets.setdefault(start, [0, 0])
+                entry[1] += n
+            rollup.series = [
+                [start, good, bad]
+                for start, (good, bad) in sorted(buckets.items())
+            ]
+            windows = compute_windows(
+                good_series, bad_series, [], duration, policy=self.policy,
             )
-            for shard in shards:
-                good_series = engine.shard_good_series.get(shard, {})
-                bad_series = engine.shard_bad_series.get(shard, {})
-                rollup = self._rollup(shard)
-                rollup.good = sum(good_series.values())
-                rollup.bad = sum(bad_series.values())
-                rollup.sessions = engine.shard_sessions.get(shard, 0)
-                buckets = {}
-                for second, n in good_series.items():
-                    start = int(second // width) * width
-                    entry = buckets.setdefault(start, [0, 0])
-                    entry[0] += n
-                for second, n in bad_series.items():
-                    start = int(second // width) * width
-                    entry = buckets.setdefault(start, [0, 0])
-                    entry[1] += n
-                rollup.series = [
-                    [start, good, bad]
-                    for start, (good, bad) in sorted(buckets.items())
-                ]
-                if duration is not None:
-                    windows = compute_windows(
-                        good_series, bad_series, [], duration,
-                        policy=self.policy,
-                    )
-                    violations = [w for w in windows if w.violated]
-                    availabilities = [
-                        w.availability for w in windows
-                        if w.availability is not None
-                    ]
-                    shard_slo[shard] = {
-                        "windows": len(windows),
-                        "violations": len(violations),
-                        "min_availability": (
-                            round(min(availabilities), 6)
-                            if availabilities else None
-                        ),
-                    }
-                    self._publish_windows(shard, windows)
-        self._slo = shard_slo
-        self._collected = True
+            violations = [w for w in windows if w.violated]
+            availabilities = [
+                w.availability for w in windows if w.availability is not None
+            ]
+            self._slo[shard] = {
+                "windows": len(windows),
+                "violations": len(violations),
+                "min_availability": (
+                    round(min(availabilities), 6) if availabilities else None
+                ),
+            }
+            self._publish_windows(shard, windows)
         self._publish_rollups()
 
     def _publish_windows(self, shard, windows):
@@ -489,11 +345,7 @@ class ShardMetricsAggregator:
                 ),
                 "migrated_in": rollup.migrated_in,
                 "migrated_out": rollup.migrated_out,
-                "capacity_score": round(self._ewma.get(shard, 1.0), 6),
-                "peak_score": round(self._peak.get(shard, 1.0), 6),
-                "pressured": self._pressured.get(shard, False),
-                "headroom": round(self.headroom(shard), 6),
-                "slo": getattr(self, "_slo", {}).get(shard),
+                "slo": self._slo.get(shard),
                 "series": [list(b) for b in rollup.series],
             }
             out.append(row)
@@ -520,7 +372,6 @@ class ShardMetricsAggregator:
             merged.merge(rollup.probe_latency)
         total = good + bad
         quantiles = merged.percentiles()
-        slo = getattr(self, "_slo", {})
         return {
             "shards": len(self._rollups),
             "sessions": sessions,
@@ -538,16 +389,12 @@ class ShardMetricsAggregator:
                 if quantiles["p99"] is not None else None
             ),
             "failovers": failovers,
-            "pressured_shards": sorted(
-                s for s, p in self._pressured.items() if p
-            ),
-            "pressure_events": len(self.capacity_signals),
             "migrations": len(self.migrations),
             "sessions_migrated": sum(
                 m["sessions"] for m in self.migrations
             ),
             "slo_violations": sum(
-                (v or {}).get("violations", 0) for v in slo.values()
+                slo["violations"] for slo in self._slo.values()
             ),
         }
 
@@ -760,108 +607,116 @@ class ClusterIncidentCorrelator:
 # ----------------------------------------------------------------------
 # Offline (timeline) surfaces
 # ----------------------------------------------------------------------
-def shards_from_timeline(records):
-    """Rebuild the per-shard rollup view from recorded JSONL events.
+class ShardView:
+    """Replay consumer: the cluster plane's view, rebuilt from one bus.
 
     ``shard.rollup`` events carry the summary rows (latest per shard
     wins, matching a rerun), ``shard.window`` events rebuild the bounded
-    series, and ``capacity.* `` / ``reshard.migrate`` / ``storm.begin``
-    events restore the signal stream and storm context.
+    series, and ``reshard.*`` / ``storm.begin`` events restore the
+    migrations, shard replacements and storm context the correlator
+    attributes.
     """
-    rows = {}
-    windows = {}
-    signals = []
-    migrations = []
-    storm = None
-    for record in records:
-        kind = record.get("kind")
+
+    kinds = (
+        "shard.rollup",
+        "shard.window",
+        "reshard.migrate",
+        "reshard.policy",
+        "reshard.begin",
+        "storm.begin",
+    )
+
+    def __init__(self):
+        self.rows = {}
+        self.windows = {}  # shard -> [[start, end, good, bad, violated]]
+        self.migrations = []
+        self.replacements = []
+        self.storm = None
+        self._policy = None  # a reshard.policy awaiting its fresh shard
+
+    def feed(self, t, kind, fields):
+        shard = fields.get("shard")
         if kind == "shard.rollup":
-            row = {
-                k: v for k, v in record.items() if k not in RESERVED_KEYS
-            }
-            shard = row.get("shard")
             if shard:
-                rows[shard] = row
+                self.rows[shard] = dict(fields)
         elif kind == "shard.window":
-            shard = record.get("shard")
             if shard:
-                windows.setdefault(shard, []).append(
+                self.windows.setdefault(shard, []).append(
                     [
-                        record.get("start"), record.get("end"),
-                        record.get("good", 0), record.get("bad", 0),
-                        bool(record.get("violated")),
+                        fields.get("start"), fields.get("end"),
+                        fields.get("good", 0), fields.get("bad", 0),
+                        bool(fields.get("violated")),
                     ]
                 )
-        elif kind in ("capacity.pressure", "capacity.relief"):
-            signals.append(
-                {
-                    "t": record.get("t"),
-                    "shard": record.get("shard"),
-                    "signal": kind.split(".", 1)[1],
-                    "score": record.get("score"),
-                    "ewma": record.get("ewma"),
-                    "headroom": record.get("headroom"),
-                }
-            )
         elif kind == "reshard.migrate":
-            migrations.append(
+            self.migrations.append(
                 {
-                    "at": record.get("t"),
-                    "source": record.get("source"),
-                    "target": record.get("target"),
-                    "sessions": record.get("sessions", 0),
-                    "window": record.get("window", 0.0),
+                    "at": t,
+                    "source": fields.get("source"),
+                    "target": fields.get("target"),
+                    "sessions": fields.get("sessions", 0),
+                    "window": fields.get("window", 0.0),
                 }
             )
+        elif kind == "reshard.policy":
+            self._policy = fields
+        elif kind == "reshard.begin":
+            # ElasticPolicy publishes its verdict, then adds the fresh
+            # shard at the same instant: that add names the replacement.
+            policy, self._policy = self._policy, None
+            if policy is not None and fields.get("op") == "add":
+                self.replacements.append(
+                    {
+                        "at": round(t, 6),
+                        "replaced": policy.get("shard"),
+                        "with": shard,
+                        "fail_rate": policy.get("fail_rate"),
+                    }
+                )
         elif kind == "storm.begin":
-            storm = {
-                "at": record.get("t"),
-                "shards": list(record.get("shards", ())),
-                "events": record.get("events"),
-                "horizon": record.get("horizon"),
+            self.storm = {
+                "at": t,
+                "shards": list(fields.get("shards", ())),
+                "events": fields.get("events"),
+                "horizon": fields.get("horizon"),
             }
-    for shard, row in rows.items():
-        row["windows"] = sorted(windows.get(shard, []))
-    return {
-        "shards": [rows[s] for s in sorted(rows)],
-        "capacity_signals": signals,
-        "migrations": migrations,
-        "storm": storm,
-    }
 
+    def snapshot(self):
+        """``{"shards": [rows], "migrations": [...], "storm": {...}}``."""
+        for shard, row in self.rows.items():
+            row["windows"] = sorted(self.windows.get(shard, []))
+        return {
+            "shards": [self.rows[s] for s in sorted(self.rows)],
+            "migrations": self.migrations,
+            "storm": self.storm,
+        }
 
-def shard_windows_from_records(records, shard, policy=None):
-    """SLO windows for one shard, rebuilt from ``shard.window`` events.
+    def slo_windows(self, shard, policy=None):
+        """One shard's SLO windows, rejudged from its ``shard.window``s.
 
-    Megascale/storm timelines carry no per-request ``request.end``
-    events (the cohort engine accounts in batches), so the per-shard SLO
-    view replays the judged windows the plane exported instead.
-    """
-    policy = policy or SloPolicy()
-    windows = []
-    for record in records:
-        if record.get("kind") != "shard.window":
-            continue
-        if record.get("shard") != shard:
-            continue
-        window = SloWindow(
-            start=record.get("start", 0.0),
-            end=record.get("end", 0.0),
-            good=record.get("good", 0),
-            bad=record.get("bad", 0),
-            availability_target=policy.availability_target,
-        )
-        availability = window.availability
-        if window.total >= policy.min_requests and availability is not None \
-                and availability < policy.availability_target:
-            window.reasons.append(
-                f"availability {availability:.4f} < "
-                f"{policy.availability_target:.4f}"
+        Megascale/storm timelines carry no per-request ``request.end``
+        events (the cohort engine accounts in batches), so the per-shard
+        SLO view replays the judged windows the plane exported instead.
+        """
+        policy = policy or SloPolicy()
+        windows = []
+        for start, end, good, bad, _violated in self.windows.get(shard, ()):
+            window = SloWindow(
+                start=start, end=end, good=good, bad=bad,
+                availability_target=policy.availability_target,
             )
-        window.violated = bool(window.reasons)
-        windows.append(window)
-    windows.sort(key=lambda w: w.start)
-    return windows
+            availability = window.availability
+            if window.total >= policy.min_requests \
+                    and availability is not None \
+                    and availability < policy.availability_target:
+                window.reasons.append(
+                    f"availability {availability:.4f} < "
+                    f"{policy.availability_target:.4f}"
+                )
+            window.violated = bool(window.reasons)
+            windows.append(window)
+        windows.sort(key=lambda w: w.start)
+        return windows
 
 
 def timeline_shards(records):

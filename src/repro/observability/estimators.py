@@ -204,9 +204,9 @@ class EstimatorHub:
       itself).  Each closure records one failure per involved component,
       stamped at the incident's *open* time, into that component's
       :class:`FailureRateEstimator`;
-    * **failure reports** — the hub subscribes to ``detector.report`` /
-      ``rm.report`` on the bus and keeps a per-component report-rate EWMA
-      (reports per second), mapping URLs to components through the same
+    * **failure reports** — :data:`kinds` through :meth:`feed` (live
+      when given a ``bus``): a per-component report-rate EWMA (reports
+      per second), mapping URLs to components through the same
       longest-prefix map the RM diagnoses with.
 
     Components are keyed ``(server, component)`` with ``server=None`` when
@@ -214,9 +214,10 @@ class EstimatorHub:
     components on different nodes estimate independently.
     """
 
-    def __init__(self, kernel=None, bus=None, tracker=None,
-                 url_path_map=None, window=DEFAULT_WINDOW,
-                 alpha=DEFAULT_ALPHA):
+    kinds = REPORT_KINDS
+
+    def __init__(self, bus=None, tracker=None, url_path_map=None,
+                 window=DEFAULT_WINDOW, alpha=DEFAULT_ALPHA):
         self.url_path_map = dict(url_path_map or {})
         self.window = window
         self.alpha = alpha
@@ -225,28 +226,10 @@ class EstimatorHub:
         self._last_report_at = {}
         self.reports_seen = 0
         self.incidents_seen = 0
-        self.bus = bus if bus is not None else (
-            kernel.trace if kernel is not None else None
-        )
-        self._token = None
-        if self.bus is not None:
-            self._token = self.bus.subscribe(self._on_event,
-                                             kinds=REPORT_KINDS)
-        self.tracker = tracker
+        if bus is not None:
+            bus.subscribe(self.feed, self.kinds)
         if tracker is not None:
             tracker.close_listeners.append(self.on_incident_closed)
-
-    def detach(self):
-        """Stop listening (collected estimator state remains readable)."""
-        if self.bus is not None and self._token is not None:
-            self.bus.unsubscribe(self._token)
-            self._token = None
-        if self.tracker is not None:
-            try:
-                self.tracker.close_listeners.remove(self.on_incident_closed)
-            except ValueError:
-                pass
-            self.tracker = None
 
     # ------------------------------------------------------------------
     # Intake
@@ -267,13 +250,11 @@ class EstimatorHub:
                 incident.opened_at
             )
 
-    def _on_event(self, event):
-        self.feed_report(event.t, event.fields.get("url", ""),
-                         server=event.fields.get("server"))
-
-    def feed_report(self, t, url, server=None):
+    def feed(self, t, kind, fields):
         """One failure report: bump the report-rate EWMA of its components."""
         self.reports_seen += 1
+        server = fields.get("server")
+        url = fields.get("url", "")
         for component in path_for_url(url, self.url_path_map):
             key = (server, component)
             last = self._last_report_at.get(key)

@@ -1,39 +1,29 @@
-"""Exposition: Prometheus text format, JSONL incident export, replay.
-
-Two export surfaces, one for machines and one for pipelines:
+"""Exposition (Prometheus text format) and timeline replay.
 
 * :func:`render_prometheus` turns any
   :class:`~repro.telemetry.metrics.MetricsRegistry` into the Prometheus
   text exposition format (``# TYPE`` headers, ``{label="..."}`` series,
   quantile summaries for histogram sketches) — scrape-shaped, entirely
   deterministic line order;
-* :func:`write_incidents` dumps stitched incidents as JSONL, one incident
-  per line, for downstream analysis.
-
-The replay half (:func:`incidents_from_timeline`) rebuilds incidents from
-a recorded JSONL timeline by pushing its records through an offline
-:class:`~repro.observability.incidents.IncidentTracker` — the same
-stitching code path as live runs, so ``repro incidents`` on a recorded
-timeline agrees with what the live tracker saw.
+* :func:`replay` pushes a recorded JSONL timeline through fresh
+  consumers — the same ``kinds`` + ``feed(t, kind, fields)`` objects a
+  live run subscribes to its bus — so ``repro incidents|slo|health|
+  alerts|shards`` on a recorded timeline agree with what the live
+  consumers saw.
 """
-
-import json
 
 from repro.observability.alerts import AlertEngine
 from repro.observability.estimators import EstimatorHub
-from repro.observability.health import HEALTH_KINDS, ComponentHealthRegistry
-from repro.observability.incidents import (
-    DEFAULT_QUIET_PERIOD,
-    IncidentTracker,
-    TRACKED_KINDS,
-)
-from repro.telemetry.trace import _Subscription
+from repro.observability.health import ComponentHealthRegistry
+from repro.observability.incidents import IncidentTracker
+from repro.telemetry.trace import _Subscription, record_fields
 from repro.telemetry.metrics import (
     Counter,
     CounterFamily,
     Gauge,
     GaugeFamily,
     Histogram,
+    MetricsRegistry,
 )
 
 
@@ -64,6 +54,32 @@ def _escape_label(value):
     )
 
 
+def _families(registry, prefix):
+    """``(name, prom name, type, [(sample, labels, value)])`` per metric."""
+    for name, metric in registry:
+        prom = _metric_name(name, prefix)
+        if isinstance(metric, Counter):
+            yield name, prom, "counter", [(prom, (), metric.value)]
+        elif isinstance(metric, Gauge):
+            yield name, prom, "gauge", [(prom, (), metric.value)]
+        elif isinstance(metric, (CounterFamily, GaugeFamily)):
+            kind = "counter" if isinstance(metric, CounterFamily) else "gauge"
+            label_name = getattr(metric, "label", "key") or "key"
+            yield name, prom, kind, [
+                (prom, ((label_name, label),), value)
+                for label, value in sorted(metric.as_dict().items())
+            ]
+        elif isinstance(metric, Histogram):
+            samples = []
+            for q in (0.5, 0.95, 0.99):
+                value = metric.quantile(q)
+                if value is not None:
+                    samples.append((prom, (("quantile", q),), value))
+            samples.append((f"{prom}_sum", (), metric.sum))
+            samples.append((f"{prom}_count", (), metric.count))
+            yield name, prom, "summary", samples
+
+
 def render_prometheus(registry, prefix="repro_"):
     """The registry in Prometheus text exposition format, one string.
 
@@ -73,34 +89,33 @@ def render_prometheus(registry, prefix="repro_"):
     Metrics and labels are emitted in sorted order so the output is
     byte-stable across runs — diffable, testable, cacheable.
     """
+    return render_prometheus_buses({None: registry}, prefix)
+
+
+def render_prometheus_buses(registries, prefix="repro_"):
+    """Several buses' registries (``{bus: registry}``) as one exposition.
+
+    Each family keeps one ``# TYPE`` line; every sample gains a leading
+    ``bus="<id>"`` label (none for the ``None`` bus).
+    """
+    families = {}
+    for bus, registry in registries.items():
+        for name, prom, kind, samples in _families(registry, prefix):
+            families.setdefault(name, (prom, kind, []))[2].extend(
+                (sample, labels if bus is None else (("bus", bus),) + labels,
+                 value)
+                for sample, labels, value in samples
+            )
     lines = []
-    for name, metric in sorted(registry, key=lambda item: item[0]):
-        prom = _metric_name(name, prefix)
-        if isinstance(metric, Counter):
-            lines.append(f"# TYPE {prom} counter")
-            lines.append(f"{prom} {_fmt_value(metric.value)}")
-        elif isinstance(metric, Gauge):
-            lines.append(f"# TYPE {prom} gauge")
-            lines.append(f"{prom} {_fmt_value(metric.value)}")
-        elif isinstance(metric, (CounterFamily, GaugeFamily)):
-            kind = "counter" if isinstance(metric, CounterFamily) else "gauge"
-            label_name = getattr(metric, "label", "key") or "key"
-            lines.append(f"# TYPE {prom} {kind}")
-            for label, value in sorted(metric.as_dict().items()):
-                lines.append(
-                    f'{prom}{{{label_name}="{_escape_label(label)}"}} '
-                    f"{_fmt_value(value)}"
-                )
-        elif isinstance(metric, Histogram):
-            lines.append(f"# TYPE {prom} summary")
-            for q in (0.5, 0.95, 0.99):
-                value = metric.quantile(q)
-                if value is not None:
-                    lines.append(
-                        f'{prom}{{quantile="{q}"}} {_fmt_value(value)}'
-                    )
-            lines.append(f"{prom}_sum {_fmt_value(metric.sum)}")
-            lines.append(f"{prom}_count {metric.count}")
+    for name in sorted(families):
+        prom, kind, samples = families[name]
+        lines.append(f"# TYPE {prom} {kind}")
+        for sample, labels, value in samples:
+            if labels:
+                sample += "{" + ",".join(
+                    f'{key}="{_escape_label(label)}"' for key, label in labels
+                ) + "}"
+            lines.append(f"{sample} {_fmt_value(value)}")
     return "\n".join(lines) + "\n" if lines else ""
 
 
@@ -112,8 +127,6 @@ def registry_from_observability(incidents, windows, registry=None):
     window/violation tallies.  Pass an existing registry to merge into a
     rig's own metrics.
     """
-    from repro.telemetry.metrics import MetricsRegistry
-
     registry = registry if registry is not None else MetricsRegistry()
     count = registry.counter("incidents.count")
     by_trigger = registry.family("incidents.by_trigger")
@@ -138,43 +151,54 @@ def registry_from_observability(incidents, windows, registry=None):
     return registry
 
 
-def write_incidents(path, incidents):
-    """One incident dict per JSONL line; returns the number written."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for incident in incidents:
-            fh.write(json.dumps(incident.to_dict(), sort_keys=True) + "\n")
-    return len(incidents)
+def replay(records, build):
+    """Feed a recorded timeline through fresh consumers, bus by bus.
 
-
-def incidents_from_timeline(records, url_path_map=None,
-                            quiet_period=DEFAULT_QUIET_PERIOD):
-    """Rebuild incidents from recorded timeline records (offline replay).
-
-    Records are replayed in ``(t, seq)`` order through an offline tracker
-    — the same stitching logic as a live run.  Multi-bus timelines
-    (figure-1 runs one kernel per policy) are replayed per bus so one
-    bus's recovery events cannot close another bus's incidents; incidents
-    come back ordered by bus, then open time.
+    ``build()`` returns a new list of consumers (objects with ``kinds``
+    and ``feed(t, kind, fields)``, as subscribed live) for each bus, so
+    one bus's events can never touch another's state — figure-1 runs one
+    kernel per policy, megascale/storm one per arm.  Each bus's records
+    are fed in ``(t, seq)`` order — the order its subscribers saw them
+    live — to every consumer whose ``kinds`` match, in list order.
+    Returns ``[(bus, consumers, end)]`` sorted by bus, ``end`` being the
+    last timestamp any of that bus's consumers matched (0.0 if none).
     """
-    matcher = _Subscription(None, TRACKED_KINDS)
     by_bus = {}
     for record in records:
-        if matcher.matches(record.get("kind", "")):
-            by_bus.setdefault(record.get("bus"), []).append(record)
-    incidents = []
+        by_bus.setdefault(record.get("bus"), []).append(record)
+    replayed = []
     for bus in sorted(by_bus, key=str):
-        tracker = IncidentTracker(
-            url_path_map=url_path_map, quiet_period=quiet_period
-        )
+        consumers = build()
+        feeds = [_Subscription(c.feed, c.kinds) for c in consumers]
+        end = 0.0
         for record in sorted(
             by_bus[bus], key=lambda r: (r["t"], r.get("seq", 0))
         ):
-            tracker.feed_record(record)
-        incidents.extend(tracker.finalize())
-    # Per-bus trackers each number from 1; renumber into one sequence.
-    for index, incident in enumerate(incidents, start=1):
-        incident.id = index
-    return incidents
+            t, kind = record["t"], record["kind"]
+            fields = None
+            for subscription in feeds:
+                if subscription.matches(kind):
+                    if fields is None:
+                        end = t
+                        fields = record_fields(record)
+                    subscription.callback(t, kind, fields)
+        replayed.append((bus, consumers, end))
+    return replayed
+
+
+def predictive_chain(url_path_map=None, rules=None):
+    """The live predictive stack, unsubscribed, for :func:`replay`.
+
+    IncidentTracker → EstimatorHub → ComponentHealthRegistry (which
+    drives an AlertEngine), listed in the order a live rig subscribes
+    them, so replay feeds each event to them in the same order.
+    """
+    tracker = IncidentTracker(url_path_map=url_path_map)
+    hub = EstimatorHub(tracker=tracker, url_path_map=url_path_map)
+    registry = ComponentHealthRegistry(
+        hub=hub, alert_engine=AlertEngine(rules=rules)
+    )
+    return [tracker, hub, registry]
 
 
 def registry_from_health(rows, registry=None):
@@ -184,8 +208,6 @@ def registry_from_health(rows, registry=None):
     per-signal gauges — scrape-shaped, sorted by
     :func:`render_prometheus` into byte-stable output.
     """
-    from repro.telemetry.metrics import MetricsRegistry
-
     registry = registry if registry is not None else MetricsRegistry()
     for row in rows:
         key = f"{row['server'] or '-'}.{row['component']}"
@@ -195,15 +217,13 @@ def registry_from_health(rows, registry=None):
     return registry
 
 
-def registry_from_cluster(rows, summary=None, signals=(), registry=None):
+def registry_from_cluster(rows, summary=None, registry=None):
     """Fold per-shard rollup rows into ``shard=``-labelled families.
 
     One gauge/counter family per rollup statistic, labelled by shard, plus
     the cluster-level reduction as flat gauges — scrape-shaped for the
     ``repro shards --prom`` surface.
     """
-    from repro.telemetry.metrics import MetricsRegistry
-
     registry = registry if registry is not None else MetricsRegistry()
     gauges = (
         ("shard.availability", "availability"),
@@ -211,8 +231,6 @@ def registry_from_cluster(rows, summary=None, signals=(), registry=None):
         ("shard.gaw_per_second", "gaw_per_second"),
         ("shard.probe_p50_seconds", "probe_p50"),
         ("shard.probe_p99_seconds", "probe_p99"),
-        ("shard.capacity_score", "capacity_score"),
-        ("shard.headroom", "headroom"),
     )
     counters = (
         ("shard.probes", "probes"),
@@ -221,7 +239,7 @@ def registry_from_cluster(rows, summary=None, signals=(), registry=None):
         ("shard.storm_events", "storm_events"),
         ("shard.migrated_in", "migrated_in"),
         ("shard.migrated_out", "migrated_out"),
-        ("shard.slo_violations", None),  # nested under "slo" in live rows
+        ("shard.slo_violations", "slo_violations"),
     )
     for row in rows:
         shard = row.get("shard")
@@ -231,15 +249,8 @@ def registry_from_cluster(rows, summary=None, signals=(), registry=None):
             value = row.get(key)
             if value is not None:
                 registry.gauge_family(name, label="shard").set(shard, value)
-        registry.gauge_family("shard.pressured", label="shard").set(
-            shard, 1 if row.get("pressured") else 0
-        )
         for name, key in counters:
-            if key is None:
-                slo = row.get("slo") or {}
-                value = slo.get("violations", row.get("slo_violations"))
-            else:
-                value = row.get(key)
+            value = row.get(key)
             if value:
                 registry.family(name, label="shard").inc(shard, value)
     if summary:
@@ -251,65 +262,4 @@ def registry_from_cluster(rows, summary=None, signals=(), registry=None):
             if value is not None:
                 registry.gauge(f"cluster.{key}").set(value)
         registry.gauge("cluster.shards").set(summary.get("shards", len(rows)))
-        registry.gauge("cluster.pressured_shards").set(
-            len(summary.get("pressured_shards", ()))
-        )
-    if signals:
-        by_kind = registry.family("cluster.capacity_signals", label="signal")
-        for signal in signals:
-            by_kind.inc(signal.get("signal", "unknown"))
     return registry
-
-
-def health_from_timeline(records, url_path_map=None, rules=None,
-                         quiet_period=DEFAULT_QUIET_PERIOD):
-    """Replay a recorded timeline through the full predictive pipeline.
-
-    Rebuilds, per bus, the same chain a live rig runs — IncidentTracker →
-    EstimatorHub → ComponentHealthRegistry → AlertEngine — and returns
-    ``(health_rows, alerts, incidents)``: the end-of-timeline health
-    snapshot, every alert the ruleset would have fired (recomputed, so
-    ``repro alerts`` works on timelines recorded before alerting
-    existed), and the stitched incidents for lead-time comparison.
-    """
-    tracked = _Subscription(None, TRACKED_KINDS)
-    health_kinds = _Subscription(None, HEALTH_KINDS)
-    report_kinds = ("detector.report", "rm.report")
-    by_bus = {}
-    for record in records:
-        kind = record.get("kind", "")
-        if (
-            tracked.matches(kind)
-            or health_kinds.matches(kind)
-            or kind in report_kinds
-        ):
-            by_bus.setdefault(record.get("bus"), []).append(record)
-    rows, alerts, incidents = [], [], []
-    for bus in sorted(by_bus, key=str):
-        tracker = IncidentTracker(
-            url_path_map=url_path_map, quiet_period=quiet_period
-        )
-        hub = EstimatorHub(tracker=tracker, url_path_map=url_path_map)
-        engine = AlertEngine(rules=rules)
-        registry = ComponentHealthRegistry(hub=hub, alert_engine=engine)
-        end = 0.0
-        for record in sorted(
-            by_bus[bus], key=lambda r: (r["t"], r.get("seq", 0))
-        ):
-            kind = record["kind"]
-            end = max(end, record["t"])
-            if tracked.matches(kind):
-                tracker.feed_record(record)
-            if kind in report_kinds:
-                hub.feed_report(
-                    record["t"], record.get("url", ""),
-                    server=record.get("server"),
-                )
-            if health_kinds.matches(kind):
-                registry.feed_record(record)
-        incidents.extend(tracker.finalize())
-        alerts.extend(engine.finalize(end))
-        rows.extend(registry.snapshot(end))
-    for index, incident in enumerate(incidents, start=1):
-        incident.id = index
-    return rows, alerts, incidents

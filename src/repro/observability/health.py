@@ -167,14 +167,16 @@ class HeapTrendTracker:
 class ComponentHealthRegistry:
     """Bounded 0–100 health per (server, component) from live signals.
 
-    Construct with a live ``kernel``/``bus`` (plus the
-    :class:`~repro.observability.estimators.EstimatorHub` supplying
-    hazards) or with neither and push recorded timeline records through
-    :meth:`feed_record` for offline replay.  Components become known the
-    first time any signal names them, or eagerly via :meth:`register`.
+    A consumer of :data:`kinds` through :meth:`feed` — live when given a
+    ``bus``, offline under :func:`~repro.observability.exporter.replay` —
+    with the :class:`~repro.observability.estimators.EstimatorHub`
+    supplying hazards.  Components become known the first time any
+    signal names them, or eagerly via :meth:`register`.
     """
 
-    def __init__(self, kernel=None, bus=None, hub=None, alert_engine=None,
+    kinds = HEALTH_KINDS
+
+    def __init__(self, bus=None, hub=None, alert_engine=None,
                  weights=None, heap_alarm_fraction=0.10):
         self.hub = hub
         self.alert_engine = alert_engine
@@ -189,18 +191,8 @@ class ComponentHealthRegistry:
         self.now = 0.0
         self.events_seen = 0
         self._last_eval = None
-        self.bus = bus if bus is not None else (
-            kernel.trace if kernel is not None else None
-        )
-        self._token = None
-        if self.bus is not None:
-            self._token = self.bus.subscribe(self._on_event,
-                                             kinds=HEALTH_KINDS)
-
-    def detach(self):
-        if self.bus is not None and self._token is not None:
-            self.bus.unsubscribe(self._token)
-            self._token = None
+        if bus is not None:
+            bus.subscribe(self.feed, self.kinds)
 
     def register(self, server, components):
         """Pre-seed the component universe (healthy = visible at 100)."""
@@ -210,17 +202,6 @@ class ComponentHealthRegistry:
     # ------------------------------------------------------------------
     # Intake
     # ------------------------------------------------------------------
-    def _on_event(self, event):
-        self.feed(event.t, event.kind, event.fields)
-
-    def feed_record(self, record):
-        """Ingest one flattened JSONL timeline record (offline replay)."""
-        fields = {
-            key: value for key, value in record.items()
-            if key not in ("t", "seq", "kind", "bus")
-        }
-        self.feed(record["t"], record["kind"], fields)
-
     def feed(self, t, kind, fields):
         self.now = max(self.now, t)
         self.events_seen += 1

@@ -193,17 +193,17 @@ class Incident:
 
 
 class IncidentTracker:
-    """Subscribes to a :class:`~repro.telemetry.trace.TraceBus` and stitches
-    fault/detector/RM/LB events into :class:`Incident` records.
+    """Stitches fault/detector/RM/LB events into :class:`Incident` records.
 
-    Works in two modes: live (pass ``kernel`` or ``bus``; events arrive via
-    the subscription) and offline (construct with neither and push recorded
-    JSONL timeline records through :meth:`feed_record`).  Call
-    :meth:`finalize` when the run/timeline ends to close whatever is still
-    open.
+    A consumer of :data:`kinds` through :meth:`feed`: live when given a
+    ``bus`` (it subscribes), offline when driven by
+    :func:`~repro.observability.exporter.replay`.  Call :meth:`finalize`
+    when the run/timeline ends to close whatever is still open.
     """
 
-    def __init__(self, kernel=None, bus=None, url_path_map=None,
+    kinds = TRACKED_KINDS
+
+    def __init__(self, bus=None, url_path_map=None,
                  quiet_period=DEFAULT_QUIET_PERIOD):
         if quiet_period <= 0:
             raise ValueError(f"quiet_period must be > 0, got {quiet_period!r}")
@@ -224,33 +224,12 @@ class IncidentTracker:
         #: event intake, so scheduling kernel work here would perturb
         #: the run the tracker promises not to touch.
         self.close_listeners = []
-        self.bus = bus if bus is not None else (
-            kernel.trace if kernel is not None else None
-        )
-        self._token = None
-        if self.bus is not None:
-            self._token = self.bus.subscribe(self._on_event, kinds=TRACKED_KINDS)
-
-    def detach(self):
-        """Stop listening (the collected incidents remain readable)."""
-        if self.bus is not None and self._token is not None:
-            self.bus.unsubscribe(self._token)
-            self._token = None
+        if bus is not None:
+            bus.subscribe(self.feed, self.kinds)
 
     # ------------------------------------------------------------------
     # Event intake
     # ------------------------------------------------------------------
-    def _on_event(self, event):
-        self.feed(event.t, event.kind, event.fields)
-
-    def feed_record(self, record):
-        """Ingest one flattened JSONL timeline record."""
-        fields = {
-            key: value for key, value in record.items()
-            if key not in ("t", "seq", "kind", "bus")
-        }
-        self.feed(record["t"], record["kind"], fields)
-
     def feed(self, t, kind, fields):
         self._sweep(t)
         if kind == "fault.injected":

@@ -311,14 +311,6 @@ _META_GLYPHS = (
 )
 
 
-def _slo_violations(row):
-    """SLO violation count from a live (nested) or replayed (flat) row."""
-    slo = row.get("slo")
-    if isinstance(slo, dict):
-        return slo.get("violations")
-    return row.get("slo_violations")
-
-
 def _meta_waterfall(meta, width=44):
     """One scaled cluster-MTTR bar with ``*`` marks at migration starts."""
     span = meta.get("span") or 0.0
@@ -339,15 +331,14 @@ def _meta_waterfall(meta, width=44):
 
 
 def summarize_shards(view, meta_incidents=None, shard=None):
-    """Per-shard rollup table + storm waterfall + capacity signals.
+    """Per-shard rollup table + storm meta-incident waterfall.
 
-    ``view`` is the cluster plane's rollup view — a live outcome's
-    ``cluster`` section or :func:`~repro.observability.cluster.
-    shards_from_timeline` output: ``{"shards": [rows], "capacity_signals":
-    [...], "migrations": [...], "storm": {...}}``.  ``meta_incidents`` are
-    :meth:`MetaIncident.to_dict` dicts; ``shard`` filters the table.
+    ``view`` is :meth:`~repro.observability.cluster.ShardView.snapshot`
+    output: ``{"shards": [rows], "migrations": [...], "storm": {...}}``.
+    ``meta_incidents`` are :meth:`MetaIncident.to_dict` dicts; ``shard``
+    filters the table.
     """
-    rows = view.get("shards") or view.get("rollup") or []
+    rows = view.get("shards") or []
     if shard is not None:
         rows = [r for r in rows if r.get("shard") == shard]
     lines = [f"{len(rows)} shard(s)"]
@@ -369,12 +360,7 @@ def summarize_shards(view, meta_incidents=None, shard=None):
     table_rows = []
     for row in rows:
         availability = row.get("availability")
-        violations = _slo_violations(row)
-        flags = []
-        if row.get("pressured"):
-            flags.append("PRESSURE")
-        if row.get("storm_events"):
-            flags.append("storm")
+        violations = row.get("slo_violations")
         table_rows.append(
             (
                 row["shard"],
@@ -393,9 +379,8 @@ def summarize_shards(view, meta_incidents=None, shard=None):
                 row.get("failovers", 0),
                 row.get("migrated_in", 0),
                 row.get("migrated_out", 0),
-                f"{row.get('capacity_score', 1.0):.2f}",
                 violations if violations is not None else "-",
-                " ".join(flags),
+                "storm" if row.get("storm_events") else "",
             )
         )
     lines.append("")
@@ -403,8 +388,7 @@ def summarize_shards(view, meta_incidents=None, shard=None):
         _table(
             (
                 "shard", "sessions", "avail", "gaw/s", "p50", "p99",
-                "probes(f)", "failover", "in", "out", "capacity",
-                "slo viol", "",
+                "probes(f)", "failover", "in", "out", "slo viol", "",
             ),
             table_rows,
         )
@@ -443,22 +427,6 @@ def summarize_shards(view, meta_incidents=None, shard=None):
                     f"{replacement['with']} @ t={replacement['at']:g}s "
                     f"(fail rate {replacement.get('fail_rate')})"
                 )
-
-    signals = view.get("capacity_signals") or []
-    if shard is not None:
-        signals = [s for s in signals if s.get("shard") == shard]
-    lines.append("")
-    if signals:
-        lines.append(f"{len(signals)} capacity signal(s):")
-        for signal in signals:
-            lines.append(
-                f"  t={signal['t']:8.1f}s {signal['shard']} "
-                f"{signal['signal'].upper():8} "
-                f"ewma={signal.get('ewma')} "
-                f"headroom={signal.get('headroom')}"
-            )
-    else:
-        lines.append("no capacity signals")
     return "\n".join(lines)
 
 

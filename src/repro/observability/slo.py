@@ -187,8 +187,8 @@ def compute_windows(good_series, bad_series, response_times, t_end,
     return windows
 
 
-def windows_from_records(records, policy=None, t_end=None, t_start=0.0):
-    """Judge SLO windows from a recorded JSONL timeline.
+class RequestWindows:
+    """Replay consumer: SLO windows judged from recorded ``request.end``.
 
     Timelines carry ``request.end`` events (ok, duration) but not the
     action grouping Taw needs, so this mode approximates Taw with
@@ -196,29 +196,28 @@ def windows_from_records(records, policy=None, t_end=None, t_start=0.0):
     at its completion time.  For live runs the canonical Taw-weighted
     series from :class:`TawAccounting` is used instead.
     """
-    good, bad, rts = {}, {}, []
-    latest = t_start
-    for record in records:
-        if record.get("kind") != "request.end":
-            t = record.get("t", 0.0)
-            if t > latest:
-                latest = t
-            continue
-        t = record.get("t", 0.0)
-        if t > latest:
-            latest = t
+
+    #: Every record, not just ``request.end``: the judged span runs to the
+    #: timeline's last event, whatever its kind.
+    kinds = None
+
+    def __init__(self):
+        self.good, self.bad, self.response_times = {}, {}, []
+
+    def feed(self, t, kind, fields):
+        if kind != "request.end":
+            return
+        series = self.good if fields.get("ok") else self.bad
         bucket = int(t)
-        if record.get("ok"):
-            good[bucket] = good.get(bucket, 0) + 1
-        else:
-            bad[bucket] = bad.get(bucket, 0) + 1
-        duration = record.get("duration")
+        series[bucket] = series.get(bucket, 0) + 1
+        duration = fields.get("duration")
         if duration is not None:
-            rts.append((t, duration))
-    if t_end is None:
-        t_end = latest
-    return compute_windows(good, bad, rts, t_end, policy=policy,
-                           t_start=t_start)
+            self.response_times.append((t, duration))
+
+    def windows(self, t_end, policy=None):
+        """Every full window in ``[0, t_end)``, judged against ``policy``."""
+        return compute_windows(self.good, self.bad, self.response_times,
+                               t_end, policy=policy)
 
 
 class SloEngine:
@@ -233,36 +232,27 @@ class SloEngine:
     canonical window series.
     """
 
-    def __init__(self, taw, kernel=None, bus=None, policy=None,
-                 t_start=0.0):
+    kinds = ("request.end",)
+
+    def __init__(self, taw, bus=None, policy=None, t_start=0.0):
         self.taw = taw
         self.policy = policy or SloPolicy()
         self.t_start = t_start
         self.windows = []  # canonical, filled by evaluate()
         self.live_violations = []
         self._next_window = 0  # first not-yet-judged window index
-        self.bus = bus if bus is not None else (
-            kernel.trace if kernel is not None else None
-        )
-        self._token = None
-        if self.bus is not None:
-            self._token = self.bus.subscribe(
-                self._on_request_end, kinds="request.end"
-            )
-
-    def detach(self):
-        if self.bus is not None and self._token is not None:
-            self.bus.unsubscribe(self._token)
-            self._token = None
+        self.bus = bus
+        if bus is not None:
+            bus.subscribe(self.feed, self.kinds)
 
     # ------------------------------------------------------------------
-    def _on_request_end(self, event):
+    def feed(self, t, kind, fields):
         # Window k settles once the clock clears window k+1: Taw marks an
         # operation good/bad only when its whole action finishes, so a
         # window's counts keep moving for about one action-length after
         # the window closes.
         width = self.policy.window
-        while self.t_start + (self._next_window + 2) * width <= event.t:
+        while self.t_start + (self._next_window + 2) * width <= t:
             self._judge_live(self._next_window)
             self._next_window += 1
 

@@ -58,7 +58,6 @@ STICKY_PREFIXES = (
     "slo.",
     "alert.",
     "heap.",
-    "capacity.",
     "shard.",
     "storm.",
     "reshard.",
@@ -132,6 +131,16 @@ class TraceEvent:
         return record
 
 
+def record_fields(record):
+    """A flattened record's payload as published: the inverse of
+    :meth:`TraceEvent.flatten` (envelope dropped, ``x_`` remaps undone)."""
+    return {
+        key[2:] if key[:2] == "x_" and key[2:] in RESERVED_KEYS else key: value
+        for key, value in record.items()
+        if key not in RESERVED_KEYS
+    }
+
+
 def _normalize_kinds(kinds):
     """(exact kinds frozenset, prefix tuple) from a str or iterable.
 
@@ -196,12 +205,8 @@ class TraceBus:
         """Record one event; returns it, or None when the bus is disabled."""
         if not self.enabled:
             return None
-        event = TraceEvent(
-            t=self.kernel.now if self.kernel is not None else 0.0,
-            seq=self._seq,
-            kind=kind,
-            fields=fields,
-        )
+        t = self.kernel.now if self.kernel is not None else 0.0
+        event = TraceEvent(t, self._seq, kind, fields)
         self._seq += 1
         self.published += 1
         self._buffer.append(event)
@@ -209,14 +214,14 @@ class TraceBus:
             self._sticky.append(event)
         for subscription in self._subscriptions:
             if subscription.matches(kind):
-                subscription.callback(event)
+                subscription.callback(t, kind, fields)
         return event
 
     # ------------------------------------------------------------------
     # Subscribing
     # ------------------------------------------------------------------
     def subscribe(self, callback, kinds=None):
-        """Call ``callback(event)`` on every matching publish.
+        """Call ``callback(t, kind, fields)`` on every matching publish.
 
         ``kinds`` is a kind, an iterable of kinds, or None for everything;
         a trailing ``*`` matches a prefix (``"rm.*"``).  Returns a token

@@ -91,7 +91,8 @@ class TestInjectorLog:
         published = []
         kernel.trace.enabled = True
         kernel.trace.subscribe(
-            lambda ev: published.append(ev.fields), kinds=("fault.injected",)
+            lambda t, kind, fields: published.append(fields),
+            kinds=("fault.injected",),
         )
 
         def driver():

@@ -160,7 +160,8 @@ class ShardClock:
 
 
 def make_shard_timeline(path):
-    """A two-shard storm timeline with rollups, windows, and a signal."""
+    """A two-shard storm timeline with rollups, windows, and one shard
+    replacement (a policy verdict, then the add naming the fresh shard)."""
     clock = ShardClock()
     bus = TraceBus(kernel=clock, enabled=True, label="run")
     clock.now = 10.0
@@ -180,12 +181,12 @@ def make_shard_timeline(path):
     clock.now = 24.0
     bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
                 duration=1.0, server="shard002-n1")
+    clock.now = 28.0
+    bus.publish("reshard.policy", shard="shard001", fail_rate=0.9)
+    bus.publish("reshard.begin", op="add", shard="shard128")
     clock.now = 30.0
     bus.publish("reshard.migrate", source="shard001", target="shard128",
                 sessions=100, window=2.0)
-    clock.now = 40.0
-    bus.publish("capacity.pressure", shard="shard001", score=2.3,
-                ewma=1.78, headroom=0.0)
     clock.now = 120.0
     for start, good, bad in ((0.0, 3000, 0), (30.0, 1500, 900),
                              (60.0, 3000, 0), (90.0, 3000, 0)):
@@ -200,18 +201,14 @@ def make_shard_timeline(path):
                 probe_p50=0.002, probe_p99=0.011, failovers=1,
                 link_faults=0, brick_crashes=0, storm_events=2,
                 storm_kinds=["deadlock"], migrated_in=0, migrated_out=100,
-                capacity_score=1.78, peak_score=1.9, pressured=True,
-                headroom=0.0, slo_windows=4, slo_violations=1,
-                slo_min_availability=0.625)
+                slo_windows=4, slo_violations=1, slo_min_availability=0.625)
     bus.publish("shard.rollup", shard="shard002", sessions=500,
                 good=1500, bad=0, availability=1.0, gaw_per_second=50.0,
                 probes=120, probe_failures=0, probe_p50=0.002,
                 probe_p99=0.004, failovers=0, link_faults=0,
                 brick_crashes=0, storm_events=2, storm_kinds=["deadlock"],
-                migrated_in=0, migrated_out=0, capacity_score=1.0,
-                peak_score=1.0, pressured=False, headroom=0.375,
-                slo_windows=1, slo_violations=0,
-                slo_min_availability=1.0)
+                migrated_in=0, migrated_out=0, slo_windows=1,
+                slo_violations=0, slo_min_availability=1.0)
     write_timeline(path, [bus])
     return path
 
@@ -222,13 +219,12 @@ def test_shards_command_renders_rollup_and_meta_waterfall(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2 shard(s), cluster availability" in out
     assert "storm at t=10s struck 2 shard(s)" in out
-    assert "shard001" in out and "shard002" in out
-    assert "PRESSURE" in out and "storm" in out
+    assert "shard001" in out and "shard002" in out and "storm" in out
     assert "1 meta-incident(s)" in out
     assert "shards: shard001, shard002" in out
     assert "~> shard001 -> shard128: 100 session(s) @ t=30s" in out
-    assert "1 capacity signal(s)" in out
-    assert "PRESSURE" in out
+    assert "=> replaced shard001 with shard128 @ t=28s (fail rate 0.9)" in out
+    assert "capacity" not in out
 
 
 def test_shards_command_filters_and_exports(tmp_path, capsys):
@@ -251,7 +247,7 @@ def test_shards_command_filters_and_exports(tmp_path, capsys):
     prom = prom_out.read_text(encoding="utf-8")
     assert 'repro_shard_availability{shard="shard001"} 0.921053' in prom
     assert 'repro_shard_slo_violations{shard="shard001"} 1' in prom
-    assert 'repro_cluster_capacity_signals{signal="pressure"} 1' in prom
+    assert "capacity" not in prom
 
 
 def test_shards_command_missing_file_is_a_clean_error(tmp_path, capsys):

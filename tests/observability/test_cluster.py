@@ -1,4 +1,4 @@
-"""Cluster observability plane: shard rollups, correlation, capacity."""
+"""Cluster observability plane: shard rollups, correlation, replay."""
 
 import pytest
 
@@ -6,10 +6,10 @@ from repro.observability import (
     ClusterIncidentCorrelator,
     Incident,
     ShardMetricsAggregator,
+    ShardView,
+    replay,
     shard_of_incident,
     shard_of_name,
-    shard_windows_from_records,
-    shards_from_timeline,
     timeline_shards,
 )
 from repro.telemetry import TraceBus, read_timeline, write_timeline
@@ -112,55 +112,12 @@ def test_aggregator_folds_bus_events_into_rollups():
 
 
 # ----------------------------------------------------------------------
-# Aggregator: capacity signal engine
-# ----------------------------------------------------------------------
-
-def test_capacity_pressure_and_relief_hysteresis():
-    plane = ShardMetricsAggregator()
-    t = 0.0
-    for _ in range(10):  # sustained probe failures: stress climbs
-        plane.observe_probe(t, "shard001", "probe", False, 0.01)
-        t += 1.0
-    assert [s["signal"] for s in plane.capacity_signals] == ["pressure"]
-    pressure = plane.capacity_signals[0]
-    assert pressure["shard"] == "shard001"
-    assert pressure["ewma"] >= plane.pressure_high
-    assert plane.headroom("shard001") == 0.0
-    for _ in range(30):  # recovery: EWMA must fall through the low band
-        plane.observe_probe(t, "shard001", "probe", True, 0.01)
-        t += 1.0
-    signals = [s["signal"] for s in plane.capacity_signals]
-    assert signals == ["pressure", "relief"]
-    relief = plane.capacity_signals[1]
-    assert relief["ewma"] <= plane.pressure_low
-    assert 0.0 < plane.headroom("shard001") <= 1.0
-    rows = {row["shard"]: row for row in plane.rows()}
-    assert rows["shard001"]["pressured"] is False
-    assert rows["shard001"]["peak_score"] >= plane.pressure_high
-
-
-def test_capacity_signal_requires_sustained_evidence():
-    plane = ShardMetricsAggregator()
-    # One failed probe in a sea of good ones: the EWMA never clears the
-    # high band, so the plane stays silent.
-    for k in range(30):
-        plane.observe_probe(float(k), "shard001", "probe", k != 5, 0.01)
-    assert plane.capacity_signals == []
-
-
-def test_hysteresis_bands_must_be_ordered():
-    with pytest.raises(ValueError):
-        ShardMetricsAggregator(pressure_high=1.0, pressure_low=1.2)
-
-
-# ----------------------------------------------------------------------
 # Aggregator: collection, SLO judging, reduction
 # ----------------------------------------------------------------------
 
 def test_collect_folds_series_and_judges_shard_slo():
     plane = ShardMetricsAggregator()
-    plane.bind_engine(make_engine())
-    plane.collect(duration=120.0)
+    plane.collect(make_engine(), duration=120.0)
     rows = {row["shard"]: row for row in plane.rows()}
 
     clean = rows["shard001"]
@@ -204,16 +161,14 @@ def test_probe_quantiles_merge_exactly_into_cluster_summary():
 def test_rollups_are_deterministic():
     def build():
         plane = ShardMetricsAggregator()
-        plane.bind_engine(make_engine())
         for k in range(50):
             plane.observe_probe(float(k), "shard002", "probe", k % 3 == 0,
                                 0.002 * (k % 7 + 1))
-        plane.collect(duration=120.0)
+        plane.collect(make_engine(), duration=120.0)
         return plane
 
     a, b = build(), build()
     assert a.rows() == b.rows()
-    assert a.capacity_signals == b.capacity_signals
     assert a.cluster_summary() == b.cluster_summary()
 
 
@@ -377,36 +332,57 @@ def test_meta_incident_phases_clamp_out_of_order_evidence():
 # Offline surfaces: timeline round-trip
 # ----------------------------------------------------------------------
 
+def _views():
+    return [ShardView()]
+
+
+def test_shard_view_pairs_policy_verdicts_with_the_fresh_shard():
+    records = [
+        {"t": 40.0, "seq": 0, "kind": "reshard.begin", "op": "add",
+         "shard": "shard016"},  # no verdict before it: not a replacement
+        {"t": 50.0, "seq": 1, "kind": "reshard.policy", "shard": "shard003",
+         "fail_rate": 0.8125},
+        {"t": 50.0, "seq": 2, "kind": "reshard.begin", "op": "add",
+         "shard": "shard017"},
+        {"t": 50.0, "seq": 3, "kind": "reshard.begin", "op": "remove",
+         "shard": "shard003"},
+    ]
+    [(_bus, [view], end)] = replay(records, _views)
+    assert end == 50.0
+    assert view.replacements == [
+        {"at": 50.0, "replaced": "shard003", "with": "shard017",
+         "fail_rate": 0.8125},
+    ]
+
 def test_shards_from_timeline_round_trips_the_live_view(tmp_path):
     clock = Clock()
     bus = TraceBus(kernel=clock, enabled=True, label="run")
     plane = ShardMetricsAggregator(bus=bus)
-    plane.bind_engine(make_engine())
     for k in range(40):
         clock.now = float(k)
         plane.observe_probe(clock.now, "shard002", "probe", k % 2 == 0,
                             0.005)
     clock.now = 120.0
-    plane.collect(duration=120.0)
+    plane.collect(make_engine(), duration=120.0)
 
     path = tmp_path / "timeline.jsonl"
     write_timeline(path, [bus])
-    view = shards_from_timeline(read_timeline(path))
+    [(_bus, [shard_view], _end)] = replay(read_timeline(path), _views)
+    view = shard_view.snapshot()
 
     live = {row["shard"]: row for row in plane.rows()}
     replayed = {row["shard"]: row for row in view["shards"]}
     assert sorted(replayed) == sorted(live) == ["shard001", "shard002"]
     for shard, row in replayed.items():
         for key in ("sessions", "good", "bad", "availability",
-                    "probe_p50", "probe_p99", "capacity_score",
-                    "pressured", "migrated_in", "migrated_out"):
+                    "probe_p50", "probe_p99", "migrated_in",
+                    "migrated_out"):
             assert row[key] == live[shard][key], (shard, key)
         slo = live[shard]["slo"]
         assert row["slo_windows"] == slo["windows"]
         assert row["slo_violations"] == slo["violations"]
     # Four judged windows per shard, rebuilt bounded series included.
     assert len(replayed["shard002"]["windows"]) == 4
-    assert view["capacity_signals"] == plane.capacity_signals
     assert view["storm"] is None
 
 
@@ -419,7 +395,8 @@ def test_shard_windows_from_records_rejudges_availability(tmp_path):
         {"t": 120.0, "kind": "shard.window", "shard": "shard001",
          "start": 0.0, "end": 30.0, "good": 3000, "bad": 0},
     ]
-    windows = shard_windows_from_records(records, "shard002")
+    [(_bus, [view], _end)] = replay(records, _views)
+    windows = view.slo_windows("shard002")
     assert len(windows) == 2
     assert windows[0].violated is False
     assert windows[1].violated is True

@@ -1,14 +1,14 @@
-"""Exposition: Prometheus text rendering, JSONL export, timeline replay."""
+"""Exposition: Prometheus text rendering and timeline replay."""
 
 import json
 
 import pytest
 
 from repro.observability.exporter import (
-    incidents_from_timeline,
     registry_from_observability,
     render_prometheus,
-    write_incidents,
+    render_prometheus_buses,
+    replay,
 )
 from repro.observability.incidents import IncidentTracker
 from repro.observability.slo import SloPolicy, compute_windows
@@ -92,30 +92,33 @@ def test_registry_from_observability_folds_both_sources():
     assert phase_total == pytest.approx(sum(i.span for i in incidents))
 
 
-# ----------------------------------------------------------------------
-# JSONL export
-# ----------------------------------------------------------------------
-
-def test_write_incidents_jsonl_round_trip(tmp_path):
-    tracker = IncidentTracker(url_path_map=URL_PATH_MAP)
-    tracker.feed(0.0, "fault.injected", {"target": "Item", "fault": "x",
-                                         "server": "node1"})
-    tracker.feed(2.0, "rm.action.end", {"level": "ejb", "target": ("Item",),
-                                        "ok": True, "duration": 1.0,
-                                        "server": "node1"})
-    incidents = tracker.finalize()
-    path = tmp_path / "incidents.jsonl"
-    assert write_incidents(path, incidents) == 1
-    lines = path.read_text(encoding="utf-8").splitlines()
-    assert len(lines) == 1
-    record = json.loads(lines[0])
-    assert record["key"] == "Item"
-    assert record["closed_by"] == "recovered"
+def test_render_prometheus_buses_types_once_and_labels_every_sample():
+    registries = {}
+    for bus, value in ((0, 1), ("arm-b", 2)):
+        registry = registries[bus] = MetricsRegistry()
+        registry.counter("incidents.count").inc(value)
+        registry.family("incidents.by_trigger").inc("fault", value)
+        registry.histogram("incidents.span_seconds").observe(float(value))
+    text = render_prometheus_buses(registries)
+    assert text.count("# TYPE repro_incidents_count counter") == 1
+    assert 'repro_incidents_count{bus="0"} 1' in text
+    assert 'repro_incidents_count{bus="arm-b"} 2' in text
+    assert 'repro_incidents_by_trigger{bus="0",key="fault"} 1' in text
+    assert 'repro_incidents_span_seconds_count{bus="arm-b"} 1' in text
+    assert text.count("# TYPE") == 3
+    # The unlabelled bus renders exactly like a single registry.
+    assert render_prometheus_buses({None: registries[0]}) == (
+        render_prometheus(registries[0])
+    )
 
 
 # ----------------------------------------------------------------------
 # Timeline replay
 # ----------------------------------------------------------------------
+
+def _trackers():
+    return [IncidentTracker(url_path_map=URL_PATH_MAP)]
+
 
 def test_incidents_from_timeline_matches_live_stitching(tmp_path):
     bus = TraceBus(enabled=True, label="run")
@@ -131,7 +134,9 @@ def test_incidents_from_timeline_matches_live_stitching(tmp_path):
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
 
-    replayed = incidents_from_timeline(records, url_path_map=URL_PATH_MAP)
+    [(bus, [tracker], _end)] = replay(records, _trackers)
+    assert bus == "run"
+    replayed = tracker.finalize()
     live_incidents = live.finalize()
     assert [i.to_dict() for i in replayed] == [
         i.to_dict() for i in live_incidents
@@ -149,11 +154,14 @@ def test_incidents_from_timeline_keeps_buses_apart():
          "level": "ejb", "target": ["Item"], "ok": True, "duration": 1.0,
          "server": "node1"},
     ]
-    incidents = incidents_from_timeline(records, url_path_map=URL_PATH_MAP)
-    assert len(incidents) == 2
-    assert [i.id for i in incidents] == [1, 2]  # renumbered across buses
-    by_closed = sorted(i.closed_by for i in incidents)
-    assert by_closed == ["quiesced", "recovered"]
+    replayed = replay(records, _trackers)
+    assert [bus for bus, _consumers, _end in replayed] == ["a", "b"]
+    closed = {}
+    for bus, [tracker], end in replayed:
+        [incident] = tracker.finalize()
+        assert incident.id == 1  # each bus numbers its own incidents
+        closed[bus] = (incident.closed_by, end)
+    assert closed == {"a": ("recovered", 2.0), "b": ("quiesced", 0.0)}
 
 
 def test_incidents_from_timeline_ignores_untracked_kinds():
@@ -161,7 +169,8 @@ def test_incidents_from_timeline_ignores_untracked_kinds():
         {"t": 0.0, "seq": 0, "bus": "a", "kind": "request.end", "ok": True},
         {"t": 1.0, "seq": 1, "bus": "a", "kind": "span", "component": "X"},
     ]
-    assert incidents_from_timeline(records) == []
+    [(bus, [tracker], end)] = replay(records, _trackers)
+    assert (bus, tracker.finalize(), end) == ("a", [], 0.0)
 
 
 def test_render_prometheus_escapes_every_family_label_path():
@@ -200,28 +209,21 @@ def test_registry_from_cluster_folds_rollup_rows():
     rows = [
         {"shard": "shard001", "availability": 1.0, "sessions": 1000,
          "gaw_per_second": 100.0, "probe_p50": 0.002, "probe_p99": 0.009,
-         "capacity_score": 1.01, "headroom": 0.37, "pressured": False,
          "probes": 120, "probe_failures": 0, "failovers": 0,
          "storm_events": 0, "migrated_in": 0, "migrated_out": 0,
-         "slo": {"windows": 4, "violations": 0}},
+         "slo_violations": 0},
         {"shard": "shard002", "availability": 0.97, "sessions": 500,
-         "capacity_score": 1.9, "headroom": 0.0, "pressured": True,
          "probes": 120, "probe_failures": 17, "failovers": 2,
          "storm_events": 5, "migrated_in": 0, "migrated_out": 500,
-         "slo_violations": 1},  # replayed rows carry the flat key
+         "slo_violations": 1},
     ]
     summary = {"availability": 0.998, "shards": 2, "probe_p99": 0.01,
-               "pressured_shards": ["shard002"], "slo_violations": 1}
-    signals = [{"t": 40.0, "shard": "shard002", "signal": "pressure"}]
-    text = render_prometheus(
-        registry_from_cluster(rows, summary=summary, signals=signals)
-    )
+               "slo_violations": 1}
+    text = render_prometheus(registry_from_cluster(rows, summary=summary))
     assert 'repro_shard_availability{shard="shard001"} 1' in text
     assert 'repro_shard_availability{shard="shard002"} 0.97' in text
-    assert 'repro_shard_pressured{shard="shard002"} 1' in text
     assert 'repro_shard_probe_failures{shard="shard002"} 17' in text
-    # Both the nested live shape and the flat replayed shape count.
     assert 'repro_shard_slo_violations{shard="shard002"} 1' in text
+    assert 'repro_shard_failovers{shard="shard001"}' not in text  # zero
     assert "repro_cluster_availability 0.998" in text
-    assert "repro_cluster_pressured_shards 1" in text
-    assert 'repro_cluster_capacity_signals{signal="pressure"} 1' in text
+    assert "repro_cluster_shards 2" in text

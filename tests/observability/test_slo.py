@@ -2,14 +2,15 @@
 
 import pytest
 
+from repro.observability.exporter import replay
 from repro.observability.slo import (
+    RequestWindows,
     SloEngine,
     SloPolicy,
     SloWindow,
     _quantile,
     aggregate_slo,
     compute_windows,
-    windows_from_records,
 )
 from repro.sim.kernel import Kernel
 from repro.workload.metrics import ActionRecord, OperationRecord, TawAccounting
@@ -118,7 +119,7 @@ def test_window_to_dict_serializes_inf_burn():
 
 
 # ----------------------------------------------------------------------
-# windows_from_records (timeline replay)
+# RequestWindows (timeline replay)
 # ----------------------------------------------------------------------
 
 def test_windows_from_records_per_request_approximation():
@@ -128,8 +129,10 @@ def test_windows_from_records_per_request_approximation():
         {"t": 12.0, "kind": "request.end", "ok": True, "duration": 0.3},
         {"t": 21.0, "kind": "rm.decision", "level": "ejb"},  # not a request
     ]
-    windows = windows_from_records(records, policy=SloPolicy(window=10.0))
-    assert len(windows) == 2  # t_end inferred from the latest event (21.0)
+    [(_bus, [requests], end)] = replay(records, lambda: [RequestWindows()])
+    assert end == 21.0  # the latest event of any kind ends the span
+    windows = requests.windows(end, policy=SloPolicy(window=10.0))
+    assert len(windows) == 2
     assert (windows[0].good, windows[0].bad) == (1, 1)
     assert (windows[1].good, windows[1].bad) == (1, 0)
     assert windows[0].violated
@@ -144,7 +147,7 @@ def test_live_engine_judges_lagged_windows_and_publishes_violations():
     kernel.trace.enabled = True
     taw = TawAccounting()
     policy = SloPolicy(window=10.0, availability_target=0.999)
-    engine = SloEngine(taw, kernel=kernel, policy=policy)
+    engine = SloEngine(taw, bus=kernel.trace, policy=policy)
 
     schedule = [(1.0, True), (5.0, True), (12.0, False), (15.0, True),
                 (25.0, True), (35.0, True), (45.0, True)]
@@ -180,21 +183,9 @@ def test_live_engine_is_passive_no_kernel_events():
     kernel = Kernel()
     kernel.trace.enabled = True
     baseline = kernel.events_processed
-    SloEngine(TawAccounting(), kernel=kernel)
+    SloEngine(TawAccounting(), bus=kernel.trace)
     kernel.run(until=100.0)
     assert kernel.events_processed == baseline
-
-
-def test_engine_detach_stops_judging():
-    kernel = Kernel()
-    kernel.trace.enabled = True
-    taw = TawAccounting()
-    engine = SloEngine(taw, kernel=kernel, policy=SloPolicy(window=10.0))
-    engine.detach()
-    kernel._now = 90.0
-    taw.record_action(_action(1.0, ok=False))
-    kernel.trace.publish("request.end", operation="X", ok=False, duration=0.5)
-    assert engine.live_violations == []
 
 
 # ----------------------------------------------------------------------

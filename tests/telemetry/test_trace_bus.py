@@ -6,6 +6,7 @@ from repro.telemetry import (
     set_default_tracing,
     tracing_enabled_by_default,
 )
+from repro.telemetry.trace import record_fields
 
 
 def make_bus(**kwargs):
@@ -102,7 +103,8 @@ def test_set_default_tracing_applies_to_new_buses():
 def test_subscribe_exact_kind():
     bus = make_bus()
     seen = []
-    bus.subscribe(lambda e: seen.append(e.kind), kinds="request.end")
+    bus.subscribe(lambda t, kind, fields: seen.append(kind),
+                  kinds="request.end")
     bus.publish("request.start")
     bus.publish("request.end")
     bus.publish("rm.decision")
@@ -112,7 +114,7 @@ def test_subscribe_exact_kind():
 def test_subscribe_prefix_wildcard():
     bus = make_bus()
     seen = []
-    bus.subscribe(lambda e: seen.append(e.kind), kinds="rm.*")
+    bus.subscribe(lambda t, kind, fields: seen.append(kind), kinds="rm.*")
     for kind in ("rm.report", "rm.decision", "request.end", "rm.action.end"):
         bus.publish(kind)
     assert seen == ["rm.report", "rm.decision", "rm.action.end"]
@@ -121,20 +123,20 @@ def test_subscribe_prefix_wildcard():
 def test_subscribe_without_kinds_sees_everything():
     bus = make_bus()
     seen = []
-    bus.subscribe(seen.append)
+    bus.subscribe(lambda *event: seen.append(event))
     bus.publish("a")
-    bus.publish("b")
-    assert [e.kind for e in seen] == ["a", "b"]
+    bus.publish("b", x=1)
+    assert seen == [(0.0, "a", {}), (0.0, "b", {"x": 1})]
 
 
 def test_unsubscribe_stops_delivery():
     bus = make_bus()
     seen = []
-    token = bus.subscribe(seen.append)
+    token = bus.subscribe(lambda t, kind, fields: seen.append(kind))
     bus.publish("a")
     bus.unsubscribe(token)
     bus.publish("b")
-    assert [e.kind for e in seen] == ["a"]
+    assert seen == ["a"]
 
 
 def test_events_filtered_like_subscriptions():
@@ -157,6 +159,12 @@ def test_flatten_remaps_reserved_payload_keys():
     assert record["node"] == "n1"
     assert record["x_t"] == 99  # payload "t" must not clobber the envelope
     assert record["t"] == 0.0
+
+
+def test_record_fields_inverts_flatten():
+    bus = make_bus()
+    event = bus.publish("chaos.event", kind="link", node="n1", seq=None)
+    assert record_fields(event.flatten(bus="b0")) == event.fields
 
 
 def test_clear_empties_buffer_but_keeps_totals():
