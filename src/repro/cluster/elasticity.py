@@ -297,8 +297,8 @@ class ReshardCoordinator:
         cluster.load_balancer.drop_affinity(dropped_pins)
 
         # 4. Cutover: the balancer forgets the shard's nodes (cursors,
-        # degraded marks, ring caches, affinity — everything), then the
-        # cluster bookkeeping and the probe/cohort models follow.
+        # degraded marks, affinity — everything), then the cluster
+        # bookkeeping and the probe/cohort models follow.
         members = cluster.load_balancer.remove_shard(shard)
         cluster.shard_names = tuple(
             s for s in cluster.shard_names if s != shard

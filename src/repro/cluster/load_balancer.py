@@ -69,7 +69,6 @@ class LoadBalancer:
             if shard is not None:
                 self._shard_nodes.setdefault(shard, []).append(node)
         self._shard_cursor = {}
-        self._ring_successors_cache = {}
         self.hardening = (
             hardening if hardening is not None else HardeningPolicy.disabled()
         )
@@ -136,14 +135,12 @@ class LoadBalancer:
 
         The caller owns the cutover ordering (nodes registered *before*
         the ring learns the shard, so the first rerouted request already
-        has somewhere to go).  Any cached ring-successor walks are stale
-        the moment the ring changes, so the cache is dropped wholesale.
+        has somewhere to go).
         """
         for node in nodes:
             self.nodes.append(node)
             self._node_shard[node.name] = shard
             self._shard_nodes.setdefault(shard, []).append(node)
-        self._ring_successors_cache.clear()
         self.kernel.trace.publish(
             "lb.shard.join", shard=shard,
             nodes=tuple(node.name for node in nodes),
@@ -161,9 +158,6 @@ class LoadBalancer:
         names = {node.name for node in members}
         self.nodes = [node for node in self.nodes if node.name not in names]
         self._shard_cursor.pop(shard, None)
-        # Every cached successor walk enumerates *other* shards too, so a
-        # per-shard pop is not enough: drop the whole cache.
-        self._ring_successors_cache.clear()
         self._affinity = {
             cookie: node
             for cookie, node in self._affinity.items()
@@ -474,14 +468,8 @@ class LoadBalancer:
 
     def _ring_successor_shards(self, shard):
         """Deterministic distinct-shard walk order when ``shard``'s own
-        group cannot serve (derived from the ring, cached)."""
-        order = self._ring_successors_cache.get(shard)
-        if order is None:
-            order = tuple(
-                s for s in self.ring.preference(shard) if s != shard
-            )
-            self._ring_successors_cache[shard] = order
-        return order
+        group cannot serve (the ring caches the walk)."""
+        return tuple(s for s in self.ring.preference(shard) if s != shard)
 
     def _ring_route(self, request):
         """Owner-shard placement for a cookie-less request, or None.

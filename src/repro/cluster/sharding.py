@@ -26,8 +26,17 @@ session — then walk the ring's successor shards.
 
 import hashlib
 from bisect import bisect_right
+from itertools import repeat
 
 from repro.stores.ssm import SSM
+
+#: (shard set, vnodes, n) -> {shard: how many of ``range(n)`` it owns},
+#: filled by :meth:`ShardRing.placement`.  Keyed on what fixes a ring's
+#: points rather than on a ring, so every rig built on an identical ring
+#: shares one entry and no dead rig's ring is kept alive.
+_PLACEMENTS = {}
+#: Placements kept; the oldest entry goes first.
+_PLACEMENTS_KEPT = 8
 
 
 def stable_hash(key):
@@ -54,6 +63,7 @@ class ShardRing:
         self._points = []  # sorted [(hash, shard)]
         self._hashes = []  # parallel list of hashes, for bisect
         self._shards = []
+        self._walks = {}  # start index -> distinct-shard walk from there
         for shard in shards:
             self.add_shard(shard)
 
@@ -74,6 +84,7 @@ class ShardRing:
             self._points.append(point)
         self._points.sort()
         self._hashes = [h for h, _ in self._points]
+        self._walks = {}
 
     def remove_shard(self, shard):
         if shard not in self._shards:
@@ -81,6 +92,7 @@ class ShardRing:
         self._shards.remove(shard)
         self._points = [p for p in self._points if p[1] != shard]
         self._hashes = [h for h, _ in self._points]
+        self._walks = {}
 
     def shard_for(self, key):
         """The shard owning ``key`` (deterministic placement)."""
@@ -96,27 +108,59 @@ class ShardRing:
 
         The first entry is :meth:`shard_for`; the rest are the successor
         shards a shard-aware failover walks when the owner is unavailable.
+        ``limit`` keeps the first ``limit`` of them.  The walk from each
+        ring point is computed once and cached until the ring changes.
         """
         if not self._points:
             raise ValueError("preference on an empty ring")
-        limit = len(self._shards) if limit is None else limit
+        if limit is not None and limit < 0:
+            raise ValueError(f"limit must be non-negative, got {limit}")
         start = bisect_right(self._hashes, stable_hash(key))
-        seen = []
-        n = len(self._points)
-        for offset in range(n):
-            shard = self._points[(start + offset) % n][1]
-            if shard not in seen:
-                seen.append(shard)
-                if len(seen) >= limit:
-                    break
-        return seen
+        walk = self._walks.get(start)
+        if walk is None:
+            ordered = self._points[start:] + self._points[:start]
+            walk = list(dict.fromkeys(shard for _h, shard in ordered))
+            self._walks[start] = walk
+        return walk[:limit]
 
     def counts(self, keys):
-        """Shard → how many of ``keys`` it owns (balance diagnostics)."""
-        counts = {shard: 0 for shard in self._shards}
-        for key in keys:
-            counts[self.shard_for(key)] += 1
-        return counts
+        """Shard → how many of ``keys`` it owns, in insertion order.
+
+        Each key is hashed once and tallied on the ring point it bisects
+        to; the point tallies are then folded per shard.
+        """
+        hashes = self._hashes
+        tally = [0] * (len(hashes) + 1)
+        for index in map(bisect_right, repeat(hashes), map(stable_hash, keys)):
+            tally[index] += 1
+        # Past the last point, bisect_right wraps around to the first.
+        wrapped = tally.pop()
+        if wrapped:
+            if not hashes:
+                raise ValueError("counts on an empty ring")
+            tally[0] += wrapped
+        owned = dict.fromkeys(self._shards, 0)
+        for (_h, shard), n in zip(self._points, tally):
+            owned[shard] += n
+        return owned
+
+    def placement(self, n):
+        """Shard → how many of the keys ``0 .. n-1`` it owns.
+
+        The cohort engine places session ``i`` on ``shard_for(i)``.  The
+        count is a pure function of the ring's shard set and vnode count
+        (which fix its points) and of ``n``, so it is memoized on exactly
+        those: every arm of a scenario that builds the same ring in one
+        process hashes its sessions once.
+        """
+        key = (frozenset(self._shards), self.vnodes, n)
+        owned = _PLACEMENTS.get(key)
+        if owned is None:
+            owned = self.counts(range(n))
+            if len(_PLACEMENTS) >= _PLACEMENTS_KEPT:
+                del _PLACEMENTS[next(iter(_PLACEMENTS))]
+            _PLACEMENTS[key] = owned
+        return {shard: owned[shard] for shard in self._shards}
 
     def arc_measures(self):
         """Shard → fraction of the 2^64 hash space it owns.

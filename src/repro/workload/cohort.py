@@ -234,6 +234,20 @@ class CohortStateSpace:
             next_action[idx] = next_action.get(idx, 0.0) + abandon * share
         self.next_action_dist = self._as_dist(next_action)
 
+        #: Per state, what the tick loop needs: (operation, operations
+        #: done once it succeeds, action, whether it ends the action,
+        #: whether a failure ends the session).
+        self.steps = tuple(
+            (
+                s.operation,
+                s.op_index + 1,
+                s.action,
+                s.is_last,
+                s.action in SESSION_FATAL_ACTIONS,
+            )
+            for s in self.states
+        )
+
     @staticmethod
     def _as_dist(mapping):
         """(state indices tuple, probabilities tuple), deterministic order."""
@@ -363,21 +377,21 @@ class CohortEngine:
     # ------------------------------------------------------------------
     def _place_sessions(self, ring):
         """Shard → session count, by consistent hashing when a ring is
-        given (each session index is a key) or round-robin otherwise."""
-        placed = {shard: 0 for shard in self.shards}
+        given (session ``i`` lives on ``ring.shard_for(i)``) or
+        round-robin otherwise."""
         if ring is None:
-            for i in range(self.n_sessions):
-                placed[self.shards[i % len(self.shards)]] += 1
-        else:
-            shard_set = set(self.shards)
-            for i in range(self.n_sessions):
-                shard = ring.shard_for(i)
-                if shard not in shard_set:
-                    raise ValueError(
-                        f"ring places session {i} on unknown shard {shard!r}"
-                    )
-                placed[shard] += 1
-        return placed
+            per_shard, extra = divmod(self.n_sessions, len(self.shards))
+            return {
+                shard: per_shard + (i < extra)
+                for i, shard in enumerate(self.shards)
+            }
+        owned = ring.placement(self.n_sessions)
+        for shard, count in owned.items():
+            if count and shard not in self.shards:
+                raise ValueError(
+                    f"ring places {count} sessions on unknown shard {shard!r}"
+                )
+        return {shard: owned.get(shard, 0) for shard in self.shards}
 
     # ------------------------------------------------------------------
     # Elastic resharding: shards join/leave, sessions migrate live
@@ -502,8 +516,14 @@ class CohortEngine:
             self._release_arrivals(now)
         bucket = int(now)
         space = self.space
-        states = space.states
+        steps = space.steps
+        pools = (space.next_action_dist, space.entry_dist)
         think = self.profile.think_time_mean
+        tick = self.tick
+        outcome = self.outcome
+        ops_issued = self.ops_issued
+        actions_finished = self.actions_finished
+        metrics = self.metrics
         trace = self.kernel.trace
         for shard in self.shards:
             table = self.counts[shard]
@@ -512,72 +532,68 @@ class CohortEngine:
             rt_batches = []
             pool_next = 0  # sessions drawing their next action
             pool_entry = 0  # sessions starting a fresh session
-            moves = []  # (state index, +sessions) applied after the scan
             details_budget = self.max_details_per_tick
-            for idx, count in enumerate(table):
+            # Scan a snapshot: sessions moved this tick must not be
+            # drawn again in the cell they moved to.
+            for idx, count in enumerate(table[:]):
                 if count <= 0:
                     continue
-                state = states[idx]
-                fail_p, latency = self.outcome(shard, state.operation)
-                gap = think + max(0.0, latency)
+                operation, ops_done, action, is_last, fatal = steps[idx]
+                fail_p, latency = outcome(shard, operation)
+                if not latency > 0.0:  # max(0.0, latency), NaN included
+                    latency = 0.0
+                gap = think + latency
                 # Matched-rate discretization: a geometric with success
                 # probability tick/gap has mean inter-click gap exactly
                 # ``gap`` ticks×tick, so the offered click rate equals the
                 # per-client engine's 1/(think + RT) per session.
-                p_fire = min(1.0, self.tick / gap)
-                fired = binomial(rng, count, p_fire)
+                p_fire = tick / gap
+                fired = binomial(rng, count, p_fire if p_fire < 1.0 else 1.0)
                 if fired <= 0:
                     continue
                 failed = (
                     binomial(rng, fired, fail_p) if fail_p > 0.0 else 0
                 )
                 ok = fired - failed
-                moves.append((idx, -fired))
-                self.ops_issued[state.operation] = (
-                    self.ops_issued.get(state.operation, 0) + fired
-                )
-                rt_batches.append((max(0.0, latency), fired))
+                table[idx] -= fired
+                ops_issued[operation] = ops_issued.get(operation, 0) + fired
+                rt_batches.append((latency, fired))
                 if failed:
-                    bad_ops += failed * (state.op_index + 1)
+                    bad_ops += failed * ops_done
                     bad_actions += failed
-                    self.actions_finished[state.action] = (
-                        self.actions_finished.get(state.action, 0) + failed
+                    actions_finished[action] = (
+                        actions_finished.get(action, 0) + failed
                     )
-                    if state.action in SESSION_FATAL_ACTIONS:
+                    if fatal:
                         pool_entry += failed
                     else:
                         pool_next += failed
                     if details_budget > 0:
                         details_budget -= self._materialize(
-                            shard, state, now, min(failed, details_budget)
+                            shard, space.states[idx], now,
+                            min(failed, details_budget),
                         )
                 if ok:
-                    if state.is_last:
-                        good_ops += ok * state.n_ops
+                    if is_last:
+                        good_ops += ok * ops_done
                         good_actions += ok
-                        self.actions_finished[state.action] = (
-                            self.actions_finished.get(state.action, 0) + ok
+                        actions_finished[action] = (
+                            actions_finished.get(action, 0) + ok
                         )
-                        if state.action == "Logout":
+                        if action == "Logout":
                             pool_entry += ok
                         else:
                             pool_next += ok
                     else:
-                        moves.append((idx + 1, ok))
+                        table[idx + 1] += ok
             # Pooled end-of-action transitions: one multinomial per pool.
-            for pool, (indices, probs) in (
-                (pool_next, space.next_action_dist),
-                (pool_entry, space.entry_dist),
-            ):
+            for pool, (indices, probs) in zip((pool_next, pool_entry), pools):
                 if pool <= 0:
                     continue
                 for idx, n in zip(indices, multinomial(rng, pool, probs)):
-                    if n:
-                        moves.append((idx, n))
-            for idx, delta in moves:
-                table[idx] += delta
+                    table[idx] += n
             # Bounded accounting: counters + series + histogram only.
-            self.metrics.record_batch(
+            metrics.record_batch(
                 bucket,
                 good_ops=good_ops,
                 bad_ops=bad_ops,
@@ -585,7 +601,7 @@ class CohortEngine:
                 bad_actions=bad_actions,
             )
             for latency, n in rt_batches:
-                self.metrics.record_response_times(latency, n)
+                metrics.record_response_times(latency, n)
             if good_ops:
                 series = self.shard_good_series[shard]
                 series[bucket] = series.get(bucket, 0) + good_ops

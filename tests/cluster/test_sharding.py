@@ -67,6 +67,9 @@ def test_preference_starts_at_owner_and_is_distinct():
         assert prefs[0] == ring.shard_for(key)
         assert len(prefs) == len(set(prefs)) == 8
         assert ring.preference(key, limit=3) == prefs[:3]
+        assert ring.preference(key, limit=0) == []
+        with pytest.raises(ValueError):
+            ring.preference(key, limit=-1)
 
 
 def test_arc_measures_sum_to_one_and_diff_is_minimal():

@@ -62,6 +62,36 @@ def test_binomial_mean_tracks_np(n, p):
     assert abs(mean - n * p) < 5 * sd / 400**0.5 + 1
 
 
+# Exact draws from ``RngRegistry(11).stream("pin")``, recorded before the
+# tick loop's hot-path pass.  The samplers may get faster, but every draw
+# must stay equal: each one feeds every cohort digest.
+@pytest.mark.parametrize("n,p,expected", [
+    # Bernoulli sum (n < 32).
+    (7, 0.3, [2, 4, 3, 5, 1, 0, 4, 3, 0, 3, 2, 6]),
+    (31, 0.5, [19, 18, 16, 12, 12, 14, 13, 21, 14, 17, 20, 14]),
+    # pmf inversion (n >= 32, mean <= 32).
+    (200, 0.05, [13, 4, 11, 14, 8, 14, 20, 8, 4, 10, 13, 9]),
+    # pmf inversion where most draws stop at the k == n guard.
+    (32, 0.99, [32, 30, 32, 32, 31, 32, 32, 31, 30, 32, 32, 32]),
+    # Gaussian tail.
+    (100_000, 0.2, [20009, 19975, 19781, 19827, 20004, 20279, 20095,
+                    19999, 20147, 20015, 20053, 19898]),
+])
+def test_binomial_draws_are_pinned(n, p, expected):
+    rng = RngRegistry(11).stream("pin")
+    assert [binomial(rng, n, p) for _ in range(12)] == expected
+
+
+def test_multinomial_draws_are_pinned():
+    rng = RngRegistry(11).stream("pin")
+    probs = (0.5, 0.3, 0.15, 0.05)
+    assert [multinomial(rng, 5000, probs) for _ in range(3)] == [
+        [2503, 1493, 729, 275],
+        [2452, 1530, 794, 224],
+        [2526, 1484, 758, 232],
+    ]
+
+
 def test_multinomial_conserves_and_distributes():
     rng = RngRegistry(3).stream("t")
     probs = (0.5, 0.3, 0.15, 0.05)
@@ -173,6 +203,9 @@ def test_ring_placement_covers_all_sessions():
     assert sum(engine.shard_sessions.values()) == 400
     # Consistent hashing, not round-robin: placement follows the ring.
     assert engine.shard_sessions == ring.counts(range(400))
+    # A ring placing sessions on a shard the engine does not run is refused.
+    with pytest.raises(ValueError, match="unknown shard"):
+        _engine(n_sessions=400, shards=shards[:3], ring=ring)
 
 
 # ----------------------------------------------------------------------
