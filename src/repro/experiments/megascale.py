@@ -45,8 +45,7 @@ from repro.ebid.descriptors import OPERATIONS, URL_PATH_MAP, operation_url
 from repro.ebid.schema import DatasetConfig
 from repro.experiments.common import ExperimentResult
 from repro.experiments.cluster_common import wire_recovery_failover
-from repro.faults.chaos import COMPONENT_TARGETS
-from repro.faults.injector import FaultInjector
+from repro.faults.chaos import COMPONENT_TARGETS, ChaosEvent, FaultExecutor
 from repro.observability import (
     ClusterIncidentCorrelator,
     ComponentHealthRegistry,
@@ -293,6 +292,19 @@ class ProbeOutcomeModel:
         return fail_p, latency
 
 
+class ShardFault(FaultExecutor):
+    """The shardfault arm's schedule, announced as ``megascale.fault``
+    (deadlock and brick crash in) and ``megascale.brick.heal``."""
+
+    def _announce(self, event, nodes):
+        if event.kind == "brick-crash":
+            self.kernel.trace.publish("megascale.fault", shard=event.shard,
+                                      fault="deadlock+brick-crash")
+        elif event.kind == "brick-heal":
+            self.kernel.trace.publish("megascale.brick.heal",
+                                      shard=event.shard)
+
+
 class MegascaleRig:
     """Sharded cluster × cohort engine × probes × recovery pipeline."""
 
@@ -314,9 +326,6 @@ class MegascaleRig:
         load_skew=0.0,
     ):
         self.duration = duration
-        self.fault = fault
-        self.fault_at = fault_at
-        self.brick_heal_after = brick_heal_after
         self.hardening = HardeningPolicy.hardened()
         self.cluster = build_sharded_cluster(
             n_shards,
@@ -335,6 +344,13 @@ class MegascaleRig:
                    else len(shards) // 3]
             if fault else None
         )
+        shard = self.fault_shard
+        self.shard_fault = ShardFault(self.cluster, [
+            ChaosEvent(fault_at, "deadlock", shard=shard,
+                       target="BrowseCategories"),
+            ChaosEvent(fault_at, "brick-crash", shard=shard),
+            ChaosEvent(fault_at + brick_heal_after, "brick-heal", shard=shard),
+        ], name="megascale") if fault else None
 
         self.storm_limiter = RecoveryStormLimiter(
             self.kernel,
@@ -460,27 +476,12 @@ class MegascaleRig:
         )
 
     # ------------------------------------------------------------------
-    def _fault_script(self):
-        """Deadlock BrowseCategories on the fault shard + crash a brick."""
-        yield self.kernel.timeout(self.fault_at)
-        shard = self.fault_shard
-        for node in self.cluster.shard_nodes[shard]:
-            FaultInjector(node.system).inject_deadlock("BrowseCategories")
-        group = self.cluster.shard_groups[shard]
-        group.crash_brick(0)
-        self.kernel.trace.publish(
-            "megascale.fault", shard=shard, fault="deadlock+brick-crash"
-        )
-        yield self.kernel.timeout(self.brick_heal_after)
-        group.restart_brick(0)
-        self.kernel.trace.publish("megascale.brick.heal", shard=shard)
-
     def _spawn_scenario(self):
         """Hook: start this scenario's fault machinery (subclasses
         override — the storm rig spawns its storm engine and elastic
         policy here)."""
-        if self.fault:
-            self.kernel.process(self._fault_script(), name="fault-script")
+        if self.shard_fault is not None:
+            self.shard_fault.start()
 
     def run(self):
         self.probe_model.update_load_skew(self.engine.shard_sessions)

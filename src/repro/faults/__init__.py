@@ -13,7 +13,8 @@ and a microreboot cures them only because it genuinely discards and
 reconstructs that state.
 """
 
-from repro.faults.chaos import ChaosEngine, ChaosEvent, ChaosSpec
+from repro.faults.chaos import (ChaosEngine, ChaosEvent, ChaosSpec,
+                                FaultExecutor)
 from repro.faults.corruption import CorruptionMode
 from repro.faults.injector import FaultInjector, InjectedFault
 from repro.faults.lowlevel import LowLevelInjector
@@ -23,6 +24,7 @@ __all__ = [
     "ChaosEvent",
     "ChaosSpec",
     "CorruptionMode",
+    "FaultExecutor",
     "FaultInjector",
     "InjectedFault",
     "LowLevelInjector",

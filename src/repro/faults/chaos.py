@@ -1,4 +1,4 @@
-"""Deterministic, seed-driven chaos campaigns over a cluster.
+"""Deterministic, seed-driven fault schedules and their one executor.
 
 The paper's evaluation (§5.1) injects one fault at a time and waits for the
 pipeline to recover.  This module schedules *correlated and overlapping*
@@ -14,13 +14,17 @@ recovery pipeline (:mod:`repro.core.hardening`) exists to survive:
   drops), node-level CPU slowdown from a process outside the JVM, and SSM
   brick outages that make *every* node's sessions temporarily unreadable.
 
-Determinism: the whole schedule is precomputed at construction from one
-dedicated RNG stream (fixed draw order), and the engine process applies
-events at their precomputed simulated times.  Same seed → same schedule →
-same simulation, which is what lets the parallel campaign runner merge
-``--jobs N`` output byte-identically with ``--jobs 1``.
+A schedule is plain data: a time-sorted list of frozen :class:`ChaosEvent`
+built by a pure function of a spec, an RNG stream and a topology snapshot
+(:func:`chaos_schedule`, :func:`storm_schedule`), with every draw made in
+a fixed order.  One :class:`FaultExecutor` applies any schedule at its
+simulated times.  Same seed → same schedule → same simulation, which is
+what lets the parallel campaign runner merge ``--jobs N`` output
+byte-identically with ``--jobs 1``.
 """
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from repro.faults.injector import FaultInjector
@@ -37,6 +41,15 @@ COMPONENT_TARGETS = (
 
 #: Component-level fault kinds the engine draws from (all curable by µRB).
 COMPONENT_FAULTS = ("transient-exception", "deadlock", "infinite-loop")
+
+
+def _require(spec, name, ok, rule):
+    """Raise ``ValueError`` naming field ``name`` of ``spec`` unless ok."""
+    if not ok:
+        raise ValueError(
+            f"{type(spec).__name__}.{name} must be {rule}, "
+            f"not {getattr(spec, name)!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -79,6 +92,16 @@ class ChaosSpec:
     #: Fraction of the fault window within which leaks start (early, so
     #: slow-burn exhaustion has room to play out before the horizon).
     leak_start_fraction: float = 0.15
+
+    def __post_init__(self):
+        for name in ("duration", "flap_interval", "link_duration",
+                     "slowdown_duration", "ssm_outage_duration"):
+            _require(self, name, getattr(self, name) >= 0, ">= 0")
+        _require(self, "leak_start_fraction",
+                 0 <= self.leak_start_fraction <= 1, "in [0, 1]")
+        _require(self, "burst_fault",
+                 self.burst_fault in COMPONENT_FAULTS + (None,),
+                 f"one of {COMPONENT_FAULTS} or None")
 
     @classmethod
     def smoke(cls):
@@ -154,254 +177,146 @@ class ChaosSpec:
         )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChaosEvent:
-    """One scheduled injection or heal."""
+    """One scheduled injection or heal: plain data, never written after it
+    is built (an executor keeps applied times in its own log)."""
 
     time: float
-    kind: str  # e.g. "transient-exception", "link", "link-heal", ...
-    node: int = None  # node index, or None for cluster-wide faults
+    kind: str  # one of EVENT_KINDS
+    node: int = None  # node index, or None for shard and cluster-wide faults
     target: str = None  # component name, for component-level faults
     params: dict = field(default_factory=dict)
-    applied_at: float = None  # stamped by the engine
     shard: str = None  # owning shard, for shard-targeted storm events
 
 
-class ChaosEngine:
-    """Precomputes a fault schedule and applies it over simulated time."""
+def chaos_schedule(spec, rng, n_nodes, with_ssm):
+    """A chaos campaign over ``n_nodes`` nodes (SSM outages only
+    ``with_ssm``), sorted by time; every draw from ``rng``, in order."""
+    events = []
 
-    def __init__(self, cluster, spec=None, rng=None, name="chaos"):
-        self.cluster = cluster
-        self.spec = spec or ChaosSpec.standard()
-        self.rng = rng if rng is not None else cluster.rng.stream("chaos")
-        self.name = name
-        self.injectors = [
-            FaultInjector(node.system) for node in cluster.nodes
-        ]
-        #: Dedicated stream for the link drop draws, so routing-time
-        #: randomness never perturbs the schedule stream.
-        self._drop_rng = cluster.rng.stream("chaos-link-drops")
-        self.schedule = self._build_schedule()
-        self.applied = []
-        self.counts = {}
-        self._process = None
+    def when(fraction_of_window=1.0):
+        return spec.start + rng.uniform(
+            0, spec.duration * fraction_of_window
+        )
 
-    @property
-    def kernel(self):
-        return self.cluster.kernel
-
-    # ------------------------------------------------------------------
-    # Schedule construction (all RNG draws happen here, in fixed order)
-    # ------------------------------------------------------------------
-    def _build_schedule(self):
-        spec = self.spec
-        rng = self.rng
-        n_nodes = len(self.cluster.nodes)
-        events = []
-
-        def when(fraction_of_window=1.0):
-            return spec.start + rng.uniform(
-                0, spec.duration * fraction_of_window
-            )
-
-        for _train in range(spec.flap_trains):
-            node = rng.randrange(n_nodes)
-            component = rng.choice(COMPONENT_TARGETS)
-            start = when(0.5)  # leave room for every pulse
-            for pulse in range(spec.flap_pulses):
-                events.append(
-                    ChaosEvent(
-                        time=start + pulse * spec.flap_interval,
-                        kind="transient-exception",
-                        node=node,
-                        target=component,
-                        params={"train": True, "pulse": pulse},
-                    )
-                )
-
-        for _burst in range(spec.bursts):
-            start = when()
-            if spec.burst_same_node:
-                # One node, distinct components: the multi-component shape
-                # the parallel scheduler recovers concurrently.
-                node = rng.randrange(n_nodes)
-                components = rng.sample(
-                    COMPONENT_TARGETS,
-                    min(spec.burst_size, len(COMPONENT_TARGETS)),
-                )
-                for component in components:
-                    events.append(
-                        ChaosEvent(
-                            time=start,
-                            kind=(
-                                spec.burst_fault
-                                or rng.choice(COMPONENT_FAULTS)
-                            ),
-                            node=node,
-                            target=component,
-                            params={"burst": True},
-                        )
-                    )
-            else:
-                for _i in range(spec.burst_size):
-                    node = rng.randrange(n_nodes)
-                    component = rng.choice(COMPONENT_TARGETS)
-                    kind = spec.burst_fault or rng.choice(COMPONENT_FAULTS)
-                    events.append(
-                        ChaosEvent(
-                            time=start, kind=kind, node=node,
-                            target=component, params={"burst": True},
-                        )
-                    )
-
-        for _fault in range(spec.link_faults):
-            node = rng.randrange(n_nodes)
-            start = when(0.8)
+    for _train in range(spec.flap_trains):
+        node = rng.randrange(n_nodes)
+        component = rng.choice(COMPONENT_TARGETS)
+        start = when(0.5)  # leave room for every pulse
+        for pulse in range(spec.flap_pulses):
             events.append(
                 ChaosEvent(
-                    time=start, kind="link", node=node,
-                    params={
-                        "delay": spec.link_delay,
-                        "drop_rate": spec.link_drop_rate,
-                    },
-                )
-            )
-            events.append(
-                ChaosEvent(
-                    time=start + spec.link_duration, kind="link-heal",
-                    node=node,
-                )
-            )
-
-        for _slowdown in range(spec.slowdowns):
-            node = rng.randrange(n_nodes)
-            start = when(0.8)
-            events.append(
-                ChaosEvent(
-                    time=start, kind="slowdown", node=node,
-                    params={"hogs": spec.slowdown_hogs},
-                )
-            )
-            events.append(
-                ChaosEvent(
-                    time=start + spec.slowdown_duration,
-                    kind="slowdown-heal", node=node,
-                )
-            )
-
-        leak_targets = set()
-        for _leak in range(spec.leak_faults):
-            node = rng.randrange(n_nodes)
-            component = rng.choice(COMPONENT_TARGETS)
-            if (node, component) in leak_targets:
-                continue  # same component twice = double rate, skip it
-            leak_targets.add((node, component))
-            events.append(
-                ChaosEvent(
-                    time=when(spec.leak_start_fraction),
-                    kind="memory-leak",
+                    time=start + pulse * spec.flap_interval,
+                    kind="transient-exception",
                     node=node,
                     target=component,
-                    params={"bytes": spec.leak_bytes},
+                    params={"train": True, "pulse": pulse},
                 )
             )
 
-        if self.cluster.ssm is not None:
-            for _outage in range(spec.ssm_outages):
-                start = when(0.8)
-                events.append(ChaosEvent(time=start, kind="ssm-crash"))
+    for _burst in range(spec.bursts):
+        start = when()
+        if spec.burst_same_node:
+            # One node, distinct components: the multi-component shape
+            # the parallel scheduler recovers concurrently.
+            node = rng.randrange(n_nodes)
+            components = rng.sample(
+                COMPONENT_TARGETS,
+                min(spec.burst_size, len(COMPONENT_TARGETS)),
+            )
+            for component in components:
                 events.append(
                     ChaosEvent(
-                        time=start + spec.ssm_outage_duration,
-                        kind="ssm-restart",
+                        time=start,
+                        kind=(
+                            spec.burst_fault
+                            or rng.choice(COMPONENT_FAULTS)
+                        ),
+                        node=node,
+                        target=component,
+                        params={"burst": True},
+                    )
+                )
+        else:
+            for _i in range(spec.burst_size):
+                node = rng.randrange(n_nodes)
+                component = rng.choice(COMPONENT_TARGETS)
+                kind = spec.burst_fault or rng.choice(COMPONENT_FAULTS)
+                events.append(
+                    ChaosEvent(
+                        time=start, kind=kind, node=node,
+                        target=component, params={"burst": True},
                     )
                 )
 
-        # Stable order: by time, ties broken by construction order (the
-        # sort is stable), so identical seeds replay identically.
-        events.sort(key=lambda event: event.time)
-        return events
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
-    def start(self):
-        """Spawn the engine's kernel process."""
-        if self._process is None or not self._process.is_alive:
-            self._process = self.kernel.process(
-                self._run(), name=f"{self.name}-engine"
+    for _fault in range(spec.link_faults):
+        node = rng.randrange(n_nodes)
+        start = when(0.8)
+        events.append(
+            ChaosEvent(
+                time=start, kind="link", node=node,
+                params={
+                    "delay": spec.link_delay,
+                    "drop_rate": spec.link_drop_rate,
+                },
             )
-        return self._process
-
-    def _run(self):
-        self.kernel.trace.publish(
-            "chaos.begin", events=len(self.schedule),
-            horizon=self.spec.start + self.spec.duration,
         )
-        for event in self.schedule:
-            delay = event.time - self.kernel.now
-            if delay > 0:
-                yield self.kernel.timeout(delay)
-            self._apply(event)
-        self.kernel.trace.publish("chaos.end", applied=len(self.applied))
-
-    def _apply(self, event):
-        kind = event.kind
-        cluster = self.cluster
-        node = cluster.nodes[event.node] if event.node is not None else None
-        if kind == "transient-exception":
-            self.injectors[event.node].inject_transient_exception(event.target)
-        elif kind == "deadlock":
-            self.injectors[event.node].inject_deadlock(event.target)
-        elif kind == "infinite-loop":
-            self.injectors[event.node].inject_infinite_loop(event.target)
-        elif kind == "memory-leak":
-            self.injectors[event.node].inject_memory_leak(
-                event.target, event.params["bytes"]
+        events.append(
+            ChaosEvent(
+                time=start + spec.link_duration, kind="link-heal",
+                node=node,
             )
-        elif kind == "link":
-            cluster.load_balancer.inject_link_fault(
-                node,
-                delay=event.params["delay"],
-                drop_rate=event.params["drop_rate"],
-                rng=self._drop_rng,
-            )
-        elif kind == "link-heal":
-            cluster.load_balancer.clear_link_fault(node)
-        elif kind == "slowdown":
-            node.inject_slowdown(hogs=event.params["hogs"])
-        elif kind == "slowdown-heal":
-            node.clear_slowdown()
-        elif kind == "ssm-crash":
-            cluster.ssm.crash()
-        elif kind == "ssm-restart":
-            cluster.ssm.restart()
-        else:  # pragma: no cover - schedule builder only emits the above
-            raise ValueError(f"unknown chaos event kind {kind!r}")
-        event.applied_at = self.kernel.now
-        self.applied.append(event)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.kernel.trace.publish(
-            "chaos.event",
-            kind=kind,
-            node=node.name if node is not None else None,
-            target=event.target,
         )
 
-    # ------------------------------------------------------------------
-    # Reporting
-    # ------------------------------------------------------------------
-    def timeline(self):
-        """Applied events as plain dicts (for JSON-able campaign output)."""
-        return [
-            {
-                "time": round(event.applied_at, 6),
-                "kind": event.kind,
-                "node": event.node,
-                "target": event.target,
-            }
-            for event in self.applied
-        ]
+    for _slowdown in range(spec.slowdowns):
+        node = rng.randrange(n_nodes)
+        start = when(0.8)
+        events.append(
+            ChaosEvent(
+                time=start, kind="slowdown", node=node,
+                params={"hogs": spec.slowdown_hogs},
+            )
+        )
+        events.append(
+            ChaosEvent(
+                time=start + spec.slowdown_duration,
+                kind="slowdown-heal", node=node,
+            )
+        )
+
+    leak_targets = set()
+    for _leak in range(spec.leak_faults):
+        node = rng.randrange(n_nodes)
+        component = rng.choice(COMPONENT_TARGETS)
+        if (node, component) in leak_targets:
+            continue  # same component twice = double rate, skip it
+        leak_targets.add((node, component))
+        events.append(
+            ChaosEvent(
+                time=when(spec.leak_start_fraction),
+                kind="memory-leak",
+                node=node,
+                target=component,
+                params={"bytes": spec.leak_bytes},
+            )
+        )
+
+    if with_ssm:
+        for _outage in range(spec.ssm_outages):
+            start = when(0.8)
+            events.append(ChaosEvent(time=start, kind="ssm-crash"))
+            events.append(
+                ChaosEvent(
+                    time=start + spec.ssm_outage_duration,
+                    kind="ssm-restart",
+                )
+            )
+
+    # Stable order: by time, ties broken by construction order (the
+    # sort is stable), so identical seeds replay identically.
+    events.sort(key=lambda event: event.time)
+    return events
 
 
 # ----------------------------------------------------------------------
@@ -415,6 +330,10 @@ class ChaosEngine:
 #: (the replica absorbs it); ``slowdown`` saturates the shard's nodes
 #: with external CPU hogs.
 STORM_KINDS = ("deadlock", "link", "brick-crash", "slowdown")
+
+#: The event that undoes each healable fault kind.
+HEALS = {"link": "link-heal", "slowdown": "slowdown-heal",
+         "brick-crash": "brick-heal", "ssm-crash": "ssm-restart"}
 
 
 @dataclass(frozen=True)
@@ -434,6 +353,18 @@ class StormSpec:
     link_drop_rate: float = 0.35  # forward drop probability
     slowdown_hogs: int = 3
 
+    def __post_init__(self):
+        _require(self, "pulse_interval", self.pulse_interval > 0, "> 0")
+        _require(self, "kinds",
+                 bool(self.kinds) and set(self.kinds) <= set(STORM_KINDS),
+                 f"a non-empty subset of {STORM_KINDS}")
+        _require(self, "duration", self.duration > 0, "> 0")
+        # Every onset before the horizon, or a fault outlives its heal.
+        last_onset = (self.k_shards - 1) * self.wave_interval
+        _require(self, "wave_interval",
+                 self.wave_interval >= 0 and last_onset < self.duration,
+                 "in [0, duration / (k_shards - 1))")
+
     @classmethod
     def smoke(cls):
         """CI-sized: four shards, one of each fault kind."""
@@ -445,27 +376,236 @@ class StormSpec:
         return cls()
 
 
-class ShardStormEngine:
-    """Correlated multi-shard faults on a sharded cluster.
+def storm_schedule(spec, struck_shards):
+    """A storm over ``struck_shards``, sorted by time; draws nothing.
+    Struck shard i faults at ``spec.start + i * spec.wave_interval``."""
+    events = []
+    horizon = spec.start + spec.duration
+    for i, shard in enumerate(struck_shards):
+        kind = spec.kinds[i % len(spec.kinds)]
+        onset = spec.start + i * spec.wave_interval
+        if kind == "deadlock":
+            # A pulse train: recovery cures each pulse, the storm
+            # re-breaks it — the sustained-pressure shape quarantine
+            # and the storm limiter exist for.
+            t = onset
+            pulse = 0
+            while t < horizon:
+                events.append(
+                    ChaosEvent(
+                        time=t, kind="deadlock", shard=shard,
+                        target=spec.deadlock_target,
+                        params={"pulse": pulse},
+                    )
+                )
+                t += spec.pulse_interval
+                pulse += 1
+        else:  # fault at the onset, heal at the horizon
+            params = {"link": {"delay": spec.link_delay,
+                               "drop_rate": spec.link_drop_rate},
+                      "slowdown": {"hogs": spec.slowdown_hogs}}.get(kind, {})
+            events += [
+                ChaosEvent(time=onset, kind=kind, shard=shard, params=params),
+                ChaosEvent(time=horizon, kind=HEALS[kind], shard=shard),
+            ]
+    events.sort(key=lambda event: event.time)
+    return events
 
-    The storm strikes ``k_shards`` distinct shards (drawn from a
-    dedicated ``storm`` RNG stream, so the schedule is a pure function of
-    the seed), assigning each struck shard one fault kind by cycling
-    ``spec.kinds``.  The whole schedule — times, shards, kinds, targets —
-    is precomputed at construction; node/group *objects* are snapshotted
-    then too, so heal events still find their target even if elastic
-    resharding has since removed the shard from the live cluster (the
-    heal becomes a harmless no-op on a drained shard).
+
+#: Kinds injected into a component through its node's FaultInjector.
+COMPONENT_KINDS = COMPONENT_FAULTS + ("memory-leak",)
+#: Every event kind an executor applies.
+EVENT_KINDS = COMPONENT_KINDS + tuple(HEALS) + tuple(HEALS.values())
+
+#: One entry of an executor's log: when ``event`` was applied.
+AppliedEvent = namedtuple("AppliedEvent", ("applied_at", "event"))
+
+
+class FaultExecutor:
+    """Applies an immutable fault schedule over simulated time.
+
+    One kernel process applies the events in (time, schedule) order; an
+    event strikes one node by index, every node of its shard, or none.
+    Nodes and brick groups are snapshotted and every event is checked at
+    construction, so a heal still finds a drained shard and a malformed
+    event raises ``ValueError`` here, not mid-run.  ``trace`` prefixes
+    the ``.begin``/``.event``/``.end`` records (None publishes no begin
+    or end, and a subclass overrides :meth:`_announce`); ``where`` is the
+    event field, ``node`` or ``shard``, that records and rows carry.
     """
 
-    def __init__(self, cluster, spec=None, rng=None, name="storm"):
+    def __init__(self, cluster, schedule, trace=None, where="node",
+                 drop_rng=None, name="faults"):
         self.cluster = cluster
+        self.kernel = cluster.kernel
+        self.schedule = tuple(sorted(schedule, key=lambda event: event.time))
+        self.trace = trace
+        self.where = where
+        self.name = name
+        #: Link drop draws, kept apart from any schedule stream.
+        self._drop_rng = drop_rng or cluster.rng.stream(f"{name}-link-drops")
+        self._nodes = tuple(cluster.nodes)
+        shard_nodes = getattr(cluster, "shard_nodes", {})
+        self._shard_nodes = {
+            event.shard: tuple(shard_nodes[event.shard])
+            for event in self.schedule if event.shard in shard_nodes
+        }
+        self._groups = {s: cluster.shard_groups[s] for s in self._shard_nodes}
+        for event in self.schedule:
+            self._check(event)
+        self.injectors = {
+            node.name: FaultInjector(node.system) for node in self._nodes
+        }
+        self.applied = []
+        self.counts = {}
+        self._process = None
+
+    def _nodes_of(self, event):
+        if event.node is not None:
+            return (self._nodes[event.node],)
+        return self._shard_nodes.get(event.shard, ())
+
+    def _check(self, event):
+        kind = event.kind
+        if kind not in EVENT_KINDS:
+            problem = "is not a fault kind"
+        elif not math.isfinite(event.time):
+            problem = "needs a finite time"
+        elif event.node not in (None, *range(len(self._nodes))):
+            problem = f"names a node outside 0..{len(self._nodes) - 1}"
+        elif event.shard is not None and event.shard not in self._groups:
+            problem = "names a shard the cluster does not have"
+        elif kind in COMPONENT_KINDS and (event.target is None or any(
+                event.target not in node.system.server.containers
+                for node in self._nodes_of(event))):
+            problem = "needs a target component its nodes deploy"
+        elif kind.startswith("brick-") and event.shard is None:
+            problem = "needs a shard"
+        elif kind.startswith("ssm-") and self.cluster.ssm is None:
+            problem = "needs a cluster with an SSM"
+        else:
+            return
+        raise ValueError(f"{kind!r} event at t={event.time} {problem}")
+
+    # ------------------------------------------------------------------
+    def start(self, **begin):
+        """Spawn the kernel process that applies the schedule (once).
+
+        ``begin`` is the ``<trace>.begin`` payload.  Each engine passes it
+        from a ``start`` in its own class body: perfbench's tracer wraps
+        ``vars(cls)["start"]``, which an inherited ``start`` is not in.
+        """
+        if self._process is None or not self._process.is_alive:
+            self._process = self.kernel.process(
+                self._run(begin), name=f"{self.name}-engine"
+            )
+        return self._process
+
+    def _run(self, begin):
+        if self.trace is not None:
+            self.kernel.trace.publish(f"{self.trace}.begin", **begin)
+        for event in self.schedule:
+            delay = event.time - self.kernel.now
+            if delay > 0:
+                yield self.kernel.timeout(delay)
+            self._apply(event)
+        if self.trace is not None:
+            self.kernel.trace.publish(f"{self.trace}.end",
+                                      applied=len(self.applied))
+
+    def _apply(self, event):
+        kind = event.kind
+        nodes = self._nodes_of(event)
+        balancer = self.cluster.load_balancer
+        for node in nodes:
+            injector = self.injectors[node.name]
+            if kind == "transient-exception":
+                injector.inject_transient_exception(event.target)
+            elif kind == "deadlock":
+                injector.inject_deadlock(event.target)
+            elif kind == "infinite-loop":
+                injector.inject_infinite_loop(event.target)
+            elif kind == "memory-leak":
+                injector.inject_memory_leak(
+                    event.target, event.params["bytes"]
+                )
+            elif kind == "link":
+                balancer.inject_link_fault(
+                    node,
+                    delay=event.params["delay"],
+                    drop_rate=event.params["drop_rate"],
+                    rng=self._drop_rng,
+                )
+            elif kind == "link-heal":
+                balancer.clear_link_fault(node)
+            elif kind == "slowdown":
+                node.inject_slowdown(hogs=event.params["hogs"])
+            elif kind == "slowdown-heal":
+                node.clear_slowdown()
+        if kind == "brick-crash":
+            self._groups[event.shard].crash_brick(0)
+        elif kind == "brick-heal":
+            self._groups[event.shard].restart_brick(0)
+        elif kind == "ssm-crash":
+            self.cluster.ssm.crash()
+        elif kind == "ssm-restart":
+            self.cluster.ssm.restart()
+        self.applied.append(AppliedEvent(self.kernel.now, event))
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        self._announce(event, nodes)
+
+    def _announce(self, event, nodes):
+        """Publish ``<trace>.event``: the node's *name*, or the shard."""
+        place = event.shard if self.where == "shard" else (
+            nodes[0].name if nodes else None)
+        self.kernel.trace.publish(
+            f"{self.trace}.event", kind=event.kind, **{self.where: place},
+            target=event.target,
+        )
+
+    def _rows(self, timed_events):
+        """``(time, event)`` pairs as plain dicts (node *index* or shard)."""
+        return [
+            {"time": round(at, 6), "kind": event.kind,
+             self.where: getattr(event, self.where), "target": event.target}
+            for at, event in timed_events
+        ]
+
+    def timeline(self):
+        """Applied events as plain dicts (for JSON-able campaign output)."""
+        return self._rows(self.applied)
+
+
+class ChaosEngine(FaultExecutor):
+    """A chaos campaign: :func:`chaos_schedule` of ``spec``, drawn from
+    the ``chaos`` stream and applied by the executor."""
+
+    def __init__(self, cluster, spec=None, rng=None, name="chaos"):
+        self.spec = spec or ChaosSpec.standard()
+        self.rng = rng if rng is not None else cluster.rng.stream("chaos")
+        schedule = chaos_schedule(self.spec, self.rng, len(cluster.nodes),
+                                  with_ssm=cluster.ssm is not None)
+        super().__init__(
+            cluster, schedule, trace="chaos", name=name,
+            drop_rng=cluster.rng.stream("chaos-link-drops"),
+        )
+
+    def start(self):
+        """Spawn the engine's kernel process."""
+        return super().start(
+            events=len(self.schedule),
+            horizon=self.spec.start + self.spec.duration,
+        )
+
+
+class ShardStormEngine(FaultExecutor):
+    """Correlated multi-shard faults on a sharded cluster: ``k_shards``
+    distinct shards drawn from the ``storm`` stream, each given the next
+    of ``spec.kinds`` in turn by :func:`storm_schedule`."""
+
+    def __init__(self, cluster, spec=None, rng=None, name="storm"):
         self.spec = spec or StormSpec.standard()
         self.rng = rng if rng is not None else cluster.rng.stream("storm")
-        self.name = name
-        #: Dedicated stream for link drop draws (routing-time randomness
-        #: must never perturb the schedule stream).
-        self._drop_rng = cluster.rng.stream("storm-link-drops")
         if self.spec.k_shards > len(cluster.shard_names):
             raise ValueError(
                 f"storm wants {self.spec.k_shards} shards but the cluster "
@@ -474,28 +614,19 @@ class ShardStormEngine:
         self.storm_shards = tuple(
             self.rng.sample(list(cluster.shard_names), self.spec.k_shards)
         )
-        #: Snapshots: the storm keeps injecting/healing against the
-        #: topology it was scheduled on, independent of later resharding.
-        self._shard_nodes = {
-            shard: list(cluster.shard_nodes[shard])
-            for shard in self.storm_shards
-        }
-        self._shard_groups = {
-            shard: cluster.shard_groups[shard] for shard in self.storm_shards
-        }
-        self._injectors = {
-            node.name: FaultInjector(node.system)
-            for shard in self.storm_shards
-            for node in self._shard_nodes[shard]
-        }
-        self.schedule = self._build_schedule()
-        self.applied = []
-        self.counts = {}
-        self._process = None
+        super().__init__(
+            cluster, storm_schedule(self.spec, self.storm_shards),
+            trace="storm", where="shard", name=name,
+            drop_rng=cluster.rng.stream("storm-link-drops"),
+        )
 
-    @property
-    def kernel(self):
-        return self.cluster.kernel
+    def start(self):
+        """Spawn the engine's kernel process."""
+        return super().start(
+            shards=self.storm_shards,
+            events=len(self.schedule),
+            horizon=self.spec.start + self.spec.duration,
+        )
 
     def shard_kind(self, shard):
         """The fault kind the storm assigned to ``shard`` (or None)."""
@@ -504,147 +635,6 @@ class ShardStormEngine:
                 return self.spec.kinds[i % len(self.spec.kinds)]
         return None
 
-    # ------------------------------------------------------------------
-    def _build_schedule(self):
-        spec = self.spec
-        events = []
-        for i, shard in enumerate(self.storm_shards):
-            kind = spec.kinds[i % len(spec.kinds)]
-            onset = spec.start + i * spec.wave_interval
-            horizon = spec.start + spec.duration
-            if kind == "deadlock":
-                # A pulse train: recovery cures each pulse, the storm
-                # re-breaks it — the sustained-pressure shape quarantine
-                # and the storm limiter exist for.
-                t = onset
-                pulse = 0
-                while t < horizon:
-                    events.append(
-                        ChaosEvent(
-                            time=t, kind="deadlock", shard=shard,
-                            target=spec.deadlock_target,
-                            params={"pulse": pulse},
-                        )
-                    )
-                    t += spec.pulse_interval
-                    pulse += 1
-            elif kind == "link":
-                events.append(
-                    ChaosEvent(
-                        time=onset, kind="link", shard=shard,
-                        params={
-                            "delay": spec.link_delay,
-                            "drop_rate": spec.link_drop_rate,
-                        },
-                    )
-                )
-                events.append(
-                    ChaosEvent(time=horizon, kind="link-heal", shard=shard)
-                )
-            elif kind == "brick-crash":
-                events.append(
-                    ChaosEvent(time=onset, kind="brick-crash", shard=shard)
-                )
-                events.append(
-                    ChaosEvent(time=horizon, kind="brick-heal", shard=shard)
-                )
-            elif kind == "slowdown":
-                events.append(
-                    ChaosEvent(
-                        time=onset, kind="slowdown", shard=shard,
-                        params={"hogs": spec.slowdown_hogs},
-                    )
-                )
-                events.append(
-                    ChaosEvent(
-                        time=horizon, kind="slowdown-heal", shard=shard
-                    )
-                )
-            else:  # pragma: no cover - spec validation
-                raise ValueError(f"unknown storm kind {kind!r}")
-        events.sort(key=lambda event: event.time)
-        return events
-
-    # ------------------------------------------------------------------
-    def start(self):
-        if self._process is None or not self._process.is_alive:
-            self._process = self.kernel.process(
-                self._run(), name=f"{self.name}-engine"
-            )
-        return self._process
-
-    def _run(self):
-        self.kernel.trace.publish(
-            "storm.begin",
-            shards=self.storm_shards,
-            events=len(self.schedule),
-            horizon=self.spec.start + self.spec.duration,
-        )
-        for event in self.schedule:
-            delay = event.time - self.kernel.now
-            if delay > 0:
-                yield self.kernel.timeout(delay)
-            self._apply(event)
-        self.kernel.trace.publish("storm.end", applied=len(self.applied))
-
-    def _apply(self, event):
-        kind = event.kind
-        nodes = self._shard_nodes[event.shard]
-        balancer = self.cluster.load_balancer
-        if kind == "deadlock":
-            for node in nodes:
-                self._injectors[node.name].inject_deadlock(event.target)
-        elif kind == "link":
-            for node in nodes:
-                balancer.inject_link_fault(
-                    node,
-                    delay=event.params["delay"],
-                    drop_rate=event.params["drop_rate"],
-                    rng=self._drop_rng,
-                )
-        elif kind == "link-heal":
-            for node in nodes:
-                balancer.clear_link_fault(node)
-        elif kind == "brick-crash":
-            self._shard_groups[event.shard].crash_brick(0)
-        elif kind == "brick-heal":
-            self._shard_groups[event.shard].restart_brick(0)
-        elif kind == "slowdown":
-            for node in nodes:
-                node.inject_slowdown(hogs=event.params["hogs"])
-        elif kind == "slowdown-heal":
-            for node in nodes:
-                node.clear_slowdown()
-        else:  # pragma: no cover - schedule builder only emits the above
-            raise ValueError(f"unknown storm event kind {kind!r}")
-        event.applied_at = self.kernel.now
-        self.applied.append(event)
-        self.counts[kind] = self.counts.get(kind, 0) + 1
-        self.kernel.trace.publish(
-            "storm.event", kind=kind, shard=event.shard, target=event.target
-        )
-
-    # ------------------------------------------------------------------
-    def timeline(self):
-        """Applied events as plain dicts (for JSON-able campaign output)."""
-        return [
-            {
-                "time": round(event.applied_at, 6),
-                "kind": event.kind,
-                "shard": event.shard,
-                "target": event.target,
-            }
-            for event in self.applied
-        ]
-
     def planned_schedule(self):
         """The precomputed schedule as plain dicts (determinism gating)."""
-        return [
-            {
-                "time": round(event.time, 6),
-                "kind": event.kind,
-                "shard": event.shard,
-                "target": event.target,
-            }
-            for event in self.schedule
-        ]
+        return self._rows((event.time, event) for event in self.schedule)

@@ -1,11 +1,27 @@
-"""Tests for the chaos engine: deterministic schedules, applied faults,
-and the injector's timestamped ``fault.injected`` log."""
+"""Tests for the fault executor and its engines: deterministic schedules,
+applied faults, construction-time validation, pins of every shipped
+schedule, and the injector's timestamped ``fault.injected`` log."""
+
+import dataclasses
+import hashlib
+
+import pytest
 
 from repro.cluster import build_cluster
 from repro.core import RetryPolicy
 from repro.ebid.schema import DatasetConfig
-from repro.faults.chaos import ChaosEngine, ChaosSpec
+from repro.faults.chaos import (
+    ChaosEngine,
+    ChaosEvent,
+    ChaosSpec,
+    FaultExecutor,
+    ShardStormEngine,
+    StormSpec,
+    chaos_schedule,
+    storm_schedule,
+)
 from repro.faults.injector import FaultInjector, InjectedFault
+from repro.sim.rng import RngRegistry
 
 
 def make_cluster(seed=0):
@@ -77,7 +93,7 @@ class TestEngineRun:
         cluster.kernel.run(until=spec.start + spec.duration + 60.0)
         logged = [
             entry
-            for injector in engine.injectors
+            for injector in engine.injectors.values()
             for entry in injector.injected
         ]
         assert len(logged) == expected
@@ -193,3 +209,158 @@ class TestShardStorm:
                 make_sharded(n_shards=2),
                 spec=StormSpec(k_shards=4),
             )
+
+
+# ----------------------------------------------------------------------
+# Malformed specs and schedules fail at construction
+# ----------------------------------------------------------------------
+class TestValidation:
+    def test_chaos_spec_rejects_an_unknown_burst_fault(self):
+        # Unchecked, the engine process died at the first burst and
+        # applied none of the schedule.
+        with pytest.raises(ValueError, match="burst_fault"):
+            ChaosSpec(burst_fault="deadlok")
+
+    @pytest.mark.parametrize("interval", [0, 0.0, -15.0])
+    def test_storm_spec_rejects_a_non_positive_pulse_interval(self, interval):
+        # Unchecked, the deadlock pulse loop never advanced.
+        with pytest.raises(ValueError, match="pulse_interval"):
+            StormSpec(pulse_interval=interval)
+
+    @pytest.mark.parametrize("kinds", [(), ("deadlock", "meteor")])
+    def test_storm_spec_rejects_empty_or_unknown_kinds(self, kinds):
+        with pytest.raises(ValueError, match="kinds"):
+            StormSpec(kinds=kinds)
+
+    def test_storm_spec_rejects_a_wave_past_the_horizon(self):
+        # Shard 7 would fault at 60 + 7 * 20 s, after its heal at 180 s.
+        with pytest.raises(ValueError, match="wave_interval"):
+            StormSpec(wave_interval=20.0)
+
+    @pytest.mark.parametrize("name", ["link_duration", "flap_interval"])
+    def test_chaos_spec_rejects_a_negative_duration(self, name):
+        with pytest.raises(ValueError, match=name):
+            ChaosSpec(**{name: -1.0})
+
+    def test_executor_rejects_an_unknown_kind(self):
+        with pytest.raises(ValueError, match="not a fault kind"):
+            FaultExecutor(make_cluster(), [
+                ChaosEvent(5.0, "deadlok", node=0, target="ViewItem"),
+            ])
+
+    def test_executor_rejects_a_component_fault_without_target(self):
+        with pytest.raises(ValueError, match="target"):
+            FaultExecutor(make_cluster(), [
+                ChaosEvent(5.0, "deadlock", node=0),
+            ])
+
+    def test_executor_rejects_a_node_outside_the_cluster(self):
+        for node in (2, -1):
+            with pytest.raises(ValueError, match="node"):
+                FaultExecutor(make_cluster(), [
+                    ChaosEvent(5.0, "slowdown-heal", node=node),
+                ])
+
+    def test_executor_rejects_a_brick_fault_without_shard(self):
+        with pytest.raises(ValueError, match="shard"):
+            FaultExecutor(make_sharded(n_shards=2), [
+                ChaosEvent(5.0, "brick-crash"),
+            ])
+
+    @pytest.mark.parametrize("time", [float("inf"), float("nan")])
+    def test_executor_rejects_a_time_it_would_never_reach(self, time):
+        with pytest.raises(ValueError, match="finite time"):
+            FaultExecutor(make_cluster(), [
+                ChaosEvent(time, "link-heal", node=0),
+            ])
+
+    def test_executor_rejects_an_unknown_shard_or_a_missing_ssm(self):
+        with pytest.raises(ValueError, match="shard"):
+            FaultExecutor(make_cluster(), [
+                ChaosEvent(5.0, "link-heal", shard="shard000"),
+            ])
+        with pytest.raises(ValueError, match="SSM"):
+            FaultExecutor(make_sharded(n_shards=2), [
+                ChaosEvent(5.0, "ssm-crash"),
+            ])
+
+    def test_events_are_frozen_and_timed_in_the_executor_log(self):
+        cluster = make_cluster()
+        event = ChaosEvent(5.0, "link-heal", node=1)
+        executor = FaultExecutor(cluster, [event])
+        executor.start()
+        cluster.kernel.run(until=10.0)
+        assert executor.applied == [(5.0, event)]
+        assert executor.timeline() == [
+            {"time": 5.0, "kind": "link-heal", "node": 1, "target": None}
+        ]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            event.time = 6.0
+
+
+# ----------------------------------------------------------------------
+# Every shipped schedule, pinned
+# ----------------------------------------------------------------------
+def schedule_digest(events, struck=()):
+    """Times (as ``repr``), kinds, places, targets, params and the struck
+    shards of a schedule."""
+    digest = hashlib.sha256(repr(tuple(struck)).encode())
+    for e in events:
+        digest.update(repr((
+            repr(e.time), e.kind, e.node, e.shard, e.target,
+            sorted(e.params.items()),
+        )).encode())
+    return digest.hexdigest()[:16]
+
+
+#: (preset, seed) -> digest, recorded before the chaos engine, the storm
+#: engine and megascale's fault script became one executor.
+CHAOS_PINS = {
+    ("smoke", 0): "45816cbe786b5780",
+    ("standard", 0): "9f824df4e6e198b6",
+    ("multiburst", 0): "296a77ce7f4918fa",
+    ("leaky", 0): "167799f605d725af",
+    ("smoke", 7): "c383e360868f5c83",
+    ("standard", 7): "7f21c69bed093667",
+    ("multiburst", 7): "dcd4823ed2b8d9cf",
+    ("leaky", 7): "4b546eb10a771382",
+}
+STORM_SPECS = {
+    "smoke": StormSpec.smoke(),
+    "standard": StormSpec.standard(),
+    "wave": StormSpec(start=10.0, duration=40.0, k_shards=4,
+                      wave_interval=5.0),
+}
+STORM_PINS = {
+    ("smoke", 0): "2abee988a87dce52",
+    ("standard", 0): "e016006177cd2682",
+    ("wave", 0): "26151d78851cafe1",
+    ("smoke", 7): "fb8355afcbdcc9b4",
+    ("standard", 7): "d352c005c62565f0",
+    ("wave", 7): "1f1f1ab4ab564fc7",
+}
+
+
+@pytest.mark.parametrize("preset,seed", sorted(CHAOS_PINS))
+def test_shipped_chaos_schedule_matches_its_pin(preset, seed):
+    """On a 3-node SSM cluster; the pure builder gives the same list."""
+    cluster = build_cluster(
+        3, dataset=DatasetConfig.tiny(), seed=seed, session_store="ssm",
+    )
+    spec = getattr(ChaosSpec, preset)()
+    engine = ChaosEngine(cluster, spec=spec)
+    assert schedule_digest(engine.schedule) == CHAOS_PINS[preset, seed]
+    rng = RngRegistry(seed).stream("chaos")
+    assert chaos_schedule(spec, rng, 3, with_ssm=True) == list(
+        engine.schedule)
+
+
+@pytest.mark.parametrize("preset,seed", sorted(STORM_PINS))
+def test_shipped_storm_schedule_matches_its_pin(preset, seed):
+    """On a 16-shard cluster; the builder draws nothing itself."""
+    spec = STORM_SPECS[preset]
+    engine = ShardStormEngine(make_sharded(seed=seed, n_shards=16), spec)
+    assert schedule_digest(
+        engine.schedule, engine.storm_shards
+    ) == STORM_PINS[preset, seed]
+    assert storm_schedule(spec, engine.storm_shards) == list(engine.schedule)
