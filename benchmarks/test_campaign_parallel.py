@@ -9,7 +9,8 @@ Writes the measured wall-clocks into the ``campaign`` section of
 ``BENCH_kernel.json``.  The ≥3× speedup gate only binds when the machine
 actually has ≥4 usable cores — a 1-core sandbox cannot demonstrate
 parallel speedup, and pretending otherwise would just make the gate noise.
-``REPRO_BENCH_GATE=0`` disables the gate.
+For the same reason no speedup is recorded then: ``speedup`` is null and
+``reason`` says why.  ``REPRO_BENCH_GATE=0`` disables the gate.
 """
 
 import time
@@ -64,8 +65,13 @@ def test_table2_campaign_parallel_speedup():
         "workers_used": summary["workers"],
         "sequential_s": round(sequential_s, 2),
         "parallel_s": round(parallel_s, 2),
-        "speedup": round(speedup, 2),
+        "speedup": round(speedup, 2) if cores >= JOBS else None,
     }
+    if cores < JOBS:
+        payload["reason"] = (
+            f"{cores} usable core(s) < jobs={JOBS}: wall-clock ratio not a "
+            "parallel speedup"
+        )
     _merge_bench_json("campaign", payload)
     print(f"\ncampaign: {payload}")
 

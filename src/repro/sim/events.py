@@ -7,11 +7,11 @@ objects.  Three deliberate micro-optimizations keep it fast:
 * every class declares ``__slots__`` (no per-instance ``__dict__``, faster
   attribute access and allocation);
 * :class:`Timeout` — the dominant plain-delay case — initializes its
-  fields and enqueues itself directly onto the kernel's heap, skipping the
-  generic ``Event.__init__`` + ``Kernel._schedule`` double dispatch (and
-  the redundant negative-delay re-check);
-* :meth:`Event.succeed` / :meth:`Event.fail` push onto the heap directly,
-  since a zero delay can never fail the schedule-into-the-past check.
+  fields inline, skipping the generic ``Event.__init__``, and enqueues
+  itself directly: onto the kernel's ready lane when its deadline is
+  ``now``, onto the heap otherwise;
+* :meth:`Event.succeed` / :meth:`Event.fail` append to the ready lane
+  directly: a triggered event is due at once, so it needs no heap entry.
 """
 
 from heapq import heappush
@@ -82,8 +82,7 @@ class Event:
             raise SimulationError(f"{self!r} has already been triggered")
         self._ok = True
         self._value = value
-        kernel = self.kernel
-        heappush(kernel._queue, (kernel._now, next(kernel._sequence), self))
+        self.kernel._ready.append(self)
         return self
 
     def fail(self, exception):
@@ -94,8 +93,7 @@ class Event:
             raise SimulationError(f"fail() requires an exception, got {exception!r}")
         self._ok = False
         self._value = exception
-        kernel = self.kernel
-        heappush(kernel._queue, (kernel._now, next(kernel._sequence), self))
+        self.kernel._ready.append(self)
         return self
 
     def __repr__(self):
@@ -114,7 +112,8 @@ class Timeout(Event):
         if delay < 0:
             raise SimulationError(f"negative timeout delay: {delay}")
         # Fast path: a Timeout is born triggered, so skip Event.__init__ and
-        # the kernel's generic _schedule and enqueue directly.
+        # enqueue directly.  A deadline that rounds to now (``timeout(0)``,
+        # or a delay too small to move the clock) is due at once.
         self.kernel = kernel
         self.callbacks = []
         self.defused = False
@@ -122,7 +121,12 @@ class Timeout(Event):
         self._ok = True
         self._value = value
         self.delay = delay
-        heappush(kernel._queue, (kernel._now + delay, next(kernel._sequence), self))
+        now = kernel._now
+        when = now + delay
+        if when == now:
+            kernel._ready.append(self)
+        else:
+            heappush(kernel._queue, (when, next(kernel._sequence), self))
 
 
 class _Condition(Event):

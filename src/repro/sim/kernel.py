@@ -1,6 +1,7 @@
 """The simulation kernel: virtual clock and event queue."""
 
 import heapq
+from collections import deque
 from itertools import count
 
 from repro.sim.errors import SimulationError
@@ -8,7 +9,7 @@ from repro.sim.events import AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.telemetry.trace import TraceBus
 
-#: Sentinel return for :meth:`Kernel.peek` when the queue is empty.
+#: Sentinel return for :meth:`Kernel.peek` when nothing is scheduled.
 INFINITY = float("inf")
 
 
@@ -39,6 +40,9 @@ class Kernel:
 
     def __init__(self):
         self._now = 0.0
+        #: Events due at ``now``, in processing order (see "Scheduling").
+        self._ready = deque()
+        #: Heap of ``(time, seq, event)`` for events due after ``now``.
         self._queue = []
         self._sequence = count()
         #: Failed events whose exception was never delivered to any process.
@@ -84,11 +88,19 @@ class Kernel:
     # ------------------------------------------------------------------
     # Scheduling and execution
     # ------------------------------------------------------------------
-    def _schedule(self, event, delay):
-        """Enqueue ``event`` to be processed ``delay`` seconds from now."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._queue, (self._now + delay, next(self._sequence), event))
+    #
+    # Two lanes hold the pending events.  ``_ready`` is a FIFO of events due
+    # at ``now``: process starts, ``succeed``/``fail``, interrupts and any
+    # timeout whose deadline rounds to ``now``.  ``_queue`` is a heap of
+    # ``(time, seq, event)`` for events due strictly later.  When the ready
+    # lane runs dry the clock advances to the heap's earliest time and every
+    # heap entry due then moves, in ``(time, seq)`` order, into the empty
+    # lane.  Those entries were scheduled before the clock reached their
+    # time, so they precede everything triggered at that instant, which the
+    # lane appends behind them: the lane replays exactly the ``(time, seq)``
+    # order of a single heap, without a tuple, a sequence number or a heap
+    # push and pop for the events that are due at once (about half of all
+    # events in the per-client workloads).
 
     def _record_unhandled(self, event):
         """Remember a failed event nobody handled (bounded retention)."""
@@ -98,16 +110,27 @@ class Kernel:
 
     def peek(self):
         """Time of the next scheduled event, or ``INFINITY`` if none."""
+        if self._ready:
+            return self._now
         return self._queue[0][0] if self._queue else INFINITY
 
     def step(self):
-        """Process exactly one event from the queue."""
-        if not self._queue:
-            raise SimulationError("step() on an empty event queue")
-        when, _seq, event = heapq.heappop(self._queue)
-        if when < self._now:
-            raise SimulationError("event queue corrupted: time went backwards")
-        self._now = when
+        """Process exactly one event."""
+        ready = self._ready
+        if not ready:
+            # Advance the clock to the heap's earliest time and lane every
+            # heap entry due then.
+            queue = self._queue
+            if not queue:
+                raise SimulationError("step() on an empty event queue")
+            when, _seq, event = heapq.heappop(queue)
+            if when < self._now:
+                raise SimulationError("event queue corrupted: time went backwards")
+            self._now = when
+            ready.append(event)
+            while queue and queue[0][0] == when:
+                ready.append(heapq.heappop(queue)[2])
+        event = ready.popleft()
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
         for callback in callbacks:
@@ -122,58 +145,42 @@ class Kernel:
         on return even if the queue drained earlier, so back-to-back
         ``run(until=...)`` calls observe a monotone clock.
         """
-        if until is not None and until < self._now:
+        if until is None:
+            horizon = INFINITY
+        elif until < self._now:
             raise SimulationError(
                 f"run(until={until}) but the clock is already at {self._now}"
             )
-        # Inlined step() body: this loop is the single hottest path in the
-        # whole reproduction, so it avoids one method call, one emptiness
-        # re-check, and one counter store per event.  Scheduling never
-        # inserts into the past (enforced in _schedule/succeed/fail), and a
-        # binary heap pops in nondecreasing order, so the corruption check
-        # that step() performs cannot fire here and is elided.
-        #
-        # Same-timestamp events drain in one inner batch: the clock and
-        # (for the bounded loop) the horizon are checked once per distinct
-        # timestamp instead of once per event.  Simulated systems cluster
-        # events heavily — every think-tick wakes whole cohorts, every
-        # response chain triggers at one instant — and the inner pop is
-        # the same heap pop in the same (time, seq) order, so results
-        # stay byte-identical with the per-event loop.
+        else:
+            horizon = until
+        # Inlined step(): this loop is the single hottest path in the whole
+        # reproduction.  The clock and the horizon are checked once per
+        # distinct timestamp, not once per event, and the heap only ever
+        # holds future events, so the time-went-backwards check that step()
+        # performs cannot fire here and is elided.
         queue = self._queue
+        ready = self._ready
         pop = heapq.heappop
+        take = ready.popleft
+        lane = ready.append
         record = self._record_unhandled
         steps = 0
-        if until is None:
-            while queue:
-                when, _seq, event = pop(queue)
-                self._now = when
-                while True:
-                    steps += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok is False and not event.defused:
-                        record(event)
-                    if queue and queue[0][0] == when:
-                        _t, _seq, event = pop(queue)
-                    else:
-                        break
-        else:
-            while queue and queue[0][0] <= until:
-                when, _seq, event = pop(queue)
-                self._now = when
-                while True:
-                    steps += 1
-                    callbacks, event.callbacks = event.callbacks, None
-                    for callback in callbacks:
-                        callback(event)
-                    if event._ok is False and not event.defused:
-                        record(event)
-                    if queue and queue[0][0] == when:
-                        _t, _seq, event = pop(queue)
-                    else:
-                        break
+        while True:
+            while ready:
+                event = take()
+                steps += 1
+                callbacks, event.callbacks = event.callbacks, None
+                for callback in callbacks:
+                    callback(event)
+                if event._ok is False and not event.defused:
+                    record(event)
+            if not queue or queue[0][0] > horizon:
+                break
+            when, _seq, event = pop(queue)
+            self._now = when
+            lane(event)
+            while queue and queue[0][0] == when:
+                lane(pop(queue)[2])
         self.events_processed += steps
         if until is not None:
             self._now = until
@@ -186,9 +193,9 @@ class Kernel:
         boundary is inclusive).
         """
         while not event.triggered:
-            if not self._queue:
+            if not self._ready and not self._queue:
                 raise SimulationError(f"queue drained before {event!r} triggered")
-            if limit is not None and self._queue[0][0] > limit:
+            if limit is not None and self.peek() > limit:
                 raise SimulationError(f"{event!r} did not trigger before t={limit}")
             self.step()
         if event._ok is False:

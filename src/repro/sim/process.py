@@ -1,6 +1,5 @@
 """Generator-based simulated processes."""
 
-from heapq import heappush
 from types import GeneratorType
 
 from repro.sim.errors import Interrupt, SimulationError
@@ -49,7 +48,7 @@ class Process(Event):
         start.callbacks.append(self._resume)
         start._ok = True
         start._value = None
-        heappush(kernel._queue, (kernel._now, next(kernel._sequence), start))
+        kernel._ready.append(start)
 
     @property
     def is_alive(self):

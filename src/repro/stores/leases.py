@@ -6,16 +6,27 @@ model is lease-based: orphaned session state is garbage-collected
 automatically when its lease expires.
 """
 
+INFINITY = float("inf")
+
+
+def _check_ttl(ttl):
+    if ttl <= 0:
+        raise ValueError(f"lease TTL must be positive, got {ttl}")
+    return ttl
+
 
 class LeaseTable:
     """Expiry times per key, driven by the simulation clock."""
 
     def __init__(self, kernel, default_ttl):
-        if default_ttl <= 0:
-            raise ValueError(f"lease TTL must be positive, got {default_ttl}")
         self.kernel = kernel
-        self.default_ttl = default_ttl
+        self.default_ttl = _check_ttl(default_ttl)
         self._expiry = {}
+        #: A lower bound on the earliest expiry in ``_expiry`` (infinity
+        #: when empty): lowered by :meth:`grant`, made exact again by each
+        #: scan of :meth:`collect_expired`.  Until the clock reaches it no
+        #: lease can have lapsed, so collection need not scan.
+        self._earliest = INFINITY
         self.expired_count = 0
 
     def __len__(self):
@@ -23,11 +34,18 @@ class LeaseTable:
 
     def grant(self, key, ttl=None):
         """Grant (or re-grant) a lease on ``key``."""
-        self._expiry[key] = self.kernel.now + (ttl or self.default_ttl)
+        expiry = self.kernel.now + (
+            self.default_ttl if ttl is None else _check_ttl(ttl)
+        )
+        self._expiry[key] = expiry
+        if expiry < self._earliest:
+            self._earliest = expiry
 
     def renew(self, key, ttl=None):
-        """Extend an existing lease; returns False if it already lapsed."""
-        if key not in self._expiry:
+        """Extend a live lease; returns False if it already lapsed."""
+        if ttl is not None:
+            _check_ttl(ttl)
+        if not self.is_live(key):
             return False
         self.grant(key, ttl)
         return True
@@ -40,10 +58,20 @@ class LeaseTable:
         return key in self._expiry and self._expiry[key] > self.kernel.now
 
     def collect_expired(self):
-        """Remove and return keys whose leases have lapsed."""
+        """Remove and return keys whose leases have lapsed, in the order the
+        keys entered the table."""
         now = self.kernel.now
-        expired = [key for key, when in self._expiry.items() if when <= now]
+        if now < self._earliest:
+            return []
+        expired = []
+        earliest = INFINITY
+        for key, when in self._expiry.items():
+            if when <= now:
+                expired.append(key)
+            elif when < earliest:
+                earliest = when
         for key in expired:
             del self._expiry[key]
+        self._earliest = earliest
         self.expired_count += len(expired)
         return expired

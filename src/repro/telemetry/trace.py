@@ -31,8 +31,7 @@ kind                                      published by / payload highlights
 """
 
 import weakref
-from collections import deque
-from dataclasses import dataclass, field
+from collections import deque, namedtuple
 
 #: Keys reserved for the envelope when events are flattened to JSONL.
 RESERVED_KEYS = ("t", "seq", "kind", "bus")
@@ -112,14 +111,15 @@ def all_buses():
     return list(_buses)
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One published event."""
+class TraceEvent(namedtuple("TraceEvent", ("t", "seq", "kind", "fields"))):
+    """One published event: simulation time (seconds), per-bus publication
+    sequence number, dotted event type (e.g. ``"request.end"``) and payload.
 
-    t: float  # simulation time (seconds)
-    seq: int  # per-bus publication sequence number
-    kind: str  # dotted event type, e.g. "request.end"
-    fields: dict = field(default_factory=dict)
+    A named tuple: one is built per publish, and a tuple needs no per-field
+    ``object.__setattr__`` and no ``__dict__``.
+    """
+
+    __slots__ = ()
 
     def flatten(self, bus=None):
         """Envelope + payload as one flat dict (for JSONL export)."""
@@ -191,6 +191,9 @@ class TraceBus:
         self._buffer = deque(maxlen=capacity)
         self._sticky = deque(maxlen=self.STICKY_CAPACITY)
         self._subscriptions = []
+        #: kind -> (sticky?, matching callbacks): built on a kind's first
+        #: publish, dropped whenever the subscriptions change.
+        self._routes = {}
         self._seq = 0
         #: Total events ever published (buffered or since evicted).
         self.published = 0
@@ -210,12 +213,27 @@ class TraceBus:
         self._seq += 1
         self.published += 1
         self._buffer.append(event)
-        if kind.startswith(STICKY_PREFIXES):
+        route = self._routes.get(kind)
+        if route is None:
+            route = self._route(kind)
+        sticky, callbacks = route
+        if sticky:
             self._sticky.append(event)
-        for subscription in self._subscriptions:
-            if subscription.matches(kind):
-                subscription.callback(t, kind, fields)
+        for callback in callbacks:
+            callback(t, kind, fields)
         return event
+
+    def _route(self, kind):
+        """Build and cache ``kind``'s (sticky?, matching callbacks) route."""
+        route = self._routes[kind] = (
+            kind.startswith(STICKY_PREFIXES),
+            tuple(
+                subscription.callback
+                for subscription in self._subscriptions
+                if subscription.matches(kind)
+            ),
+        )
+        return route
 
     # ------------------------------------------------------------------
     # Subscribing
@@ -226,9 +244,14 @@ class TraceBus:
         ``kinds`` is a kind, an iterable of kinds, or None for everything;
         a trailing ``*`` matches a prefix (``"rm.*"``).  Returns a token
         for :meth:`unsubscribe`.
+
+        Callbacks run in subscription order.  A publish delivers to the
+        subscribers as they stood when it began: a callback that subscribes
+        or unsubscribes during a publish takes effect from the next one.
         """
         subscription = _Subscription(callback, kinds)
         self._subscriptions.append(subscription)
+        self._routes.clear()
         return subscription
 
     def unsubscribe(self, token):
@@ -236,6 +259,7 @@ class TraceBus:
             self._subscriptions.remove(token)
         except ValueError:
             pass
+        self._routes.clear()
 
     # ------------------------------------------------------------------
     # Reading

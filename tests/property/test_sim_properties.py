@@ -1,9 +1,12 @@
 """Property-based tests on the simulation kernel and core structures."""
 
-from hypothesis import given, settings, strategies as st
+import heapq
+
+from hypothesis import example, given, settings, strategies as st
 
 from repro.appserver.memory import HeapModel
-from repro.sim import Kernel
+from repro.sim import Interrupt, Kernel
+from repro.sim.kernel import INFINITY
 from repro.stores.leases import LeaseTable
 
 
@@ -56,6 +59,161 @@ def test_run_until_is_equivalent_to_one_run(delays, split):
     assert one_fired == two_fired
 
 
+# --- the ready lane against a heap-only reference ---------------------------
+
+class _HeapLane:
+    """Stands in for the kernel's ready lane: files every event that is due
+    at once into the heap, stamped (now, next sequence number)."""
+
+    def __init__(self, kernel):
+        self.kernel = kernel
+
+    def __bool__(self):
+        return False
+
+    def append(self, event):
+        kernel = self.kernel
+        heapq.heappush(
+            kernel._queue, (kernel._now, next(kernel._sequence), event)
+        )
+
+
+class HeapOnlyKernel(Kernel):
+    """Reference kernel: one heap orders every event by (time, scheduling
+    order), one pop per step."""
+
+    def __init__(self):
+        super().__init__()
+        self._ready = _HeapLane(self)
+
+    def peek(self):
+        return self._queue[0][0] if self._queue else INFINITY
+
+    def step(self):
+        when, _seq, event = heapq.heappop(self._queue)
+        self._now = when
+        self.events_processed += 1
+        callbacks, event.callbacks = event.callbacks, None
+        for callback in callbacks:
+            callback(event)
+        if event._ok is False and not event.defused:
+            self._record_unhandled(event)
+
+    def run(self, until=None):
+        while self._queue and (until is None or self._queue[0][0] <= until):
+            self.step()
+        if until is not None:
+            self._now = until
+
+
+class Boom(Exception):
+    pass
+
+
+#: A real delay at t = 0 that rounds to ``now`` once the clock has moved.
+TINY = 1e-20
+N_SHARED = 3
+MAX_PROCESSES = 10
+
+delays = st.sampled_from([0.0, 0.0, TINY, 0.5, 1.0, 2.5])
+shared = st.integers(0, N_SHARED - 1)
+ops = st.one_of(
+    st.tuples(st.just("timeout"), delays),
+    st.tuples(st.just("wait"), shared),
+    st.tuples(st.just("succeed"), shared),
+    st.tuples(st.just("fail"), shared),
+    st.tuples(st.just("spawn"), st.integers(0, 3)),
+    st.tuples(st.just("interrupt"), st.integers(0, MAX_PROCESSES - 1)),
+    st.tuples(st.just("join"), st.integers(0, MAX_PROCESSES - 1)),
+    st.tuples(st.just("any_of"), st.tuples(delays, shared)),
+)
+programs = st.lists(st.lists(ops, max_size=6), min_size=1, max_size=4)
+run_plans = st.lists(
+    st.one_of(
+        st.tuples(st.just("run"), st.sampled_from([0.0, TINY, 0.5, 1.0, 3.0])),
+        st.tuples(st.just("step"), st.integers(1, 6)),
+    ),
+    max_size=8,
+)
+
+
+def _describe(value):
+    if isinstance(value, dict):  # an AnyOf's {sub-event: value}
+        return tuple(value.values())
+    return value
+
+
+def run_program(kernel, scripts, plan):
+    """Per-resume ``(now, process, op, what)`` trace of a random program
+    driven by ``run(until)`` slices and ``step()`` calls, then drained."""
+    trace = []
+    events = [kernel.event() for _ in range(N_SHARED)]
+    processes = []
+
+    def body(pid, script):
+        for index, (op, arg) in enumerate(script):
+            target = None
+            try:
+                if op == "timeout":
+                    target = kernel.timeout(arg, ("t", arg))
+                elif op == "wait":
+                    target = events[arg]
+                elif op == "join":
+                    if arg < len(processes):
+                        target = processes[arg]
+                elif op == "any_of":
+                    delay, which = arg
+                    target = kernel.any_of(
+                        [kernel.timeout(delay, ("t", delay)), events[which]]
+                    )
+                elif op in ("succeed", "fail"):
+                    if events[arg].triggered:
+                        pass
+                    elif op == "succeed":
+                        events[arg].succeed(("s", arg))
+                    else:
+                        events[arg].fail(Boom(arg))
+                elif op == "spawn":
+                    spawn(scripts[arg % len(scripts)])
+                elif op == "interrupt" and arg < len(processes):
+                    processes[arg].interrupt(pid)
+                what = op if target is None else _describe((yield target))
+            except Interrupt as exc:
+                what = ("interrupted", exc.cause)
+            except Boom as exc:
+                what = ("boom", exc.args[0])
+            trace.append((kernel.now, pid, index, what))
+        return pid
+
+    def spawn(script):
+        if len(processes) < MAX_PROCESSES:
+            processes.append(kernel.process(body(len(processes), script)))
+
+    for script in scripts:
+        spawn(script)
+    for action, arg in plan:
+        trace.append(("peek", kernel.peek()))
+        if action == "run":
+            kernel.run(until=kernel.now + arg)
+        else:
+            for _ in range(arg):
+                if kernel.peek() == INFINITY:
+                    break
+                kernel.step()
+    kernel.run()
+    return trace, kernel.events_processed, kernel.unhandled_failure_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(scripts=programs, plan=run_plans)
+def test_ready_lane_matches_heap_only_order(scripts, plan):
+    """Same-instant events skip the heap, yet every resume happens at the
+    same time and in the same order as under one (time, seq) heap."""
+    assert run_program(Kernel(), scripts, plan) == run_program(
+        HeapOnlyKernel(), scripts, plan
+    )
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     grants=st.lists(
@@ -74,6 +232,82 @@ def test_lease_liveness_matches_grant_arithmetic(grants, check_at):
     kernel.run(until=check_at)
     for key, when in expiry.items():
         assert table.is_live(key) == (when > check_at)
+
+
+class BruteForceLeases:
+    """Reference lease table: scans every key on every call."""
+
+    def __init__(self, default_ttl):
+        self.default_ttl = default_ttl
+        self.expiry = {}
+        self.expired_count = 0
+
+    def grant(self, now, key, ttl):
+        self.expiry[key] = now + (self.default_ttl if ttl is None else ttl)
+
+    def renew(self, now, key, ttl):
+        if self.expiry.get(key, -1.0) <= now:
+            return False
+        self.grant(now, key, ttl)
+        return True
+
+    def release(self, key):
+        self.expiry.pop(key, None)
+
+    def collect_expired(self, now):
+        expired = [key for key, when in self.expiry.items() if when <= now]
+        for key in expired:
+            del self.expiry[key]
+        self.expired_count += len(expired)
+        return expired
+
+
+ttls = st.one_of(st.none(), st.sampled_from([0.5, 1.0, 2.5]))
+lease_keys = st.integers(0, 2)
+lease_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("grant"), lease_keys, ttls),
+        st.tuples(st.just("renew"), lease_keys, ttls),
+        st.tuples(st.just("release"), lease_keys, st.none()),
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+                  st.none()),
+        st.tuples(st.just("collect"), st.none(), st.none()),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ops=lease_ops)
+@example(ops=[("grant", 0, 0.5), ("advance", 1.0, None), ("renew", 0, None)])
+def test_lease_collection_matches_a_brute_force_table(ops):
+    """The earliest-expiry bound never hides a lapsed lease: collection
+    returns the same keys, in the same order, as scanning every time."""
+    kernel = Kernel()
+    table = LeaseTable(kernel, default_ttl=2.0)
+    reference = BruteForceLeases(default_ttl=2.0)
+    for op, arg, ttl in ops:
+        now = kernel.now
+        if op == "grant":
+            table.grant(arg, ttl)
+            reference.grant(now, arg, ttl)
+        elif op == "renew":
+            assert table.renew(arg, ttl) == reference.renew(now, arg, ttl)
+        elif op == "release":
+            table.release(arg)
+            reference.release(arg)
+        elif op == "advance":
+            kernel.run(until=now + arg)
+        else:
+            assert table.collect_expired() == reference.collect_expired(now)
+        assert table.expired_count == reference.expired_count
+        assert len(table) == len(reference.expiry)
+        for key in range(3):
+            assert table.is_live(key) == (
+                reference.expiry.get(key, -1.0) > kernel.now
+            )
+    assert table.collect_expired() == reference.collect_expired(kernel.now)
+    assert table.expired_count == reference.expired_count
 
 
 leak_ops = st.lists(

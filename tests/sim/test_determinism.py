@@ -12,7 +12,7 @@ import pytest
 
 from repro.parallel.demo import simulate_trial
 from repro.sim.errors import SimulationError
-from repro.sim.kernel import Kernel
+from repro.sim.kernel import INFINITY, Kernel
 
 
 # --- same-timestamp FIFO ordering -------------------------------------------
@@ -77,10 +77,69 @@ def test_step_and_run_agree_on_ordering():
     kernel_a, seen_a = build()
     kernel_a.run()
     kernel_b, seen_b = build()
-    while kernel_b._queue:
+    while kernel_b.peek() != INFINITY:
         kernel_b.step()
     assert seen_a == seen_b
     assert kernel_a.events_processed == kernel_b.events_processed
+
+
+def test_timeout_due_at_t_runs_before_events_triggered_at_t():
+    # Timeouts scheduled before T (at 0 and at 0.5) and due at T precede
+    # everything triggered at T, even an event triggered by the first of
+    # them: the same (time, seq) order a single heap gives.
+    kernel = Kernel()
+    order = []
+    signal = kernel.event()
+    signal.callbacks.append(lambda _e: order.append("signal"))
+
+    def first():
+        yield kernel.timeout(1.0)
+        order.append("first")
+        signal.succeed()
+        kernel.process(spawned())
+
+    def spawned():
+        order.append("spawned")
+        yield kernel.timeout(0.0)
+        order.append("spawned+0")
+
+    def late():
+        yield kernel.timeout(0.5)
+        yield kernel.timeout(0.5)
+        order.append("late")
+
+    kernel.process(first())
+    kernel.process(late())
+    kernel.run()
+    assert order == ["first", "late", "signal", "spawned", "spawned+0"]
+
+
+def test_peek_is_now_while_events_are_due_at_once():
+    kernel = Kernel()
+    kernel.run(until=2.0)
+    kernel.timeout(5.0)
+    assert kernel.peek() == 7.0
+    kernel.event().succeed()
+    assert kernel.peek() == 2.0
+    kernel.step()
+    assert kernel.peek() == 7.0
+
+
+def test_run_until_triggered_drains_due_events_without_future_ones():
+    kernel = Kernel()
+    done = kernel.event().succeed("now")
+    assert kernel.peek() == kernel.now
+    assert kernel.run_until_triggered(done, limit=0.0) == "now"
+
+    def immediate():
+        return "at once"
+        yield  # pragma: no cover - makes this a generator
+
+    proc = kernel.process(immediate())
+    assert kernel.run_until_triggered(proc) == "at once"
+    assert kernel.peek() == 0.0  # its completion is due, not yet processed
+    kernel.run()
+    assert kernel.peek() == INFINITY
 
 
 # --- run_until_triggered limit boundary -------------------------------------

@@ -173,3 +173,97 @@ def test_clear_empties_buffer_but_keeps_totals():
     bus.clear()
     assert len(bus) == 0
     assert bus.published == 1
+
+
+# --- per-kind routes ---------------------------------------------------------
+
+def test_subscriber_added_after_first_publish_of_a_kind_gets_the_next():
+    bus = make_bus()
+    early, late = [], []
+    bus.subscribe(lambda t, kind, fields: early.append(fields["i"]),
+                  kinds="tick")
+    bus.publish("tick", i=0)  # builds the route for "tick"
+    bus.subscribe(lambda t, kind, fields: late.append(fields["i"]),
+                  kinds="tick")
+    bus.publish("tick", i=1)
+    assert early == [0, 1]
+    assert late == [1]
+
+
+def test_unsubscribe_after_a_kind_is_routed_stops_delivery():
+    bus = make_bus()
+    seen = []
+    token = bus.subscribe(lambda t, kind, fields: seen.append(kind),
+                          kinds=("a", "b"))
+    bus.publish("a")
+    bus.publish("b")
+    bus.unsubscribe(token)
+    bus.publish("a")
+    bus.publish("b")
+    assert seen == ["a", "b"]
+    bus.unsubscribe(token)  # unknown tokens are ignored
+
+
+def test_routes_keep_exact_and_prefix_matching_and_subscription_order():
+    bus = make_bus()
+    seen = []
+    bus.subscribe(lambda t, kind, fields: seen.append(("exact", kind)),
+                  kinds="rm.decision")
+    bus.subscribe(lambda t, kind, fields: seen.append(("prefix", kind)),
+                  kinds="rm.*")
+    bus.subscribe(lambda t, kind, fields: seen.append(("all", kind)))
+    for kind in ("rm.decision", "rm.report", "request.end", "rm.decision"):
+        bus.publish(kind)
+    assert seen == [
+        ("exact", "rm.decision"), ("prefix", "rm.decision"),
+        ("all", "rm.decision"),
+        ("prefix", "rm.report"), ("all", "rm.report"),
+        ("all", "request.end"),
+        ("exact", "rm.decision"), ("prefix", "rm.decision"),
+        ("all", "rm.decision"),
+    ]
+
+
+def test_subscribing_during_a_publish_takes_effect_from_the_next():
+    bus = make_bus()
+    seen = []
+
+    def first(t, kind, fields):
+        seen.append(("first", fields["i"]))
+        if fields["i"] == 0:
+            bus.subscribe(lambda t, kind, fields: seen.append(
+                ("second", fields["i"])))
+
+    bus.subscribe(first)
+    bus.publish("tick", i=0)
+    bus.publish("tick", i=1)
+    assert seen == [("first", 0), ("first", 1), ("second", 1)]
+
+
+def test_sticky_ring_and_kind_filters_unchanged_by_routing():
+    bus = make_bus(capacity=2)
+    bus.subscribe(lambda t, kind, fields: None, kinds="rm.*")
+    for _ in range(2):
+        bus.publish("rm.decision", level="ejb")
+        bus.publish("lb.failover.begin")
+        bus.publish("request.end")
+        bus.publish("request.end")
+    # The main ring kept the last two per-request events; the sticky ring
+    # kept every recovery/failover event, routed or not.
+    assert [e.kind for e in bus.events()] == [
+        "rm.decision", "lb.failover.begin",
+        "rm.decision", "lb.failover.begin",
+        "request.end", "request.end",
+    ]
+    assert [e.seq for e in bus.events(kinds="rm.*")] == [0, 4]
+    assert [e.kind for e in bus.events(kinds=("request.end",))] == [
+        "request.end", "request.end",
+    ]
+
+
+def test_trace_event_is_a_named_tuple_with_the_same_fields():
+    bus = make_bus()
+    event = bus.publish("tick", i=1)
+    assert event._fields == ("t", "seq", "kind", "fields")
+    assert tuple(event) == (0.0, 0, "tick", {"i": 1})
+    assert event.flatten() == {"t": 0.0, "seq": 0, "kind": "tick", "i": 1}
