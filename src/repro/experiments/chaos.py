@@ -29,26 +29,24 @@ multi-component incidents.
 """
 
 from repro.cluster.cluster import build_cluster
-from repro.core.hardening import HardeningPolicy, RecoveryStormLimiter
+from repro.core.hardening import HardeningPolicy
 from repro.core.proactive import ProactiveRejuvenationPolicy
-from repro.core.recovery_manager import FailureKind, RecoveryManager
+from repro.core.recovery_manager import FailureKind
 from repro.core.retry import RetryPolicy
 from repro.ebid.descriptors import URL_PATH_MAP
 from repro.experiments.common import ExperimentResult
-from repro.experiments.cluster_common import wire_recovery_failover
+from repro.experiments.cluster_common import RecoveryPipeline, end_run
 from repro.faults.chaos import COMPONENT_TARGETS, ChaosEngine, ChaosSpec
 from repro.observability import (
-    AlertEngine,
-    ComponentHealthRegistry,
-    EstimatorHub,
     IncidentTracker,
     SloEngine,
     aggregate_incidents,
     aggregate_slo,
     alert_lead_times,
     median,
+    predictive_chain,
 )
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 from repro.workload.client import ClientPopulation
 from repro.workload.markov import WorkloadProfile
 
@@ -89,7 +87,6 @@ class ChaosClusterRig:
         spec=None,
         observability=True,
         prediction=None,
-        preempt_cooldown=30.0,
     ):
         if prediction not in (None, "shadow", "proactive"):
             raise ValueError(f"unknown prediction mode {prediction!r}")
@@ -98,56 +95,26 @@ class ChaosClusterRig:
         if parallel:
             # The parallel scheduler rides on the hardened safeguards (the
             # storm limiter is its global concurrency cap).
-            self.hardening = HardeningPolicy.parallel()
-            hardened = True
+            hardening = HardeningPolicy.parallel()
+        elif hardened:
+            hardening = HardeningPolicy.hardened()
         else:
-            self.hardening = (
-                HardeningPolicy.hardened() if hardened
-                else HardeningPolicy.disabled()
-            )
+            hardening = HardeningPolicy.disabled()
         self.cluster = build_cluster(
             n_nodes,
             seed=seed,
             session_store="ssm",
             retry_policy=RetryPolicy.retry_only(),
-            hardening=self.hardening,
+            hardening=hardening,
         )
         self.kernel = self.cluster.kernel
-        balancer = self.cluster.load_balancer
-
-        self.storm_limiter = None
-        if hardened:
-            self.storm_limiter = RecoveryStormLimiter(
-                self.kernel,
-                limit=self.hardening.storm_limit,
-                window=self.hardening.storm_window,
-                window_limit=self.hardening.storm_window_limit,
-            )
-
-        # One recovery manager per node, as a real deployment would run
-        # them; the storm limiter is the only piece of shared state.
-        self.rms = []
-        for node in self.cluster.nodes:
-            rm = RecoveryManager(
-                self.kernel,
-                node.system.coordinator,
-                URL_PATH_MAP,
-                node_controller=node,
-                # High enough that the blunt §4 notify-a-human cutoff does
-                # not end either arm's campaign early: the comparison is
-                # between the graduated safeguards, same limit both arms.
-                recurring_limit=60,
-                hardening=self.hardening,
-                storm_limiter=self.storm_limiter,
-            )
-            self._wire_failover(rm, node, balancer)
-            rm.start()
-            self.rms.append(rm)
+        self.recovery = RecoveryPipeline(self.cluster, hardening)
+        self.rms = self.recovery.add(self.cluster.nodes)
 
         self.reports = []
         self.population = ClientPopulation(
             self.kernel,
-            balancer,
+            self.cluster.load_balancer,
             self.cluster.dataset,
             n_clients=n_nodes * clients_per_node,
             rng_registry=self.cluster.rng,
@@ -158,44 +125,39 @@ class ChaosClusterRig:
 
         self.engine = ChaosEngine(self.cluster, spec=spec)
 
-        # Incident stitching + rolling SLOs.  Both are passive TraceBus
-        # subscribers, so turning them on changes what the run *reports*,
-        # never what it *does* — the determinism and hardening-gate
-        # contracts hold with observability enabled.  They need the bus
-        # publishing, so enabling them enables tracing on this kernel.
+        # Incident stitching + rolling SLOs, and with prediction the
+        # estimators → health scores → alert rules behind them.  All are
+        # passive TraceBus subscribers, so turning them on changes what
+        # the run *reports*, never what it *does* — the determinism and
+        # hardening-gate contracts hold with observability enabled.  They
+        # need the bus publishing, so enabling them enables tracing on
+        # this kernel.
         self.incident_tracker = None
         self.slo_engine = None
+        self.health_registry = None
+        self.alert_engine = None
         bus = self.kernel.trace
         if observability:
             bus.enabled = True
-            self.incident_tracker = IncidentTracker(
-                bus=bus, url_path_map=URL_PATH_MAP
-            )
+            if prediction is None:
+                self.incident_tracker = IncidentTracker(
+                    bus=bus, url_path_map=URL_PATH_MAP
+                )
+            else:
+                self.incident_tracker, _hub, self.health_registry = (
+                    predictive_chain(URL_PATH_MAP, bus=bus)
+                )
+                self.alert_engine = self.health_registry.alert_engine
             self.slo_engine = SloEngine(self.metrics, bus=bus)
 
-        # Prediction stack (estimators → health scores → alert rules →
-        # proactive policy).  In "shadow" mode the stack observes and
-        # alerts but the policy never acts, so the workload outcome must
-        # be byte-identical to the plain arm — that passivity is what the
-        # prediction benchmark gates on.  Only in "proactive" mode do
-        # alerts turn into RecoveryManager.preempt() calls.
+        # The proactive policy turns alerts into RecoveryManager.preempt()
+        # calls.  In "shadow" mode the stack observes and alerts but the
+        # policy never acts, so the workload outcome must be
+        # byte-identical to the plain arm — that passivity is what the
+        # prediction benchmark gates on.
         self.prediction = prediction
-        self.estimator_hub = None
-        self.alert_engine = None
-        self.health_registry = None
         self.policies = []
         if prediction is not None:
-            self.estimator_hub = EstimatorHub(
-                bus=bus,
-                tracker=self.incident_tracker,
-                url_path_map=URL_PATH_MAP,
-            )
-            self.alert_engine = AlertEngine(bus=bus)
-            self.health_registry = ComponentHealthRegistry(
-                bus=bus,
-                hub=self.estimator_hub,
-                alert_engine=self.alert_engine,
-            )
             for node in self.cluster.nodes:
                 self.health_registry.register(
                     node.system.server.name, COMPONENT_TARGETS
@@ -205,14 +167,10 @@ class ChaosClusterRig:
                     self.kernel,
                     rm,
                     engine=self.alert_engine,
-                    cooldown=preempt_cooldown,
                     shadow=(prediction == "shadow"),
                 )
                 policy.start()
                 self.policies.append(policy)
-
-    def _wire_failover(self, rm, node, balancer):
-        wire_recovery_failover(rm, node, balancer)
 
     def _dispatch_report(self, report):
         """Deliver a failure report to the node that served the client."""
@@ -232,33 +190,26 @@ class ChaosClusterRig:
         self.engine.start()
         horizon = spec.start + spec.duration + tail
         self.kernel.run(until=horizon)
-        if self.incident_tracker is not None:
-            self.incident_tracker.finalize(horizon)
-        if self.slo_engine is not None:
-            self.slo_engine.evaluate(horizon)
-        if self.alert_engine is not None:
-            self.alert_engine.finalize(horizon)
+        end_run(self.kernel, horizon, self.incident_tracker,
+                self.slo_engine, self.health_registry)
         return self.outcome()
 
     def outcome(self):
         metrics = self.metrics
-        actions = [a for rm in self.rms for a in rm.actions]
-        by_level = {}
-        for action in actions:
-            by_level[action.level] = by_level.get(action.level, 0) + 1
-        errored = sum(1 for a in actions if not a.ok)
         balancer = self.cluster.load_balancer
         registries = [rm.metrics for rm in self.rms]
         total = metrics.total_requests
+        storm_limiter = self.recovery.storm_limiter
         return {
             "good_requests": metrics.good_requests,
             "failed_requests": metrics.failed_requests,
             "availability": (
                 round(metrics.good_requests / total, 4) if total else None
             ),
-            "recovery_actions": len(actions),
-            "actions_by_level": dict(sorted(by_level.items())),
-            "errored_actions": errored,
+            **self.recovery.outcome(),
+            "errored_actions": sum(
+                1 for a in self.recovery.actions() if not a.ok
+            ),
             "reports": len(self.reports),
             "deferred": sum(
                 int(r.counter("rm.backoff.deferred").value)
@@ -269,9 +220,7 @@ class ChaosClusterRig:
                 for r in registries
             ),
             "storm_denied": (
-                self.storm_limiter.denied
-                if self.storm_limiter is not None
-                else 0
+                storm_limiter.denied if storm_limiter is not None else 0
             ),
             "requests_shed": balancer.requests_shed,
             "link_dropped": int(
@@ -304,9 +253,9 @@ class ChaosClusterRig:
             return {}
         alerts = self.alert_engine.alerts
         leads = alert_lead_times(alerts, incidents)
-        actions = [a for rm in self.rms for a in rm.actions]
         preemptive = sum(
-            1 for a in actions if a.trigger is FailureKind.PREDICTED
+            1 for a in self.recovery.actions()
+            if a.trigger is FailureKind.PREDICTED
         )
         return {
             "prediction_mode": self.prediction,
@@ -349,23 +298,18 @@ def run(seed=0, n_nodes=3, clients_per_node=30, full=False, quick=False,
     if full:
         clients_per_node = 60
 
-    specs = [
-        TrialSpec(
-            task="repro.experiments.chaos:run_one_arm",
-            kwargs={
-                "arm": arm,
-                "n_nodes": n_nodes,
-                "clients_per_node": clients_per_node,
-                "spec_name": spec_name,
-                "tail": tail,
-            },
-            tag=arm,
-            seed=seed,
-        )
-        for arm in ARMS
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {arm: trial.value for arm, trial in zip(ARMS, trials)}
+    outcomes = run_arms(
+        "repro.experiments.chaos:run_one_arm",
+        ARMS,
+        {
+            "n_nodes": n_nodes,
+            "clients_per_node": clients_per_node,
+            "spec_name": spec_name,
+            "tail": tail,
+        },
+        seed,
+        jobs,
+    )
 
     result = ExperimentResult(
         name="Availability under correlated chaos: seed pipeline vs "

@@ -1,8 +1,20 @@
-"""Shared scaffolding for the cluster experiments (§5.3)."""
+"""Shared scaffolding for the cluster experiments (§5.3).
 
+The LB-wired rigs (chaos, prediction, megascale, storm) share two parts:
+:class:`RecoveryPipeline` and :func:`end_run`.  Their live consumers come
+from :func:`~repro.observability.exporter.predictive_chain`, as replay's do.
+"""
+
+import os
+import traceback
+from collections import Counter
+
+import repro
 from repro.cluster.cluster import build_cluster
 from repro.cluster.load_balancer import FailoverMode
-from repro.core.recovery_manager import NODE_WIDE_LEVELS
+from repro.core.hardening import RecoveryStormLimiter
+from repro.core.recovery_manager import NODE_WIDE_LEVELS, RecoveryManager
+from repro.ebid.descriptors import URL_PATH_MAP
 from repro.faults.injector import FaultInjector
 from repro.telemetry.spans import SpanCollector
 from repro.workload.client import ClientPopulation
@@ -24,8 +36,7 @@ def wire_recovery_failover(rm, node, balancer):
     targets plus the active quarantines, and the window closes only when
     both are empty.
 
-    Shared by every rig that pairs per-node recovery managers with a
-    load balancer (chaos campaign, health prediction, megascale).
+    :meth:`RecoveryPipeline.add` wires every manager it starts this way.
     """
     active_micro = {}
 
@@ -73,6 +84,109 @@ def wire_recovery_failover(rm, node, balancer):
     rm.listeners.append(end)
     rm.quarantine_listeners.append(sync_micro)
     rm.defer_listeners.append(deferred)
+
+
+class RecoveryPipeline:
+    """One started, LB-coordinated recovery manager per node (§4, §5.3).
+
+    The managers share one :class:`RecoveryStormLimiter` exactly when
+    ``hardening`` is enabled; it is the only state they share, as in a
+    deployment that runs one manager per node.  The rig keeps routing
+    failure reports to the manager of the node (or shard) they concern.
+    """
+
+    def __init__(self, cluster, hardening):
+        self.kernel = cluster.kernel
+        self.balancer = cluster.load_balancer
+        self.hardening = hardening
+        self.storm_limiter = RecoveryStormLimiter(
+            self.kernel,
+            limit=hardening.storm_limit,
+            window=hardening.storm_window,
+            window_limit=hardening.storm_window_limit,
+        ) if hardening.enabled else None
+        #: Every manager ever added, in the order added (a drained shard's
+        #: managers stay here, so their past actions stay counted).
+        self.rms = []
+
+    def add(self, nodes):
+        """Start one manager per node; returns them in node order.
+
+        Also the elastic scale-out path: a shard added mid-run gets the
+        managers the boot-time shards got.
+        """
+        added = []
+        for node in nodes:
+            rm = RecoveryManager(
+                self.kernel,
+                node.system.coordinator,
+                URL_PATH_MAP,
+                node_controller=node,
+                # High enough that the blunt §4 notify-a-human cutoff does
+                # not end a campaign early: the comparison is between the
+                # graduated safeguards, with the same limit in every arm.
+                recurring_limit=60,
+                hardening=self.hardening,
+                storm_limiter=self.storm_limiter,
+            )
+            wire_recovery_failover(rm, node, self.balancer)
+            rm.start()
+            added.append(rm)
+        self.rms.extend(added)
+        return added
+
+    def actions(self):
+        """Every manager's recovery actions, manager by manager."""
+        return [action for rm in self.rms for action in rm.actions]
+
+    def outcome(self):
+        """The ``recovery_actions`` and ``actions_by_level`` outcome keys."""
+        actions = self.actions()
+        by_level = Counter(action.level for action in actions)
+        return {
+            "recovery_actions": len(actions),
+            "actions_by_level": dict(sorted(by_level.items())),
+        }
+
+
+class RunAuditError(RuntimeError):
+    """A finished run broke one of the invariants every run must hold."""
+
+
+def first_failure(kernel):
+    """``Type: message at file:line`` of the kernel's first retained
+    unhandled failure (the path relative to the ``repro`` package), or
+    None when no process died."""
+    if not kernel.unhandled_failures:
+        return None
+    exc = kernel.unhandled_failures[0].value
+    where = ""
+    if exc.__traceback__ is not None:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        path = os.path.relpath(frame.filename, os.path.dirname(repro.__file__))
+        where = f" at {path}:{frame.lineno}"
+    return f"{type(exc).__name__}: {exc}{where}"
+
+
+def end_run(kernel, horizon, tracker=None, slo_engine=None, registry=None):
+    """The LB-wired rigs' one end-of-run step, at simulated ``horizon``.
+
+    First the run audit: a kernel process that died unhandled fails the
+    run, instead of leaving a clean-looking table.  Then the consumers
+    given close open incidents, judge the canonical SLO windows and
+    resolve the alerts still firing.
+    """
+    if kernel.unhandled_failure_count:
+        raise RunAuditError(
+            f"run audit: {kernel.unhandled_failure_count} kernel "
+            f"process(es) died unhandled; first: {first_failure(kernel)}"
+        )
+    if tracker is not None:
+        tracker.finalize(horizon)
+    if slo_engine is not None:
+        slo_engine.evaluate(horizon)
+    if registry is not None:
+        registry.alert_engine.finalize(horizon)
 
 
 class ClusterRig:

@@ -20,7 +20,7 @@ from repro.experiments.common import ExperimentResult, SingleNodeRig
 from repro.experiments.plotting import ascii_timeseries
 from repro.faults.corruption import CorruptionMode
 from repro.observability import aggregate_slo, compute_windows
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 POLICIES = ("process-restart", "microreboot")
 
@@ -83,22 +83,18 @@ def run(seed=0, n_clients=500, fault_interval=600.0, full=False, quick=False,
     fault_times = (fault_interval, 2 * fault_interval, 3 * fault_interval)
     duration = 4 * fault_interval
 
-    specs = [
-        TrialSpec(
-            task="repro.experiments.figure1:run_one_policy",
-            kwargs={
-                "policy": policy,
-                "n_clients": n_clients,
-                "fault_times": fault_times,
-                "duration": duration,
-            },
-            tag=policy,
-            seed=seed,
-        )
-        for policy in POLICIES
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {policy: trial.value for policy, trial in zip(POLICIES, trials)}
+    outcomes = run_arms(
+        "repro.experiments.figure1:run_one_policy",
+        POLICIES,
+        {
+            "n_clients": n_clients,
+            "fault_times": fault_times,
+            "duration": duration,
+        },
+        seed,
+        jobs,
+        key="policy",
+    )
 
     result = ExperimentResult(
         name="Taw under failures: JVM process restart vs EJB microreboot",

@@ -10,7 +10,7 @@ from repro.ebid.descriptors import FUNCTIONAL_GROUPS
 from repro.experiments.common import ExperimentResult, SingleNodeRig
 from repro.experiments.plotting import ascii_gap_chart
 from repro.faults.corruption import CorruptionMode
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 POLICIES = ("process-restart", "microreboot")
 
@@ -69,22 +69,18 @@ def run(seed=0, n_clients=300, inject_at=240.0, duration=480.0, full=False,
         paper_reference="Figure 2",
         headers=("functional group", "restart: gap (s)", "µRB: gap (s)"),
     )
-    specs = [
-        TrialSpec(
-            task="repro.experiments.figure2:run_arm",
-            kwargs={
-                "policy": policy,
-                "n_clients": n_clients,
-                "inject_at": inject_at,
-                "duration": duration,
-            },
-            tag=policy,
-            seed=seed,
-        )
-        for policy in POLICIES
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {policy: trial.value for policy, trial in zip(POLICIES, trials)}
+    outcomes = run_arms(
+        "repro.experiments.figure2:run_arm",
+        POLICIES,
+        {
+            "n_clients": n_clients,
+            "inject_at": inject_at,
+            "duration": duration,
+        },
+        seed,
+        jobs,
+        key="policy",
+    )
     restart_gaps = outcomes["process-restart"]
     urb_gaps = outcomes["microreboot"]
     for group in FUNCTIONAL_GROUPS:

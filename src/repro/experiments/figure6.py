@@ -15,7 +15,7 @@ good Taw never dropped to zero.
 from repro.core.rejuvenation import RejuvenationService
 from repro.experiments.common import ExperimentResult, SingleNodeRig
 from repro.experiments.plotting import ascii_timeseries
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 KB = 1024
 
@@ -109,23 +109,19 @@ def run(
             "seconds with zero goodput",
         ),
     )
-    specs = [
-        TrialSpec(
-            task="repro.experiments.figure6:run_one",
-            kwargs={
-                "scheme": scheme,
-                "n_clients": n_clients,
-                "duration": duration,
-                "item_leak": item_leak,
-                "viewitem_leak": viewitem_leak,
-            },
-            tag=scheme,
-            seed=seed,
-        )
-        for scheme in SCHEMES
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {scheme: trial.value for scheme, trial in zip(SCHEMES, trials)}
+    outcomes = run_arms(
+        "repro.experiments.figure6:run_one",
+        SCHEMES,
+        {
+            "n_clients": n_clients,
+            "duration": duration,
+            "item_leak": item_leak,
+            "viewitem_leak": viewitem_leak,
+        },
+        seed,
+        jobs,
+        key="scheme",
+    )
     for scheme in SCHEMES:
         outcome = outcomes[scheme]
         events = (

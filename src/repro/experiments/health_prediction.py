@@ -33,7 +33,7 @@ Three arms, identical fault schedule and workload seeds:
 from repro.experiments.common import ExperimentResult
 from repro.experiments.chaos import ChaosClusterRig
 from repro.faults.chaos import ChaosSpec
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 ARMS = ("reactive", "shadow", "proactive")
 
@@ -76,24 +76,19 @@ def run(seed=0, n_nodes=2, clients_per_node=20, full=False, quick=False,
     if full:
         n_nodes, clients_per_node = 3, 30
 
-    specs = [
-        TrialSpec(
-            task="repro.experiments.health_prediction:run_one_arm",
-            kwargs={
-                "arm": arm,
-                "n_nodes": n_nodes,
-                "clients_per_node": clients_per_node,
-                "leak_bytes": leak_bytes,
-                "duration": duration,
-                "tail": tail,
-            },
-            tag=arm,
-            seed=seed,
-        )
-        for arm in ARMS
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {arm: trial.value for arm, trial in zip(ARMS, trials)}
+    outcomes = run_arms(
+        "repro.experiments.health_prediction:run_one_arm",
+        ARMS,
+        {
+            "n_nodes": n_nodes,
+            "clients_per_node": clients_per_node,
+            "leak_bytes": leak_bytes,
+            "duration": duration,
+            "tail": tail,
+        },
+        seed,
+        jobs,
+    )
 
     result = ExperimentResult(
         name="Predictive observability: reactive recovery vs health-alert-"

@@ -37,29 +37,33 @@ import time
 
 from repro.appserver.http import HttpRequest
 from repro.cluster.cluster import build_sharded_cluster
-from repro.core.hardening import HardeningPolicy, RecoveryStormLimiter
-from repro.core.recovery_manager import FailureKind, FailureReport, RecoveryManager
+from repro.core.hardening import HardeningPolicy
+from repro.core.recovery_manager import FailureKind, FailureReport
 from repro.core.retry import RetryPolicy
 from repro.detection.simple import SimpleDetector
 from repro.ebid.descriptors import OPERATIONS, URL_PATH_MAP, operation_url
 from repro.ebid.schema import DatasetConfig
 from repro.experiments.common import ExperimentResult
-from repro.experiments.cluster_common import wire_recovery_failover
+from repro.experiments.cluster_common import RecoveryPipeline, end_run
 from repro.faults.chaos import COMPONENT_TARGETS, ChaosEvent, FaultExecutor
 from repro.observability import (
     ClusterIncidentCorrelator,
-    ComponentHealthRegistry,
-    EstimatorHub,
-    IncidentTracker,
     ShardMetricsAggregator,
     SloEngine,
     aggregate_incidents,
     aggregate_slo,
+    predictive_chain,
 )
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 from repro.workload.cohort import CohortEngine
 
 ARMS = ("steady", "shardfault")
+
+#: The shardfault arm's schedule: at FAULT_AT a BrowseCategories deadlock
+#: and an SSM brick crash strike the shard a third of the way along the
+#: shard list, and the brick heals BRICK_HEAL_AFTER seconds later.
+FAULT_AT = 60.0
+BRICK_HEAL_AFTER = 60.0
 
 #: Operations probed per shard (rotating, one class per tick).  Each class
 #: stands in for the operations sharing its failure domain: Authenticate
@@ -314,61 +318,45 @@ class MegascaleRig:
         n_sessions=1_000_000,
         n_shards=128,
         nodes_per_shard=1,
-        bricks_per_shard=2,
         duration=240.0,
-        tick=1.0,
         fault=False,
-        fault_at=60.0,
-        fault_shard_index=None,
-        brick_heal_after=60.0,
-        observability=True,
         cluster_plane=True,
         load_skew=0.0,
     ):
         self.duration = duration
-        self.hardening = HardeningPolicy.hardened()
+        hardening = HardeningPolicy.hardened()
         self.cluster = build_sharded_cluster(
             n_shards,
             nodes_per_shard=nodes_per_shard,
-            bricks_per_shard=bricks_per_shard,
             seed=seed,
             dataset=DatasetConfig.tiny(),
             retry_policy=RetryPolicy.retry_only(),
-            hardening=self.hardening,
+            hardening=hardening,
         )
         self.kernel = self.cluster.kernel
-        balancer = self.cluster.load_balancer
         shards = self.cluster.shard_names
-        self.fault_shard = (
-            shards[fault_shard_index if fault_shard_index is not None
-                   else len(shards) // 3]
-            if fault else None
-        )
+        self.fault_shard = shards[len(shards) // 3] if fault else None
         shard = self.fault_shard
         self.shard_fault = ShardFault(self.cluster, [
-            ChaosEvent(fault_at, "deadlock", shard=shard,
+            ChaosEvent(FAULT_AT, "deadlock", shard=shard,
                        target="BrowseCategories"),
-            ChaosEvent(fault_at, "brick-crash", shard=shard),
-            ChaosEvent(fault_at + brick_heal_after, "brick-heal", shard=shard),
+            ChaosEvent(FAULT_AT, "brick-crash", shard=shard),
+            ChaosEvent(FAULT_AT + BRICK_HEAL_AFTER, "brick-heal", shard=shard),
         ], name="megascale") if fault else None
 
-        self.storm_limiter = RecoveryStormLimiter(
-            self.kernel,
-            limit=self.hardening.storm_limit,
-            window=self.hardening.storm_window,
-            window_limit=self.hardening.storm_window_limit,
-        )
+        self.recovery = RecoveryPipeline(self.cluster, hardening)
+        self.rms = self.recovery.rms
         #: shard -> [RecoveryManager per node of the shard]
-        self.rms_by_shard = {}
-        self.rms = []
-        for shard in shards:
-            self._wire_shard_rms(shard, self.cluster.shard_nodes[shard])
+        self.rms_by_shard = {
+            shard: self.recovery.add(self.cluster.shard_nodes[shard])
+            for shard in shards
+        }
 
         self.reports = 0
         self._rm_cursor = {}
         self.probe_model = ProbeOutcomeModel(
             self.kernel,
-            balancer,
+            self.cluster.load_balancer,
             self.cluster.ring,
             shards,
             reporter=self._dispatch_report,
@@ -381,81 +369,42 @@ class MegascaleRig:
             n_sessions=n_sessions,
             shards=shards,
             ring=self.cluster.ring,
-            tick=tick,
             reporter=self._cohort_report,
         )
         self.metrics = self.engine.metrics
 
         # Observability: passive TraceBus subscribers; node names embed
         # their shard, so incidents and health scores attribute per shard.
-        self.incident_tracker = None
-        self.slo_engine = None
-        self.health_registry = None
+        # No alert rules: nothing here acts on alerts.
+        bus = self.kernel.trace
+        bus.enabled = True
+        self.incident_tracker, _hub, self.health_registry = predictive_chain(
+            URL_PATH_MAP, rules=(), bus=bus
+        )
+        self.slo_engine = SloEngine(self.metrics, bus=bus)
+        for node in self.cluster.nodes:
+            self.health_registry.register(
+                node.system.server.name, COMPONENT_TARGETS
+            )
         self.shard_metrics = None
         self.correlator = None
-        if observability:
-            bus = self.kernel.trace
-            bus.enabled = True
-            self.incident_tracker = IncidentTracker(
-                bus=bus, url_path_map=URL_PATH_MAP
+        if cluster_plane:
+            self.shard_metrics = ShardMetricsAggregator(
+                bus=bus, cluster=self.cluster
             )
-            self.slo_engine = SloEngine(self.metrics, bus=bus)
-            hub = EstimatorHub(
-                bus=bus,
-                tracker=self.incident_tracker,
-                url_path_map=URL_PATH_MAP,
-            )
-            self.health_registry = ComponentHealthRegistry(bus=bus, hub=hub)
-            for node in self.cluster.nodes:
-                self.health_registry.register(
-                    node.system.server.name, COMPONENT_TARGETS
-                )
-            if cluster_plane:
-                self.shard_metrics = ShardMetricsAggregator(
-                    bus=bus, cluster=self.cluster
-                )
-                self.probe_model.observer = self.shard_metrics.observe_probe
-                self.correlator = ClusterIncidentCorrelator()
+            self.probe_model.observer = self.shard_metrics.observe_probe
+            self.correlator = ClusterIncidentCorrelator()
 
     # ------------------------------------------------------------------
-    def _wire_shard_rms(self, shard, nodes):
-        """One hardened RecoveryManager per node, LB-coordinated.
-
-        Also the elastic scale-out path: a shard added mid-run gets the
-        identical pipeline the boot-time shards got.
-        """
-        balancer = self.cluster.load_balancer
-        members = []
-        for node in nodes:
-            rm = RecoveryManager(
-                self.kernel,
-                node.system.coordinator,
-                URL_PATH_MAP,
-                node_controller=node,
-                recurring_limit=60,
-                hardening=self.hardening,
-                storm_limiter=self.storm_limiter,
-            )
-            wire_recovery_failover(rm, node, balancer)
-            rm.start()
-            members.append(rm)
-            self.rms.append(rm)
-        self.rms_by_shard[shard] = members
-        return members
-
-    def _rm_for_shard(self, shard):
-        """Rotate reports across the shard's recovery managers."""
-        members = self.rms_by_shard[shard]
-        cursor = self._rm_cursor.get(shard, 0)
-        self._rm_cursor[shard] = (cursor + 1) % len(members)
-        return members[cursor % len(members)]
-
     def _dispatch_report(self, report, shard):
+        """Rotate a shard's reports across its recovery managers."""
         members = self.rms_by_shard.get(shard)
         if not members:
             return  # the shard was drained while this report was in flight
         self.reports += 1
-        self._rm_for_shard(shard).report(report)
+        cursor = self._rm_cursor.get(shard, 0)
+        self._rm_cursor[shard] = (cursor + 1) % len(members)
+        members[cursor % len(members)].report(report)
 
     def _cohort_report(self, detail):
         """A materialized cohort failure becomes a real failure report."""
@@ -490,10 +439,8 @@ class MegascaleRig:
         self._spawn_scenario()
         horizon = self.duration
         self.kernel.run(until=horizon)
-        if self.incident_tracker is not None:
-            self.incident_tracker.finalize(horizon)
-        if self.slo_engine is not None:
-            self.slo_engine.evaluate(horizon)
+        end_run(self.kernel, horizon, self.incident_tracker,
+                self.slo_engine, self.health_registry)
         if self.shard_metrics is not None:
             self.shard_metrics.collect(self.engine, duration=horizon)
         return self.outcome()
@@ -501,8 +448,6 @@ class MegascaleRig:
     # ------------------------------------------------------------------
     def shard_health(self):
         """Shard → minimum component health score over its nodes."""
-        if self.health_registry is None:
-            return {}
         out = {}
         for shard in self.cluster.shard_names:
             scores = [
@@ -519,10 +464,6 @@ class MegascaleRig:
         metrics = self.metrics
         engine = self.engine
         total = metrics.total_requests
-        actions = [a for rm in self.rms for a in rm.actions]
-        by_level = {}
-        for action in actions:
-            by_level[action.level] = by_level.get(action.level, 0) + 1
         balancer = self.cluster.load_balancer
         worst = engine.worst_shard()
         shard_rows = engine.shard_summary()
@@ -551,8 +492,7 @@ class MegascaleRig:
                 ) if availabilities else None
             ),
             "fault_shard": self.fault_shard,
-            "recovery_actions": len(actions),
-            "actions_by_level": dict(sorted(by_level.items())),
+            **self.recovery.outcome(),
             "reports": self.reports,
             "cohort_details": engine.total_details,
             "probes_sent": self.probe_model.probes_sent,
@@ -569,19 +509,16 @@ class MegascaleRig:
                 for name, share in sorted(engine.action_mix().items())
             },
         }
-        if self.incident_tracker is not None:
-            out["incidents"] = aggregate_incidents(
-                self.incident_tracker.incidents
-            )
-            out["incident_shards"] = sorted(
-                {
-                    self.cluster.shard_of_node[i.server]
-                    for i in self.incident_tracker.incidents
-                    if i.server in self.cluster.shard_of_node
-                }
-            )
-        if self.slo_engine is not None:
-            out["slo"] = aggregate_slo(self.slo_engine.windows)
+        incidents = self.incident_tracker.incidents
+        out["incidents"] = aggregate_incidents(incidents)
+        out["incident_shards"] = sorted(
+            {
+                self.cluster.shard_of_node[i.server]
+                for i in incidents
+                if i.server in self.cluster.shard_of_node
+            }
+        )
+        out["slo"] = aggregate_slo(self.slo_engine.windows)
         if self.shard_metrics is not None:
             out["cluster"] = self._cluster_outcome()
         health = self.shard_health()
@@ -647,23 +584,18 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
     n_sessions, n_shards, nodes_per_shard, duration = SCALES[scale]
 
     started = time.monotonic()
-    specs = [
-        TrialSpec(
-            task="repro.experiments.megascale:run_one_arm",
-            kwargs={
-                "arm": arm,
-                "n_sessions": n_sessions,
-                "n_shards": n_shards,
-                "nodes_per_shard": nodes_per_shard,
-                "duration": duration,
-            },
-            tag=arm,
-            seed=seed,
-        )
-        for arm in ARMS
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {arm: trial.value for arm, trial in zip(ARMS, trials)}
+    outcomes = run_arms(
+        "repro.experiments.megascale:run_one_arm",
+        ARMS,
+        {
+            "n_sessions": n_sessions,
+            "n_shards": n_shards,
+            "nodes_per_shard": nodes_per_shard,
+            "duration": duration,
+        },
+        seed,
+        jobs,
+    )
     wall = time.monotonic() - started
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 

@@ -27,7 +27,7 @@ injected into IdentityManager:
 
 from repro.ebid.descriptors import URL_PATH_MAP
 from repro.experiments.common import ExperimentResult, SingleNodeRig
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 MODES = ("static-map", "path-analysis")
 
@@ -125,22 +125,18 @@ def run(seed=0, n_clients=150, inject_at=60.0, duration=None,
     if duration is None:
         duration = inject_at + 300.0
 
-    specs = [
-        TrialSpec(
-            task="repro.experiments.path_diagnosis:run_one_mode",
-            kwargs={
-                "mode": mode,
-                "n_clients": n_clients,
-                "inject_at": inject_at,
-                "duration": duration,
-            },
-            tag=mode,
-            seed=seed,
-        )
-        for mode in MODES
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {mode: trial.value for mode, trial in zip(MODES, trials)}
+    outcomes = run_arms(
+        "repro.experiments.path_diagnosis:run_one_mode",
+        MODES,
+        {
+            "n_clients": n_clients,
+            "inject_at": inject_at,
+            "duration": duration,
+        },
+        seed,
+        jobs,
+        key="mode",
+    )
 
     result = ExperimentResult(
         name="Fault localization under a stale URL map: static diagnosis "

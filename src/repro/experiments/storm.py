@@ -33,7 +33,7 @@ from repro.cluster.elasticity import ElasticPolicy, ReshardCoordinator
 from repro.experiments.common import ExperimentResult
 from repro.experiments.megascale import MegascaleRig
 from repro.faults.chaos import COMPONENT_TARGETS, ShardStormEngine, StormSpec
-from repro.parallel import TrialSpec, run_campaign
+from repro.parallel import run_arms
 
 ARMS = ("steady", "storm", "storm+elastic")
 
@@ -56,13 +56,10 @@ class StormRig(MegascaleRig):
         n_shards=128,
         nodes_per_shard=1,
         duration=240.0,
-        tick=1.0,
         storm=False,
         elastic=False,
         storm_spec=None,
         load_skew=0.0,
-        migration_window=2.0,
-        observability=True,
         cluster_plane=True,
     ):
         super().__init__(
@@ -71,9 +68,6 @@ class StormRig(MegascaleRig):
             n_shards=n_shards,
             nodes_per_shard=nodes_per_shard,
             duration=duration,
-            tick=tick,
-            fault=False,
-            observability=observability,
             cluster_plane=cluster_plane,
             load_skew=load_skew,
         )
@@ -88,7 +82,6 @@ class StormRig(MegascaleRig):
                 self.cluster,
                 self.engine,
                 probe_model=self.probe_model,
-                migration_window=migration_window,
                 on_shard_added=self._on_shard_added,
                 on_shard_removed=self._on_shard_removed,
             )
@@ -123,16 +116,15 @@ class StormRig(MegascaleRig):
 
     def _on_shard_added(self, shard, nodes):
         """A fresh shard boots mid-run: same pipeline as boot-time shards."""
-        self._wire_shard_rms(shard, nodes)
-        if self.health_registry is not None:
-            for node in nodes:
-                self.health_registry.register(
-                    node.system.server.name, COMPONENT_TARGETS
-                )
+        self.rms_by_shard[shard] = self.recovery.add(nodes)
+        for node in nodes:
+            self.health_registry.register(
+                node.system.server.name, COMPONENT_TARGETS
+            )
 
     def _on_shard_removed(self, shard, nodes):
         """A drained shard leaves: no more reports route to its RMs (the
-        managers' past actions stay counted via ``self.rms``)."""
+        managers' past actions stay counted in the recovery pipeline)."""
         self.rms_by_shard.pop(shard, None)
         self.probe_model.update_load_skew(self.engine.shard_sessions)
 
@@ -234,26 +226,21 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
     )
 
     started = time.monotonic()
-    specs = [
-        TrialSpec(
-            task="repro.experiments.storm:run_one_arm",
-            kwargs={
-                "arm": arm,
-                "scale": scale,
-                "n_sessions": n_sessions,
-                "n_shards": n_shards,
-                "nodes_per_shard": nodes_per_shard,
-                "duration": duration,
-                "k_shards": k_shards,
-                "load_skew": load_skew,
-            },
-            tag=arm,
-            seed=seed,
-        )
-        for arm in ARMS
-    ]
-    trials = run_campaign(specs, jobs=jobs)
-    outcomes = {arm: trial.value for arm, trial in zip(ARMS, trials)}
+    outcomes = run_arms(
+        "repro.experiments.storm:run_one_arm",
+        ARMS,
+        {
+            "scale": scale,
+            "n_sessions": n_sessions,
+            "n_shards": n_shards,
+            "nodes_per_shard": nodes_per_shard,
+            "duration": duration,
+            "k_shards": k_shards,
+            "load_skew": load_skew,
+        },
+        seed,
+        jobs,
+    )
     wall = time.monotonic() - started
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 

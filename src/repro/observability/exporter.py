@@ -186,17 +186,20 @@ def replay(records, build):
     return replayed
 
 
-def predictive_chain(url_path_map=None, rules=None):
-    """The live predictive stack, unsubscribed, for :func:`replay`.
+def predictive_chain(url_path_map=None, rules=None, bus=None):
+    """The predictive stack, live on ``bus`` or unsubscribed for :func:`replay`.
 
     IncidentTracker → EstimatorHub → ComponentHealthRegistry (which
-    drives an AlertEngine), listed in the order a live rig subscribes
-    them, so replay feeds each event to them in the same order.
+    drives an AlertEngine with ``rules``, the default rules when None).
+    Given a ``bus``, each consumer subscribes to it in that order and the
+    alert engine publishes ``alert.*`` on it: the live rigs build their
+    consumers here, so replay feeds each event to the same consumers in
+    the order the live run did.
     """
-    tracker = IncidentTracker(url_path_map=url_path_map)
-    hub = EstimatorHub(tracker=tracker, url_path_map=url_path_map)
+    tracker = IncidentTracker(bus=bus, url_path_map=url_path_map)
+    hub = EstimatorHub(bus=bus, tracker=tracker, url_path_map=url_path_map)
     registry = ComponentHealthRegistry(
-        hub=hub, alert_engine=AlertEngine(rules=rules)
+        bus=bus, hub=hub, alert_engine=AlertEngine(rules=rules, bus=bus)
     )
     return [tracker, hub, registry]
 

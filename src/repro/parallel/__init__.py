@@ -8,6 +8,7 @@ from repro.parallel.campaign import (
     campaign_summary,
     derive_trial_seed,
     normalize_jobs,
+    run_arms,
     run_campaign,
 )
 
@@ -19,5 +20,6 @@ __all__ = [
     "campaign_summary",
     "derive_trial_seed",
     "normalize_jobs",
+    "run_arms",
     "run_campaign",
 ]

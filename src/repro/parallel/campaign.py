@@ -146,6 +146,21 @@ def run_campaign(specs, jobs=1, check=True):
     return results
 
 
+def run_arms(task, arms, kwargs, seed, jobs=1, key="arm"):
+    """One trial of ``task`` per arm, run by :func:`run_campaign`.
+
+    Arm ``a``'s spec passes ``key=a`` plus the shared ``kwargs``, is
+    tagged ``a`` and seeded with ``seed``.  Returns ``{arm: value}`` in
+    ``arms`` order, so jobs=1 ≡ jobs=N holds as for any campaign.
+    """
+    specs = [
+        TrialSpec(task=task, kwargs={key: arm, **kwargs}, tag=arm, seed=seed)
+        for arm in arms
+    ]
+    trials = run_campaign(specs, jobs=jobs)
+    return {arm: trial.value for arm, trial in zip(arms, trials)}
+
+
 def _should_prime(specs):
     """Prime the dataset snapshot iff the campaign can actually reuse it.
 

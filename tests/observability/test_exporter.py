@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from repro.observability.alerts import AlertRule
 from repro.observability.exporter import (
+    predictive_chain,
     registry_from_observability,
     render_prometheus,
     render_prometheus_buses,
@@ -227,3 +229,63 @@ def test_registry_from_cluster_folds_rollup_rows():
     assert 'repro_shard_failovers{shard="shard001"}' not in text  # zero
     assert "repro_cluster_availability 0.998" in text
     assert "repro_cluster_shards 2" in text
+
+
+# ----------------------------------------------------------------------
+# The predictive chain, live on a bus
+# ----------------------------------------------------------------------
+
+class RecordingBus(TraceBus):
+    """A bus that remembers which consumer subscribed when."""
+
+    def __init__(self):
+        super().__init__(enabled=True)
+        self.subscribers = []
+
+    def subscribe(self, callback, kinds=None):
+        self.subscribers.append(getattr(callback, "__self__", callback))
+        return super().subscribe(callback, kinds)
+
+
+def test_predictive_chain_on_a_bus_subscribes_in_replay_order():
+    bus = RecordingBus()
+    chain = predictive_chain(URL_PATH_MAP, bus=bus)
+    tracker, hub, registry = chain
+    assert bus.subscribers == chain
+    assert hub.url_path_map == tracker.url_path_map == URL_PATH_MAP
+    assert registry.hub is hub
+    assert registry.alert_engine.bus is bus
+    assert len(registry.alert_engine.rules) == 3  # the default rules
+    _tracker, _hub, quiet = predictive_chain(rules=(), bus=RecordingBus())
+    assert quiet.alert_engine.rules == ()
+
+
+def test_predictive_chain_without_a_bus_subscribes_nothing():
+    tracker, hub, registry = predictive_chain(URL_PATH_MAP)
+    assert registry.alert_engine.bus is None
+    assert tracker.close_listeners == [hub.on_incident_closed]
+
+
+def test_predictive_chain_alert_engine_publishes_on_the_bus():
+    bus = RecordingBus()
+    flapping = AlertRule(name="flapping", signal="flap", threshold=0.5,
+                         below=False)
+    _tracker, _hub, registry = predictive_chain(
+        URL_PATH_MAP, rules=(flapping,), bus=bus
+    )
+    alerts = []
+    bus.subscribe(lambda t, kind, fields: alerts.append((kind, fields)),
+                  kinds="alert.*")
+    bus.publish("rm.quarantine.begin", server="n1", component="ViewItem",
+                until=60.0)
+    assert [(kind, fields["rule"], fields["server"], fields["component"])
+            for kind, fields in alerts] == [
+        ("alert.fired", "flapping", "n1", "ViewItem"),
+    ]
+    registry.alert_engine.finalize(1.0)
+    assert [kind for kind, _fields in alerts] == [
+        "alert.fired", "alert.resolved",
+    ]
+    assert [kind for _t, _seq, kind, _fields in bus.events()] == [
+        "rm.quarantine.begin", "alert.fired", "alert.resolved",
+    ]

@@ -4,11 +4,13 @@ import pytest
 
 from repro.parallel import (
     CampaignError,
+    TrialResult,
     TrialSpec,
     available_jobs,
     campaign_summary,
     derive_trial_seed,
     normalize_jobs,
+    run_arms,
     run_campaign,
 )
 from repro.parallel.demo import simulate_trial
@@ -91,6 +93,36 @@ def test_parallel_values_identical_to_sequential():
     sequential = [r.value for r in run_campaign(SPECS, jobs=1)]
     parallel = [r.value for r in run_campaign(SPECS, jobs=2)]
     assert parallel == sequential
+
+
+def test_run_arms_runs_one_tagged_seeded_trial_per_arm():
+    arms = (3, 1, 2)
+    for jobs in (1, 2):
+        outcomes = run_arms(DEMO, arms, {"requests": 4}, seed=5, jobs=jobs,
+                            key="clients")
+        assert list(outcomes) == list(arms)
+        for clients, value in outcomes.items():
+            assert value == simulate_trial(seed=5, clients=clients,
+                                           requests=4)
+
+
+def test_run_arms_specs_match_a_hand_built_campaign(monkeypatch):
+    import repro.parallel.campaign as campaign
+
+    seen = []
+
+    def fake_run_campaign(specs, jobs=1):
+        seen.append((list(specs), jobs))
+        return [TrialResult(i, s.tag, s.seed, s.tag.upper(), 0.0, 0)
+                for i, s in enumerate(specs)]
+
+    monkeypatch.setattr(campaign, "run_campaign", fake_run_campaign)
+    outcomes = campaign.run_arms("m:f", ("a", "b"), {"x": 1}, 9, jobs=3)
+    assert outcomes == {"a": "A", "b": "B"}
+    assert seen == [([
+        TrialSpec(task="m:f", kwargs={"arm": "a", "x": 1}, tag="a", seed=9),
+        TrialSpec(task="m:f", kwargs={"arm": "b", "x": 1}, tag="b", seed=9),
+    ], 3)]
 
 
 def test_identical_seed_identical_digest():
