@@ -18,6 +18,7 @@ durations) instead of the laptop-friendly defaults.
 """
 
 import os
+import resource
 from pathlib import Path
 
 import pytest
@@ -39,6 +40,18 @@ def campaign_jobs():
     """
     value = os.environ.get("REPRO_JOBS", "").strip()
     return int(value) if value else 1
+
+
+def peak_rss_mib():
+    """This process's peak resident set so far, in MiB."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
+def total_requests(outcomes):
+    """Good plus failed requests over every arm of a scenario's outcomes."""
+    return sum(
+        o["good_requests"] + o["failed_requests"] for o in outcomes.values()
+    )
 
 
 @pytest.fixture

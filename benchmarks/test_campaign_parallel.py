@@ -10,13 +10,13 @@ Writes the measured wall-clocks into the ``campaign`` section of
 actually has ≥4 usable cores — a 1-core sandbox cannot demonstrate
 parallel speedup, and pretending otherwise would just make the gate noise.
 For the same reason no speedup is recorded then: ``speedup`` is null and
-``reason`` says why.  ``REPRO_BENCH_GATE=0`` disables the gate.
+``reason`` says why.
 """
 
 import time
 
+from benchmarks import gates
 from benchmarks.conftest import full_scale
-from benchmarks.test_kernel_throughput import _gate_enabled, _merge_bench_json
 from repro.experiments import table2
 from repro.parallel import available_jobs, campaign_summary, run_campaign
 from repro.parallel.campaign import TrialSpec
@@ -72,12 +72,12 @@ def test_table2_campaign_parallel_speedup():
             f"{cores} usable core(s) < jobs={JOBS}: wall-clock ratio not a "
             "parallel speedup"
         )
-    _merge_bench_json("campaign", payload)
     print(f"\ncampaign: {payload}")
 
-    if _gate_enabled() and cores >= JOBS:
+    if gates.enabled() and cores >= JOBS:
         assert speedup >= MIN_SPEEDUP, (
             f"table2 campaign at --jobs {JOBS} is only {speedup:.2f}x faster "
             f"than sequential on a {cores}-core machine "
             f"(contract: ≥{MIN_SPEEDUP:.0f}x)"
         )
+    gates.record("BENCH_kernel.json", payload, "campaign")

@@ -12,22 +12,13 @@ Runs the smoke-sized chaos campaign (2 nodes, fixed seed) twice:
 The measured numbers are recorded in ``BENCH_chaos.json``.  A committed
 baseline doubles as a regression gate: the hardened arm's failures and
 recovery-action count must not creep more than 10% above the recorded
-figures.  ``REPRO_BENCH_GATE=0`` disables the gates;
-``REPRO_BENCH_REBASELINE=1`` re-records the baseline.
+figures.
 """
 
-import json
-import os
-from pathlib import Path
-
-from benchmarks.test_kernel_throughput import _gate_enabled
+from benchmarks import gates
 from repro.experiments import chaos
 
 SEED = 0
-#: Regression tolerance against the committed baseline.
-MAX_REGRESSION = 0.10
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_chaos.json"
 
 
 def _quick(jobs):
@@ -36,13 +27,6 @@ def _quick(jobs):
 
 
 def test_chaos_campaign_determinism_and_hardening_gate():
-    recorded = None
-    if (
-        BENCH_JSON.exists()
-        and os.environ.get("REPRO_BENCH_REBASELINE", "") in ("", "0")
-    ):
-        recorded = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-
     sequential_text, outcomes = _quick(jobs=1)
     parallel_text, _ = _quick(jobs=2)
 
@@ -87,34 +71,24 @@ def test_chaos_campaign_determinism_and_hardening_gate():
             "quarantines": hardened["quarantines"],
         },
     }
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
     print(f"\nchaos: {payload}")
 
-    if not _gate_enabled():
-        return
-
-    # Headline gate: same fault schedule, strictly better on both axes.
-    assert hardened["failed_requests"] < seed_arm["failed_requests"], (
-        f"hardened pipeline failed {hardened['failed_requests']} requests, "
-        f"seed pipeline {seed_arm['failed_requests']} — hardening must "
-        "strictly reduce failures"
-    )
-    assert hardened["recovery_actions"] < seed_arm["recovery_actions"], (
-        f"hardened pipeline ran {hardened['recovery_actions']} recoveries, "
-        f"seed pipeline {seed_arm['recovery_actions']} — hardening must "
-        "strictly reduce recovery work"
-    )
-
-    # Regression gate against the committed baseline.
-    if recorded:
-        baseline = recorded.get("hardened_pipeline", {})
+    if gates.enabled():
+        # Headline gate: same fault schedule, strictly better on both axes.
+        assert hardened["failed_requests"] < seed_arm["failed_requests"], (
+            f"hardened pipeline failed {hardened['failed_requests']} "
+            f"requests, seed pipeline {seed_arm['failed_requests']} — "
+            "hardening must strictly reduce failures"
+        )
+        assert hardened["recovery_actions"] < seed_arm["recovery_actions"], (
+            f"hardened pipeline ran {hardened['recovery_actions']} "
+            f"recoveries, seed pipeline {seed_arm['recovery_actions']} — "
+            "hardening must strictly reduce recovery work"
+        )
         for key in ("failed_requests", "recovery_actions"):
-            limit = baseline.get(key, 0) * (1 + MAX_REGRESSION)
-            assert hardened[key] <= limit, (
-                f"hardened {key} regressed: {hardened[key]} vs recorded "
-                f"{baseline.get(key)} (+{MAX_REGRESSION:.0%} allowed); "
-                "re-record with REPRO_BENCH_REBASELINE=1 if intentional"
+            gates.at_most(
+                f"hardened {key}",
+                hardened[key],
+                gates.baseline("BENCH_chaos.json", "hardened_pipeline", key),
             )
+    gates.record("BENCH_chaos.json", payload)

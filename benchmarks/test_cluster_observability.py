@@ -15,21 +15,14 @@ Three contracts, recorded in the ``cluster`` section of
   elastic migrations attributed to it and the cluster MTTR phases
   summing exactly to its span; the run's request throughput carries the
   standing 10% regression gate against the recorded baseline.
-
-``REPRO_BENCH_GATE=0`` disables the gates; ``REPRO_BENCH_REBASELINE=1``
-re-records the baseline.
 """
 
 import time
 
 import pytest
 
-from benchmarks.test_kernel_throughput import _gate_enabled
-from benchmarks.test_megascale import MAX_REGRESSION, _rss_mib
-from benchmarks.test_observability_overhead import (
-    _merge_obs_json,
-    _recorded_obs,
-)
+from benchmarks import gates
+from benchmarks.conftest import peak_rss_mib
 from repro.experiments.megascale import MegascaleRig
 from repro.experiments.storm import StormRig
 from repro.faults.chaos import StormSpec
@@ -102,21 +95,21 @@ def test_plane_overhead_under_budget_at_standard_scale():
     best = {config: min(series) for config, series in times.items()}
     overhead = best["on"] / best["off"] - 1
 
-    payload = _recorded_obs("cluster") or {}
-    payload["overhead"] = {
+    payload = {
         "scenario": "megascale-steady-standard",
         "rounds": OVERHEAD_ROUNDS,
         "plane_off_s": round(best["off"], 2),
         "plane_on_s": round(best["on"], 2),
         "overhead_pct": round(100 * overhead, 2),
     }
-    _merge_obs_json("cluster", payload)
+    print(f"\ncluster plane overhead: {payload}")
 
-    if _gate_enabled():
+    if gates.enabled():
         assert overhead < MAX_PLANE_OVERHEAD, (
             f"cluster plane costs {100 * overhead:.1f}% wall clock "
             f"(budget {100 * MAX_PLANE_OVERHEAD:.0f}%)"
         )
+    gates.record("BENCH_observability.json", payload, "cluster", "overhead")
 
 
 def test_storm_correlation_standard_scale():
@@ -128,7 +121,7 @@ def test_storm_correlation_standard_scale():
     started = time.perf_counter()
     outcome = rig.run()
     wall = time.perf_counter() - started
-    rss = _rss_mib()
+    rss = peak_rss_mib()
 
     cluster = outcome["cluster"]
     struck = set(outcome["storm"]["shards"])
@@ -166,9 +159,7 @@ def test_storm_correlation_standard_scale():
     assert summary["probe_p99"] is not None
 
     requests = outcome["good_requests"] + outcome["failed_requests"]
-    payload = _recorded_obs("cluster") or {}
-    recorded = payload.get("correlation")
-    payload["correlation"] = {
+    payload = {
         "scenario": "storm-elastic-standard",
         "sessions": STANDARD["n_sessions"],
         "shards": summary["shards"],
@@ -184,15 +175,17 @@ def test_storm_correlation_standard_scale():
         "rss_mib": round(rss, 1),
         "requests_per_sec": round(requests / wall),
     }
-    _merge_obs_json("cluster", payload)
+    print(f"\nstorm correlation: {payload}")
 
-    if not _gate_enabled():
-        return
-    if recorded and recorded.get("requests_per_sec"):
-        floor = recorded["requests_per_sec"] * (1 - MAX_REGRESSION)
-        assert payload["correlation"]["requests_per_sec"] >= floor, (
-            f"storm+plane throughput regressed more than "
-            f"{100 * MAX_REGRESSION:.0f}%: "
-            f"{payload['correlation']['requests_per_sec']}/s vs recorded "
-            f"{recorded['requests_per_sec']}/s"
+    if gates.enabled():
+        gates.at_least(
+            "storm+plane requests_per_sec",
+            payload["requests_per_sec"],
+            gates.baseline(
+                "BENCH_observability.json",
+                "cluster", "correlation", "requests_per_sec",
+            ),
         )
+    gates.record(
+        "BENCH_observability.json", payload, "cluster", "correlation"
+    )

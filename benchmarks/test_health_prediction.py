@@ -19,28 +19,20 @@ predictive stack's whole value proposition:
 
 The measured numbers are recorded in ``BENCH_health.json``; the
 committed baseline doubles as a 10% regression gate on the proactive
-arm.  ``REPRO_BENCH_GATE=0`` disables the gates;
-``REPRO_BENCH_REBASELINE=1`` re-records the baseline.
+arm.
 """
 
-import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks.test_kernel_throughput import _gate_enabled
+from benchmarks import gates
 from repro.experiments import health_prediction
 from repro.experiments.health_prediction import coarse_actions, run_one_arm
 
 SEED = 0
-#: Regression tolerance against the committed baseline.
-MAX_REGRESSION = 0.10
 #: Observability overhead ceiling: shadow arm vs reactive arm wall time.
 MAX_OVERHEAD = 0.10
 #: Timing repetitions (minimum taken) for the overhead measurement.
 TIMING_REPS = 3
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_health.json"
 
 #: The quick campaign's arm parameters, duplicated for the timed runs.
 ARM_KWARGS = dict(
@@ -73,13 +65,6 @@ def _measure_overhead():
 
 
 def test_health_prediction_determinism_and_gates():
-    recorded = None
-    if (
-        BENCH_JSON.exists()
-        and os.environ.get("REPRO_BENCH_REBASELINE", "") in ("", "0")
-    ):
-        recorded = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-
     sequential_text, outcomes = _quick(jobs=1)
     parallel_text, _ = _quick(jobs=2)
 
@@ -117,62 +102,53 @@ def test_health_prediction_determinism_and_gates():
         },
         "overhead_fraction": round(overhead, 4),
     }
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
     print(f"\nhealth-prediction: {payload}")
 
-    if not _gate_enabled():
-        return
+    if gates.enabled():
+        # Passivity: the shadow arm's workload outcome is the reactive arm's.
+        for key in ("good_requests", "failed_requests", "recovery_actions",
+                    "availability", "actions_by_level"):
+            assert shadow[key] == reactive[key], (
+                f"shadow arm perturbed the run it watched: {key} is "
+                f"{shadow[key]} vs reactive {reactive[key]}"
+            )
 
-    # Passivity: the shadow arm's workload outcome is the reactive arm's.
-    for key in ("good_requests", "failed_requests", "recovery_actions",
-                "availability", "actions_by_level"):
-        assert shadow[key] == reactive[key], (
-            f"shadow arm perturbed the run it watched: {key} is "
-            f"{shadow[key]} vs reactive {reactive[key]}"
+        # Lead time: alerts genuinely precede the incidents they predict.
+        assert shadow["alerts_fired"] > 0, "shadow arm fired no alerts"
+        assert shadow["median_alert_lead"] is not None and (
+            shadow["median_alert_lead"] > 0
+        ), (
+            f"median alert lead must be positive, got "
+            f"{shadow['median_alert_lead']}"
         )
 
-    # Lead time: alerts genuinely precede the incidents they predict.
-    assert shadow["alerts_fired"] > 0, "shadow arm fired no alerts"
-    assert shadow["median_alert_lead"] is not None and (
-        shadow["median_alert_lead"] > 0
-    ), (
-        f"median alert lead must be positive, got "
-        f"{shadow['median_alert_lead']}"
-    )
+        # The headline: prediction must win on both axes, strictly.
+        assert proactive["failed_requests"] < reactive["failed_requests"], (
+            f"proactive arm failed {proactive['failed_requests']} requests, "
+            f"reactive {reactive['failed_requests']} — prediction must "
+            "strictly reduce failures"
+        )
+        assert coarse_actions(proactive) < coarse_actions(reactive), (
+            f"proactive arm ran {coarse_actions(proactive)} coarse "
+            f"restarts, reactive {coarse_actions(reactive)} — prediction "
+            "must strictly reduce WAR-and-above restarts"
+        )
+        assert proactive["preemptive_actions"] > 0, (
+            "proactive arm dispatched no preemptive µRBs — the win above "
+            "would be an accident, not prediction"
+        )
 
-    # The headline: prediction must win on both axes, strictly.
-    assert proactive["failed_requests"] < reactive["failed_requests"], (
-        f"proactive arm failed {proactive['failed_requests']} requests, "
-        f"reactive {reactive['failed_requests']} — prediction must "
-        "strictly reduce failures"
-    )
-    assert coarse_actions(proactive) < coarse_actions(reactive), (
-        f"proactive arm ran {coarse_actions(proactive)} coarse restarts, "
-        f"reactive {coarse_actions(reactive)} — prediction must strictly "
-        "reduce WAR-and-above restarts"
-    )
-    assert proactive["preemptive_actions"] > 0, (
-        "proactive arm dispatched no preemptive µRBs — the win above "
-        "would be an accident, not prediction"
-    )
+        # Overhead: watching must stay cheap.
+        assert overhead < MAX_OVERHEAD, (
+            f"prediction stack costs {overhead:.1%} wall time over the bare "
+            f"reactive rig (limit {MAX_OVERHEAD:.0%})"
+        )
 
-    # Overhead: watching must stay cheap.
-    assert overhead < MAX_OVERHEAD, (
-        f"prediction stack costs {overhead:.1%} wall time over the bare "
-        f"reactive rig (limit {MAX_OVERHEAD:.0%})"
-    )
-
-    # Regression gate against the committed baseline.
-    if recorded:
-        baseline = recorded.get("proactive", {})
+        # Regression gate against the committed baseline.
         for key in ("failed_requests", "coarse_actions"):
-            limit = baseline.get(key, 0) * (1 + MAX_REGRESSION)
-            assert payload["proactive"][key] <= limit, (
-                f"proactive {key} regressed: {payload['proactive'][key]} vs "
-                f"recorded {baseline.get(key)} (+{MAX_REGRESSION:.0%} "
-                "allowed); re-record with REPRO_BENCH_REBASELINE=1 if "
-                "intentional"
+            gates.at_most(
+                f"proactive {key}",
+                payload["proactive"][key],
+                gates.baseline("BENCH_health.json", "proactive", key),
             )
+    gates.record("BENCH_health.json", payload)

@@ -17,16 +17,13 @@ machine-independent — both sides always see the same hardware — so the
 A second, recorded-baseline gate guards against *future* regressions: when
 the committed ``BENCH_kernel.json`` was measured on comparable hardware
 (its legacy number within 25% of this run's), current events/sec must not
-drop more than 10% below the recorded figure.  ``REPRO_BENCH_GATE=0``
-disables both gates; ``REPRO_BENCH_REBASELINE=1`` re-records.
+drop more than 10% below the recorded figure.
 """
 
 import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks import legacy_sim
+from benchmarks import gates, legacy_sim
 from repro.sim.kernel import Kernel
 from repro.sim.resources import Queue
 
@@ -36,16 +33,8 @@ QUEUE_PAIRS, QUEUE_ROUNDS = 50, 400
 
 #: The tentpole contract: ≥25% more events/sec than the pre-PR kernel.
 MIN_IMPROVEMENT = 0.25
-#: Recorded-baseline regression gate: fail if we drop >10% below it.
-MAX_REGRESSION = 0.10
 #: The recorded baseline only binds when it came from comparable hardware.
 MACHINE_TOLERANCE = 0.25
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_kernel.json"
-
-
-def _gate_enabled():
-    return os.environ.get("REPRO_BENCH_GATE", "1") not in ("", "0")
 
 
 def bench_timeouts(kernel_factory):
@@ -111,20 +100,7 @@ def measure(kernel_factory, queue_factory):
     }
 
 
-def _merge_bench_json(section, payload):
-    report = {}
-    if BENCH_JSON.exists():
-        report = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-    report[section] = payload
-    BENCH_JSON.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return report
-
-
 def test_kernel_throughput_vs_pre_pr_kernel():
-    recorded = None
-    if BENCH_JSON.exists() and os.environ.get("REPRO_BENCH_REBASELINE", "") in ("", "0"):
-        recorded = json.loads(BENCH_JSON.read_text(encoding="utf-8")).get("kernel")
-
     current = measure(Kernel, Queue)
     legacy = measure(legacy_sim.Kernel, legacy_sim.Queue)
     improvement = current["events_per_sec"] / legacy["events_per_sec"] - 1
@@ -142,25 +118,23 @@ def test_kernel_throughput_vs_pre_pr_kernel():
         "legacy_events_per_sec": legacy["events_per_sec"],
         "improvement_pct": round(100 * improvement, 1),
     }
-    _merge_bench_json("kernel", payload)
     print("\n" + json.dumps(payload, indent=2))
 
-    if not _gate_enabled():
-        return
-
-    assert improvement >= MIN_IMPROVEMENT, (
-        f"kernel is only {100 * improvement:.1f}% faster than the pre-PR "
-        f"implementation (contract: ≥{100 * MIN_IMPROVEMENT:.0f}%)"
-    )
-
-    if recorded and "legacy_events_per_sec" in recorded:
-        machine_drift = abs(
-            legacy["events_per_sec"] / recorded["legacy_events_per_sec"] - 1
+    if gates.enabled():
+        assert improvement >= MIN_IMPROVEMENT, (
+            f"kernel is only {100 * improvement:.1f}% faster than the pre-PR "
+            f"implementation (contract: ≥{100 * MIN_IMPROVEMENT:.0f}%)"
         )
-        if machine_drift <= MACHINE_TOLERANCE:
-            floor = (1 - MAX_REGRESSION) * recorded["events_per_sec"]
-            assert current["events_per_sec"] >= floor, (
-                f"kernel throughput regressed: {current['events_per_sec']} "
-                f"events/sec vs recorded baseline "
-                f"{recorded['events_per_sec']} (>10% drop)"
+        recorded = gates.baseline("BENCH_kernel.json", "kernel") or {}
+        if "legacy_events_per_sec" in recorded:
+            machine_drift = abs(
+                legacy["events_per_sec"] / recorded["legacy_events_per_sec"]
+                - 1
             )
+            if machine_drift <= MACHINE_TOLERANCE:
+                gates.at_least(
+                    "kernel events_per_sec",
+                    current["events_per_sec"],
+                    recorded.get("events_per_sec"),
+                )
+    gates.record("BENCH_kernel.json", payload, "kernel")

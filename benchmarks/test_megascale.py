@@ -15,19 +15,13 @@ Three contracts gate the tentpole, all recorded in ``BENCH_scale.json``:
   engine's goodput rate and action mix within the documented tolerances
   (the same contract tests/workload/test_cohort.py enforces; recorded
   here so the measured error rides the benchmark artifact).
-
-``REPRO_BENCH_GATE=0`` disables the gates; ``REPRO_BENCH_REBASELINE=1``
-re-records the baseline.
 """
 
-import json
-import os
-import resource
 import time
 from collections import Counter
-from pathlib import Path
 
-from benchmarks.test_kernel_throughput import _gate_enabled, _merge_bench_json
+from benchmarks import gates
+from benchmarks.conftest import peak_rss_mib, total_requests
 from repro.ebid.schema import DatasetConfig
 from repro.experiments import megascale
 from repro.experiments.common import SingleNodeRig
@@ -35,45 +29,12 @@ from repro.sim.kernel import Kernel
 from repro.sim.rng import RngRegistry
 from repro.workload.cohort import CohortEngine
 
-BENCH_SCALE_JSON = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
-
 #: Standard-scale budgets (measured ≈70 s / ≈130 MiB on a 1-core sandbox).
 STANDARD_WALL_BUDGET_S = 240.0
 STANDARD_RSS_BUDGET_MIB = 768.0
-#: Smoke throughput may not drop >10% below the recorded baseline.
-MAX_REGRESSION = 0.10
 #: Equivalence tolerances, same numbers tests/workload/test_cohort.py gates.
 GAW_RELATIVE_TOLERANCE = 0.05
 ACTION_MIX_ABSOLUTE_TOLERANCE = 0.02
-
-
-def _merge_scale_json(section, payload):
-    report = {}
-    if BENCH_SCALE_JSON.exists():
-        report = json.loads(BENCH_SCALE_JSON.read_text(encoding="utf-8"))
-    report[section] = payload
-    BENCH_SCALE_JSON.write_text(
-        json.dumps(report, indent=2) + "\n", encoding="utf-8"
-    )
-    return report
-
-
-def _recorded(section):
-    if not BENCH_SCALE_JSON.exists():
-        return None
-    if os.environ.get("REPRO_BENCH_REBASELINE", "") not in ("", "0"):
-        return None
-    return json.loads(BENCH_SCALE_JSON.read_text(encoding="utf-8")).get(section)
-
-
-def _rss_mib():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-
-
-def _total_requests(outcomes):
-    return sum(
-        o["good_requests"] + o["failed_requests"] for o in outcomes.values()
-    )
 
 
 def test_megascale_standard_scale_within_budgets():
@@ -81,7 +42,7 @@ def test_megascale_standard_scale_within_budgets():
     started = time.perf_counter()
     _result, outcomes = megascale.run(seed=0, scale="standard", jobs=1)
     wall = time.perf_counter() - started
-    rss = _rss_mib()
+    rss = peak_rss_mib()
 
     for arm, o in outcomes.items():
         assert o["sessions"] >= 1_000_000, arm
@@ -94,7 +55,7 @@ def test_megascale_standard_scale_within_budgets():
     assert faulted["recovery_actions"] > 0
     assert faulted["worst_shard"]["shard"] == faulted["fault_shard"]
 
-    requests = _total_requests(outcomes)
+    requests = total_requests(outcomes)
     payload = {
         "sessions": outcomes["steady"]["sessions"],
         "shards": outcomes["steady"]["shards"],
@@ -110,10 +71,9 @@ def test_megascale_standard_scale_within_budgets():
         "availability_shardfault": faulted["availability"],
         "worst_shard_availability": faulted["worst_shard"]["availability"],
     }
-    _merge_scale_json("standard", payload)
     print(f"\nmegascale standard: {payload}")
 
-    if _gate_enabled():
+    if gates.enabled():
         assert wall <= STANDARD_WALL_BUDGET_S, (
             f"megascale standard took {wall:.1f}s "
             f"(budget {STANDARD_WALL_BUDGET_S:.0f}s)"
@@ -122,12 +82,11 @@ def test_megascale_standard_scale_within_budgets():
             f"megascale standard peaked at {rss:.0f} MiB "
             f"(budget {STANDARD_RSS_BUDGET_MIB:.0f} MiB)"
         )
+    gates.record("BENCH_scale.json", payload, "standard")
 
 
 def test_megascale_smoke_determinism_and_regression():
     """Same seed ⇒ same payload; jobs=1 ≡ jobs=2; throughput regression."""
-    recorded = _recorded("smoke")
-
     started = time.perf_counter()
     result_a, outcomes_a = megascale.run(seed=0, scale="smoke", jobs=1)
     wall = time.perf_counter() - started
@@ -140,7 +99,7 @@ def test_megascale_smoke_determinism_and_regression():
     assert result_a.rows == result_b.rows
     assert result_a.notes[:-1] == result_b.notes[:-1]
 
-    requests = _total_requests(outcomes_a)
+    requests = total_requests(outcomes_a)
     throughput = round(requests / wall)
     payload = {
         "sessions": outcomes_a["steady"]["sessions"],
@@ -151,16 +110,15 @@ def test_megascale_smoke_determinism_and_regression():
         "availability_steady": outcomes_a["steady"]["availability"],
         "availability_shardfault": outcomes_a["shardfault"]["availability"],
     }
-    _merge_scale_json("smoke", payload)
     print(f"\nmegascale smoke: {payload}")
 
-    if _gate_enabled() and recorded and recorded.get("requests_per_sec"):
-        floor = (1 - MAX_REGRESSION) * recorded["requests_per_sec"]
-        assert throughput >= floor, (
-            f"megascale smoke throughput regressed: {throughput} "
-            f"requests/sec vs recorded {recorded['requests_per_sec']} "
-            f"(>{100 * MAX_REGRESSION:.0f}% drop)"
+    if gates.enabled():
+        gates.at_least(
+            "megascale smoke requests_per_sec",
+            throughput,
+            gates.baseline("BENCH_scale.json", "smoke", "requests_per_sec"),
         )
+    gates.record("BENCH_scale.json", payload, "smoke")
 
 
 def test_small_n_equivalence_contract():
@@ -204,8 +162,8 @@ def test_small_n_equivalence_contract():
         "max_action_mix_diff": round(mix_diff, 4),
         "action_mix_tolerance": ACTION_MIX_ABSOLUTE_TOLERANCE,
     }
-    _merge_scale_json("equivalence", payload)
     print(f"\nmegascale equivalence: {payload}")
 
     assert gaw_diff < GAW_RELATIVE_TOLERANCE
     assert mix_diff < ACTION_MIX_ABSOLUTE_TOLERANCE
+    gates.record("BENCH_scale.json", payload, "equivalence")

@@ -17,16 +17,13 @@ hosts in a way raw wall-clock is not.
 
 The measured numbers are recorded in the ``overhead`` section of
 ``BENCH_observability.json`` (the ``cluster`` section belongs to
-``benchmarks/test_cluster_observability.py``).  ``REPRO_BENCH_GATE=0``
-disables the gate; ``REPRO_BENCH_REBASELINE=1`` re-records baselines.
+``benchmarks/test_cluster_observability.py``).
 """
 
 import json
-import os
 import time
-from pathlib import Path
 
-from benchmarks.test_kernel_throughput import _gate_enabled
+from benchmarks import gates
 from repro.experiments.chaos import ChaosClusterRig
 from repro.faults.chaos import ChaosSpec
 
@@ -38,36 +35,6 @@ TAIL = 40.0
 #: Events/sec with observability attached must stay within 10% of the
 #: publish-only throughput.
 MAX_OVERHEAD = 0.10
-
-BENCH_JSON = (
-    Path(__file__).resolve().parent.parent / "BENCH_observability.json"
-)
-
-
-def _load_obs_json():
-    if not BENCH_JSON.exists():
-        return {}
-    data = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-    # Pre-PR-10 files carried the overhead payload at the top level.
-    if "overhead" not in data and "cluster" not in data:
-        data = {"overhead": data}
-    return data
-
-
-def _merge_obs_json(section, payload):
-    report = _load_obs_json()
-    report[section] = payload
-    BENCH_JSON.write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
-    return report
-
-
-def _recorded_obs(section):
-    if os.environ.get("REPRO_BENCH_REBASELINE", "") not in ("", "0"):
-        return None
-    return _load_obs_json().get(section)
 
 
 def timed_run(observability):
@@ -137,15 +104,13 @@ def test_observability_overhead_under_budget():
         "slo_windows": outcomes["observed"]["slo"]["windows"],
         "slo_violations": outcomes["observed"]["slo"]["violations"],
     }
-    _merge_obs_json("overhead", report)
     print("\n" + json.dumps(report, indent=2))
 
-    if not _gate_enabled():
-        return
-
-    assert overhead < MAX_OVERHEAD, (
-        f"observability dropped event throughput by {100 * overhead:.1f}% "
-        f"(budget {100 * MAX_OVERHEAD:.0f}%): "
-        f"{events_per_sec['observed']:.0f}/s observed vs "
-        f"{events_per_sec['traced']:.0f}/s publish-only"
-    )
+    if gates.enabled():
+        assert overhead < MAX_OVERHEAD, (
+            f"observability dropped event throughput by "
+            f"{100 * overhead:.1f}% (budget {100 * MAX_OVERHEAD:.0f}%): "
+            f"{events_per_sec['observed']:.0f}/s observed vs "
+            f"{events_per_sec['traced']:.0f}/s publish-only"
+        )
+    gates.record("BENCH_observability.json", report, "overhead")

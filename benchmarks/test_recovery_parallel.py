@@ -25,22 +25,16 @@ Gates (safety always, performance when the gate is enabled):
 
 The measured numbers are recorded in ``BENCH_recovery.json``; the
 committed baseline doubles as a 10% regression gate on the parallel
-arm's recovery phase and failed requests.  ``REPRO_BENCH_GATE=0``
-disables the gates; ``REPRO_BENCH_REBASELINE=1`` re-records.
+arm's recovery phase and failed requests.
 """
 
 import json
-import os
-from pathlib import Path
 
-from benchmarks.test_kernel_throughput import _gate_enabled
-from repro.experiments.chaos import ChaosClusterRig, _max_overlap
+from benchmarks import gates
+from repro.experiments.chaos import ChaosClusterRig
 from repro.faults.chaos import ChaosSpec
 
 SEED = 0
-MAX_REGRESSION = 0.10
-
-BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_recovery.json"
 
 
 def _run_arm(parallel):
@@ -71,13 +65,6 @@ def _overlapping_pairs(actions):
 
 
 def test_parallel_recovery_mttr_and_safety_gates():
-    recorded = None
-    if (
-        BENCH_JSON.exists()
-        and os.environ.get("REPRO_BENCH_REBASELINE", "") in ("", "0")
-    ):
-        recorded = json.loads(BENCH_JSON.read_text(encoding="utf-8"))
-
     serial_rig, serial = _run_arm(parallel=False)
     parallel_rig, parallel = _run_arm(parallel=True)
 
@@ -134,35 +121,26 @@ def test_parallel_recovery_mttr_and_safety_gates():
             "mean_span": parallel["incidents"]["mean_span"],
         },
     }
-    BENCH_JSON.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
     print(f"\nrecovery: {payload}")
 
-    if not _gate_enabled():
-        return
+    if gates.enabled():
+        assert parallel_peak >= 2, (
+            "parallel scheduler never overlapped independent recoveries "
+            f"(peak {parallel_peak}) on a multi-component burst campaign"
+        )
 
-    assert parallel_peak >= 2, (
-        "parallel scheduler never overlapped independent recoveries "
-        f"(peak {parallel_peak}) on a multi-component burst campaign"
-    )
+        # Gate 4: the scheduler change shrinks the recovery phase itself.
+        assert parallel_means["recovery"] < serial_means["recovery"], (
+            f"parallel mean recovery phase {parallel_means['recovery']}s "
+            f"did not beat serial {serial_means['recovery']}s on the same "
+            "fault schedule"
+        )
 
-    # Gate 4: the scheduler change shrinks the recovery phase itself.
-    assert parallel_means["recovery"] < serial_means["recovery"], (
-        f"parallel mean recovery phase {parallel_means['recovery']}s did "
-        f"not beat serial {serial_means['recovery']}s on the same "
-        "fault schedule"
-    )
-
-    # Regression gate against the committed baseline.
-    if recorded:
-        baseline = recorded.get("parallel", {})
+        # Regression gate against the committed baseline.
         for key in ("failed_requests", "mean_recovery_phase"):
-            limit = baseline.get(key, 0) * (1 + MAX_REGRESSION)
-            assert payload["parallel"][key] <= limit, (
-                f"parallel {key} regressed: {payload['parallel'][key]} vs "
-                f"recorded {baseline.get(key)} (+{MAX_REGRESSION:.0%} "
-                "allowed); re-record with REPRO_BENCH_REBASELINE=1 if "
-                "intentional"
+            gates.at_most(
+                f"parallel {key}",
+                payload["parallel"][key],
+                gates.baseline("BENCH_recovery.json", "parallel", key),
             )
+    gates.record("BENCH_recovery.json", payload)

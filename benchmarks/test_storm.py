@@ -13,21 +13,12 @@ Three contracts ride ``BENCH_scale.json``:
   jobs=2 (checked at smoke scale);
 * **throughput** — the smoke run carries the standing 10% regression
   gate against the recorded baseline.
-
-``REPRO_BENCH_GATE=0`` disables the gates; ``REPRO_BENCH_REBASELINE=1``
-re-records the baseline.
 """
 
 import time
 
-from benchmarks.test_kernel_throughput import _gate_enabled
-from benchmarks.test_megascale import (
-    MAX_REGRESSION,
-    _merge_scale_json,
-    _recorded,
-    _rss_mib,
-    _total_requests,
-)
+from benchmarks import gates
+from benchmarks.conftest import peak_rss_mib, total_requests
 from repro.experiments import storm
 
 #: Budgets for the three-arm standard run (measured ≈160 s / ≈80 MiB on a
@@ -45,7 +36,7 @@ def test_storm_standard_scale_acceptance():
     started = time.perf_counter()
     _result, outcomes = storm.run(seed=0, scale="standard", jobs=1)
     wall = time.perf_counter() - started
-    rss = _rss_mib()
+    rss = peak_rss_mib()
 
     static, elastic = outcomes["storm"], outcomes["storm+elastic"]
     for arm, o in outcomes.items():
@@ -72,7 +63,7 @@ def test_storm_standard_scale_acceptance():
         "scale-out during the storm must beat static capacity"
     )
 
-    requests = _total_requests(outcomes)
+    requests = total_requests(outcomes)
     payload = {
         "sessions": static["sessions"],
         "shards": static["shards"],
@@ -92,10 +83,9 @@ def test_storm_standard_scale_acceptance():
         "sessions_migrated": reshard["sessions_migrated"],
         "replacements": len(reshard["replacements"]),
     }
-    _merge_scale_json("storm", payload)
     print(f"\nstorm standard: {payload}")
 
-    if _gate_enabled():
+    if gates.enabled():
         assert wall <= STANDARD_WALL_BUDGET_S, (
             f"storm standard took {wall:.1f}s "
             f"(budget {STANDARD_WALL_BUDGET_S:.0f}s)"
@@ -104,12 +94,11 @@ def test_storm_standard_scale_acceptance():
             f"storm standard peaked at {rss:.0f} MiB "
             f"(budget {STANDARD_RSS_BUDGET_MIB:.0f} MiB)"
         )
+    gates.record("BENCH_scale.json", payload, "storm")
 
 
 def test_storm_smoke_determinism_and_regression():
     """Schedules, plans and payloads: same seed ⇒ same bytes; jobs agree."""
-    recorded = _recorded("storm_smoke")
-
     started = time.perf_counter()
     result_a, outcomes_a = storm.run(seed=0, scale="smoke", jobs=1)
     wall = time.perf_counter() - started
@@ -138,7 +127,7 @@ def test_storm_smoke_determinism_and_regression():
         < outcomes_a["storm"]["failed_requests"]
     )
 
-    requests = _total_requests(outcomes_a)
+    requests = total_requests(outcomes_a)
     throughput = round(requests / wall)
     payload = {
         "sessions": outcomes_a["steady"]["sessions"],
@@ -152,13 +141,14 @@ def test_storm_smoke_determinism_and_regression():
             outcomes_a["storm+elastic"]["reshard"]["sessions_migrated"]
         ),
     }
-    _merge_scale_json("storm_smoke", payload)
     print(f"\nstorm smoke: {payload}")
 
-    if _gate_enabled() and recorded and recorded.get("requests_per_sec"):
-        floor = (1 - MAX_REGRESSION) * recorded["requests_per_sec"]
-        assert throughput >= floor, (
-            f"storm smoke throughput regressed: {throughput} requests/sec "
-            f"vs recorded {recorded['requests_per_sec']} "
-            f"(>{100 * MAX_REGRESSION:.0f}% drop)"
+    if gates.enabled():
+        gates.at_least(
+            "storm smoke requests_per_sec",
+            throughput,
+            gates.baseline(
+                "BENCH_scale.json", "storm_smoke", "requests_per_sec"
+            ),
         )
+    gates.record("BENCH_scale.json", payload, "storm_smoke")

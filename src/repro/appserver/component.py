@@ -218,10 +218,6 @@ class EntityBean(Component):
         yield self._charge(ctx)
         return self._db().select(self.table, limit=limit, key=key, **equals)
 
-    def ejb_count(self, ctx, **equals):
-        yield self._charge(ctx)
-        return len(self._db().select(self.table, **equals))
-
     # -- writes ---------------------------------------------------------
     def ejb_create(self, ctx, row):
         """Generator: insert a row (primary key must be present)."""
@@ -233,11 +229,6 @@ class EntityBean(Component):
         """Generator: update columns of an existing row."""
         yield self._charge(ctx)
         self._db().update(self.table, pk, fields, tx_id=self._tx_id(ctx))
-
-    def ejb_remove(self, ctx, pk):
-        """Generator: delete a row."""
-        yield self._charge(ctx)
-        self._db().delete(self.table, pk, tx_id=self._tx_id(ctx))
 
 
 class StatelessSessionBean(Component):

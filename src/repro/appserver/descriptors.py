@@ -75,7 +75,3 @@ class DeploymentDescriptor:
     def microreboot_time(self):
         """Total single-component µRB time (Table 3's leftmost column)."""
         return self.crash_time + self.reinit_time
-
-    def tx_attribute(self, method):
-        """Transaction attribute for ``method`` (default Supports)."""
-        return self.tx_methods.get(method, TxAttribute.SUPPORTS)

@@ -70,14 +70,6 @@ class OutOfMemoryError_(AppServerError):
     """
 
 
-class RequestTimeoutError(AppServerError):
-    """A request exceeded the client's patience (stuck thread, deadlock)."""
-
-
-class DataCorruptionError(AppServerError):
-    """A state store detected corrupted data (e.g. an SSM checksum miss)."""
-
-
 class StaleReferenceError(AppServerError):
     """A cross-container metadata reference points at a recycled peer.
 

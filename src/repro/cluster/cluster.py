@@ -106,12 +106,6 @@ class ShardedCluster(Cluster):
     #: (elastic scale-out builds nodes mid-run with the same recipe).
     build_params: dict = field(default_factory=dict)
 
-    def shard_group(self, shard):
-        return self.shard_groups[shard]
-
-    def nodes_of_shard(self, shard):
-        return list(self.shard_nodes[shard])
-
 
 def build_sharded_cluster(
     n_shards,

@@ -228,10 +228,6 @@ class BrickGroup:
     def crashed(self):
         return all(brick.crashed for brick in self.bricks)
 
-    @property
-    def live_bricks(self):
-        return [brick for brick in self.bricks if not brick.crashed]
-
     def __len__(self):
         ids = set()
         for brick in self.bricks:

@@ -152,6 +152,21 @@ LEVELS = ("ejb", "war", "application", "jvm", "os", "human")
 #: not three independent recoveries.
 NODE_WIDE_LEVELS = ("application", "jvm", "os")
 
+#: Scores are computed over a sliding window (seconds) so a brief, self-
+#: healing burst (e.g. each client's one login prompt after a JVM restart
+#: lost the sessions) decays instead of accumulating towards the threshold
+#: forever.
+SCORE_WINDOW = 25.0
+
+#: Failure kinds may be down-weighted; application-specific login prompts
+#: are characteristically self-healing (the client re-logs-in), so they
+#: count less towards recovery decisions.  Unlisted kinds weigh 1.
+KIND_WEIGHTS = {FailureKind.APP_SPECIFIC: 0.2}
+
+#: §4's endless-reboot-cycle check counts the recoveries finished within
+#: this many seconds against ``recurring_limit``.
+RECURRING_WINDOW = 600.0
+
 
 class RecoveryManager:
     """Automated failure diagnosis and recursive recovery."""
@@ -165,19 +180,14 @@ class RecoveryManager:
         score_threshold=3,
         escalation_window=45.0,
         recurring_limit=8,
-        recurring_window=600.0,
         policy="recursive",
         post_recovery_grace=30.0,
         max_ejb_attempts=2,
-        score_window=25.0,
-        kind_weights=None,
-        metrics=None,
         diagnosis="static-map",
         path_analyzer=None,
         hardening=None,
         storm_limiter=None,
         scheduler=None,
-        recovery_graph=None,
     ):
         if policy not in ("recursive", "process-restart"):
             raise ValueError(f"unknown recovery policy {policy!r}")
@@ -190,7 +200,6 @@ class RecoveryManager:
         self.score_threshold = score_threshold
         self.escalation_window = escalation_window
         self.recurring_limit = recurring_limit
-        self.recurring_window = recurring_window
         #: "recursive" is the paper's cheapest-first ladder; the
         #: "process-restart" policy restarts the JVM on every recovery —
         #: the baseline Figure 1 compares microreboots against.
@@ -211,18 +220,9 @@ class RecoveryManager:
                 self._paths_containing[component] = (
                     self._paths_containing.get(component, 0) + 1
                 )
-        #: Scores are computed over a sliding window so a brief, self-
-        #: healing burst (e.g. each client's one login prompt after a JVM
-        #: restart lost the sessions) decays instead of accumulating
-        #: towards the threshold forever.
-        self.score_window = score_window
-        #: Failure kinds may be down-weighted; application-specific
-        #: login prompts are characteristically self-healing (the client
-        #: re-logs-in), so they count less towards recovery decisions.
-        self.kind_weights = dict(kind_weights or {FailureKind.APP_SPECIFIC: 0.2})
         self._recent_reports = []  # (time, path components, weight)
 
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         self._reports_received = self.metrics.counter("rm.reports.received")
         self._reports_stale = self.metrics.counter("rm.reports.stale")
         self._actions_by_level = self.metrics.family("rm.actions.by_level")
@@ -268,8 +268,8 @@ class RecoveryManager:
                 "(process-restart has no per-group ladder to parallelize)"
             )
         self.scheduler = scheduler
-        self.recovery_graph = recovery_graph
-        if scheduler == "parallel" and self.recovery_graph is None:
+        self.recovery_graph = None
+        if scheduler == "parallel":
             self.recovery_graph = RecoveryGraph(
                 self.server.descriptors_for(coordinator.app_name),
                 analyzer=self.path_analyzer,
@@ -341,7 +341,7 @@ class RecoveryManager:
         )
 
     def _score(self, report):
-        weight = self.kind_weights.get(report.kind, 1.0)
+        weight = KIND_WEIGHTS.get(report.kind, 1.0)
         self._recent_reports.append(
             (report.time, tuple(self.path_for_url(report.url)), weight)
         )
@@ -349,7 +349,7 @@ class RecoveryManager:
 
     def _refresh_scores(self):
         """Recompute ``self.scores`` over the sliding window."""
-        horizon = self.kernel.now - self.score_window
+        horizon = self.kernel.now - SCORE_WINDOW
         self._recent_reports = [
             entry for entry in self._recent_reports if entry[0] >= horizon
         ]
@@ -1202,7 +1202,7 @@ class RecoveryManager:
 
     def _check_recurring(self):
         """Notify a human on endless reboot cycles (§4)."""
-        cutoff = self.kernel.now - self.recurring_window
+        cutoff = self.kernel.now - RECURRING_WINDOW
         recent = [a for a in self.actions if a.finished_at >= cutoff]
         if len(recent) >= self.recurring_limit:
             self.human_notified = True

@@ -43,6 +43,7 @@ from repro.observability import (
     aggregate_incidents,
     aggregate_slo,
     alert_lead_times,
+    max_concurrent_actions,
     median,
     predictive_chain,
 )
@@ -51,27 +52,6 @@ from repro.workload.client import ClientPopulation
 from repro.workload.markov import WorkloadProfile
 
 ARMS = ("seed", "hardened", "parallel-recovery")
-
-
-def _max_overlap(actions):
-    """Peak number of simultaneously in-flight recovery actions.
-
-    Sweep-line over [decided_at, finished_at) intervals; closing an
-    interval sorts before opening one at the same instant, so actions
-    that merely abut do not count as overlapping.
-    """
-    events = []
-    for action in actions:
-        if action.finished_at is None:
-            continue
-        events.append((action.decided_at, 1))
-        events.append((action.finished_at, -1))
-    events.sort(key=lambda e: (e[0], e[1]))
-    peak = active = 0
-    for _t, delta in events:
-        active += delta
-        peak = max(peak, active)
-    return peak
 
 
 class ChaosClusterRig:
@@ -228,7 +208,15 @@ class ChaosClusterRig:
             ),
             "humans_notified": sum(1 for rm in self.rms if rm.human_notified),
             "max_concurrent_recoveries": max(
-                (_max_overlap(rm.actions) for rm in self.rms), default=0
+                (
+                    max_concurrent_actions(
+                        (a.decided_at, a.finished_at)
+                        for a in rm.actions
+                        if a.finished_at is not None
+                    )
+                    for rm in self.rms
+                ),
+                default=0,
             ),
             "chaos_events": dict(sorted(self.engine.counts.items())),
             "chaos_timeline": self.engine.timeline(),

@@ -523,21 +523,20 @@ class IncidentTracker:
             incident.touch(t)
 
 
-def max_concurrent_actions(incidents):
+def max_concurrent_actions(intervals):
     """Peak number of simultaneously in-flight recovery actions.
 
-    Sweep-line over every attributed action's ``[decided_at,
-    finished_at)`` interval across all ``incidents``.  With the serial
-    recovery scheduler this is at most 1 per node; the dependency-aware
-    parallel scheduler pushes it higher whenever independent components
-    recover concurrently.  An action closing at instant *t* releases
-    before one opening at *t* counts, so abutting actions don't overlap.
+    Sweep-line over ``(decided_at, finished_at)`` pairs, each the
+    half-open interval of one action.  With the serial recovery scheduler
+    this is at most 1 per node; the dependency-aware parallel scheduler
+    pushes it higher whenever independent components recover
+    concurrently.  An action closing at instant *t* releases before one
+    opening at *t* counts, so abutting actions don't overlap.
     """
     events = []
-    for incident in incidents:
-        for action in incident.actions:
-            events.append((action["decided_at"], 1))
-            events.append((action["finished_at"], -1))
+    for start, end in intervals:
+        events.append((start, 1))
+        events.append((end, -1))
     events.sort(key=lambda e: (e[0], e[1]))
     peak = active = 0
     for _t, delta in events:

@@ -156,7 +156,11 @@ def summarize_incidents(incidents, waterfall_width=44):
             f"{_waterfall(incident, waterfall_width)} "
             f"{incident.span:7.1f}s  {ladder}{mark}"
         )
-    peak = max_concurrent_actions(incidents)
+    peak = max_concurrent_actions(
+        (action["decided_at"], action["finished_at"])
+        for incident in incidents
+        for action in incident.actions
+    )
     if peak > 1:
         lines.append(
             f"  || = recovery overlaps another incident's "

@@ -257,9 +257,6 @@ class CohortStateSpace:
     def entry_index(self, action):
         return self._by_key[(action, 0)]
 
-    def state_index(self, action, op_index=0):
-        return self._by_key[(action, op_index)]
-
     def __len__(self):
         return len(self.states)
 

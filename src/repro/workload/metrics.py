@@ -217,10 +217,6 @@ class TawAccounting:
             return None
         return sum(rt for _t, rt in self.response_times) / len(self.response_times)
 
-    def response_time_quantiles(self):
-        """Streaming p50/p95/p99 from the registry's histogram sketch."""
-        return self._response_time_hist.percentiles()
-
     def response_times_over(self, threshold=8.0):
         """How many requests exceeded the 8 s abandonment threshold (§5.3)."""
         return sum(1 for _t, rt in self.response_times if rt > threshold)

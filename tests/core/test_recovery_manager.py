@@ -163,8 +163,7 @@ def test_stale_reports_after_recovery_are_dropped():
 
 def test_recurring_failures_notify_human():
     system = build_toy_system()
-    rm = make_rm(system, recurring_limit=3, recurring_window=10_000.0,
-                 escalation_window=1.0)
+    rm = make_rm(system, recurring_limit=3, escalation_window=1.0)
 
     def driver():
         for _ in range(5):

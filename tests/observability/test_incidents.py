@@ -7,6 +7,7 @@ from repro.observability.incidents import (
     Incident,
     IncidentTracker,
     aggregate_incidents,
+    max_concurrent_actions,
     path_for_url,
 )
 from repro.telemetry.trace import TraceBus
@@ -378,3 +379,12 @@ def test_to_dict_is_plain_json_data():
     assert sum(round_tripped[0]["phases"].values()) == pytest.approx(
         round_tripped[0]["span"], abs=1e-5
     )
+
+
+def test_max_concurrent_actions_sweeps_half_open_intervals():
+    assert max_concurrent_actions([]) == 0
+    # Abutting: the first closes at 2.0 before the second opens at 2.0.
+    assert max_concurrent_actions([(0.0, 2.0), (2.0, 3.0)]) == 1
+    assert max_concurrent_actions(
+        [(0.0, 2.0), (1.0, 3.0), (1.5, 1.8), (3.0, 4.0)]
+    ) == 3
