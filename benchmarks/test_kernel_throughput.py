@@ -10,9 +10,12 @@ campaign spends its wall-clock in:
 
 Each workload runs against the live ``repro.sim`` AND against
 ``benchmarks/legacy_sim.py`` (a frozen copy of the seed kernel) in the
-same interpreter.  Comparing the two inside one run makes the speedup gate
-machine-independent — both sides always see the same hardware — so the
-≥25% improvement contract survives CI runner roulette.
+same interpreter, round by round: every round times both kernels back to
+back, and the one that goes first alternates.  Comparing the two inside
+one run makes the speedup gate machine-independent — both sides always
+see the same hardware, and a host that speeds up or slows down during the
+test does so for both — so the ≥25% improvement contract survives CI
+runner roulette.
 
 A second, recorded-baseline gate guards against *future* regressions: when
 the committed ``BENCH_kernel.json`` was measured on comparable hardware
@@ -79,15 +82,40 @@ def bench_queue(kernel_factory, queue_factory):
     return elapsed, QUEUE_PAIRS * (2 * QUEUE_ROUNDS + 4)
 
 
-def measure(kernel_factory, queue_factory):
-    """Best-of-ROUNDS events/sec per workload, plus the aggregate."""
+#: The two sides of the comparison: (kernel factory, queue factory).
+KERNELS = {
+    "current": (Kernel, Queue),
+    "legacy": (legacy_sim.Kernel, legacy_sim.Queue),
+}
+
+WORKLOADS = {
+    "timeouts": lambda kernel, _queue: bench_timeouts(kernel),
+    "queue": bench_queue,
+}
+
+
+def measure():
+    """Best-of-ROUNDS events/sec per workload and side, plus aggregates.
+
+    Each round runs every workload on both kernels back to back; even
+    rounds time the live kernel first, odd rounds the legacy one.
+    """
+    samples = {side: {name: [] for name in WORKLOADS} for side in KERNELS}
+    for round_index in range(ROUNDS):
+        order = list(KERNELS)
+        if round_index % 2:
+            order.reverse()
+        for name, runner in WORKLOADS.items():
+            for side in order:
+                samples[side][name].append(runner(*KERNELS[side]))
+    return {side: _best(by_workload) for side, by_workload in samples.items()}
+
+
+def _best(by_workload):
+    """One side's least-noise round per workload, as events/sec."""
     best = {}
-    for name, runner in (
-        ("timeouts", lambda: bench_timeouts(kernel_factory)),
-        ("queue", lambda: bench_queue(kernel_factory, queue_factory)),
-    ):
-        samples = [runner() for _ in range(ROUNDS)]
-        elapsed, events = min(samples)  # least-noise round
+    for name, rounds in by_workload.items():
+        elapsed, events = min(rounds)
         best[name] = {"elapsed_s": elapsed, "events": events}
     total_events = sum(w["events"] for w in best.values())
     total_s = sum(w["elapsed_s"] for w in best.values())
@@ -101,8 +129,8 @@ def measure(kernel_factory, queue_factory):
 
 
 def test_kernel_throughput_vs_pre_pr_kernel():
-    current = measure(Kernel, Queue)
-    legacy = measure(legacy_sim.Kernel, legacy_sim.Queue)
+    measured = measure()
+    current, legacy = measured["current"], measured["legacy"]
     improvement = current["events_per_sec"] / legacy["events_per_sec"] - 1
 
     payload = {

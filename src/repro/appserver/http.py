@@ -53,6 +53,9 @@ class HttpRequest:
         trace: the :class:`~repro.telemetry.spans.TraceContext` attached at
             admission (LB or server), or None when spans are disabled.  The
             issuing client finishes it with the detector verdict.
+        server: name of the server that admitted the current attempt, or
+            None until one does.  The issuing client resets it before each
+            attempt and reports it in its ``request.end`` record.
     """
 
     url: str
@@ -63,6 +66,7 @@ class HttpRequest:
     client_id: int = 0
     request_id: int = field(default_factory=_request_ids.__next__)
     trace: object = None
+    server: str = None
 
 
 @dataclass(slots=True)
@@ -92,6 +96,14 @@ class HttpResponse:
             for key, value in self.payload.items()
             if key not in self.VOLATILE_KEYS
         }
+
+
+def status_key(response):
+    """How telemetry names a response's status: the integer HTTP status,
+    ``"network"`` for a network error, or None for no response at all."""
+    if response is None:
+        return None
+    return "network" if response.network_error else int(response.status)
 
 
 def error_response(status, message):

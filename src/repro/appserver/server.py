@@ -21,7 +21,12 @@ from repro.appserver.errors import (
     ComponentUnavailableError,
     ServerDownError,
 )
-from repro.appserver.http import HttpResponse, HttpStatus, error_response
+from repro.appserver.http import (
+    HttpResponse,
+    HttpStatus,
+    error_response,
+    status_key,
+)
 from repro.appserver.memory import HeapModel
 from repro.appserver.naming import NamingService
 from repro.appserver.timing import TimingModel
@@ -237,16 +242,9 @@ class ApplicationServer:
         if self.accept_fault is not None:
             return done.succeed(network_error_response(self.accept_fault))
         self.requests_accepted += 1
+        request.server = self.name
         if self.span_collector is not None:
             self.span_collector.attach(request, node=self.name)
-        trace = self.kernel.trace
-        if trace.enabled:  # hoisted: skip kwargs-building on the hot path
-            trace.publish(
-                "server.request.start",
-                server=self.name,
-                request_id=request.request_id,
-                operation=request.operation,
-            )
         self.kernel.process(
             self._request_lifecycle(request, done),
             name=f"lifecycle-{request.request_id}",
@@ -271,17 +269,8 @@ class ApplicationServer:
         except BaseException:  # noqa: BLE001 - shepherd died uncleanly
             response = network_error_response("connection reset (thread died)")
         self.requests_completed += 1
-        key = "network" if getattr(response, "network_error", False) else int(response.status)
+        key = status_key(response)
         self.responses_by_status[key] = self.responses_by_status.get(key, 0) + 1
-        trace = self.kernel.trace
-        if trace.enabled:
-            trace.publish(
-                "server.request.end",
-                server=self.name,
-                request_id=request.request_id,
-                operation=request.operation,
-                status=key,
-            )
         done.succeed(response)
 
     def _serve(self, ctx, request):

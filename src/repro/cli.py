@@ -69,6 +69,7 @@ from repro.telemetry import (
     TimelineError,
     capture_to_jsonl,
     load_timeline,
+    split_capture_notes,
     summarize_timeline,
 )
 
@@ -243,7 +244,7 @@ def build_parser():
     return parser
 
 
-def _load_timeline(path):
+def _load_timeline(path, notes=False):
     """Read a JSONL timeline for a CLI subcommand.
 
     Missing, unreadable, corrupt, or empty files are reported as one-line
@@ -251,12 +252,24 @@ def _load_timeline(path):
     loading and error classification live in
     :func:`repro.telemetry.export.load_timeline`, shared by every
     timeline-consuming subcommand.
+
+    A bus that lost records starts its section with a ``trace.evicted``
+    record.  Unless ``notes`` is set (``repro trace`` warns in its
+    summary), each one becomes a warning line on stderr and the
+    ``trace.*`` records are dropped, so stdout renders the kept records
+    alone.
     """
     try:
-        return load_timeline(path)
+        records = load_timeline(path)
     except TimelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
+    if notes:
+        return records
+    records, warnings = split_capture_notes(records)
+    for line in warnings:
+        print(line, file=sys.stderr)
+    return records
 
 
 def _tracker():
@@ -445,7 +458,7 @@ def main(argv=None):
         return 0
 
     if args.command == "trace":
-        records = _load_timeline(args.file)
+        records = _load_timeline(args.file, notes=True)
         if records is None:
             return 2
         print(summarize_timeline(records, slowest=args.slowest))

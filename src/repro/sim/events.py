@@ -57,11 +57,6 @@ class Event:
         return self._value is not _PENDING
 
     @property
-    def processed(self):
-        """True once the event's callbacks have run."""
-        return self.callbacks is None
-
-    @property
     def ok(self):
         """True if the event succeeded, False if it failed, None if pending."""
         return self._ok
@@ -161,9 +156,9 @@ class _Condition(Event):
     def _snapshot(self):
         """Mapping of processed sub-events to their values, in yield order.
 
-        Uses ``processed`` rather than ``triggered`` because a Timeout has a
-        value from construction but has not *happened* until the kernel
-        processes it.
+        Tests ``callbacks is None`` (processed) rather than ``triggered``
+        because a Timeout has a value from construction but has not
+        *happened* until the kernel processes it.
         """
         return {e: e._value for e in self.events if e.callbacks is None and e._ok}
 

@@ -43,13 +43,6 @@ class Queue:
             self._getters.append(event)
         return event
 
-    def cancel(self, event):
-        """Withdraw a pending :meth:`get` (used by interrupted waiters)."""
-        try:
-            self._getters.remove(event)
-        except ValueError:
-            pass
-
     def drain(self):
         """Remove and return all queued items."""
         items = list(self._items)
@@ -94,13 +87,6 @@ class Semaphore:
             return
         self._in_use -= 1
 
-    def cancel(self, event):
-        """Withdraw a pending :meth:`acquire`."""
-        try:
-            self._waiters.remove(event)
-        except ValueError:
-            pass
-
 
 class Lock:
     """Mutual-exclusion lock with owner tracking.
@@ -117,10 +103,6 @@ class Lock:
         self.name = name
         self.owner = None
         self._waiters = deque()  # (event, owner) pairs
-
-    @property
-    def locked(self):
-        return self.owner is not None
 
     def acquire(self, owner):
         """Return an event that triggers when ``owner`` holds the lock."""

@@ -6,16 +6,18 @@ zero-dependency observability layer instead of per-experiment ad-hoc
 counters:
 
 * :class:`TraceBus` — every :class:`~repro.sim.kernel.Kernel` owns one.
-  Components publish typed, timestamped events (``request.start``,
-  ``component.microreboot.begin`` …) into a bounded ring buffer with
-  optional subscriber callbacks.  Disabled by default: a run that does not
-  opt in records zero events and pays one attribute check per publish.
+  Components publish typed, timestamped events (``request.end``, one per
+  client request; ``component.microreboot.begin`` …) into a bounded ring
+  buffer with optional subscriber callbacks.  Disabled by default: a run
+  that does not opt in records zero events and pays one attribute check
+  per publish.
 * :class:`MetricsRegistry` — named counters, gauges, counter families and
   streaming histograms (p50/p95/p99 without storing samples) that back the
   accounting in ``workload.metrics``, ``cluster.load_balancer`` and
   ``core.recovery_manager``.
 * JSONL timeline export plus ``python -m repro trace <file>`` to summarize
-  a run (recovery timeline, failover windows, slowest requests).
+  a run (recovery timeline, failover windows, slowest requests).  A bus
+  whose ring evicted records says so with a ``trace.evicted`` record.
 """
 
 from repro.telemetry.export import (
@@ -23,6 +25,7 @@ from repro.telemetry.export import (
     capture_to_jsonl,
     load_timeline,
     read_timeline,
+    split_capture_notes,
     summarize_timeline,
     write_timeline,
 )
@@ -71,6 +74,7 @@ __all__ = [
     "set_default_spans",
     "set_default_tracing",
     "spans_enabled_by_default",
+    "split_capture_notes",
     "summarize_timeline",
     "tracing_enabled_by_default",
     "write_timeline",

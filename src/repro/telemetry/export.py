@@ -12,18 +12,26 @@ from pathlib import Path
 
 from repro.telemetry.spans import set_default_spans
 from repro.telemetry.trace import (
+    CAPTURE_PREFIX,
     all_buses,
     begin_capture,
     end_capture,
     set_default_tracing,
 )
 
+#: The record :func:`write_timeline` puts first in the section of a bus
+#: whose rings evicted records: ``evicted`` of them are lost, and its ``t``
+#: is the time of the first record kept.
+EVICTED = "trace.evicted"
+
 
 def write_timeline(path, buses=None):
     """Write every buffered event of ``buses`` to ``path`` as JSONL.
 
     Events are grouped by bus (in the given order) and time-ordered within
-    each bus.  Returns the number of lines written.
+    each bus.  A bus that published more records than it kept starts its
+    section with one :data:`EVICTED` record.  Returns the number of lines
+    written.
     """
     if buses is None:
         buses = all_buses()
@@ -31,10 +39,37 @@ def write_timeline(path, buses=None):
     with open(path, "w", encoding="utf-8") as fh:
         for index, bus in enumerate(buses):
             bus_id = bus.label or index
-            for event in bus.events():
+            events = bus.events()
+            evicted = bus.published - len(events)
+            if evicted:
+                note = {"t": events[0].t if events else 0.0, "kind": EVICTED,
+                        "bus": bus_id, "evicted": evicted}
+                fh.write(json.dumps(note) + "\n")
+                written += 1
+            for event in events:
                 fh.write(json.dumps(event.flatten(bus=bus_id)) + "\n")
                 written += 1
     return written
+
+
+def split_capture_notes(records):
+    """(the run's records, one warning line per bus that lost records).
+
+    The ``trace.*`` records describe the capture, not the run; each
+    :data:`EVICTED` one becomes a warning naming its bus.
+    """
+    kept, warnings = [], []
+    for record in records:
+        kind = record["kind"]
+        if not kind.startswith(CAPTURE_PREFIX):
+            kept.append(record)
+        elif kind == EVICTED:
+            warnings.append(
+                f"warning: bus {record.get('bus')} evicted "
+                f"{record['evicted']} records; its timeline starts at "
+                f"t={record['t']:.3f}s"
+            )
+    return kept, warnings
 
 
 class TimelineError(Exception):
@@ -151,6 +186,7 @@ _describe = describe_record  # internal alias kept for the summarizer below
 def summarize_timeline(records, slowest=5):
     """Human-readable summary of a JSONL timeline; returns one string."""
     lines = []
+    records, warnings = split_capture_notes(records)
     if not records:
         return "empty timeline (0 events)"
 
@@ -161,6 +197,7 @@ def summarize_timeline(records, slowest=5):
         f"{len(records)} events from {len(buses)} bus(es), "
         f"t={t_low:.3f}..{t_high:.3f}s"
     )
+    lines.extend(warnings)
 
     counts = {}
     for record in records:
@@ -233,6 +270,7 @@ def _slowest_requests(records, limit):
         ok = "ok" if record.get("ok") else f"FAILED({record.get('failure')})"
         lines.append(
             f"  [{record.get('bus', '')}] t={record['t']:9.3f}  "
-            f"{record['duration']:7.3f}s  {record.get('operation')}  {ok}"
+            f"{record['duration']:7.3f}s  {record.get('operation')}  "
+            f"{record.get('server') or '-'}  {ok}"
         )
     return lines

@@ -11,10 +11,12 @@ Event taxonomy (the kinds published by the built-in instrumentation):
 ========================================  =====================================
 kind                                      published by / payload highlights
 ========================================  =====================================
-``request.start`` / ``request.end``       workload client; operation, url,
-                                          ok, duration, failure kind
-``server.request.start`` / ``.end``       application server admission and
-                                          completion; status
+``request.end``                           workload client, once per request:
+                                          client, operation, ok, duration,
+                                          failure kind, retries, server (that
+                                          admitted the last attempt, or None)
+                                          and status (HTTP status, "network",
+                                          or None when the client gave up)
 ``component.destroy``                     container teardown; cause
 ``component.microreboot.begin`` / ``.end``  microreboot coordinator; level,
                                           components, duration
@@ -27,6 +29,10 @@ kind                                      published by / payload highlights
 / ``lb.failover.end``                     opened, one request redirected,
                                           window closed
 ``node.restart``                          node controller; action jvm|os
+``trace.evicted``                         not published: ``write_timeline``
+                                          puts it first in the section of a
+                                          bus that lost records; evicted
+                                          count, ``t`` of the first kept
 ========================================  =====================================
 """
 
@@ -35,6 +41,11 @@ from collections import deque, namedtuple
 
 #: Keys reserved for the envelope when events are flattened to JSONL.
 RESERVED_KEYS = ("t", "seq", "kind", "bus")
+
+#: Prefix of the kinds that describe a capture rather than the run
+#: (``trace.evicted``): no component publishes one, and replay feeds none
+#: to a consumer.
+CAPTURE_PREFIX = "trace."
 
 #: Rare-but-load-bearing kinds kept in a separate reserved ring: a long run
 #: floods the main buffer with per-request events, and without this the

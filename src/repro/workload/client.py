@@ -13,7 +13,12 @@ from repro.detection.simple import SimpleDetector
 from repro.ebid.descriptors import OPERATIONS, operation_url
 from repro.workload.markov import ACTION_TEMPLATES, WorkloadProfile
 from repro.workload.metrics import ActionRecord, OperationRecord, TawAccounting
-from repro.appserver.http import HttpRequest, HttpResponse, HttpStatus
+from repro.appserver.http import (
+    HttpRequest,
+    HttpResponse,
+    HttpStatus,
+    status_key,
+)
 
 
 class ParamSampler:
@@ -127,17 +132,6 @@ class EmulatedClient:
             issued_at=self.kernel.now,
             functional_group=group,
         )
-        # ``enabled`` is checked here rather than inside publish() so the
-        # disabled (default) case does not even build the kwargs dict —
-        # this path runs once per request.
-        trace = self.kernel.trace
-        if trace.enabled:
-            trace.publish(
-                "request.start",
-                client=self.client_id,
-                operation=op_name,
-                url=request.url,
-            )
         response = yield from self._issue(request, record)
         record.completed_at = self.kernel.now
         record.response_time = record.completed_at - record.issued_at
@@ -158,6 +152,12 @@ class EmulatedClient:
                 failure=failure.value if failure is not None else None,
             )
 
+        # ``enabled`` is checked here rather than inside publish() so the
+        # disabled (default) case does not even build the kwargs dict —
+        # this path runs once per request.  This is the request's one
+        # record: the client's verdict, where the last attempt was
+        # admitted and what the client judged.
+        trace = self.kernel.trace
         if trace.enabled:
             trace.publish(
                 "request.end",
@@ -167,6 +167,8 @@ class EmulatedClient:
                 duration=record.response_time,
                 failure=failure.value if failure is not None else None,
                 retries=record.retries,
+                server=request.server,
+                status=status_key(response),
             )
         if failure is None:
             record.ok = True
@@ -200,6 +202,7 @@ class EmulatedClient:
         """Generator: send the request, honouring 503 Retry-After (§6.2)."""
         attempts = 0
         while True:
+            request.server = None
             event = self.frontend.handle_request(request)
             patience = self.kernel.timeout(self.profile.request_timeout)
             try:

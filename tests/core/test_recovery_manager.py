@@ -1,7 +1,5 @@
 """Tests for the recovery manager: diagnosis scores, recursive policy."""
 
-import pytest
-
 from repro.core import FailureKind, FailureReport, RecoveryManager
 from repro.core.recovery_manager import LEVELS
 from tests.toyapp import URL_PATH_MAP, build_toy_system

@@ -3,8 +3,6 @@
 import pytest
 
 from repro.observability.incidents import (
-    DEFAULT_QUIET_PERIOD,
-    Incident,
     IncidentTracker,
     aggregate_incidents,
     max_concurrent_actions,

@@ -1,9 +1,11 @@
 """Tests for the CLI surface of tracing: run --trace and the trace command."""
 
 import json
+from types import SimpleNamespace
 
 from repro.cli import build_parser, main
-from repro.telemetry import TraceBus, write_timeline
+from repro.observability import replay
+from repro.telemetry import TraceBus, read_timeline, write_timeline
 
 
 def make_timeline(path):
@@ -141,3 +143,104 @@ def test_paths_command_spanless_timeline_degrades_gracefully(tmp_path, capsys):
     assert main(["paths", str(path)]) == 0
     out = capsys.readouterr().out
     assert "no path.end events" in out
+
+
+# ----------------------------------------------------------------------
+# Truncated timelines: a bus whose ring evicted records says so
+# ----------------------------------------------------------------------
+
+TIMELINE_COMMANDS = ("incidents", "slo", "health", "alerts", "shards", "paths")
+
+
+def publish_run(capacity):
+    """A bus of ``capacity`` that saw a small incident among requests."""
+    clock = SimpleNamespace(now=0.0)
+    bus = TraceBus(kernel=clock, capacity=capacity, enabled=True, label="run")
+    for i in range(40):
+        clock.now = float(i)
+        if i == 12:
+            bus.publish("fault.injected", fault="deadlock",
+                        target="SB_ViewItem", server="node1")
+        if i == 20:
+            bus.publish("rm.decision", level="ejb", target=("SB_ViewItem",),
+                        server="node1")
+            bus.publish("rm.action.end", level="ejb", ok=True, duration=0.6,
+                        server="node1")
+        ok = not 14 <= i < 20
+        bus.publish("request.end", client=i % 3, operation="ViewItem", ok=ok,
+                    duration=0.2, failure=None if ok else "network",
+                    retries=0, server="node1",
+                    status=200 if ok else "network")
+    return bus
+
+
+def run_cli(capsys, *argv):
+    assert main(list(argv)) == 0
+    captured = capsys.readouterr()
+    return captured.out, captured.err
+
+
+def test_overflowed_bus_writes_one_evicted_record(tmp_path):
+    bus = publish_run(capacity=16)
+    path = tmp_path / "run.jsonl"
+    kept = len(bus.events())
+    assert write_timeline(path, [bus]) == kept + 1
+    records = read_timeline(path)
+    first_kept = records[1]
+    assert records[0] == {"t": first_kept["t"], "kind": "trace.evicted",
+                          "bus": "run", "evicted": bus.published - kept}
+    assert [r for r in records if r["kind"] == "trace.evicted"] == records[:1]
+
+
+def test_truncation_is_loud_and_changes_no_output(tmp_path, capsys):
+    bus = publish_run(capacity=16)
+    path = tmp_path / "run.jsonl"
+    write_timeline(path, [bus])
+    lines = path.read_text().splitlines(keepends=True)
+    bare = tmp_path / "bare.jsonl"
+    bare.write_text("".join(lines[1:]))
+    evicted = json.loads(lines[0])
+    warning = (
+        f"warning: bus run evicted {evicted['evicted']} records; "
+        f"its timeline starts at t={evicted['t']:.3f}s"
+    )
+
+    out, err = run_cli(capsys, "trace", str(path))
+    assert warning in out.splitlines()
+    assert out.replace(warning + "\n", "") == run_cli(
+        capsys, "trace", str(bare))[0]
+    assert err == ""
+    for command in TIMELINE_COMMANDS:
+        out, err = run_cli(capsys, command, str(path))
+        assert err == warning + "\n", command
+        assert (out, "") == run_cli(capsys, command, str(bare)), command
+
+
+def test_bus_that_fits_writes_no_evicted_record(tmp_path, capsys):
+    bus = publish_run(capacity=1024)
+    path = tmp_path / "run.jsonl"
+    assert write_timeline(path, [bus]) == bus.published
+    records = read_timeline(path)
+    assert [r["seq"] for r in records] == list(range(bus.published))
+    out, err = run_cli(capsys, "trace", str(path))
+    assert "warning" not in out and err == ""
+    for command in TIMELINE_COMMANDS:
+        assert run_cli(capsys, command, str(path))[1] == "", command
+
+
+def test_replay_feeds_no_capture_record(tmp_path):
+    class Everything:
+        kinds = None
+
+        def __init__(self):
+            self.seen = []
+
+        def feed(self, t, kind, fields):
+            self.seen.append(kind)
+
+    path = tmp_path / "run.jsonl"
+    write_timeline(path, [publish_run(capacity=16)])
+    records = read_timeline(path)
+    [(bus, [consumer], _end)] = replay(records, lambda: [Everything()])
+    assert bus == "run"
+    assert consumer.seen == [r["kind"] for r in records[1:]]
