@@ -9,7 +9,6 @@ processes through the WAR and the EJBs, and are bounded by a request lease
 """
 
 import enum
-from itertools import count
 
 from repro.appserver.classloader import ClassLoaderRegistry
 from repro.appserver.component import InvocationContext
@@ -76,13 +75,13 @@ def network_error_response(reason):
 class ApplicationServer:
     """One JVM running the microreboot-enabled application server."""
 
-    _ids = count(1)
-
     def __init__(self, kernel, rng, timing=None, heap=None, cpu=None, name=None):
         self.kernel = kernel
         self.rng = rng
         self.timing = timing or TimingModel()
-        self.name = name or f"server-{next(ApplicationServer._ids)}"
+        # Numbered per kernel: the name reaches traces, spans and session
+        # cookies, so it must not depend on what the process built before.
+        self.name = name or f"server-{next(kernel.server_ids)}"
         self.heap = heap or HeapModel()
         self.cpu = cpu or ProcessorSharingCpu(
             kernel, quantum=self.timing.cpu_quantum

@@ -71,7 +71,10 @@ def build_static_store():
 
 #: (dataset stream seed, astuple(config)) -> {"rows": ..., "rng_state": ...}
 _dataset_snapshots = {}
-#: Bound on retained snapshots; at paper scale one snapshot is ~1.65 M rows.
+#: Bound on retained snapshots.  A snapshot shares its row dicts with the
+#: database it was taken from and with every database restored from it
+#: (stored rows are never mutated, see repro.stores.database), so beside
+#: them it costs only its pk → row maps.
 DATASET_SNAPSHOT_LIMIT = 4
 
 
@@ -92,10 +95,7 @@ def dataset_snapshots_cached():
 
 
 def _snapshot_tables(database):
-    return {
-        name: {pk: dict(row) for pk, row in table.rows.items()}
-        for name, table in database.tables.items()
-    }
+    return {name: dict(table.rows) for name, table in database.tables.items()}
 
 
 def build_database(kernel, rng, dataset=None, timing=None):

@@ -267,5 +267,9 @@ def operation_info(name):
     return OPERATIONS[name]
 
 
+#: One URL string per operation, shared by every request and record of it.
+_OPERATION_URLS = {name: f"/ebid/{name}" for name in OPERATIONS}
+
+
 def operation_url(name):
-    return f"/ebid/{name}"
+    return _OPERATION_URLS[name]

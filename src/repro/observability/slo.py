@@ -241,6 +241,12 @@ class SloEngine:
         self.windows = []  # canonical, filled by evaluate()
         self.live_violations = []
         self._next_window = 0  # first not-yet-judged window index
+        #: Cursor into ``taw.actions``: the live judge has read the
+        #: response times of every action before it.
+        self._read = 0
+        #: Response times read so far that a window not yet judged can
+        #: still hold (stamped at or after its start).
+        self._pending = []
         self.bus = bus
         if bus is not None:
             bus.subscribe(self.feed, self.kinds)
@@ -257,17 +263,26 @@ class SloEngine:
             self._next_window += 1
 
     def _judge_live(self, k):
+        # Window k sees every response time recorded so far that is stamped
+        # inside it, as a scan of the whole run would.  Only the actions
+        # recorded since the previous window are read; what was read before
+        # and is stamped before window k+1 can fall in no later window.
         width = self.policy.window
         start = self.t_start + k * width
         end = start + width
+        self._pending.extend(self.taw.timed_requests(self._read))
+        self._read = len(self.taw.actions)
         window = _build_window(
             start, end,
             self.taw.good_taw_series(),
             self.taw.bad_taw_series(),
-            [rt for when, rt in self.taw.response_times
-             if start <= when < end],
+            [rt for when, rt in self._pending if start <= when < end],
             self.policy,
         )
+        next_start = self.t_start + (k + 1) * width
+        self._pending = [
+            entry for entry in self._pending if entry[0] >= next_start
+        ]
         if window.violated:
             self.live_violations.append(window)
             if self.bus is not None:
@@ -289,7 +304,7 @@ class SloEngine:
         self.windows = compute_windows(
             self.taw.good_taw_series(),
             self.taw.bad_taw_series(),
-            self.taw.response_times,
+            self.taw.timed_requests(),
             t_end,
             policy=self.policy,
             t_start=self.t_start,

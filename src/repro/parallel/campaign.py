@@ -27,9 +27,7 @@ campaign runner they all go through:
   in-process path — slower, never wrong.
 """
 
-import multiprocessing
 import os
-from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.parallel import worker
@@ -186,7 +184,13 @@ def _run_pool(payloads, jobs):
     workers cannot even start (sandboxed semaphores, an un-reimportable
     ``__main__`` under spawn, ...) the executor raises ``BrokenExecutor``
     where a Pool would respawn crashing workers forever.
+
+    The pool's modules are imported here, not at module top: together they
+    add ~2 MiB to every process, and a ``jobs=1`` run never needs them.
     """
+    import multiprocessing
+    from concurrent.futures import BrokenExecutor, ProcessPoolExecutor
+
     try:
         context = multiprocessing.get_context("spawn")
         with ProcessPoolExecutor(

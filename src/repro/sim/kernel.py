@@ -56,6 +56,10 @@ class Kernel:
         #: Disabled unless telemetry's default says otherwise; instrumented
         #: components publish unconditionally and the bus no-ops.
         self.trace = TraceBus(self)
+        #: Numbers for unnamed application servers, from 1 per simulation:
+        #: default names depend only on what this simulation built, not on
+        #: what else the process built before it.
+        self.server_ids = count(1)
 
     @property
     def now(self):

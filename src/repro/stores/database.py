@@ -22,6 +22,19 @@ Equality ``select`` queries are served from lazily-built secondary hash
 indexes, maintained by every mutation path (including undo and the
 fault-injection surface), so the simulated service can sustain paper-scale
 datasets (1.5 M bids) without the simulator itself becoming the bottleneck.
+
+**Stored rows are never mutated.**  Every write — insert, update, undo,
+:meth:`_Table.set_column` behind the fault-injection and manual-repair
+surfaces — stores a new row dict in the table's pk → row map and leaves
+the old dict as it was.  So a copy of a table is a copy of that map
+alone: :meth:`Database.snapshot`, :meth:`_Table.replace_all` (snapshot
+restores, :meth:`Database.repair_table`, a shadow's resync) and the
+process-wide dataset snapshot cache share the row dicts with the table
+they came from, and a later write to either side cannot reach the other.
+Callers get copies: :meth:`Database.read` and :meth:`Database.select`
+return fresh dicts, which they may change freely.  Code that reaches
+into ``_Table.rows`` directly (the integrity audit, fault injection)
+must treat the dicts it finds there as read-only.
 """
 
 from itertools import count, islice
@@ -108,11 +121,14 @@ class _Table:
     def set_column(self, pk, column, value):
         row = self.rows[pk]
         self.index_remove(pk, row)
-        row[column] = value
+        # An updated copy, never the stored dict: snapshots share it.  The
+        # pk keeps its position in ``rows``.
+        row = self.rows[pk] = {**row, column: value}
         self.index_add(pk, row)
 
     def replace_all(self, rows):
-        self.rows = {pk: dict(row) for pk, row in rows.items()}
+        """Make this table hold ``rows`` (pk → row), sharing the row dicts."""
+        self.rows = dict(rows)
         for column in list(self.indexes):
             del self.indexes[column]
 
@@ -254,11 +270,8 @@ class Database:
         row = table.rows.get(pk)
         if row is None:
             raise DatabaseError(f"{table_name}: no row with pk {pk!r}")
-        before = dict(row)
-        updated = dict(row)
-        updated.update(fields)
-        table.put_row(pk, updated)
-        self._log_undo(tx_id, lambda: table.put_row(pk, before))
+        table.put_row(pk, {**row, **fields})
+        self._log_undo(tx_id, lambda: table.put_row(pk, row))
 
     def delete(self, table_name, pk, tx_id=None):
         table = self._table(table_name)
@@ -367,9 +380,12 @@ class Database:
     # Audit / repair (manual-operator surface)
     # ------------------------------------------------------------------
     def snapshot(self, table_name):
-        """Deep copy of a table's rows, for integrity comparison."""
-        table = self._table(table_name)
-        return {pk: dict(row) for pk, row in table.rows.items()}
+        """A table's pk → row map as of now, for integrity comparison.
+
+        The row dicts are shared with the table (stored rows are never
+        mutated), so later writes do not show in the snapshot.
+        """
+        return dict(self._table(table_name).rows)
 
     def diff_table(self, table_name, reference_rows):
         """Primary keys whose rows differ from a reference snapshot."""

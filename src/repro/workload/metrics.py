@@ -42,8 +42,19 @@ class ActionRecord:
         return bool(self.operations) and all(op.ok for op in self.operations)
 
 
+def _stamp(op):
+    """Where an operation lands in time: completion, else issue."""
+    return op.completed_at if op.completed_at is not None else op.issued_at
+
+
 class TawAccounting:
-    """Aggregates operations/actions into the paper's metrics."""
+    """Aggregates operations/actions into the paper's metrics.
+
+    :attr:`actions` is the one per-request store: every view of individual
+    requests (:attr:`response_times`, :attr:`failure_intervals`) is
+    computed from it when read, so a request is held once, in its
+    :class:`OperationRecord`.
+    """
 
     def __init__(self, metrics=None):
         #: All counts live in a telemetry registry (shareable with the rest
@@ -65,9 +76,35 @@ class TawAccounting:
         #: second → count of requests that (retro)counted good/bad there.
         self._good_series = {}
         self._bad_series = {}
-        self.response_times = []  # (completed_at, seconds)
-        #: Failed-request intervals per functional group, for Figure 2.
-        self.failure_intervals = []  # (group, issued_at, completed_at)
+
+    def timed_requests(self, start=0):
+        """Yield ``(completed_at, seconds)`` per timed request of
+        ``actions[start:]``, in record order.
+
+        Only the actions from ``start`` on are read, so a reader that
+        remembers where it stopped reads each record once.
+        """
+        actions = self.actions
+        for i in range(start, len(actions)):
+            for op in actions[i].operations:
+                if op.response_time is not None:
+                    yield _stamp(op), op.response_time
+
+    @property
+    def response_times(self):
+        """``(completed_at, seconds)`` per timed request, in record order."""
+        return list(self.timed_requests())
+
+    @property
+    def failure_intervals(self):
+        """``(group, issued_at, completed_at)`` per failed request, for
+        Figure 2, in record order."""
+        return [
+            (op.functional_group, op.issued_at, _stamp(op))
+            for action in self.actions
+            for op in action.operations
+            if not op.ok
+        ]
 
     # ------------------------------------------------------------------
     # Recording
@@ -88,16 +125,11 @@ class TawAccounting:
             # exactly, so this equals one inc() per operation.
             requests.inc(len(operations))
         for op in operations:
-            when = op.completed_at if op.completed_at is not None else op.issued_at
-            bucket = int(when)
+            bucket = int(_stamp(op))
             series[bucket] = series.get(bucket, 0) + 1
             if op.response_time is not None:
-                self.response_times.append((when, op.response_time))
                 self._response_time_hist.observe(op.response_time)
             if not op.ok:
-                self.failure_intervals.append(
-                    (op.functional_group, op.issued_at, when)
-                )
                 self._failures_by_operation.inc(op.operation)
                 if op.failure_kind:
                     self._failures_by_kind.inc(op.failure_kind)
@@ -132,8 +164,8 @@ class TawAccounting:
         """Feed ``n`` identical response times to the histogram sketch only.
 
         Batch-path companion to :meth:`record_batch`: quantiles and the
-        mean stay available via the sketch while the unbounded
-        ``response_times`` list stays untouched.
+        mean stay available via the sketch; ``response_times`` stays empty,
+        as no action is recorded.
         """
         self._response_time_hist.observe_many(seconds, n)
 
@@ -209,22 +241,23 @@ class TawAccounting:
         return {name: count / total for name, count in counts.items()}
 
     def mean_response_time(self):
-        if not self.response_times:
+        response_times = self.response_times
+        if not response_times:
             # Batch-recorded runs have no per-request list; the sketch
             # still knows the exact mean (count and sum are not sketched).
             if self._response_time_hist.count:
                 return self._response_time_hist.mean
             return None
-        return sum(rt for _t, rt in self.response_times) / len(self.response_times)
+        return sum(rt for _t, rt in response_times) / len(response_times)
 
     def response_times_over(self, threshold=8.0):
         """How many requests exceeded the 8 s abandonment threshold (§5.3)."""
-        return sum(1 for _t, rt in self.response_times if rt > threshold)
+        return sum(1 for _t, rt in self.timed_requests() if rt > threshold)
 
     def response_time_series(self, bucket_seconds=1.0):
         """Per-bucket mean response time: {bucket_start: seconds}."""
         sums, counts = {}, {}
-        for when, rt in self.response_times:
+        for when, rt in self.timed_requests():
             bucket = int(when / bucket_seconds) * bucket_seconds
             sums[bucket] = sums.get(bucket, 0.0) + rt
             counts[bucket] = counts.get(bucket, 0) + 1

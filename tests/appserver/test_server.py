@@ -5,7 +5,9 @@ import pytest
 from repro.appserver.errors import AppServerError
 from repro.appserver.http import HttpRequest, HttpStatus
 from repro.appserver.memory import OWNER_SERVER
-from repro.appserver.server import ServerState
+from repro.appserver.server import ApplicationServer, ServerState
+from repro.experiments.common import SingleNodeRig
+from repro.sim import Kernel
 from tests.toyapp import build_toy_system, issue, toy_descriptors
 
 
@@ -176,3 +178,19 @@ def test_concurrent_requests_all_complete():
     system.kernel.run(until=30.0)
     assert len(responses) == 50
     assert all(r.status == HttpStatus.OK for r in responses)
+
+
+def test_unnamed_servers_are_numbered_per_kernel():
+    """Default names depend on the simulation alone, not on what the
+    process built before it."""
+    first, second = (
+        SingleNodeRig(seed=0, n_clients=1, with_recovery_manager=False)
+        for _ in range(2)
+    )
+    assert first.system.server.name == second.system.server.name == "server-1"
+
+    kernel = Kernel()
+    names = [ApplicationServer(kernel, rng=None).name for _ in range(2)]
+    names.append(ApplicationServer(kernel, rng=None, name="node7").name)
+    names.append(ApplicationServer(Kernel(), rng=None).name)
+    assert names == ["server-1", "server-2", "node7", "server-1"]

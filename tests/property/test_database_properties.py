@@ -42,6 +42,15 @@ def apply_ops(database, ops, use_tx):
     return applied
 
 
+def stored_rows(database):
+    """A deep copy of table ``t``'s stored rows.
+
+    ``Database.snapshot`` shares the stored row dicts, so a reference taken
+    with it would follow an (illegal) in-place write and hide it.
+    """
+    return {pk: dict(row) for pk, row in database.tables["t"].rows.items()}
+
+
 @settings(max_examples=120, deadline=None)
 @given(ops=operations, commit=outcomes)
 def test_rollback_equals_never_happened(ops, commit):
@@ -89,11 +98,11 @@ def test_crash_recovery_rolls_back_everything_in_flight(ops):
     database = Database(kernel, recovery_time=0.1)
     database.create_table("t")
     database.insert("t", {"id": 99, "v": 1})  # pre-existing committed row
-    snapshot = database.snapshot("t")
+    before = stored_rows(database)
     apply_ops(database, ops, use_tx=True)  # never committed
     database.crash()
     kernel.run_until_triggered(kernel.process(database.recover()))
-    assert database.snapshot("t") == snapshot
+    assert database.snapshot("t") == before
     assert database.in_flight_transactions == 0
 
 
@@ -104,7 +113,7 @@ def test_auto_commit_is_durable_through_crash(ops):
     database = Database(kernel, recovery_time=0.1)
     database.create_table("t")
     apply_ops(database, ops, use_tx=False)
-    before = database.snapshot("t")
+    before = stored_rows(database)
     database.crash()
     kernel.run_until_triggered(kernel.process(database.recover()))
     assert database.snapshot("t") == before
@@ -143,7 +152,85 @@ def test_indexes_always_agree_with_scans(ops, limit):
                 "t", limit=limit, key=descending_v, **equals
             )
             assert ordered == full[:limit]
-    before = database.snapshot("t")
+    before = stored_rows(database)
     for row in database.select("t", limit=limit, key=descending_v):
         row["v"] = -1
     assert database.snapshot("t") == before
+
+
+restore_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ("insert", "update", "delete", "set_column", "rollback", "commit")
+        ),
+        pks,
+        values,
+    ),
+    max_size=30,
+)
+
+
+def apply_to_restored(database, ops):
+    """Apply ops in one transaction at a time; ``set_column`` is the
+    fault-injection surface (not undo-logged, like a real corruption)."""
+    tx_id = 1
+    for op, pk, value in ops:
+        try:
+            if op == "insert":
+                database.insert("t", {"id": pk, "v": value}, tx_id=tx_id)
+            elif op == "update":
+                database.update("t", pk, {"v": value}, tx_id=tx_id)
+            elif op == "delete":
+                database.delete("t", pk, tx_id=tx_id)
+            elif op == "set_column":
+                database._corrupt_row("t", pk, "v", -value)
+            elif op == "rollback":
+                database.rollback_transaction(tx_id)
+                tx_id += 1
+            else:
+                database.commit_transaction(tx_id)
+                tx_id += 1
+        except (DuplicateKeyError, DatabaseError):
+            continue
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    initial=st.dictionaries(pks, values, max_size=12),
+    ops=restore_ops,
+    indexed=st.booleans(),
+)
+def test_writes_to_a_restored_table_never_reach_its_source(
+    initial, ops, indexed
+):
+    """Restored tables share the source's row dicts and none of its fate.
+
+    Whatever a restored table goes through, the rows it was restored
+    from stay as they were, and it ends exactly where a table restored
+    from a deep copy ends.
+    """
+    source = Database(Kernel())
+    source.create_table("t")
+    for pk, value in initial.items():
+        source.insert("t", {"id": pk, "v": value})
+    rows = source.snapshot("t")
+    expected = stored_rows(source)
+
+    ends = []
+    deep_copy = stored_rows(source)
+    for restore_from in (rows, deep_copy):
+        restored = Database(Kernel())
+        restored.create_table("t")
+        restored.tables["t"].replace_all(restore_from)
+        if indexed:
+            restored.tables["t"].ensure_index("v")
+        apply_to_restored(restored, ops)
+        ends.append(restored.snapshot("t"))
+        assert {
+            row["id"] for row in restored.select("t", v=-1)
+        } == {pk for pk, row in restored.tables["t"].rows.items()
+              if row["v"] == -1}
+
+    assert rows == expected
+    assert source.snapshot("t") == expected
+    assert ends[0] == ends[1]

@@ -87,3 +87,64 @@ def test_group_unavailability_spans_are_disjoint_and_ordered(actions):
         assert e1 < s2  # disjoint, sorted
     for start, end in spans:
         assert end > start
+
+
+# ----------------------------------------------------------------------
+# Per-request views are derived from ``actions``
+# ----------------------------------------------------------------------
+
+@st.composite
+def varied_operations(draw):
+    """An operation that may lack a completion, a response time, or both."""
+    issued = draw(st.floats(min_value=0.0, max_value=500.0))
+    completed = draw(
+        st.none() | st.floats(min_value=issued, max_value=issued + 40.0)
+    )
+    return OperationRecord(
+        operation=draw(st.sampled_from(("ViewItem", "CommitBid"))),
+        url="/x",
+        issued_at=issued,
+        completed_at=completed,
+        ok=draw(st.booleans()),
+        response_time=draw(st.none() | st.floats(0.0, 40.0)),
+        functional_group=draw(st.sampled_from(("G", "H"))),
+    )
+
+
+@st.composite
+def varied_actions(draw):
+    actions = []
+    for i in range(draw(st.integers(min_value=0, max_value=12))):
+        action = ActionRecord(name=f"A{i}", client_id=i, started_at=0.0)
+        action.operations = draw(st.lists(varied_operations(), max_size=4))
+        actions.append(action)
+    return actions
+
+
+def reference_views(actions):
+    """The lists ``record_action`` used to append to, built the same way."""
+    response_times, failure_intervals = [], []
+    for action in actions:
+        for op in action.operations:
+            when = op.completed_at if op.completed_at is not None else op.issued_at
+            if op.response_time is not None:
+                response_times.append((when, op.response_time))
+            if not op.ok:
+                failure_intervals.append(
+                    (op.functional_group, op.issued_at, when)
+                )
+    return response_times, failure_intervals
+
+
+@settings(max_examples=150, deadline=None)
+@given(actions=varied_actions(), start=st.integers(min_value=0, max_value=14))
+def test_views_equal_the_lists_record_action_used_to_build(actions, start):
+    metrics = TawAccounting()
+    for action in actions:
+        metrics.record_action(action)
+    response_times, failure_intervals = reference_views(actions)
+    assert metrics.response_times == response_times
+    assert metrics.failure_intervals == failure_intervals
+    assert list(metrics.timed_requests(start)) == (
+        reference_views(actions[start:])[0]
+    )

@@ -155,9 +155,11 @@ def test_group_unavailability_pads_instant_failures():
 
 
 def test_failures_by_kind_and_operation():
+    """Only the failed operation counts, not the ok one failed with it."""
     metrics = TawAccounting()
     failed = op("CommitBid", ok=False)
     failed.failure_kind = "http-error"
-    metrics.record_action(action(ops=[failed]))
-    assert metrics.failures_by_operation["CommitBid"] == 1
-    assert metrics.failures_by_kind["http-error"] == 1
+    metrics.record_action(action(ops=[op("ViewItem"), failed]))
+    assert metrics.failed_requests == 2  # Taw fails the whole action
+    assert metrics.failures_by_operation == {"CommitBid": 1}
+    assert metrics.failures_by_kind == {"http-error": 1}
