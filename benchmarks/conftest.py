@@ -13,8 +13,11 @@ Run with::
 
     pytest benchmarks/ --benchmark-only
 
-Set ``REPRO_FULL=1`` to use paper-scale parameters (500 clients, full
-durations) instead of the laptop-friendly defaults.
+Each paper benchmark runs its experiment's ``bench`` scale, which is also
+what ``python -m repro run <exp>`` runs with no size flag, so the CLI
+prints what ``benchmarks/results/`` holds.  Set ``REPRO_FULL=1`` to run
+the ``full`` (paper) scale instead.  The sizes live only in each
+experiment module's ``SCALES`` table.
 """
 
 import os
@@ -26,9 +29,11 @@ import pytest
 RESULTS_DIR = Path(__file__).parent / "results"
 
 
-def full_scale():
-    """Whether to run paper-scale parameters."""
-    return os.environ.get("REPRO_FULL", "") not in ("", "0")
+def bench_scale():
+    """The experiment scale to run: ``"full"`` under ``REPRO_FULL=1``,
+    else ``"bench"``."""
+    full = os.environ.get("REPRO_FULL", "") not in ("", "0")
+    return "full" if full else "bench"
 
 
 def campaign_jobs():

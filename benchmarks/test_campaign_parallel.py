@@ -16,27 +16,27 @@ For the same reason no speedup is recorded then: ``speedup`` is null and
 import time
 
 from benchmarks import gates
-from benchmarks.conftest import full_scale
 from repro.experiments import table2
 from repro.parallel import available_jobs, campaign_summary, run_campaign
 from repro.parallel.campaign import TrialSpec
 
 JOBS = 4
 MIN_SPEEDUP = 3.0
+#: The timed campaign runs table2 at this scale.
+SCALE = "quick"
 
 
-def _timed_run(jobs, n_clients):
+def _timed_run(jobs):
     started = time.perf_counter()
-    result, outcomes = table2.run(seed=0, n_clients=n_clients, jobs=jobs)
+    result, outcomes = table2.run(seed=0, scale=SCALE, jobs=jobs)
     return time.perf_counter() - started, result.render(), outcomes
 
 
 def test_table2_campaign_parallel_speedup():
-    n_clients = 150 if full_scale() else 60
     cores = available_jobs()
 
-    sequential_s, sequential_text, _ = _timed_run(1, n_clients)
-    parallel_s, parallel_text, _ = _timed_run(JOBS, n_clients)
+    sequential_s, sequential_text, _ = _timed_run(1)
+    parallel_s, parallel_text, _ = _timed_run(JOBS)
 
     assert parallel_text == sequential_text, (
         "campaign output must be byte-identical between jobs=1 and jobs=4"
@@ -59,7 +59,7 @@ def test_table2_campaign_parallel_speedup():
     payload = {
         "experiment": "table2",
         "trials": summary["trials"],
-        "n_clients": n_clients,
+        "n_clients": table2.SCALES[SCALE]["n_clients"],
         "cores": cores,
         "jobs": JOBS,
         "workers_used": summary["workers"],

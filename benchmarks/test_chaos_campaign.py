@@ -22,7 +22,7 @@ SEED = 0
 
 
 def _quick(jobs):
-    result, outcomes = chaos.run(seed=SEED, quick=True, jobs=jobs)
+    result, outcomes = chaos.run(seed=SEED, scale="quick", jobs=jobs)
     return result.render(), outcomes
 
 

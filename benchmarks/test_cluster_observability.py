@@ -23,6 +23,7 @@ import pytest
 
 from benchmarks import gates
 from benchmarks.conftest import peak_rss_mib
+from repro.experiments import storm
 from repro.experiments.megascale import MegascaleRig
 from repro.experiments.storm import StormRig
 from repro.faults.chaos import StormSpec
@@ -63,8 +64,7 @@ def test_plane_is_passive_and_deterministic_at_smoke_scale():
     # jobs=2: the spawned-worker path must agree with in-process.
     spec = TrialSpec(
         task="repro.experiments.storm:run_one_arm",
-        kwargs={"arm": "storm+elastic", "scale": "smoke",
-                "k_shards": 4, "load_skew": 0.0, **SMOKE},
+        kwargs={"arm": "storm+elastic", **storm.SCALES["quick"]},
         tag="storm+elastic", seed=0,
     )
     worker = run_campaign([spec], jobs=2)[0].value

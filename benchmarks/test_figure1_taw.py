@@ -6,13 +6,12 @@ The paper's headline: microreboots cut failed requests by 98%, averaging
 
 from repro.experiments import figure1
 
-from benchmarks.conftest import campaign_jobs, full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_figure1_taw(benchmark, record_result):
     result, outcomes = run_once(
-        benchmark, figure1.run, full=full_scale(), quick=not full_scale(),
-        jobs=campaign_jobs(),
+        benchmark, figure1.run, scale=bench_scale(), jobs=campaign_jobs()
     )
     record_result("figure1_taw", result)
     print()

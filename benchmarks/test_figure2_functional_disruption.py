@@ -3,12 +3,12 @@
 from repro.ebid.descriptors import FUNCTIONAL_GROUPS
 from repro.experiments import figure2
 
-from benchmarks.conftest import campaign_jobs, full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_figure2_functional_disruption(benchmark, record_result):
     result, _outcomes = run_once(
-        benchmark, figure2.run, full=full_scale(), jobs=campaign_jobs()
+        benchmark, figure2.run, scale=bench_scale(), jobs=campaign_jobs()
     )
     record_result("figure2_functional_disruption", result)
     print()

@@ -2,16 +2,13 @@
 
 from repro.experiments import figure3
 
-from benchmarks.conftest import full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_figure3_failover(benchmark, record_result):
-    if full_scale():
-        kwargs = dict(full=True)
-    else:
-        kwargs = dict(cluster_sizes=(2, 4, 6, 8), clients_per_node=150,
-                      duration=600.0)
-    result, outcomes = run_once(benchmark, figure3.run, **kwargs)
+    result, outcomes = run_once(
+        benchmark, figure3.run, scale=bench_scale(), jobs=campaign_jobs()
+    )
     record_result("figure3_failover", result)
     print()
     print(result.render())

@@ -2,13 +2,12 @@
 
 from repro.experiments import figure5
 
-from benchmarks.conftest import campaign_jobs, full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_figure5_lax_detection(benchmark, record_result):
     result, outcomes = run_once(
-        benchmark, figure5.run, full=full_scale(), quick=not full_scale(),
-        jobs=campaign_jobs(),
+        benchmark, figure5.run, scale=bench_scale(), jobs=campaign_jobs()
     )
     record_result("figure5_lax_detection", result)
     print()

@@ -34,15 +34,11 @@ MAX_OVERHEAD = 0.10
 #: Timing repetitions (minimum taken) for the overhead measurement.
 TIMING_REPS = 3
 
-#: The quick campaign's arm parameters, duplicated for the timed runs.
-ARM_KWARGS = dict(
-    seed=SEED, n_nodes=2, clients_per_node=20,
-    leak_bytes=36 * 1024 * 1024, duration=300.0, tail=40.0,
-)
-
 
 def _quick(jobs):
-    result, outcomes = health_prediction.run(seed=SEED, quick=True, jobs=jobs)
+    result, outcomes = health_prediction.run(
+        seed=SEED, scale="quick", jobs=jobs
+    )
     return result.render(), outcomes
 
 
@@ -58,7 +54,7 @@ def _measure_overhead():
     for _ in range(TIMING_REPS):
         for arm in walls:
             started = time.perf_counter()
-            run_one_arm(arm, **ARM_KWARGS)
+            run_one_arm(arm, seed=SEED, **health_prediction.SCALES["quick"])
             walls[arm].append(time.perf_counter() - started)
     reactive, shadow = min(walls["reactive"]), min(walls["shadow"])
     return (shadow - reactive) / reactive

@@ -40,7 +40,7 @@ ACTION_MIX_ABSOLUTE_TOLERANCE = 0.02
 def test_megascale_standard_scale_within_budgets():
     """Both arms at 1M sessions finish inside wall-clock + memory budgets."""
     started = time.perf_counter()
-    _result, outcomes = megascale.run(seed=0, scale="standard", jobs=1)
+    _result, outcomes = megascale.run(seed=0, scale="bench", jobs=1)
     wall = time.perf_counter() - started
     rss = peak_rss_mib()
 
@@ -88,10 +88,10 @@ def test_megascale_standard_scale_within_budgets():
 def test_megascale_smoke_determinism_and_regression():
     """Same seed ⇒ same payload; jobs=1 ≡ jobs=2; throughput regression."""
     started = time.perf_counter()
-    result_a, outcomes_a = megascale.run(seed=0, scale="smoke", jobs=1)
+    result_a, outcomes_a = megascale.run(seed=0, scale="quick", jobs=1)
     wall = time.perf_counter() - started
-    result_b, outcomes_b = megascale.run(seed=0, scale="smoke", jobs=1)
-    _result_p, outcomes_p = megascale.run(seed=0, scale="smoke", jobs=2)
+    result_b, outcomes_b = megascale.run(seed=0, scale="quick", jobs=1)
+    _result_p, outcomes_p = megascale.run(seed=0, scale="quick", jobs=2)
 
     assert outcomes_a == outcomes_b, "same seed must give the same payload"
     assert outcomes_a == outcomes_p, "jobs=1 and jobs=2 must agree exactly"

@@ -34,7 +34,7 @@ HEALTHY_MEDIAN = 1.0
 def test_storm_standard_scale_acceptance():
     """K=8 storm at 1M sessions: containment + elastic-beats-static."""
     started = time.perf_counter()
-    _result, outcomes = storm.run(seed=0, scale="standard", jobs=1)
+    _result, outcomes = storm.run(seed=0, scale="bench", jobs=1)
     wall = time.perf_counter() - started
     rss = peak_rss_mib()
 
@@ -100,10 +100,10 @@ def test_storm_standard_scale_acceptance():
 def test_storm_smoke_determinism_and_regression():
     """Schedules, plans and payloads: same seed ⇒ same bytes; jobs agree."""
     started = time.perf_counter()
-    result_a, outcomes_a = storm.run(seed=0, scale="smoke", jobs=1)
+    result_a, outcomes_a = storm.run(seed=0, scale="quick", jobs=1)
     wall = time.perf_counter() - started
-    result_b, outcomes_b = storm.run(seed=0, scale="smoke", jobs=1)
-    _result_p, outcomes_p = storm.run(seed=0, scale="smoke", jobs=2)
+    result_b, outcomes_b = storm.run(seed=0, scale="quick", jobs=1)
+    _result_p, outcomes_p = storm.run(seed=0, scale="quick", jobs=2)
 
     assert outcomes_a == outcomes_b, "same seed must give the same payload"
     assert outcomes_a == outcomes_p, "jobs=1 and jobs=2 must agree exactly"

@@ -3,11 +3,13 @@
 from repro.ebid.descriptors import OperationCategory
 from repro.experiments import table1
 
-from benchmarks.conftest import full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_table1_workload_mix(benchmark, record_result):
-    result = run_once(benchmark, table1.run, full=full_scale())
+    result, _measured = run_once(
+        benchmark, table1.run, scale=bench_scale(), jobs=campaign_jobs()
+    )
     record_result("table1_workload_mix", result)
     print()
     print(result.render())

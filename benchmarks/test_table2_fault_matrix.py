@@ -2,7 +2,7 @@
 
 from repro.experiments import table2
 
-from benchmarks.conftest import campaign_jobs, full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 #: Rows whose measured outcome is expected to differ from the paper's label
 #: (documented divergences — see EXPERIMENTS.md).
@@ -14,7 +14,7 @@ KNOWN_DIVERGENCES = {
 
 def test_table2_fault_matrix(benchmark, record_result):
     result, outcomes = run_once(
-        benchmark, table2.run, full=full_scale(), jobs=campaign_jobs()
+        benchmark, table2.run, scale=bench_scale(), jobs=campaign_jobs()
     )
     record_result("table2_fault_matrix", result)
     print()

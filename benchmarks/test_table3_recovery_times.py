@@ -4,12 +4,12 @@ import pytest
 
 from repro.experiments import table3
 
-from benchmarks.conftest import full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_table3_recovery_times(benchmark, record_result):
     result, rows = run_once(
-        benchmark, table3.run, full=full_scale(), quick=not full_scale()
+        benchmark, table3.run, scale=bench_scale(), jobs=campaign_jobs()
     )
     record_result("table3_recovery_times", result)
     print()

@@ -2,18 +2,13 @@
 
 from repro.experiments import table4
 
-from benchmarks.conftest import full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_table4_slow_requests(benchmark, record_result):
-    if full_scale():
-        kwargs = dict(full=True)
-    else:
-        kwargs = dict(
-            cluster_sizes=(2, 4), clients_per_node=1000,
-            stabilize=150.0, observe=360.0,
-        )
-    result, outcomes = run_once(benchmark, table4.run, **kwargs)
+    result, outcomes = run_once(
+        benchmark, table4.run, scale=bench_scale(), jobs=campaign_jobs()
+    )
     record_result("table4_slow_requests", result)
     print()
     print(result.render())

@@ -4,11 +4,13 @@ import pytest
 
 from repro.experiments import table5
 
-from benchmarks.conftest import full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_table5_performance(benchmark, record_result):
-    result, measured = run_once(benchmark, table5.run, full=full_scale())
+    result, measured = run_once(
+        benchmark, table5.run, scale=bench_scale(), jobs=campaign_jobs()
+    )
     record_result("table5_performance", result)
     print()
     print(result.render())

@@ -2,12 +2,12 @@
 
 from repro.experiments import table6
 
-from benchmarks.conftest import full_scale, run_once
+from benchmarks.conftest import bench_scale, campaign_jobs, run_once
 
 
 def test_table6_retry_masking(benchmark, record_result):
     result, measured = run_once(
-        benchmark, table6.run, full=full_scale(), quick=not full_scale()
+        benchmark, table6.run, scale=bench_scale(), jobs=campaign_jobs()
     )
     record_result("table6_retry_masking", result)
     print()

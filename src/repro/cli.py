@@ -18,9 +18,12 @@ Usage::
 
 Each experiment prints its rendered table (and ASCII figures, where the
 paper has a figure) to stdout; ``--out-dir`` additionally writes one text
-file per experiment.  ``--trace`` enables the telemetry layer (including
-the span layer) for the run and writes every kernel's event timeline to
-one JSONL file.  The ``trace`` subcommand summarizes it (recovery
+file per experiment.  Every experiment module has one ``SCALES`` table:
+``--quick`` and ``--full`` pick its ``quick`` and ``full`` rows, and
+without either it runs its ``bench`` row, the size whose output
+``benchmarks/results/`` holds.  ``--trace`` enables the telemetry layer
+(including the span layer) for the run and writes every kernel's event
+timeline to one JSONL file.  The ``trace`` subcommand summarizes it (recovery
 timeline, failover windows, slowest requests); the ``paths`` subcommand
 renders the causal view (observed call trees, dependency graph, anomaly
 ranking, recovery-decision audit); ``incidents`` stitches the timeline
@@ -36,7 +39,6 @@ per arm or policy) and print one ``[bus <id>]`` section per bus.
 """
 
 import argparse
-import inspect
 import json
 import sys
 import time
@@ -139,16 +141,23 @@ def build_parser():
 
     sub.add_parser("list", help="list the available experiments")
 
-    run = sub.add_parser("run", help="run one experiment (or 'all')")
+    run = sub.add_parser(
+        "run",
+        help="run one experiment (or 'all')",
+        description="Run one experiment (or 'all').  Without --quick or "
+                    "--full it runs at the size benchmarks/results/ records.",
+    )
     run.add_argument("experiment", nargs="?", default=None,
                      help="experiment name (see 'repro run --list') or 'all'")
     run.add_argument("--list", action="store_true", dest="list_scenarios",
                      help="list the registered scenarios and exit")
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--full", action="store_true",
-                     help="paper-scale parameters (slow)")
-    run.add_argument("--quick", action="store_true",
-                     help="smallest parameters (fast smoke run)")
+    size = run.add_mutually_exclusive_group()
+    size.add_argument("--quick", action="store_const", const="quick",
+                      dest="scale", default="bench",
+                      help="smallest parameters (fast smoke run)")
+    size.add_argument("--full", action="store_const", const="full",
+                      dest="scale", help="paper-scale parameters (slow)")
     run.add_argument("--jobs", type=int, default=1,
                      help="fan independent trials across N worker processes "
                           "(0 = all cores); output is identical to --jobs 1")
@@ -428,26 +437,17 @@ def replay_command(args):
     return 0
 
 
-def run_experiment(name, seed=0, full=False, quick=False, jobs=1):
-    """Run one experiment by name; returns its ExperimentResult."""
+def run_experiment(name, seed=0, scale="bench", jobs=1):
+    """Run one experiment by name at one of its scales (``"quick"``,
+    ``"bench"`` or ``"full"``); returns its ExperimentResult."""
     try:
         module, _description = EXPERIMENTS[name]
     except KeyError:
         raise ValueError(
             f"unknown experiment: {name!r} (see 'repro run --list')"
         ) from None
-    kwargs = {"seed": seed}
-    accepted = inspect.signature(module.run).parameters
-    if "full" in accepted:
-        kwargs["full"] = full
-    if "quick" in accepted:
-        kwargs["quick"] = quick
-    if "jobs" in accepted and jobs != 1:
-        kwargs["jobs"] = jobs
-    if "seed" not in accepted:
-        del kwargs["seed"]
-    outcome = module.run(**kwargs)
-    return outcome[0] if isinstance(outcome, tuple) else outcome
+    result, _outcomes = module.run(seed=seed, scale=scale, jobs=jobs)
+    return result
 
 
 def main(argv=None):
@@ -509,8 +509,7 @@ def main(argv=None):
         for name in names:
             started = time.monotonic()
             result = run_experiment(
-                name, seed=args.seed, full=args.full, quick=args.quick,
-                jobs=jobs,
+                name, seed=args.seed, scale=args.scale, jobs=jobs
             )
             elapsed = time.monotonic() - started
             print(result.render())

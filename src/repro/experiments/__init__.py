@@ -1,9 +1,14 @@
 """Experiment harnesses: one module per paper table/figure.
 
-Every module exposes ``run(...) -> ExperimentResult`` with laptop-friendly
-defaults and a ``full=True`` switch for paper-scale parameters, and the
-result's ``render()`` prints rows/series mirroring the paper's
-presentation.  ``EXPERIMENTS.md`` records paper-versus-measured values.
+Every module exposes ``run(seed=0, scale="bench", jobs=1)``, returning
+``(ExperimentResult, outcomes)``, and one ``SCALES`` table holding the
+only sizes it runs at: ``quick`` (a fast smoke run), ``bench`` (what its
+benchmark records in ``benchmarks/results/``) and ``full`` (paper scale).
+``jobs`` fans its independent trials across worker processes with output
+identical to ``jobs=1``.  The availability arithmetic has no sizes and
+renders the same table at every scale.  The result's ``render()`` prints
+rows/series mirroring the paper's presentation.  ``EXPERIMENTS.md``
+records paper-versus-measured values.
 
 | Experiment | Module |
 |---|---|
@@ -22,7 +27,9 @@ presentation.  ``EXPERIMENTS.md`` records paper-versus-measured values.
 | §5.3/§6.1 six-nines arithmetic        | :mod:`repro.experiments.availability` |
 | Chaos: seed vs hardened pipeline      | :mod:`repro.experiments.chaos` |
 | Prediction: reactive vs proactive µRB | :mod:`repro.experiments.health_prediction` |
+| Pathdiag: stale map vs path analysis  | :mod:`repro.experiments.path_diagnosis` |
 | Megascale: 1M sessions, 128 shards    | :mod:`repro.experiments.megascale` |
+| Storm: K-shard storm, elastic reshard | :mod:`repro.experiments.storm` |
 """
 
 from repro.experiments.common import ExperimentResult, SingleNodeRig

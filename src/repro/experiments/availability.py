@@ -43,12 +43,15 @@ def allowed_recoveries(
     return int(budget / failed_per_recovery), yearly_requests, budget
 
 
-def run(measured_failed_per_recovery=None, per_node_rate=None):
+def run(seed=0, scale="bench", jobs=1, measured_failed_per_recovery=None):
     """Compute the recovery allowances (optionally from measured inputs).
 
     ``measured_failed_per_recovery`` maps scheme → failed requests per
     recovery, e.g. from Figure 1 / Figure 3 runs; defaults to the paper's
-    values so the arithmetic itself is reproducible stand-alone.
+    values so the arithmetic itself is reproducible stand-alone.  This is
+    closed-form arithmetic: it draws nothing from ``seed``, renders the
+    same table at every ``scale`` and has no trials for ``jobs`` to fan
+    out.
     """
     inputs = measured_failed_per_recovery or PAPER_FAILED_PER_RECOVERY
     result = ExperimentResult(
@@ -61,9 +64,7 @@ def run(measured_failed_per_recovery=None, per_node_rate=None):
     )
     details = {}
     for scheme, failed in inputs.items():
-        allowed, yearly, budget = allowed_recoveries(
-            failed, per_node_rate=per_node_rate
-        )
+        allowed, yearly, budget = allowed_recoveries(failed)
         details[scheme] = {
             "allowed_per_year": allowed,
             "yearly_requests": yearly,
@@ -77,7 +78,3 @@ def run(measured_failed_per_recovery=None, per_node_rate=None):
         f"six-nines budget: {details[next(iter(details))]['failure_budget']:.3g} failed requests"
     )
     return result, details
-
-
-if __name__ == "__main__":
-    print(run()[0].render())

@@ -257,11 +257,7 @@ class ChaosClusterRig:
 
 
 def run_one_arm(arm, seed, n_nodes, clients_per_node, spec_name, tail):
-    specs = {
-        "smoke": ChaosSpec.smoke,
-        "standard": ChaosSpec.standard,
-        "multiburst": ChaosSpec.multiburst,
-    }
+    specs = {"smoke": ChaosSpec.smoke, "standard": ChaosSpec.standard}
     spec = specs[spec_name]()
     rig = ChaosClusterRig(
         seed=seed,
@@ -276,25 +272,24 @@ def run_one_arm(arm, seed, n_nodes, clients_per_node, spec_name, tail):
     return outcome
 
 
-def run(seed=0, n_nodes=3, clients_per_node=30, full=False, quick=False,
-        jobs=1):
-    """Run the chaos campaign under both pipelines and compare goodput."""
-    spec_name = "standard"
-    tail = 60.0
-    if quick:
-        spec_name, n_nodes, clients_per_node, tail = "smoke", 2, 20, 40.0
-    if full:
-        clients_per_node = 60
+#: Nodes, clients per node, the chaos preset (``ChaosSpec.smoke`` or
+#: ``.standard``) and the quiet tail after its fault window, per scale.
+SCALES = {
+    "quick": {"n_nodes": 2, "clients_per_node": 20, "spec_name": "smoke",
+              "tail": 40.0},
+    "bench": {"n_nodes": 3, "clients_per_node": 30, "spec_name": "standard",
+              "tail": 60.0},
+    "full": {"n_nodes": 3, "clients_per_node": 60, "spec_name": "standard",
+             "tail": 60.0},
+}
 
+
+def run(seed=0, scale="bench", jobs=1):
+    """Run the chaos campaign under both pipelines and compare goodput."""
     outcomes = run_arms(
         "repro.experiments.chaos:run_one_arm",
         ARMS,
-        {
-            "n_nodes": n_nodes,
-            "clients_per_node": clients_per_node,
-            "spec_name": spec_name,
-            "tail": tail,
-        },
+        SCALES[scale],
         seed,
         jobs,
     )
@@ -382,7 +377,3 @@ def run(seed=0, n_nodes=3, clients_per_node=30, full=False, quick=False,
             f"{hard_means['recovery']}s"
         )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

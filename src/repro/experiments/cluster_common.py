@@ -3,6 +3,8 @@
 The LB-wired rigs (chaos, prediction, megascale, storm) share two parts:
 :class:`RecoveryPipeline` and :func:`end_run`.  Their live consumers come
 from :func:`~repro.observability.exporter.predictive_chain`, as replay's do.
+The Figure 3 and Figure 4 sweeps share :class:`ClusterRig` and
+:func:`failover_sweep`.
 """
 
 import os
@@ -16,6 +18,7 @@ from repro.core.hardening import RecoveryStormLimiter
 from repro.core.recovery_manager import NODE_WIDE_LEVELS, RecoveryManager
 from repro.ebid.descriptors import URL_PATH_MAP
 from repro.faults.injector import FaultInjector
+from repro.parallel import TrialSpec, run_campaign
 from repro.telemetry.spans import SpanCollector
 from repro.workload.client import ClientPopulation
 from repro.workload.markov import WorkloadProfile
@@ -285,3 +288,30 @@ class ClusterRig:
 
         self.kernel.process(watcher(), name="recovery-script")
         return outcome
+
+
+#: The recovery schemes a failover sweep compares at every cluster size.
+RECOVERIES = ("process-restart", "microreboot")
+
+
+def failover_sweep(task, size, seed, jobs):
+    """Run ``task`` once per (cluster size, recovery) of a ``SCALES`` row.
+
+    Each pair is one trial of a campaign, so ``jobs>1`` fans the sweep out
+    with identical output.  The row's ``cluster_sizes`` lists the sizes;
+    its other entries are every trial's kwargs.  Returns the outcomes in
+    sweep order.
+    """
+    kwargs = {key: value for key, value in size.items()
+              if key != "cluster_sizes"}
+    specs = [
+        TrialSpec(
+            task=task,
+            kwargs={"n_nodes": n_nodes, "recovery": recovery, **kwargs},
+            tag=f"{n_nodes}/{recovery}",
+            seed=seed,
+        )
+        for n_nodes in size["cluster_sizes"]
+        for recovery in RECOVERIES
+    ]
+    return [trial.value for trial in run_campaign(specs, jobs=jobs)]

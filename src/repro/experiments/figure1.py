@@ -73,13 +73,19 @@ def run_one_policy(policy, seed, n_clients, fault_times, duration):
     }
 
 
-def run(seed=0, n_clients=500, fault_interval=600.0, full=False, quick=False,
-        jobs=1):
+#: Clients and the seconds between the three faults (a run lasts four
+#: intervals), per scale.
+SCALES = {
+    "quick": {"n_clients": 150, "fault_interval": 150.0},
+    "bench": {"n_clients": 150, "fault_interval": 150.0},
+    "full": {"n_clients": 500, "fault_interval": 600.0},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
     """Run both policies and compare (Figure 1)."""
-    if quick:
-        n_clients, fault_interval = 150, 150.0
-    if full:
-        n_clients, fault_interval = 500, 600.0
+    size = SCALES[scale]
+    fault_interval = size["fault_interval"]
     fault_times = (fault_interval, 2 * fault_interval, 3 * fault_interval)
     duration = 4 * fault_interval
 
@@ -87,7 +93,7 @@ def run(seed=0, n_clients=500, fault_interval=600.0, full=False, quick=False,
         "repro.experiments.figure1:run_one_policy",
         POLICIES,
         {
-            "n_clients": n_clients,
+            "n_clients": size["n_clients"],
             "fault_times": fault_times,
             "duration": duration,
         },
@@ -142,7 +148,3 @@ def run(seed=0, n_clients=500, fault_interval=600.0, full=False, quick=False,
             f"{100 * (1 - urb / restart):.1f}% (paper: 98%)"
         )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

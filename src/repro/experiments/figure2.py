@@ -38,7 +38,7 @@ def run_one(policy, seed, n_clients, inject_at, duration):
     return rig, gaps
 
 
-def run_arm(policy, seed=0, n_clients=300, inject_at=240.0, duration=480.0):
+def run_arm(policy, seed, n_clients, inject_at, duration):
     """Spawn-safe trial entrypoint: per-group gap spans for one policy.
 
     Returns only the (picklable) gap spans, not the rig itself.
@@ -57,11 +57,18 @@ def total_gap_seconds(spans, window):
     return total
 
 
-def run(seed=0, n_clients=300, inject_at=240.0, duration=480.0, full=False,
-        jobs=1):
+#: Clients, the fault's injection time and the run's length, per scale.
+SCALES = {
+    "quick": {"n_clients": 150, "inject_at": 120.0, "duration": 240.0},
+    "bench": {"n_clients": 300, "inject_at": 240.0, "duration": 480.0},
+    "full": {"n_clients": 500, "inject_at": 600.0, "duration": 1200.0},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
     """Compare per-group unavailability around one recovery event."""
-    if full:
-        n_clients, inject_at, duration = 500, 600.0, 1200.0
+    size = SCALES[scale]
+    inject_at, duration = size["inject_at"], size["duration"]
     window = (inject_at - 5.0, duration)
 
     result = ExperimentResult(
@@ -72,11 +79,7 @@ def run(seed=0, n_clients=300, inject_at=240.0, duration=480.0, full=False,
     outcomes = run_arms(
         "repro.experiments.figure2:run_arm",
         POLICIES,
-        {
-            "n_clients": n_clients,
-            "inject_at": inject_at,
-            "duration": duration,
-        },
+        size,
         seed,
         jobs,
         key="policy",
@@ -103,7 +106,3 @@ def run(seed=0, n_clients=300, inject_at=240.0, duration=480.0, full=False,
         urb_gaps, chart_window
     )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run()[0].render())

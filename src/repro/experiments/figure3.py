@@ -13,15 +13,13 @@ per-node session population.
 """
 
 from repro.cluster.load_balancer import FailoverMode
-from repro.experiments.cluster_common import ClusterRig
+from repro.experiments.cluster_common import ClusterRig, failover_sweep
 from repro.experiments.common import ExperimentResult
 
-RECOVERIES = ("process-restart", "microreboot")
 
-
-def run_one(n_nodes, recovery, clients_per_node, seed, duration, dataset=None):
+def run_one(n_nodes, recovery, clients_per_node, seed, duration):
     """One cluster run; returns failure and failover counts."""
-    rig = ClusterRig(n_nodes, clients_per_node, seed=seed, dataset=dataset)
+    rig = ClusterRig(n_nodes, clients_per_node, seed=seed)
     rig.start(warmup=duration * 0.3)
     inject_at = rig.kernel.now
     bad_node = rig.cluster.nodes[0]
@@ -46,16 +44,26 @@ def run_one(n_nodes, recovery, clients_per_node, seed, duration, dataset=None):
     }
 
 
-def run(
-    seed=0,
-    cluster_sizes=(2, 4, 6, 8),
-    clients_per_node=150,
-    duration=600.0,
-    full=False,
-):
-    """Sweep cluster sizes for both recovery schemes (Figure 3)."""
-    if full:
-        clients_per_node, duration = 500, 600.0
+#: Cluster sizes swept, clients per node and each run's length, per scale.
+SCALES = {
+    "quick": {"cluster_sizes": (2,), "clients_per_node": 150,
+              "duration": 600.0},
+    "bench": {"cluster_sizes": (2, 4, 6, 8), "clients_per_node": 150,
+              "duration": 600.0},
+    "full": {"cluster_sizes": (2, 4, 6, 8), "clients_per_node": 500,
+             "duration": 600.0},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
+    """Sweep cluster sizes for both recovery schemes (Figure 3).
+
+    Each (cluster size, recovery) pair is one trial of a campaign (see
+    :func:`~repro.experiments.cluster_common.failover_sweep`).
+    """
+    outcomes = failover_sweep(
+        "repro.experiments.figure3:run_one", SCALES[scale], seed, jobs
+    )
     result = ExperimentResult(
         name="Node failover + recovery under normal load",
         paper_reference="Figure 3 (paper: ≈2,280 failed req/restart vs ≈162 per µRB)",
@@ -64,26 +72,20 @@ def run(
             "sessions failed over",
         ),
     )
-    outcomes = []
-    for n_nodes in cluster_sizes:
-        for recovery in RECOVERIES:
-            outcome = run_one(
-                n_nodes, recovery, clients_per_node, seed, duration
+    for outcome in outcomes:
+        result.rows.append(
+            (
+                outcome["n_nodes"],
+                outcome["recovery"],
+                outcome["failed_requests"],
+                round(
+                    100 * outcome["failed_requests"]
+                    / max(outcome["total_requests"], 1),
+                    2,
+                ),
+                outcome["sessions_failed_over"],
             )
-            outcomes.append(outcome)
-            result.rows.append(
-                (
-                    n_nodes,
-                    recovery,
-                    outcome["failed_requests"],
-                    round(
-                        100 * outcome["failed_requests"]
-                        / max(outcome["total_requests"], 1),
-                        2,
-                    ),
-                    outcome["sessions_failed_over"],
-                )
-            )
+        )
     restart_counts = [
         o["failed_requests"] for o in outcomes if o["recovery"] == "process-restart"
     ]
@@ -95,7 +97,3 @@ def run(
         f"µRB {sum(urb_counts) / len(urb_counts):.0f}"
     )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(cluster_sizes=(2, 4), clients_per_node=100, duration=420.0)[0].render())

@@ -8,18 +8,14 @@ fast enough that the spike is unobservable.
 """
 
 from repro.cluster.load_balancer import FailoverMode
-from repro.experiments.cluster_common import ClusterRig
+from repro.experiments.cluster_common import ClusterRig, failover_sweep
 from repro.experiments.common import ExperimentResult
 from repro.experiments.plotting import ascii_timeseries
 
-RECOVERIES = ("process-restart", "microreboot")
 
-
-def run_one(
-    n_nodes, recovery, clients_per_node, seed, stabilize, observe, dataset=None
-):
+def run_one(n_nodes, recovery, clients_per_node, seed, stabilize, observe):
     """One doubled-load run; returns the response-time series and counts."""
-    rig = ClusterRig(n_nodes, clients_per_node, seed=seed, dataset=dataset)
+    rig = ClusterRig(n_nodes, clients_per_node, seed=seed)
     # "We allow the system to stabilize at the higher load prior to
     # injecting faults" (§5.3).
     rig.start(warmup=stabilize)
@@ -49,47 +45,47 @@ def run_one(
     }
 
 
-def run(
-    seed=0,
-    cluster_sizes=(2, 4, 6, 8),
-    clients_per_node=1000,
-    stabilize=180.0,
-    observe=420.0,
-    full=False,
-):
-    """Sweep cluster sizes at doubled load (Figure 4 + Table 4 data)."""
-    if full:
-        clients_per_node, stabilize, observe = 1000, 300.0, 480.0
+#: Cluster sizes swept, clients per node, the warm-up before the fault and
+#: the observation after it, per scale.  Table 4 runs the same sweep.
+SCALES = {
+    "quick": {"cluster_sizes": (2,), "clients_per_node": 600,
+              "stabilize": 120.0, "observe": 240.0},
+    "bench": {"cluster_sizes": (2, 4), "clients_per_node": 1000,
+              "stabilize": 150.0, "observe": 360.0},
+    "full": {"cluster_sizes": (2, 4, 6, 8), "clients_per_node": 1000,
+             "stabilize": 300.0, "observe": 480.0},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
+    """Sweep cluster sizes at doubled load (Figure 4 + Table 4 data).
+
+    Each (cluster size, recovery) pair is one trial of a campaign (see
+    :func:`~repro.experiments.cluster_common.failover_sweep`).
+    """
+    outcomes = failover_sweep(
+        "repro.experiments.figure4:run_one", SCALES[scale], seed, jobs
+    )
     result = ExperimentResult(
         name="Response time during failover under doubled load",
         paper_reference="Figure 4",
         headers=("nodes", "recovery", "peak RT (s)", "requests > 8 s"),
     )
-    outcomes = []
-    for n_nodes in cluster_sizes:
-        for recovery in RECOVERIES:
-            outcome = run_one(
-                n_nodes, recovery, clients_per_node, seed, stabilize, observe
+    for outcome in outcomes:
+        n_nodes, recovery = outcome["n_nodes"], outcome["recovery"]
+        result.rows.append(
+            (
+                n_nodes,
+                recovery,
+                round(outcome["peak_response_time"], 2),
+                outcome["over_8s"],
             )
-            outcomes.append(outcome)
-            result.rows.append(
-                (
-                    n_nodes,
-                    recovery,
-                    round(outcome["peak_response_time"], 2),
-                    outcome["over_8s"],
-                )
+        )
+        result.series[f"rt:{n_nodes}nodes:{recovery}"] = outcome["series"]
+        result.figures[f"response time, {n_nodes} nodes, {recovery}"] = (
+            ascii_timeseries(
+                outcome["series"], label="seconds ", height=8,
+                y_format="{:.2f}",
             )
-            result.series[f"rt:{n_nodes}nodes:{recovery}"] = outcome["series"]
-            result.figures[f"response time, {n_nodes} nodes, {recovery}"] = (
-                ascii_timeseries(
-                    outcome["series"], label="seconds ", height=8,
-                    y_format="{:.2f}",
-                )
-            )
+        )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(cluster_sizes=(2,), clients_per_node=600, stabilize=120.0,
-              observe=240.0)[0].render())

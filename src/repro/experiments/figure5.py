@@ -15,7 +15,15 @@ with perfect detection.
 from repro.experiments.common import ExperimentResult, SingleNodeRig
 from repro.parallel import TrialSpec, run_campaign
 
-DEFAULT_TDETS = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0)
+#: Clients and the detection delays swept (seconds), per scale.
+SCALES = {
+    "quick": {"n_clients": 150, "t_dets": (0.0, 2.0, 10.0, 40.0, 80.0)},
+    "bench": {"n_clients": 150, "t_dets": (0.0, 2.0, 10.0, 40.0, 80.0)},
+    "full": {
+        "n_clients": 500,
+        "t_dets": (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 40.0, 60.0, 80.0, 100.0),
+    },
+}
 
 
 def run_delay_point(recovery, t_det, seed, n_clients, settle=45.0):
@@ -62,14 +70,10 @@ def false_positive_series(failed_per_restart, failed_per_urb, max_n=200):
     return restart, urb, tolerable_fp
 
 
-def run(seed=0, n_clients=300, t_dets=DEFAULT_TDETS, full=False, quick=False,
-        jobs=1):
+def run(seed=0, scale="bench", jobs=1):
     """Both graphs of Figure 5."""
-    if quick:
-        n_clients = 150
-        t_dets = (0.0, 2.0, 10.0, 40.0, 80.0)
-    if full:
-        n_clients = 500
+    size = SCALES[scale]
+    t_dets = size["t_dets"]
 
     left = {"microreboot": {}, "process-restart": {}}
     arms = [
@@ -81,7 +85,7 @@ def run(seed=0, n_clients=300, t_dets=DEFAULT_TDETS, full=False, quick=False,
             kwargs={
                 "recovery": recovery,
                 "t_det": t_det,
-                "n_clients": n_clients,
+                "n_clients": size["n_clients"],
             },
             tag=f"{recovery}/Tdet={t_det}",
             seed=seed,
@@ -127,7 +131,3 @@ def run(seed=0, n_clients=300, t_dets=DEFAULT_TDETS, full=False, quick=False,
         "crossover": crossover,
         "tolerable_fp": tolerable_fp,
     }
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

@@ -66,26 +66,28 @@ def run_one_arm(arm, seed, n_nodes, clients_per_node, leak_bytes, duration,
     return outcome
 
 
-def run(seed=0, n_nodes=2, clients_per_node=20, full=False, quick=False,
-        jobs=1):
-    """Run the three arms and compare reactive vs predictive recovery."""
-    leak_bytes = 36 * 1024 * 1024
-    duration, tail = 420.0, 60.0
-    if quick:
-        duration, tail = 300.0, 40.0
-    if full:
-        n_nodes, clients_per_node = 3, 30
+#: Nodes, clients per node, the per-invocation leak of
+#: ``ChaosSpec.leaky`` (bytes), its fault window and the quiet tail after
+#: it, per scale.
+SCALES = {
+    "quick": {"n_nodes": 2, "clients_per_node": 20,
+              "leak_bytes": 36 * 1024 * 1024, "duration": 300.0,
+              "tail": 40.0},
+    "bench": {"n_nodes": 2, "clients_per_node": 20,
+              "leak_bytes": 36 * 1024 * 1024, "duration": 420.0,
+              "tail": 60.0},
+    "full": {"n_nodes": 3, "clients_per_node": 30,
+             "leak_bytes": 36 * 1024 * 1024, "duration": 420.0,
+             "tail": 60.0},
+}
 
+
+def run(seed=0, scale="bench", jobs=1):
+    """Run the three arms and compare reactive vs predictive recovery."""
     outcomes = run_arms(
         "repro.experiments.health_prediction:run_one_arm",
         ARMS,
-        {
-            "n_nodes": n_nodes,
-            "clients_per_node": clients_per_node,
-            "leak_bytes": leak_bytes,
-            "duration": duration,
-            "tail": tail,
-        },
+        SCALES[scale],
         seed,
         jobs,
     )
@@ -150,7 +152,3 @@ def run(seed=0, n_nodes=2, clients_per_node=20, full=False, quick=False,
             "sub-second preemptive µRBs"
         )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

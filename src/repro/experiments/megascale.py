@@ -569,40 +569,34 @@ def run_one_arm(arm, seed, n_sessions, n_shards, nodes_per_shard, duration):
     return outcome
 
 
-#: (sessions, shards, nodes_per_shard, duration) per scale name.
+#: Sessions, shards, nodes per shard and the run's length, per scale.
 SCALES = {
-    "smoke": (50_000, 16, 1, 90.0),
-    "standard": (1_000_000, 128, 1, 240.0),
-    "full": (2_000_000, 128, 2, 300.0),
+    "quick": {"n_sessions": 50_000, "n_shards": 16, "nodes_per_shard": 1,
+              "duration": 90.0},
+    "bench": {"n_sessions": 1_000_000, "n_shards": 128,
+              "nodes_per_shard": 1, "duration": 240.0},
+    "full": {"n_sessions": 2_000_000, "n_shards": 128,
+             "nodes_per_shard": 2, "duration": 300.0},
 }
 
 
-def run(seed=0, full=False, quick=False, jobs=1, scale=None):
+def run(seed=0, scale="bench", jobs=1):
     """Run both megascale arms and render the blast-radius comparison."""
-    if scale is None:
-        scale = "smoke" if quick else ("full" if full else "standard")
-    n_sessions, n_shards, nodes_per_shard, duration = SCALES[scale]
+    size = SCALES[scale]
+    n_sessions, n_shards = size["n_sessions"], size["n_shards"]
 
     started = time.monotonic()
     outcomes = run_arms(
-        "repro.experiments.megascale:run_one_arm",
-        ARMS,
-        {
-            "n_sessions": n_sessions,
-            "n_shards": n_shards,
-            "nodes_per_shard": nodes_per_shard,
-            "duration": duration,
-        },
-        seed,
-        jobs,
+        "repro.experiments.megascale:run_one_arm", ARMS, size, seed, jobs
     )
     wall = time.monotonic() - started
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
+    nodes = n_shards * size["nodes_per_shard"]
     result = ExperimentResult(
         name=f"Megascale: {n_sessions:,} sessions on {n_shards} shards "
-             f"({n_shards * nodes_per_shard} nodes), cohort-vectorized "
-             "workload, fault at one shard",
+             f"({nodes} nodes), cohort-vectorized workload, fault at one "
+             "shard",
         paper_reference="§4 workload + §5.3 failover, at WAN-service scale",
         headers=(
             "arm", "sessions", "availability", "Gaw/s", "worst shard",
@@ -670,7 +664,3 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
         f"{peak_rss_kb / 1024:.0f} MiB (driver process)"
     )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

@@ -115,24 +115,21 @@ def run_one_mode(mode, seed, n_clients, inject_at, duration):
     }
 
 
-def run(seed=0, n_clients=150, inject_at=60.0, duration=None,
-        full=False, quick=False, jobs=1):
-    """Run the IdentityManager fault under both diagnosis modes."""
-    if quick:
-        n_clients, inject_at = 100, 40.0
-    if full:
-        n_clients, inject_at = 500, 120.0
-    if duration is None:
-        duration = inject_at + 300.0
+#: Clients, the fault's injection time and the run's length (300 s past
+#: the fault), per scale.
+SCALES = {
+    "quick": {"n_clients": 100, "inject_at": 40.0, "duration": 340.0},
+    "bench": {"n_clients": 150, "inject_at": 60.0, "duration": 360.0},
+    "full": {"n_clients": 500, "inject_at": 120.0, "duration": 420.0},
+}
 
+
+def run(seed=0, scale="bench", jobs=1):
+    """Run the IdentityManager fault under both diagnosis modes."""
     outcomes = run_arms(
         "repro.experiments.path_diagnosis:run_one_mode",
         MODES,
-        {
-            "n_clients": n_clients,
-            "inject_at": inject_at,
-            "duration": duration,
-        },
+        SCALES[scale],
         seed,
         jobs,
         key="mode",
@@ -179,7 +176,3 @@ def run(seed=0, n_clients=150, inject_at=60.0, duration=None,
             "fewer mis-targeted recoveries"
         )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

@@ -180,17 +180,8 @@ class StormRig(MegascaleRig):
         return out
 
 
-def _spec_for(scale, k_shards):
-    if scale == "smoke":
-        return StormSpec.smoke()
-    if scale == "full":
-        # Longer front on more shards: the 256-node full configuration.
-        return StormSpec(start=60.0, duration=150.0, k_shards=k_shards)
-    return StormSpec.standard()
-
-
-def run_one_arm(arm, seed, scale, n_sessions, n_shards, nodes_per_shard,
-                duration, k_shards, load_skew):
+def run_one_arm(arm, seed, n_sessions, n_shards, nodes_per_shard, duration,
+                storm_start, storm_duration, k_shards, load_skew):
     rig = StormRig(
         seed=seed,
         n_sessions=n_sessions,
@@ -199,7 +190,9 @@ def run_one_arm(arm, seed, scale, n_sessions, n_shards, nodes_per_shard,
         duration=duration,
         storm=(arm != "steady"),
         elastic=(arm == "storm+elastic"),
-        storm_spec=_spec_for(scale, k_shards),
+        storm_spec=StormSpec(
+            start=storm_start, duration=storm_duration, k_shards=k_shards
+        ),
         load_skew=load_skew,
     )
     outcome = rig.run()
@@ -207,47 +200,41 @@ def run_one_arm(arm, seed, scale, n_sessions, n_shards, nodes_per_shard,
     return outcome
 
 
-#: (sessions, shards, nodes_per_shard, duration, k_shards, load_skew).
+#: Sessions, shards, nodes per shard, the run's length, the storm's onset,
+#: how long its faults persist, how many shards it strikes, and the probe
+#: model's load-skew weighting, per scale.
 SCALES = {
-    "smoke": (50_000, 16, 1, 150.0, 4, 0.0),
-    "standard": (1_000_000, 128, 1, 240.0, 8, 0.0),
-    #: The --full unlock: 2M sessions on 256 nodes, with the probe model's
-    #: per-shard load-skew weighting turned on.
-    "full": (2_000_000, 128, 2, 300.0, 16, 0.25),
+    "quick": {"n_sessions": 50_000, "n_shards": 16, "nodes_per_shard": 1,
+              "duration": 150.0, "storm_start": 20.0,
+              "storm_duration": 60.0, "k_shards": 4, "load_skew": 0.0},
+    "bench": {"n_sessions": 1_000_000, "n_shards": 128,
+              "nodes_per_shard": 1, "duration": 240.0, "storm_start": 60.0,
+              "storm_duration": 120.0, "k_shards": 8, "load_skew": 0.0},
+    #: 2M sessions on 256 nodes, a longer front on more shards, and the
+    #: probe model's per-shard load-skew weighting turned on.
+    "full": {"n_sessions": 2_000_000, "n_shards": 128,
+             "nodes_per_shard": 2, "duration": 300.0, "storm_start": 60.0,
+             "storm_duration": 150.0, "k_shards": 16, "load_skew": 0.25},
 }
 
 
-def run(seed=0, full=False, quick=False, jobs=1, scale=None):
+def run(seed=0, scale="bench", jobs=1):
     """Run the three storm arms and render the containment comparison."""
-    if scale is None:
-        scale = "smoke" if quick else ("full" if full else "standard")
-    n_sessions, n_shards, nodes_per_shard, duration, k_shards, load_skew = (
-        SCALES[scale]
-    )
+    size = SCALES[scale]
+    n_sessions, n_shards = size["n_sessions"], size["n_shards"]
 
     started = time.monotonic()
     outcomes = run_arms(
-        "repro.experiments.storm:run_one_arm",
-        ARMS,
-        {
-            "scale": scale,
-            "n_sessions": n_sessions,
-            "n_shards": n_shards,
-            "nodes_per_shard": nodes_per_shard,
-            "duration": duration,
-            "k_shards": k_shards,
-            "load_skew": load_skew,
-        },
-        seed,
-        jobs,
+        "repro.experiments.storm:run_one_arm", ARMS, size, seed, jobs
     )
     wall = time.monotonic() - started
     peak_rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
+    nodes = n_shards * size["nodes_per_shard"]
     result = ExperimentResult(
-        name=f"Storm: K={k_shards} simultaneous shard faults on "
-             f"{n_shards} shards ({n_shards * nodes_per_shard} nodes), "
-             f"{n_sessions:,} sessions, static vs elastic resharding",
+        name=f"Storm: K={size['k_shards']} simultaneous shard faults on "
+             f"{n_shards} shards ({nodes} nodes), {n_sessions:,} sessions, "
+             "static vs elastic resharding",
         paper_reference="§5.1 fault injection + §5.3 failover under "
                         "correlated multi-shard storms",
         headers=(
@@ -325,7 +312,3 @@ def run(seed=0, full=False, quick=False, jobs=1, scale=None):
         f"{peak_rss_kb / 1024:.0f} MiB (driver process)"
     )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

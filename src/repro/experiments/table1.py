@@ -29,15 +29,26 @@ def measure_mix(metrics):
     return by_category
 
 
-def run(seed=0, n_clients=200, duration=1800.0, full=False):
-    """Measure the workload mix over a steady fault-free run."""
-    if full:
-        n_clients, duration = 500, 3600.0
+#: Clients and the length of the fault-free run, per scale.
+SCALES = {
+    "quick": {"n_clients": 80, "duration": 600.0},
+    "bench": {"n_clients": 200, "duration": 1800.0},
+    "full": {"n_clients": 500, "duration": 3600.0},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
+    """Measure the workload mix over a steady fault-free run.
+
+    One rig, one trial: ``jobs`` is accepted but there is nothing to fan
+    out.
+    """
+    size = SCALES[scale]
     rig = SingleNodeRig(
-        seed=seed, n_clients=n_clients, with_recovery_manager=False
+        seed=seed, n_clients=size["n_clients"], with_recovery_manager=False
     )
     rig.start()
-    rig.run_for(duration)
+    rig.run_for(size["duration"])
 
     measured = measure_mix(rig.metrics)
     result = ExperimentResult(
@@ -50,11 +61,7 @@ def run(seed=0, n_clients=200, duration=1800.0, full=False):
             (category.value, paper_pct, round(100 * measured[category], 1))
         )
     result.notes.append(
-        f"{rig.metrics.total_requests} requests from {n_clients} clients "
-        f"over {duration / 60:.0f} simulated minutes"
+        f"{rig.metrics.total_requests} requests from {size['n_clients']} "
+        f"clients over {size['duration'] / 60:.0f} simulated minutes"
     )
-    return result
-
-
-if __name__ == "__main__":
-    print(run().render())
+    return result, measured

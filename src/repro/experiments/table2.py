@@ -219,7 +219,7 @@ LEVEL_LABELS = {
 }
 
 
-def run_scenario(scenario, seed=0, n_clients=150):
+def run_scenario(scenario, seed, n_clients):
     """Inject one fault and let the system recover; classify the outcome."""
     heap = HeapModel(capacity=48 * MB, baseline=6 * MB) if scenario.small_heap else None
     rig = SingleNodeRig(
@@ -310,7 +310,7 @@ def run_scenario(scenario, seed=0, n_clients=150):
     }
 
 
-def run_scenario_index(index, seed=0, n_clients=150):
+def run_scenario_index(index, seed, n_clients):
     """Spawn-safe trial entrypoint: run the ``index``-th Table 2 scenario.
 
     Scenario objects hold lambdas and do not pickle, so parallel workers
@@ -319,14 +319,20 @@ def run_scenario_index(index, seed=0, n_clients=150):
     return run_scenario(_scenarios()[index], seed=seed, n_clients=n_clients)
 
 
-def run(seed=0, n_clients=150, only=None, full=False, jobs=1):
-    """Run every Table 2 scenario (or a named subset via ``only``).
+#: Clients loading the node while each fault plays out, per scale.
+SCALES = {
+    "quick": {"n_clients": 60},
+    "bench": {"n_clients": 150},
+    "full": {"n_clients": 300},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
+    """Run every Table 2 scenario.
 
     Each scenario is one independent trial of a campaign: ``jobs>1`` fans
     the 26 rows out across worker processes, with identical output.
     """
-    if full:
-        n_clients = 300
     result = ExperimentResult(
         name="Recovery from injected faults: worst-case scenarios",
         paper_reference="Table 2",
@@ -335,22 +341,18 @@ def run(seed=0, n_clients=150, only=None, full=False, jobs=1):
             "resuscitated", "repair (≈)",
         ),
     )
-    selected = [
-        (index, scenario)
-        for index, scenario in enumerate(_scenarios())
-        if only is None or scenario.label in only
-    ]
+    scenarios = _scenarios()
     specs = [
         TrialSpec(
             task="repro.experiments.table2:run_scenario_index",
-            kwargs={"index": index, "n_clients": n_clients},
+            kwargs={"index": index, **SCALES[scale]},
             tag=scenario.label,
             seed=seed,
         )
-        for index, scenario in selected
+        for index, scenario in enumerate(scenarios)
     ]
     outcomes = [trial.value for trial in run_campaign(specs, jobs=jobs)]
-    for (_index, scenario), outcome in zip(selected, outcomes):
+    for scenario, outcome in zip(scenarios, outcomes):
         paper = scenario.paper_level + (" ≈" if scenario.paper_repair else "")
         result.rows.append(
             (
@@ -362,10 +364,3 @@ def run(seed=0, n_clients=150, only=None, full=False, jobs=1):
             )
         )
     return result, outcomes
-
-
-if __name__ == "__main__":
-    import sys
-
-    only = set(sys.argv[1:]) or None
-    print(run(only=only)[0].render())

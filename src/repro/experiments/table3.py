@@ -74,12 +74,25 @@ def _measure(rig, trials, generator_factory):
     return tuple(sum(t[i] for t in totals) / n for i in range(3))
 
 
-def run(seed=0, n_clients=500, trials=10, full=False, quick=False):
-    """Measure every Table 3 row."""
-    if quick:
-        n_clients, trials = 150, 3
+#: Clients loading the node and µRBs averaged per row (a third as many
+#: JVM restarts), per scale.
+SCALES = {
+    "quick": {"n_clients": 150, "trials": 3},
+    "bench": {"n_clients": 150, "trials": 3},
+    "full": {"n_clients": 500, "trials": 10},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
+    """Measure every Table 3 row.
+
+    The rows are measured one after another on one loaded rig, so this is
+    a single trial: ``jobs`` is accepted but there is nothing to fan out.
+    """
+    size = SCALES[scale]
+    trials = size["trials"]
     rig = SingleNodeRig(
-        seed=seed, n_clients=n_clients, with_recovery_manager=False
+        seed=seed, n_clients=size["n_clients"], with_recovery_manager=False
     )
     rig.start(warmup=30.0)
     coordinator = rig.system.coordinator
@@ -142,7 +155,3 @@ def run(seed=0, n_clients=500, trials=10, full=False, quick=False):
         "(paper: 411-601 ms); the JVM restart is an order of magnitude above any µRB"
     )
     return result, rows
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

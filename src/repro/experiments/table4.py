@@ -22,17 +22,13 @@ PAPER = {
 }
 
 
-def run(seed=0, cluster_sizes=(2, 4, 6, 8), clients_per_node=1000, full=False,
-        stabilize=180.0, observe=420.0):
+#: Table 4 is a column of the Figure 4 sweep, at Figure 4's scales.
+SCALES = figure4.SCALES
+
+
+def run(seed=0, scale="bench", jobs=1):
     """Table 4 is the >8 s column of the Figure 4 sweep."""
-    figure_result, outcomes = figure4.run(
-        seed=seed,
-        cluster_sizes=cluster_sizes,
-        clients_per_node=clients_per_node,
-        stabilize=stabilize,
-        observe=observe,
-        full=full,
-    )
+    figure_result, outcomes = figure4.run(seed=seed, scale=scale, jobs=jobs)
     result = ExperimentResult(
         name="Requests exceeding 8 s during failover under doubled load",
         paper_reference="Table 4",
@@ -50,8 +46,3 @@ def run(seed=0, cluster_sizes=(2, 4, 6, 8), clients_per_node=1000, full=False,
         )
     result.notes.extend(figure_result.notes)
     return result, outcomes
-
-
-if __name__ == "__main__":
-    print(run(cluster_sizes=(2, 4), clients_per_node=700, stabilize=120.0,
-              observe=300.0)[0].render())

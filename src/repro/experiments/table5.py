@@ -13,6 +13,7 @@ by run-to-run jitter, while the FastS/SSM pairs differ structurally.
 """
 
 from repro.experiments.common import ExperimentResult, SingleNodeRig
+from repro.parallel import TrialSpec, run_campaign
 
 PAPER = {
     ("JBoss", "fasts"): (72.09, 15.02),
@@ -52,10 +53,16 @@ def run_one(server_variant, store, seed, n_clients, duration):
     return throughput, latency
 
 
-def run(seed=0, n_clients=500, duration=300.0, full=False):
-    """Measure all four configurations."""
-    if full:
-        n_clients, duration = 500, 600.0
+#: Clients and the measured window after a 60 s warm-up, per scale.
+SCALES = {
+    "quick": {"n_clients": 500, "duration": 180.0},
+    "bench": {"n_clients": 500, "duration": 300.0},
+    "full": {"n_clients": 500, "duration": 600.0},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
+    """Measure all four configurations, one trial each."""
     result = ExperimentResult(
         name="Fault-free performance: µRB modifications and session stores",
         paper_reference="Table 5",
@@ -64,10 +71,22 @@ def run(seed=0, n_clients=500, duration=300.0, full=False):
             "paper latency (ms)", "measured latency (ms)",
         ),
     )
-    measured = {}
+    specs = [
+        TrialSpec(
+            task="repro.experiments.table5:run_one",
+            kwargs={"server_variant": variant, "store": store,
+                    **SCALES[scale]},
+            tag=f"{variant}/{store}",
+            seed=seed,
+        )
+        for variant, store in CONFIGS
+    ]
+    measured = {
+        config: trial.value
+        for config, trial in zip(CONFIGS, run_campaign(specs, jobs=jobs))
+    }
     for variant, store in CONFIGS:
-        throughput, latency = run_one(variant, store, seed, n_clients, duration)
-        measured[(variant, store)] = (throughput, latency)
+        throughput, latency = measured[(variant, store)]
         paper_tp, paper_lat = PAPER[(variant, store)]
         store_label = "FastS" if store == "fasts" else "SSM"
         result.rows.append(
@@ -87,7 +106,3 @@ def run(seed=0, n_clients=500, duration=300.0, full=False):
             "(paper: +70-90%)"
         )
     return result, measured
-
-
-if __name__ == "__main__":
-    print(run(n_clients=500, duration=180.0)[0].render())

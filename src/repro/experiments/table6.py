@@ -12,6 +12,7 @@ half of the failures, the drain delay most of the rest.
 
 from repro.core.retry import RetryPolicy
 from repro.experiments.common import ExperimentResult, SingleNodeRig
+from repro.parallel import TrialSpec, run_campaign
 
 PAPER = {
     "ViewItem": (23, 16, 8),
@@ -27,12 +28,13 @@ MODES = (
 )
 
 
-def run_mode(component, policy, seed, n_clients, trials, gap):
-    """Average failed requests per µRB of ``component`` under ``policy``."""
+def run_mode(component, mode, seed, n_clients, trials, gap):
+    """Average failed requests per µRB of ``component`` under the retry
+    mode labelled ``mode``."""
     rig = SingleNodeRig(
         seed=seed,
         n_clients=n_clients,
-        retry_policy=policy,
+        retry_policy=dict(MODES)[mode],
         with_recovery_manager=False,
     )
     rig.start(warmup=40.0)
@@ -49,10 +51,20 @@ def run_mode(component, policy, seed, n_clients, trials, gap):
     return sum(failures) / len(failures)
 
 
-def run(seed=0, n_clients=500, trials=10, gap=12.0, full=False, quick=False):
-    """Sweep the paper's four components across the three retry modes."""
-    if quick:
-        n_clients, trials = 200, 4
+#: Clients, µRBs averaged per cell and the seconds between them, per scale.
+SCALES = {
+    "quick": {"n_clients": 200, "trials": 4, "gap": 12.0},
+    "bench": {"n_clients": 200, "trials": 4, "gap": 12.0},
+    "full": {"n_clients": 500, "trials": 10, "gap": 12.0},
+}
+
+
+def run(seed=0, scale="bench", jobs=1):
+    """Sweep the paper's four components across the three retry modes.
+
+    Each (component, mode) cell is one trial of a campaign, seeded
+    ``seed + mode index``.
+    """
     result = ExperimentResult(
         name="Masking microreboots with HTTP/1.1 Retry-After",
         paper_reference="Table 6",
@@ -61,14 +73,20 @@ def run(seed=0, n_clients=500, trials=10, gap=12.0, full=False, quick=False):
             "No retry", "Retry", "Delay & retry",
         ),
     )
+    specs = [
+        TrialSpec(
+            task="repro.experiments.table6:run_mode",
+            kwargs={"component": component, "mode": label, **SCALES[scale]},
+            tag=f"{component}/{label}",
+            seed=seed + mode_index,
+        )
+        for component in PAPER
+        for mode_index, (label, _policy) in enumerate(MODES)
+    ]
+    averages = iter(trial.value for trial in run_campaign(specs, jobs=jobs))
     measured = {}
     for component in PAPER:
-        row = []
-        for mode_index, (_label, policy) in enumerate(MODES):
-            avg = run_mode(
-                component, policy, seed + mode_index, n_clients, trials, gap
-            )
-            row.append(round(avg, 1))
+        row = [round(next(averages), 1) for _mode in MODES]
         measured[component] = tuple(row)
         result.rows.append(
             (component, "/".join(str(v) for v in PAPER[component]), *row)
@@ -77,7 +95,3 @@ def run(seed=0, n_clients=500, trials=10, gap=12.0, full=False, quick=False):
         "expected ordering per component: no-retry >= retry >= delay&retry"
     )
     return result, measured
-
-
-if __name__ == "__main__":
-    print(run(quick=True)[0].render())

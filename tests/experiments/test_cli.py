@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import EXPERIMENTS, build_parser, main, run_experiment
+from repro.experiments import ExperimentResult
 
 
 def test_every_experiment_registered():
@@ -34,9 +35,23 @@ def test_run_writes_output_file(tmp_path, capsys):
     assert "six-nines" in written.read_text()
 
 
-def test_run_experiment_handles_signatures():
-    result = run_experiment("availability")
-    assert result.rows
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_run_experiment_passes_seed_scale_and_jobs(monkeypatch, name):
+    module, _description = EXPERIMENTS[name]
+    result = ExperimentResult(name=name, paper_reference="-")
+    calls = []
+
+    def recorder(**kwargs):
+        calls.append(kwargs)
+        return result, {}
+
+    monkeypatch.setattr(module, "run", recorder)
+    for scale in ("quick", "bench", "full"):
+        assert run_experiment(name, seed=3, scale=scale, jobs=2) is result
+    assert calls == [
+        {"seed": 3, "scale": scale, "jobs": 2}
+        for scale in ("quick", "bench", "full")
+    ]
 
 
 def test_unknown_experiment_exits_nonzero_with_one_line_error(capsys):
@@ -76,8 +91,21 @@ def test_parser_flags():
     args = build_parser().parse_args(
         ["run", "figure1", "--quick", "--seed", "9"]
     )
-    assert args.quick and args.seed == 9 and not args.full
+    assert args.scale == "quick" and args.seed == 9
     assert args.jobs == 1
+
+
+def test_no_size_flag_selects_bench_and_full_selects_full():
+    parse = build_parser().parse_args
+    assert parse(["run", "figure1"]).scale == "bench"
+    assert parse(["run", "figure1", "--full"]).scale == "full"
+
+
+def test_quick_and_full_together_exit_2(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "figure1", "--quick", "--full"])
+    assert exc.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_parser_jobs_flag():

@@ -72,7 +72,7 @@ class TestSingleNodeRig:
 
 class TestTable1Harness:
     def test_mix_lands_near_paper(self):
-        result = table1.run(n_clients=80, duration=600.0)
+        result, _measured = table1.run(scale="quick")
         measured = {row[0]: row[2] for row in result.rows}
         for category, paper_pct in (
             ("read-only DB access", 32),
