@@ -263,6 +263,8 @@ class ApplicationServer:
             # The lease expired with the request still in flight: purge it
             # (§2, "stuck requests can be automatically purged").
             shepherd.interrupt(cause="request-lease-expired")
+        else:
+            lease.cancel()
         try:
             response = yield shepherd
         except BaseException:  # noqa: BLE001 - shepherd died uncleanly

@@ -249,6 +249,7 @@ class ProbeOutcomeModel:
         except Exception:  # noqa: BLE001 - a dead forward = failed probe
             event = None
         if event is not None and event.triggered:
+            patience.cancel()
             response = event.value
         else:
             response = None

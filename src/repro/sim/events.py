@@ -12,6 +12,9 @@ objects.  Three deliberate micro-optimizations keep it fast:
   ``now``, onto the heap otherwise;
 * :meth:`Event.succeed` / :meth:`Event.fail` append to the ready lane
   directly: a triggered event is due at once, so it needs no heap entry.
+
+A timeout that lost its race can be retired (:meth:`Timeout.cancel`): the
+kernel then drops its heap entry without stepping it.
 """
 
 from heapq import heappush
@@ -19,6 +22,22 @@ from heapq import heappush
 from repro.sim.errors import SimulationError
 
 _PENDING = object()
+
+
+class _Retired(tuple):
+    """The ``callbacks`` of a retired timeout: empty, and refusing waiters."""
+
+    __slots__ = ()
+
+    def append(self, callback):
+        raise SimulationError("cannot wait on a retired timeout")
+
+    def remove(self, callback):
+        raise ValueError("a retired timeout has no callbacks")  # as [] does
+
+
+#: Marks a retired timeout; the kernel drops its heap entry unstepped.
+_RETIRED = _Retired()
 
 
 class Event:
@@ -32,7 +51,9 @@ class Event:
     Attributes:
         kernel: the :class:`~repro.sim.kernel.Kernel` this event belongs to.
         callbacks: list of callables invoked with the event when it is
-            processed; ``None`` once the event has been processed.
+            processed; ``None`` once the event has been processed, and an
+            empty sentinel that refuses new callbacks once a timeout has
+            been retired (:meth:`Timeout.cancel`).
         defused: set to True when a failed event's exception has been
             delivered to (and therefore handled by) a waiting process.
             Failed events that are never defused are collected by the kernel
@@ -101,7 +122,7 @@ class Event:
 class Timeout(Event):
     """An event that triggers automatically after a fixed delay."""
 
-    __slots__ = ("delay",)
+    __slots__ = ("delay", "_when")
 
     def __init__(self, kernel, delay, value=None):
         if delay < 0:
@@ -117,11 +138,32 @@ class Timeout(Event):
         self._value = value
         self.delay = delay
         now = kernel._now
-        when = now + delay
+        self._when = when = now + delay
         if when == now:
             kernel._ready.append(self)
         else:
             heappush(kernel._queue, (when, next(kernel._sequence), self))
+
+    def cancel(self):
+        """Retire this timeout: it will not fire, and nothing may wait on it.
+
+        Meant for a timer that lost its race, such as the patience timer
+        of a reply-or-timeout :class:`AnyOf` whose reply came first: the
+        kernel drops its heap entry without stepping it, so it neither
+        holds memory until its deadline nor counts in
+        ``events_processed``.  A timeout that has fired, or that is due
+        now and so already in the ready lane, is left alone.  Raises
+        :class:`SimulationError` while a process or condition waits on it.
+        """
+        callbacks = self.callbacks
+        if callbacks:
+            raise SimulationError(f"cannot cancel {self!r}: it has waiters")
+        if (
+            callbacks is not None
+            and callbacks is not _RETIRED
+            and self._when > self.kernel._now
+        ):
+            self.kernel._retire(self)
 
 
 class _Condition(Event):

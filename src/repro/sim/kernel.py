@@ -5,7 +5,7 @@ from collections import deque
 from itertools import count
 
 from repro.sim.errors import SimulationError
-from repro.sim.events import AllOf, AnyOf, Event, Timeout
+from repro.sim.events import _RETIRED, AllOf, AnyOf, Event, Timeout
 from repro.sim.process import Process
 from repro.telemetry.trace import TraceBus
 
@@ -44,6 +44,8 @@ class Kernel:
         self._ready = deque()
         #: Heap of ``(time, seq, event)`` for events due after ``now``.
         self._queue = []
+        #: How many ``_queue`` entries are retired timeouts (see "Retiring").
+        self._retired = 0
         self._sequence = count()
         #: Failed events whose exception was never delivered to any process.
         #: Only the first ``UNHANDLED_RETENTION`` are kept (debugging wants
@@ -105,6 +107,17 @@ class Kernel:
     # order of a single heap, without a tuple, a sequence number or a heap
     # push and pop for the events that are due at once (about half of all
     # events in the per-client workloads).
+    #
+    # Retiring.  A timeout cancelled before its deadline (``Timeout.cancel``)
+    # stays in the heap, marked, and is dropped unstepped when it reaches
+    # the head: it never enters the lane, never moves the clock, and
+    # ``peek()`` never reports its time.  Once retired entries outnumber
+    # live ones the heap is compacted in place (``run()`` holds the list in
+    # a local).  Keys ``(time, seq)`` are unique, so the live entries pop in
+    # the same order after ``heapify`` as before; dropping an entry nobody
+    # waits on changes no callback, so the order of every other event is
+    # unchanged.  Each compaction costs O(retired + live) = O(retired), so
+    # a cancel costs amortized O(1).
 
     def _record_unhandled(self, event):
         """Remember a failed event nobody handled (bounded retention)."""
@@ -112,28 +125,47 @@ class Kernel:
         if len(self.unhandled_failures) < self.UNHANDLED_RETENTION:
             self.unhandled_failures.append(event)
 
+    def _retire(self, timeout):
+        """Mark ``timeout``'s heap entry retired (see "Retiring")."""
+        timeout.callbacks = _RETIRED
+        self._retired += 1
+        queue = self._queue
+        if 2 * self._retired > len(queue):
+            queue[:] = [
+                entry for entry in queue if entry[2].callbacks is not _RETIRED
+            ]
+            heapq.heapify(queue)
+            self._retired = 0
+
     def peek(self):
         """Time of the next scheduled event, or ``INFINITY`` if none."""
         if self._ready:
             return self._now
-        return self._queue[0][0] if self._queue else INFINITY
+        queue = self._queue
+        while queue and queue[0][2].callbacks is _RETIRED:
+            heapq.heappop(queue)
+            self._retired -= 1
+        return queue[0][0] if queue else INFINITY
 
     def step(self):
         """Process exactly one event."""
         ready = self._ready
         if not ready:
-            # Advance the clock to the heap's earliest time and lane every
-            # heap entry due then.
-            queue = self._queue
-            if not queue:
+            # Advance the clock to the heap's earliest live time and lane
+            # every live heap entry due then.
+            when = self.peek()
+            if when == INFINITY:
                 raise SimulationError("step() on an empty event queue")
-            when, _seq, event = heapq.heappop(queue)
             if when < self._now:
                 raise SimulationError("event queue corrupted: time went backwards")
             self._now = when
-            ready.append(event)
+            queue = self._queue
             while queue and queue[0][0] == when:
-                ready.append(heapq.heappop(queue)[2])
+                event = heapq.heappop(queue)[2]
+                if event.callbacks is _RETIRED:
+                    self._retired -= 1
+                else:
+                    ready.append(event)
         event = ready.popleft()
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
@@ -168,6 +200,7 @@ class Kernel:
         take = ready.popleft
         lane = ready.append
         record = self._record_unhandled
+        retired = _RETIRED
         steps = 0
         while True:
             while ready:
@@ -181,10 +214,17 @@ class Kernel:
             if not queue or queue[0][0] > horizon:
                 break
             when, _seq, event = pop(queue)
+            if event.callbacks is retired:
+                self._retired -= 1
+                continue
             self._now = when
             lane(event)
             while queue and queue[0][0] == when:
-                lane(pop(queue)[2])
+                event = pop(queue)[2]
+                if event.callbacks is retired:
+                    self._retired -= 1
+                else:
+                    lane(event)
         self.events_processed += steps
         if until is not None:
             self._now = until
@@ -197,9 +237,10 @@ class Kernel:
         boundary is inclusive).
         """
         while not event.triggered:
-            if not self._ready and not self._queue:
+            when = self.peek()
+            if when == INFINITY:
                 raise SimulationError(f"queue drained before {event!r} triggered")
-            if limit is not None and self.peek() > limit:
+            if limit is not None and when > limit:
                 raise SimulationError(f"{event!r} did not trigger before t={limit}")
             self.step()
         if event._ok is False:

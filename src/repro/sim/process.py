@@ -107,24 +107,28 @@ class Process(Event):
                 self.fail(exc)
                 return
 
-            if not isinstance(target, Event):
+            if isinstance(target, Event):
+                if target.callbacks is None:
+                    # Already processed: resume immediately with its value.
+                    event = target
+                    continue
+                try:
+                    target.callbacks.append(self._resume)
+                except SimulationError as refused:  # a retired timeout
+                    exc = refused
+                else:
+                    self._waiting_on = target
+                    return
+            else:
                 exc = SimulationError(
                     f"process {self.name!r} yielded {target!r}, expected an Event"
                 )
-                try:
-                    generator.throw(exc)
-                except BaseException as err:  # noqa: BLE001 - report the real error
-                    self.fail(err)
-                    return
-                raise exc  # pragma: no cover - generator swallowed the error
-
-            if target.callbacks is None:
-                # Already processed: resume immediately with its value.
-                event = target
-                continue
-            target.callbacks.append(self._resume)
-            self._waiting_on = target
-            return
+            try:
+                generator.throw(exc)
+            except BaseException as err:  # noqa: BLE001 - report the real error
+                self.fail(err)
+                return
+            raise exc  # pragma: no cover - generator swallowed the error
 
     def __repr__(self):
         state = "alive" if self.is_alive else "dead"

@@ -21,7 +21,8 @@ from repro.telemetry.trace import (
 
 #: The record :func:`write_timeline` puts first in the section of a bus
 #: whose rings evicted records: ``evicted`` of them are lost, and its ``t``
-#: is the time of the first record kept.
+#: is the time from which the bus kept every record
+#: (:attr:`~repro.telemetry.trace.TraceBus.complete_from`).
 EVICTED = "trace.evicted"
 
 
@@ -42,7 +43,7 @@ def write_timeline(path, buses=None):
             events = bus.events()
             evicted = bus.published - len(events)
             if evicted:
-                note = {"t": events[0].t if events else 0.0, "kind": EVICTED,
+                note = {"t": bus.complete_from, "kind": EVICTED,
                         "bus": bus_id, "evicted": evicted}
                 fh.write(json.dumps(note) + "\n")
                 written += 1
@@ -66,8 +67,8 @@ def split_capture_notes(records):
         elif kind == EVICTED:
             warnings.append(
                 f"warning: bus {record.get('bus')} evicted "
-                f"{record['evicted']} records; its timeline starts at "
-                f"t={record['t']:.3f}s"
+                f"{record['evicted']} records; its timeline is complete "
+                f"from t={record['t']:.3f}s"
             )
     return kept, warnings
 

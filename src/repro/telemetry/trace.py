@@ -32,7 +32,8 @@ kind                                      published by / payload highlights
 ``trace.evicted``                         not published: ``write_timeline``
                                           puts it first in the section of a
                                           bus that lost records; evicted
-                                          count, ``t`` of the first kept
+                                          count, ``t`` from which the bus
+                                          kept every record
 ========================================  =====================================
 """
 
@@ -283,6 +284,13 @@ class TraceBus:
     def dropped(self):
         """Events evicted from the ring buffer by newer ones."""
         return self.published - len(self._buffer)
+
+    @property
+    def complete_from(self):
+        """Time of the main ring's oldest event (0.0 when it is empty):
+        every event published since is buffered.  Sticky events kept from
+        before it are what survived of the earlier ones."""
+        return self._buffer[0].t if self._buffer else 0.0
 
     def __len__(self):
         return len(self._buffer)

@@ -218,6 +218,7 @@ class EmulatedClient:
                 )
             if not event.triggered:
                 return None  # client gave up waiting
+            patience.cancel()
             response = event.value
             if (
                 response.status == HttpStatus.SERVICE_UNAVAILABLE

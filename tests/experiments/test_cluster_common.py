@@ -1,5 +1,5 @@
 """The LB-wired rigs' shared parts: the recovery pipeline and the
-end-of-run step with its run audit."""
+end-of-run step with its run audit, which `ClusterRig` runs too."""
 
 import pytest
 
@@ -8,6 +8,7 @@ from repro.core.hardening import HardeningPolicy
 from repro.ebid.schema import DatasetConfig
 from repro.experiments.chaos import ChaosClusterRig
 from repro.experiments.cluster_common import (
+    ClusterRig,
     RecoveryPipeline,
     RunAuditError,
     end_run,
@@ -130,29 +131,39 @@ def _die(kernel, at=1.0):
     kernel.process(dies(), name="doomed")
 
 
+def _cluster_rig():
+    return ClusterRig(2, 2, seed=0, dataset=DatasetConfig.tiny())
+
+
+#: name -> (build the rig, run it past t = 1 s).
 RIGS = {
-    "chaos": lambda: ChaosClusterRig(
+    "chaos": (lambda: ChaosClusterRig(
         n_nodes=2, clients_per_node=2,
         spec=ChaosSpec(start=5.0, duration=20.0, flap_trains=0, bursts=0,
                        link_faults=0, slowdowns=0, ssm_outages=0),
-    ),
-    "chaos-unobserved": lambda: ChaosClusterRig(
+    ), lambda rig: rig.run(tail=5.0)),
+    "chaos-unobserved": (lambda: ChaosClusterRig(
         n_nodes=2, clients_per_node=2, observability=False,
         spec=ChaosSpec(start=5.0, duration=20.0, flap_trains=0, bursts=0,
                        link_faults=0, slowdowns=0, ssm_outages=0),
-    ),
-    "megascale": lambda: MegascaleRig(
+    ), lambda rig: rig.run(tail=5.0)),
+    "megascale": (lambda: MegascaleRig(
         n_sessions=500, n_shards=2, duration=20.0,
+    ), lambda rig: rig.run()),
+    "cluster-warmup": (_cluster_rig, lambda rig: rig.start(warmup=5.0)),
+    "cluster-run-for": (
+        _cluster_rig, lambda rig: (rig.start(), rig.run_for(5.0)),
     ),
 }
 
 
 @pytest.mark.parametrize("name", list(RIGS))
 def test_run_fails_when_a_kernel_process_died(name):
-    rig = RIGS[name]()
+    build, run = RIGS[name]
+    rig = build()
     _die(rig.kernel)
     with pytest.raises(RunAuditError) as excinfo:
-        rig.run(tail=5.0) if name.startswith("chaos") else rig.run()
+        run(rig)
     message = str(excinfo.value)
     assert message.startswith(
         "run audit: 1 kernel process(es) died unhandled; first: "
@@ -162,7 +173,7 @@ def test_run_fails_when_a_kernel_process_died(name):
 
 
 def test_clean_run_passes_the_audit():
-    rig = RIGS["chaos-unobserved"]()
+    rig = RIGS["chaos-unobserved"][0]()
     outcome = rig.run(tail=5.0)
     assert rig.kernel.unhandled_failure_count == 0
     assert outcome["good_requests"] > 0

@@ -6,9 +6,16 @@ and sizes reach campaign workers through the trial kwargs.
 """
 
 import inspect
+from types import SimpleNamespace
 
 from repro.cli import EXPERIMENTS
-from repro.experiments import availability, figure3, figure4, table4
+from repro.experiments import (
+    availability,
+    cluster_common,
+    figure3,
+    figure4,
+    table4,
+)
 
 
 def test_every_experiment_has_one_scale_table():
@@ -52,3 +59,38 @@ def test_figure3_sweep_renders_the_same_at_jobs_2(monkeypatch):
     assert [(o["n_nodes"], o["recovery"]) for o in outcomes] == [
         (2, "process-restart"), (2, "microreboot"),
     ]
+
+
+def test_table4_reads_the_figure4_sweep_this_process_ran(monkeypatch):
+    """Table 4 is a column of the Figure 4 sweep: a sweep already run with
+    the same task, row contents, seed and jobs is not run again."""
+    campaigns = []
+
+    def campaign(specs, jobs):
+        campaigns.append(jobs)
+        return [
+            SimpleNamespace(value={
+                "n_nodes": spec.kwargs["n_nodes"],
+                "recovery": spec.kwargs["recovery"],
+                "series": {0: 0.1}, "peak_response_time": 0.1,
+                "over_8s": len(campaigns),
+            })
+            for spec in specs
+        ]
+
+    monkeypatch.setattr(cluster_common, "run_campaign", campaign)
+    monkeypatch.setattr(cluster_common, "_SWEEPS", {})
+    row = {"cluster_sizes": (2,), "clients_per_node": 5,
+           "stabilize": 10.0, "observe": 20.0}
+    monkeypatch.setitem(figure4.SCALES, "quick", row)
+    _figure, outcomes = figure4.run(seed=0, scale="quick")
+    result, reused = table4.run(seed=0, scale="quick")
+    assert reused == outcomes
+    assert campaigns == [1]
+    assert [measured for *_, measured in result.rows] == [1, 1]
+
+    table4.run(seed=1, scale="quick")
+    table4.run(seed=0, scale="quick", jobs=2)
+    monkeypatch.setitem(figure4.SCALES, "quick", {**row, "observe": 30.0})
+    table4.run(seed=0, scale="quick")
+    assert campaigns == [1, 1, 2, 1]

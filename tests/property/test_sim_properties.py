@@ -80,11 +80,15 @@ class _HeapLane:
 
 class HeapOnlyKernel(Kernel):
     """Reference kernel: one heap orders every event by (time, scheduling
-    order), one pop per step."""
+    order), one pop per step.  A cancelled timeout stays live and is
+    stepped as a no-op."""
 
     def __init__(self):
         super().__init__()
         self._ready = _HeapLane(self)
+
+    def _retire(self, timeout):
+        pass
 
     def peek(self):
         return self._queue[0][0] if self._queue else INFINITY
@@ -126,8 +130,23 @@ ops = st.one_of(
     st.tuples(st.just("interrupt"), st.integers(0, MAX_PROCESSES - 1)),
     st.tuples(st.just("join"), st.integers(0, MAX_PROCESSES - 1)),
     st.tuples(st.just("any_of"), st.tuples(delays, shared)),
+    st.tuples(st.just("race"), st.tuples(delays, shared)),
 )
 programs = st.lists(st.lists(ops, max_size=6), min_size=1, max_size=4)
+#: Mostly races against shared events that other ops succeed: the shared
+#: event often wins, so these programs retire many timers.
+racing_ops = st.one_of(
+    st.tuples(st.just("race"), st.tuples(delays, shared)),
+    st.tuples(st.just("succeed"), shared),
+    st.tuples(st.just("timeout"), delays),
+)
+racing_programs = st.lists(
+    st.lists(racing_ops, max_size=6), min_size=2, max_size=4
+)
+#: Timeouts nobody waits on, scheduled before the program starts: live
+#: heap entries that keep retired ones below the compaction threshold, so
+#: those reach the heap's head.
+idle_timers = st.lists(st.sampled_from([0.5, 1.0, 2.5, 4.0]), max_size=8)
 run_plans = st.lists(
     st.one_of(
         st.tuples(st.just("run"), st.sampled_from([0.0, TINY, 0.5, 1.0, 3.0])),
@@ -143,12 +162,32 @@ def _describe(value):
     return value
 
 
-def run_program(kernel, scripts, plan):
-    """Per-resume ``(now, process, op, what)`` trace of a random program
-    driven by ``run(until)`` slices and ``step()`` calls, then drained."""
-    trace = []
+def run_program(kernel, scripts, plan, idle):
+    """Run a random program, beside ``idle`` unwatched timeouts, driven by
+    ``run(until)`` slices and ``step()`` calls, then drained.
+
+    Returns the per-resume ``(now, process, op, what)`` trace, the
+    ``peek()`` before each slice, ``events_processed``, the unhandled
+    failure count and how many timers were cancelled before they were due.
+    A ``race`` op cancels its timer when the shared event wins; after each
+    cancel, the heap may hold at most one retired entry more than live ones.
+    """
+    trace, peeks = [], []
     events = [kernel.event() for _ in range(N_SHARED)]
     processes = []
+    cancelled = set()
+    retired_early = 0
+
+    def cancel(timer, due):
+        nonlocal retired_early
+        timer.cancel()
+        cancelled.add(timer)
+        if kernel.now < due:
+            retired_early += 1
+        if not isinstance(kernel, HeapOnlyKernel):
+            heap = kernel._queue
+            dead = sum(1 for entry in heap if entry[2] in cancelled)
+            assert dead <= len(heap) - dead + 1
 
     def body(pid, script):
         for index, (op, arg) in enumerate(script):
@@ -166,6 +205,11 @@ def run_program(kernel, scripts, plan):
                     target = kernel.any_of(
                         [kernel.timeout(delay, ("t", delay)), events[which]]
                     )
+                elif op == "race":
+                    delay, which = arg
+                    timer = kernel.timeout(delay, ("t", delay))
+                    due = kernel.now + delay
+                    target = kernel.any_of([timer, events[which]])
                 elif op in ("succeed", "fail"):
                     if events[arg].triggered:
                         pass
@@ -177,7 +221,13 @@ def run_program(kernel, scripts, plan):
                     spawn(scripts[arg % len(scripts)])
                 elif op == "interrupt" and arg < len(processes):
                     processes[arg].interrupt(pid)
-                what = op if target is None else _describe((yield target))
+                if target is None:
+                    what = op
+                else:
+                    value = yield target
+                    what = _describe(value)
+                    if op == "race" and timer not in value:
+                        cancel(timer, due)
             except Interrupt as exc:
                 what = ("interrupted", exc.cause)
             except Boom as exc:
@@ -189,10 +239,12 @@ def run_program(kernel, scripts, plan):
         if len(processes) < MAX_PROCESSES:
             processes.append(kernel.process(body(len(processes), script)))
 
+    for delay in idle:
+        kernel.timeout(delay)
     for script in scripts:
         spawn(script)
     for action, arg in plan:
-        trace.append(("peek", kernel.peek()))
+        peeks.append(kernel.peek())
         if action == "run":
             kernel.run(until=kernel.now + arg)
         else:
@@ -201,17 +253,46 @@ def run_program(kernel, scripts, plan):
                     break
                 kernel.step()
     kernel.run()
-    return trace, kernel.events_processed, kernel.unhandled_failure_count
+    return (trace, peeks, kernel.events_processed,
+            kernel.unhandled_failure_count, retired_early)
 
 
 @settings(max_examples=200, deadline=None)
-@given(scripts=programs, plan=run_plans)
-def test_ready_lane_matches_heap_only_order(scripts, plan):
-    """Same-instant events skip the heap, yet every resume happens at the
-    same time and in the same order as under one (time, seq) heap."""
-    assert run_program(Kernel(), scripts, plan) == run_program(
-        HeapOnlyKernel(), scripts, plan
+@given(
+    scripts=st.one_of(programs, racing_programs),
+    plan=run_plans,
+    idle=idle_timers,
+)
+# Retires six timers, compacts the heap and skips retired heads in run(),
+# step() and peek().
+@example(
+    scripts=[
+        [("succeed", 0), ("race", (2.5, 0)), ("race", (1.0, 0)),
+         ("timeout", 0.5), ("race", (TINY, 0)), ("race", (2.5, 1))],
+        [("race", (2.5, 1)), ("race", (0.5, 2)), ("timeout", 1.0)],
+        [("timeout", 0.5), ("succeed", 1), ("race", (1.0, 1)),
+         ("succeed", 2)],
+    ],
+    plan=[("step", 4), ("run", 0.5), ("step", 3), ("run", 1.0)],
+    idle=[4.0, 4.0, 4.0],
+)
+def test_ready_lane_matches_heap_only_order(scripts, plan, idle):
+    """Same-instant events skip the heap and retired timers are never
+    stepped, yet every resume happens at the same time and in the same
+    order as under one (time, seq) heap that steps every timer."""
+    trace, peeks, steps, unhandled, retired = run_program(
+        Kernel(), scripts, plan, idle
     )
+    ref_trace, ref_peeks, ref_steps, ref_unhandled, ref_retired = (
+        run_program(HeapOnlyKernel(), scripts, plan, idle)
+    )
+    assert trace == ref_trace
+    assert unhandled == ref_unhandled
+    assert retired == ref_retired
+    assert ref_steps - steps == retired
+    if not retired:
+        # Nothing retired: peek() sees the same heap as the reference.
+        assert peeks == ref_peeks
 
 
 @settings(max_examples=100, deadline=None)

@@ -319,3 +319,88 @@ def test_condition_rejects_foreign_kernel_events():
     foreign = Event(kernel_b)
     with pytest.raises(SimulationError):
         kernel_a.any_of([foreign, kernel_a.event()])
+
+
+# --- retiring timeouts that lost their race ----------------------------------
+
+def test_cancelled_timeouts_leave_the_heap_unstepped():
+    kernel = Kernel()
+    timers = {t: kernel.timeout(t) for t in (1.0, 2.0, 3.0, 5.0, 4.0)}
+    timers[1.0].cancel()
+    timers[2.0].cancel()
+    assert len(kernel._queue) == 5  # two of five retired: not compacted yet
+    timers[3.0].cancel()
+    assert len(kernel._queue) == 2  # retired outnumber live: compacted
+    timers[3.0].cancel()  # already retired
+    fired = []
+    while kernel.peek() < float("inf"):
+        kernel.step()
+        fired.append(kernel.now)
+    # Filtering [1, 2, 3, 5, 4] leaves [5, 4]: compaction must re-heapify.
+    assert fired == [4.0, 5.0]
+    assert kernel.events_processed == 2
+
+
+def test_cancel_with_a_waiter_raises():
+    kernel = Kernel()
+    waited, raced = kernel.timeout(5.0), kernel.timeout(5.0)
+
+    def proc():
+        yield waited
+
+    kernel.process(proc())
+    kernel.any_of([raced, kernel.event()])
+    kernel.run(until=1.0)
+    for timer in (waited, raced):
+        with pytest.raises(SimulationError, match="it has waiters"):
+            timer.cancel()
+
+
+def test_waiting_on_a_retired_timeout_raises():
+    kernel = Kernel()
+    retired, reply = kernel.timeout(5.0), kernel.event()
+    retired.cancel()
+    with pytest.raises(SimulationError, match="retired timeout"):
+        kernel.any_of([reply, retired])
+
+    def proc():
+        yield retired
+
+    process = kernel.process(proc())
+    reply.succeed()  # wakes the refused condition, which detaches cleanly
+    kernel.run()
+    assert process.ok is False
+    assert isinstance(process.value, SimulationError)
+
+
+def test_cancel_after_firing_or_when_due_does_nothing():
+    kernel = Kernel()
+    first, second = kernel.timeout(1.0), kernel.timeout(1.0)
+    # Both are laned when the clock reaches 1.0, so the second is due when
+    # the first's callback cancels it, and still fires.
+    first.callbacks.append(lambda _event: second.cancel())
+    kernel.run()
+    assert second.callbacks is None
+    first.cancel()  # already fired
+    due = kernel.timeout(0.0, value="due")
+    due.cancel()  # due at once: already in the ready lane
+    waited = kernel.all_of([due])  # so it may still be waited on
+    kernel.run()
+    assert waited.value == {due: "due"}
+    assert kernel.events_processed == 4
+
+
+def test_peek_and_step_skip_retired_entries_at_the_head():
+    kernel = Kernel()
+    early, late = kernel.timeout(1.0), kernel.timeout(2.0, value="late")
+    early.cancel()
+    assert kernel._queue[0][2] is early  # one of two retired: kept
+    assert kernel.peek() == 2.0
+    kernel.step()
+    assert kernel.now == 2.0
+    assert late.callbacks is None
+    assert kernel.peek() == float("inf")
+    late_retired = kernel.timeout(3.0)
+    late_retired.cancel()
+    with pytest.raises(SimulationError, match="empty event queue"):
+        kernel.step()

@@ -181,15 +181,36 @@ def run_cli(capsys, *argv):
 
 
 def test_overflowed_bus_writes_one_evicted_record(tmp_path):
+    """Its ``t`` is the main ring's oldest record, from which the bus kept
+    every record, not the older sticky records that survived before it."""
     bus = publish_run(capacity=16)
     path = tmp_path / "run.jsonl"
     kept = len(bus.events())
     assert write_timeline(path, [bus]) == kept + 1
     records = read_timeline(path)
-    first_kept = records[1]
-    assert records[0] == {"t": first_kept["t"], "kind": "trace.evicted",
+    sticky, main_ring = records[1:-16], records[-16:]
+    assert [(r["t"], r["kind"]) for r in sticky] == [
+        (12.0, "fault.injected"), (20.0, "rm.decision"),
+        (20.0, "rm.action.end"),
+    ]
+    assert records[0] == {"t": 24.0, "kind": "trace.evicted",
                           "bus": "run", "evicted": bus.published - kept}
+    assert main_ring[0]["t"] == 24.0
     assert [r for r in records if r["kind"] == "trace.evicted"] == records[:1]
+
+
+def test_evicted_record_without_sticky_records_names_the_first_kept(tmp_path):
+    clock = SimpleNamespace(now=0.0)
+    bus = TraceBus(kernel=clock, capacity=4, enabled=True, label="plain")
+    for i in range(10):
+        clock.now = float(i)
+        bus.publish("request.end", client=0, ok=True)
+    path = tmp_path / "plain.jsonl"
+    assert write_timeline(path, [bus]) == 5
+    records = read_timeline(path)
+    assert records[0] == {"t": 6.0, "kind": "trace.evicted",
+                          "bus": "plain", "evicted": 6}
+    assert records[1]["t"] == 6.0
 
 
 def test_truncation_is_loud_and_changes_no_output(tmp_path, capsys):
@@ -202,7 +223,7 @@ def test_truncation_is_loud_and_changes_no_output(tmp_path, capsys):
     evicted = json.loads(lines[0])
     warning = (
         f"warning: bus run evicted {evicted['evicted']} records; "
-        f"its timeline starts at t={evicted['t']:.3f}s"
+        f"its timeline is complete from t={evicted['t']:.3f}s"
     )
 
     out, err = run_cli(capsys, "trace", str(path))
