@@ -235,8 +235,18 @@ class Kernel:
         ``limit`` optionally bounds the simulated time spent waiting; an
         event scheduled exactly at ``t == limit`` still triggers (the
         boundary is inclusive).
+
+        A :class:`Timeout` has its value from construction, so for one
+        "triggers" means the kernel has processed it (``callbacks is
+        None``, as in ``_Condition._snapshot``); a retired one never will
+        and raises :class:`SimulationError`.
         """
-        while not event.triggered:
+        timer = isinstance(event, Timeout)
+        while event.callbacks is not None if timer else not event.triggered:
+            if event.callbacks is _RETIRED:
+                raise SimulationError(
+                    f"{event!r} was cancelled and will never trigger"
+                )
             when = self.peek()
             if when == INFINITY:
                 raise SimulationError(f"queue drained before {event!r} triggered")

@@ -7,7 +7,11 @@ including retroactively, which is why a wide recovery dip also poisons the
 requests that preceded the failure within their actions.
 """
 
+from array import array
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from operator import index as _index
 
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -47,13 +51,49 @@ def _stamp(op):
     return op.completed_at if op.completed_at is not None else op.issued_at
 
 
+#: What a float column holds for None.  A NaN is refused on the way in,
+#: so a NaN read back always means None.
+_ABSENT = float("nan")
+
+
+def _time_or_none(seconds):
+    return None if seconds != seconds else seconds
+
+
+class RecordedActions(Sequence):
+    """The actions a :class:`TawAccounting` recorded, in record order.
+
+    Read-only and live: ``len``, indexing (negative too) and iteration
+    build a fresh :class:`ActionRecord` with fresh operations from the
+    columns on every access; changing one writes nothing back.
+    """
+
+    __slots__ = ("_taw",)
+
+    def __init__(self, taw):
+        self._taw = taw
+
+    def __len__(self):
+        return len(self._taw._action_end)
+
+    def __getitem__(self, i):
+        i = _index(i)
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError("action index out of range")
+        return self._taw._action_record(i)
+
+
 class TawAccounting:
     """Aggregates operations/actions into the paper's metrics.
 
-    :attr:`actions` is the one per-request store: every view of individual
-    requests (:attr:`response_times`, :attr:`failure_intervals`) is
-    computed from it when read, so a request is held once, in its
-    :class:`OperationRecord`.
+    Each recorded request is one row of typed columns, each action one
+    row of its own columns: :attr:`actions` and every per-request view
+    (:attr:`response_times`, :attr:`failure_intervals`, ...) are read
+    from them, so a request is held once: a one-request action takes
+    about 64 bytes, where its two records and list took about 400.
     """
 
     def __init__(self, metrics=None):
@@ -72,10 +112,71 @@ class TawAccounting:
         self._response_time_hist = self.registry.histogram(
             "taw.response_time"
         )
-        self.actions = []
         #: second → count of requests that (retro)counted good/bad there.
         self._good_series = {}
         self._bad_series = {}
+        # One row per request, in record order.  Times are floats
+        # (_ABSENT for None); strings are codes into ``_strings``, where
+        # code 0 is None.  An array refuses a value it cannot hold
+        # (TypeError, OverflowError) instead of wrapping or rounding it.
+        self._strings = [None]
+        self._codes = {None: 0}
+        self._operation = array("H")
+        self._url = array("H")
+        self._group = array("H")
+        self._failure_kind = array("H")
+        self._issued_at = array("d")
+        self._completed_at = array("d")
+        self._response_time = array("d")
+        self._ok = array("B")
+        self._retries = array("H")
+        # One row per action; action i owns request rows
+        # [_action_end[i - 1], _action_end[i]).
+        self._action_name = array("H")
+        self._client_id = array("q")
+        self._started_at = array("d")
+        self._action_end = array("Q")
+
+    @property
+    def actions(self):
+        """Every recorded action, as a read-only :class:`RecordedActions`."""
+        return RecordedActions(self)
+
+    def _first_row(self, action):
+        """First request row of ``actions[action:]`` (for ``action`` >= 0)."""
+        ends = self._action_end
+        if action <= 0 or not ends:
+            return 0
+        return ends[min(action, len(ends)) - 1]
+
+    def _row_stamp(self, row):
+        """Where request ``row`` lands in time: completion, else issue."""
+        when = self._completed_at[row]
+        return when if when == when else self._issued_at[row]
+
+    def _action_record(self, i):
+        """A fresh :class:`ActionRecord` of action ``i`` (0 <= i < len)."""
+        strings = self._strings
+        operations = [
+            OperationRecord(
+                operation=strings[self._operation[row]],
+                url=strings[self._url[row]],
+                issued_at=self._issued_at[row],
+                completed_at=_time_or_none(self._completed_at[row]),
+                ok=bool(self._ok[row]),
+                response_time=_time_or_none(self._response_time[row]),
+                failure_kind=strings[self._failure_kind[row]],
+                functional_group=strings[self._group[row]],
+                retries=self._retries[row],
+            )
+            for row in range(self._first_row(i), self._action_end[i])
+        ]
+        return ActionRecord(
+            name=strings[self._action_name[i]],
+            client_id=self._client_id[i],
+            started_at=self._started_at[i],
+            operations=operations,
+        )
 
     def timed_requests(self, start=0):
         """Yield ``(completed_at, seconds)`` per timed request of
@@ -84,11 +185,11 @@ class TawAccounting:
         Only the actions from ``start`` on are read, so a reader that
         remembers where it stopped reads each record once.
         """
-        actions = self.actions
-        for i in range(start, len(actions)):
-            for op in actions[i].operations:
-                if op.response_time is not None:
-                    yield _stamp(op), op.response_time
+        seconds = self._response_time
+        for row in range(self._first_row(start), len(seconds)):
+            rt = seconds[row]
+            if rt == rt:
+                yield self._row_stamp(row), rt
 
     @property
     def response_times(self):
@@ -99,19 +200,86 @@ class TawAccounting:
     def failure_intervals(self):
         """``(group, issued_at, completed_at)`` per failed request, for
         Figure 2, in record order."""
+        strings, group, issued = self._strings, self._group, self._issued_at
         return [
-            (op.functional_group, op.issued_at, _stamp(op))
-            for action in self.actions
-            for op in action.operations
-            if not op.ok
+            (strings[group[row]], issued[row], self._row_stamp(row))
+            for row, ok in enumerate(self._ok)
+            if not ok
         ]
 
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
+    def _code(self, text):
+        """The string table's code for ``text`` (a str, or None)."""
+        code = self._codes.get(text)
+        if code is None:
+            if not isinstance(text, str):
+                raise TypeError(f"expected a str or None, got {text!r}")
+            code = self._codes[text] = len(self._strings)
+            self._strings.append(text)
+        return code
+
+    def _store(self, action):
+        """Append ``action``'s rows to the columns, all of them or none.
+
+        This runs once per client action, so the columns are bound to
+        locals and a string already in the table costs no call.
+        """
+        codes, code = self._codes, self._code
+        operations, urls = self._operation, self._url
+        groups, kinds = self._group, self._failure_kind
+        issued, completed_at = self._issued_at, self._completed_at
+        response_time = self._response_time
+        oks, retries = self._ok, self._retries
+        rows = len(issued)
+        try:
+            for op in action.operations:
+                ok, seconds = op.ok, op.response_time
+                completed = op.completed_at
+                if ok is not True and ok is not False:
+                    raise TypeError(f"ok must be a bool, got {ok!r}")
+                if completed != completed or seconds != seconds:
+                    raise ValueError("a NaN time would read back as None")
+                operation, url = op.operation, op.url
+                group, kind = op.functional_group, op.failure_kind
+                operations.append(
+                    codes[operation] if operation in codes else code(operation)
+                )
+                urls.append(codes[url] if url in codes else code(url))
+                groups.append(codes[group] if group in codes else code(group))
+                kinds.append(codes[kind] if kind in codes else code(kind))
+                issued.append(op.issued_at)
+                completed_at.append(
+                    _ABSENT if completed is None else completed
+                )
+                response_time.append(_ABSENT if seconds is None else seconds)
+                oks.append(ok)
+                retries.append(op.retries)
+            self._action_name.append(code(action.name))
+            self._client_id.append(action.client_id)
+            self._started_at.append(action.started_at)
+            self._action_end.append(len(issued))
+        except BaseException:
+            for column in (
+                operations, urls, groups, kinds, issued, completed_at,
+                response_time, oks, retries,
+            ):
+                del column[rows:]
+            actions = len(self._action_end)
+            for column in (
+                self._action_name, self._client_id, self._started_at,
+            ):
+                del column[actions:]
+            raise
+
     def record_action(self, action):
-        """Account one finished action (Taw semantics: all-or-nothing)."""
-        self.actions.append(action)
+        """Account one finished action (Taw semantics: all-or-nothing).
+
+        The action is copied into the columns: the caller may drop it, and
+        :attr:`actions` reads back an equal, fresh copy.
+        """
+        self._store(action)
         operations = action.operations
         committed = action.committed
         if committed:
@@ -231,28 +399,32 @@ class TawAccounting:
 
     def operations_mix(self):
         """Operation name → fraction of all recorded requests."""
-        counts = {}
-        for action in self.actions:
-            for op in action.operations:
-                counts[op.operation] = counts.get(op.operation, 0) + 1
-        total = sum(counts.values())
+        # code → requests, in order of first appearance
+        counts = Counter(self._operation)
+        total = len(self._operation)
         if total == 0:
             return {}
-        return {name: count / total for name, count in counts.items()}
+        strings = self._strings
+        return {strings[code]: count / total for code, count in counts.items()}
 
     def mean_response_time(self):
-        response_times = self.response_times
-        if not response_times:
-            # Batch-recorded runs have no per-request list; the sketch
+        seconds = self._response_time
+        timed = sum(1 for rt in seconds if rt == rt)
+        if not timed:
+            # Batch-recorded runs have no per-request rows; the sketch
             # still knows the exact mean (count and sum are not sketched).
             if self._response_time_hist.count:
                 return self._response_time_hist.mean
             return None
-        return sum(rt for _t, rt in response_times) / len(response_times)
+        # The builtin sum over the same values in the same order: Python
+        # 3.12's sum() compensates rounding, so a hand-written += loop
+        # would move the last bits of the mean there.
+        return sum(rt for rt in seconds if rt == rt) / timed
 
     def response_times_over(self, threshold=8.0):
         """How many requests exceeded the 8 s abandonment threshold (§5.3)."""
-        return sum(1 for _t, rt in self.timed_requests() if rt > threshold)
+        # NaN (no response time) compares false, as None was skipped.
+        return sum(1 for rt in self._response_time if rt > threshold)
 
     def response_time_series(self, bucket_seconds=1.0):
         """Per-bucket mean response time: {bucket_start: seconds}."""

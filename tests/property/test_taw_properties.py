@@ -1,5 +1,6 @@
 """Property-based tests: Taw accounting invariants."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.workload.metrics import ActionRecord, OperationRecord, TawAccounting
@@ -148,3 +149,91 @@ def test_views_equal_the_lists_record_action_used_to_build(actions, start):
     assert list(metrics.timed_requests(start)) == (
         reference_views(actions[start:])[0]
     )
+
+
+# ----------------------------------------------------------------------
+# The columns give back what was recorded
+# ----------------------------------------------------------------------
+
+#: The Taw loop buckets every stamp with int(), so times are finite.
+times = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.integers(-(2**40), 2**40)
+)
+
+
+@st.composite
+def any_operations(draw):
+    """An operation with every field drawn, None wherever one may be."""
+    return OperationRecord(
+        operation=draw(st.sampled_from(("ViewItem", "CommitBid", ""))),
+        url=draw(st.sampled_from(("/ebid/ViewItem", "/x"))),
+        issued_at=draw(times),
+        completed_at=draw(st.none() | times),
+        ok=draw(st.booleans()),
+        response_time=draw(st.none() | times),
+        failure_kind=draw(st.sampled_from((None, "", "http-500", "timeout"))),
+        functional_group=draw(st.sampled_from((None, "G", "H"))),
+        retries=draw(st.integers(min_value=0, max_value=65_535)),
+    )
+
+
+@st.composite
+def any_actions(draw):
+    return [
+        ActionRecord(
+            name=draw(st.sampled_from(("Login", "PlaceBid", ""))),
+            client_id=draw(st.integers(-(2**63), 2**63 - 1)),
+            started_at=draw(times),
+            operations=draw(st.lists(any_operations(), max_size=4)),
+        )
+        for _ in range(draw(st.integers(min_value=0, max_value=12)))
+    ]
+
+
+FIELDS = (
+    "operation", "url", "issued_at", "completed_at", "ok", "response_time",
+    "failure_kind", "functional_group", "retries",
+)
+
+
+def assert_same_action(got, want):
+    assert (got.name, got.client_id, got.started_at) == (
+        want.name, want.client_id, want.started_at
+    )
+    assert len(got.operations) == len(want.operations)
+    for got_op, want_op in zip(got.operations, want.operations):
+        for name in FIELDS:
+            value, expected = getattr(got_op, name), getattr(want_op, name)
+            if expected is None:
+                assert value is None, name
+            else:
+                # Integer times read back as equal floats; nothing else
+                # may change, not even None into "" or a bool into an int.
+                assert value == expected, name
+                assert type(value) is type(expected) or (
+                    type(expected) is int and type(value) is float
+                ), name
+
+
+@settings(max_examples=150, deadline=None)
+@given(actions=any_actions())
+def test_actions_read_back_what_was_recorded(actions):
+    metrics = TawAccounting()
+    for action in actions:
+        metrics.record_action(action)
+    view = metrics.actions
+    assert len(view) == len(actions)
+    for got, want in zip(view, actions):
+        assert_same_action(got, want)
+    for i in range(1, len(actions) + 1):
+        assert_same_action(view[-i], actions[-i])
+        assert_same_action(view[len(actions) - i], actions[-i])
+    for bad in (len(actions), -len(actions) - 1):
+        with pytest.raises(IndexError):
+            view[bad]
+    # Fresh copies: changing one writes nothing back.
+    if actions and actions[0].operations:
+        view[0].operations[0].ok = not actions[0].operations[0].ok
+        view[0].operations.clear()
+        assert_same_action(view[0], actions[0])

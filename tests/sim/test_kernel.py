@@ -223,6 +223,37 @@ def test_run_until_triggered_respects_limit():
         kernel.run_until_triggered(event, limit=10.0)
 
 
+def test_run_until_triggered_waits_for_a_pending_timeout():
+    """A timeout has its value from birth but happens at its deadline."""
+    kernel = Kernel()
+    timer = kernel.timeout(5.0, value="v")
+    assert kernel.run_until_triggered(timer) == "v"
+    assert kernel.now == 5.0
+    assert timer.callbacks is None  # processed, not merely valued
+    assert kernel.peek() == float("inf")
+    # Once processed, it has triggered: asking again returns at once.
+    assert kernel.run_until_triggered(timer) == "v"
+    assert kernel.now == 5.0
+
+
+def test_run_until_triggered_refuses_a_retired_timeout():
+    kernel = Kernel()
+    timer = kernel.timeout(5.0, value="v")
+    timer.cancel()
+    with pytest.raises(SimulationError, match="cancelled"):
+        kernel.run_until_triggered(timer)
+    assert kernel.now == 0.0
+
+
+def test_run_until_triggered_stops_at_limit_before_a_timeouts_deadline():
+    kernel = Kernel()
+    timer = kernel.timeout(5.0, value="v")
+    with pytest.raises(SimulationError, match="did not trigger before"):
+        kernel.run_until_triggered(timer, limit=2.0)
+    assert kernel.now == 0.0
+    assert kernel.run_until_triggered(timer, limit=5.0) == "v"  # inclusive
+
+
 def test_any_of_triggers_on_first():
     """...and stops observing the sub-events still pending, so they do
     not hold the condition (and its value) until they fire."""

@@ -1,5 +1,8 @@
 """Tests for the action-weighted throughput (Taw) accounting."""
 
+import math
+import tracemalloc
+
 import pytest
 
 from repro.workload.metrics import ActionRecord, OperationRecord, TawAccounting
@@ -163,3 +166,82 @@ def test_failures_by_kind_and_operation():
     assert metrics.failed_requests == 2  # Taw fails the whole action
     assert metrics.failures_by_operation == {"CommitBid": 1}
     assert metrics.failures_by_kind == {"http-error": 1}
+
+
+# ----------------------------------------------------------------------
+# The per-request columns
+# ----------------------------------------------------------------------
+
+def test_a_recorded_request_costs_under_128_bytes():
+    """20,000 one-request actions, each dropped once recorded.
+
+    Stamps stay inside 20 seconds, about a real run's density, so the
+    per-second series (one entry per second, not per request) does not
+    count here.  One object-held action took about 412 bytes.
+    """
+    tracemalloc.start()
+    try:
+        metrics = TawAccounting()
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(20_000):
+            issued = i / 1000
+            metrics.record_action(
+                action(ops=[op(issued=issued, completed=issued + 0.25,
+                               ok=i % 7 != 0)])
+            )
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(metrics.actions) == 20_000
+    assert retained / 20_000 < 128
+
+
+@pytest.mark.parametrize("field, value, error", [
+    ("completed_at", math.nan, ValueError),
+    ("response_time", math.nan, ValueError),
+    ("ok", 1, TypeError),
+    ("ok", None, TypeError),
+    ("operation", 7, TypeError),
+    ("failure_kind", b"timeout", TypeError),
+    ("issued_at", None, TypeError),
+    ("retries", 65_536, OverflowError),
+    ("retries", -1, OverflowError),
+])
+def test_a_value_the_columns_cannot_hold_is_refused_whole(field, value, error):
+    """Nothing is coerced: the action is refused and no row of it stays."""
+    metrics = TawAccounting()
+    metrics.record_action(action(ops=[op(issued=1, completed=2)]))
+    bad = op("MakeBid", issued=3, completed=4)
+    setattr(bad, field, value)
+    with pytest.raises(error):
+        metrics.record_action(action(ops=[op(issued=2, completed=3), bad]))
+    assert len(metrics.actions) == 1
+    assert metrics.total_requests == 1  # the Taw loop never ran
+    metrics.record_action(action(name="Next", ops=[op(issued=5, completed=6)]))
+    assert [a.name for a in metrics.actions] == ["ViewItem", "Next"]
+    assert metrics.actions[-1].operations == [op(issued=5, completed=6)]
+    assert metrics.response_times == [(2.0, 1.0), (6.0, 1.0)]
+
+
+def test_the_string_table_refuses_a_code_it_cannot_hold():
+    """Codes are unsigned 16-bit: the 65,536th string raises, not wraps."""
+    metrics = TawAccounting()
+    ops = [op() for _ in range(65_535)]
+    for i, record in enumerate(ops):
+        record.url = f"/u/{i}"
+    with pytest.raises(OverflowError):
+        metrics.record_action(action(ops=ops))
+    assert len(metrics.actions) == 0
+    assert metrics.operations_mix() == {}
+
+
+def test_mean_response_time_skips_untimed_requests():
+    metrics = TawAccounting()
+    untimed = op(issued=3, completed=4)
+    untimed.completed_at = untimed.response_time = None
+    metrics.record_action(action(ops=[op(issued=0, completed=0.5), untimed,
+                                      op(issued=1, completed=2.0)]))
+    assert metrics.mean_response_time() == (0.5 + 1.0) / 2
+    assert metrics.response_times == [(0.5, 0.5), (2.0, 1.0)]
+    assert metrics.failure_intervals == []
+    assert TawAccounting().mean_response_time() is None
