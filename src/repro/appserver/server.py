@@ -48,8 +48,7 @@ class ConnectionPool:
     corrupt it therefore require a JVM restart.
     """
 
-    def __init__(self, size=20):
-        self.size = size
+    def __init__(self):
         self.healthy = True
         self.checkouts = 0
 
@@ -75,17 +74,15 @@ def network_error_response(reason):
 class ApplicationServer:
     """One JVM running the microreboot-enabled application server."""
 
-    def __init__(self, kernel, rng, timing=None, heap=None, cpu=None, name=None):
+    def __init__(self, kernel, rng, timing=None, name=None):
         self.kernel = kernel
         self.rng = rng
         self.timing = timing or TimingModel()
         # Numbered per kernel: the name reaches traces, spans and session
         # cookies, so it must not depend on what the process built before.
         self.name = name or f"server-{next(kernel.server_ids)}"
-        self.heap = heap or HeapModel()
-        self.cpu = cpu or ProcessorSharingCpu(
-            kernel, quantum=self.timing.cpu_quantum
-        )
+        self.heap = HeapModel()
+        self.cpu = ProcessorSharingCpu(kernel, quantum=self.timing.cpu_quantum)
         self.naming = NamingService()
         self.transactions = TransactionManager()
         self.classloaders = ClassLoaderRegistry()

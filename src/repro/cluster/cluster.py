@@ -87,6 +87,10 @@ def build_cluster(
     )
 
 
+#: SSM bricks in each shard's replicated brick group.
+BRICKS_PER_SHARD = 2
+
+
 @dataclass
 class ShardedCluster(Cluster):
     """A consistent-hash sharded cluster: 100+ nodes in replica groups.
@@ -102,28 +106,64 @@ class ShardedCluster(Cluster):
     shard_groups: dict = field(default_factory=dict)  # shard -> BrickGroup
     shard_nodes: dict = field(default_factory=dict)  # shard -> [Node]
     shard_of_node: dict = field(default_factory=dict)  # node name -> shard
-    #: Everything needed to boot *more* shards on the live cluster
-    #: (elastic scale-out builds nodes mid-run with the same recipe).
-    build_params: dict = field(default_factory=dict)
+    #: What :func:`boot_shard` builds every shard with, including those
+    #: elastic scale-out adds mid-run (all nodes share one TimingModel).
+    seed: int = 0
+    nodes_per_shard: int = 1
+    timing: TimingModel = None
+    retry_policy: object = None
+
+
+def boot_shard(cluster, name):
+    """Boot shard ``name``: its brick group, then its eBid nodes.
+
+    The :class:`BrickGroup` of ``BRICKS_PER_SHARD`` SSM bricks comes
+    first, then ``cluster.nodes_per_shard`` warm application-server
+    nodes against the shared database.  Once all are built they enter
+    the cluster's shard maps and flat node list; the ring, the balancer
+    and ``shard_names`` are left to the caller.  Returns the new nodes.
+    """
+    group = BrickGroup(
+        cluster.kernel, n_bricks=BRICKS_PER_SHARD, name=f"{name}/ssm"
+    )
+    members = [
+        Node(
+            build_ebid_system(
+                kernel=cluster.kernel,
+                seed=cluster.seed,
+                session_store="ssm",
+                dataset=cluster.dataset,
+                timing=cluster.timing,
+                retry_policy=cluster.retry_policy,
+                name=f"{name}-n{j + 1}",
+                shared_database=cluster.database,
+                shared_ssm=group,
+            )
+        )
+        for j in range(cluster.nodes_per_shard)
+    ]
+    cluster.shard_groups[name] = group
+    cluster.shard_nodes[name] = members
+    for node in members:
+        cluster.nodes.append(node)
+        cluster.shard_of_node[node.name] = name
+    return members
 
 
 def build_sharded_cluster(
     n_shards,
     nodes_per_shard=1,
-    bricks_per_shard=2,
     seed=0,
     dataset=None,
-    timing=None,
     retry_policy=None,
     hardening=None,
-    vnodes=64,
 ):
     """Build a consistent-hash sharded cluster of replicated brick groups.
 
     Each of the ``n_shards`` shards owns a contiguous arc-set of the ring
-    (``vnodes`` virtual nodes each), is served by ``nodes_per_shard``
+    (64 virtual nodes each), is served by ``nodes_per_shard``
     application-server nodes, and keeps its sessions in one replicated
-    :class:`BrickGroup` of ``bricks_per_shard`` SSM bricks — so a single
+    :class:`BrickGroup` of ``BRICKS_PER_SHARD`` SSM bricks — so a single
     node (or brick) loss inside a shard degrades nothing that failover
     within the group can't absorb.  One database backs the whole cluster,
     as in the paper's deployment.
@@ -132,66 +172,33 @@ def build_sharded_cluster(
         raise ValueError(f"n_shards must be positive, got {n_shards}")
     kernel = Kernel()
     rng = RngRegistry(seed)
-    timing = timing or TimingModel()
+    timing = TimingModel()
     dataset = dataset or DatasetConfig()
     database = build_database(kernel, rng, dataset, timing)
 
     shard_names = tuple(f"shard{i:03d}" for i in range(n_shards))
-    ring = ShardRing(shard_names, vnodes=vnodes)
-    shard_groups = {}
-    shard_nodes = {}
-    shard_of_node = {}
-    nodes = []
-    for shard in shard_names:
-        group = BrickGroup(
-            kernel, n_bricks=bricks_per_shard, name=f"{shard}/ssm"
-        )
-        shard_groups[shard] = group
-        members = []
-        for j in range(nodes_per_shard):
-            system = build_ebid_system(
-                kernel=kernel,
-                seed=seed,
-                session_store="ssm",
-                dataset=dataset,
-                timing=timing,
-                retry_policy=retry_policy,
-                name=f"{shard}-n{j + 1}",
-                shared_database=database,
-                shared_ssm=group,
-            )
-            node = Node(system)
-            members.append(node)
-            nodes.append(node)
-            shard_of_node[node.name] = shard
-        shard_nodes[shard] = members
-
-    load_balancer = LoadBalancer(
-        kernel,
-        nodes,
-        url_path_map=URL_PATH_MAP,
-        hardening=hardening,
-        ring=ring,
-        shard_of_node=shard_of_node,
-    )
-    return ShardedCluster(
+    cluster = ShardedCluster(
         kernel=kernel,
         rng=rng,
-        nodes=nodes,
-        load_balancer=load_balancer,
+        nodes=[],
+        load_balancer=None,
         database=database,
-        ssm=None,
         dataset=dataset,
-        ring=ring,
+        ring=ShardRing(shard_names),
         shard_names=shard_names,
-        shard_groups=shard_groups,
-        shard_nodes=shard_nodes,
-        shard_of_node=shard_of_node,
-        build_params={
-            "seed": seed,
-            "nodes_per_shard": nodes_per_shard,
-            "bricks_per_shard": bricks_per_shard,
-            "timing": timing,
-            "retry_policy": retry_policy,
-        },
+        seed=seed,
+        nodes_per_shard=nodes_per_shard,
+        timing=timing,
+        retry_policy=retry_policy,
     )
+    for shard in shard_names:
+        boot_shard(cluster, shard)
+    cluster.load_balancer = LoadBalancer(
+        kernel,
+        cluster.nodes,
+        url_path_map=URL_PATH_MAP,
+        hardening=hardening,
+        ring=cluster.ring,
+        shard_of_node=cluster.shard_of_node,
+    )
+    return cluster

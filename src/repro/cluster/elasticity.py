@@ -37,11 +37,13 @@ is recomputed from the new ring.
 
 import re
 
-from repro.cluster.node import Node
-from repro.cluster.sharding import BrickGroup
-from repro.ebid.app import build_ebid_system
+from repro.cluster.cluster import boot_shard
 
 _SHARD_NAME = re.compile(r"^shard(\d+)$")
+
+#: Sickness signal at or above which :class:`ElasticPolicy` counts a
+#: check towards replacing the shard.
+SICK_THRESHOLD = 0.3
 
 
 def apportion(weights, total):
@@ -131,36 +133,13 @@ class ReshardCoordinator:
         before = ring.arc_measures()
 
         # 1. Boot the shard: brick group + application-server nodes, warm
-        # (zero simulated boot time), against the shared database.
-        params = cluster.build_params
-        group = BrickGroup(
-            self.kernel,
-            n_bricks=params.get("bricks_per_shard", 2),
-            name=f"{name}/ssm",
-        )
-        members = []
-        for j in range(params.get("nodes_per_shard", 1)):
-            system = build_ebid_system(
-                kernel=self.kernel,
-                seed=params.get("seed", 0),
-                session_store="ssm",
-                dataset=cluster.dataset,
-                timing=params.get("timing"),
-                retry_policy=params.get("retry_policy"),
-                name=f"{name}-n{j + 1}",
-                shared_database=cluster.database,
-                shared_ssm=group,
-            )
-            members.append(Node(system))
+        # (zero simulated boot time), against the shared database; once
+        # built they are in the cluster's shard maps and node list.
+        members = boot_shard(cluster, name)
 
         # 2. Register everywhere traffic is steered from, then let the
         # rig wire recovery managers — all before the ring shifts a key.
-        cluster.shard_groups[name] = group
-        cluster.shard_nodes[name] = members
         cluster.shard_names = tuple(cluster.shard_names) + (name,)
-        for node in members:
-            cluster.nodes.append(node)
-            cluster.shard_of_node[node.name] = name
         cluster.load_balancer.add_shard_nodes(name, members)
         if self.on_shard_added is not None:
             self.on_shard_added(name, members)
@@ -352,7 +331,6 @@ class ElasticPolicy:
         kernel,
         coordinator,
         probe_model,
-        threshold=0.3,
         confirm=2,
         check_interval=2.0,
         cooldown=10.0,
@@ -366,7 +344,7 @@ class ElasticPolicy:
         self.coordinator = coordinator
         self.probe_model = probe_model
         self.signal = signal or probe_model.shard_fail_rate
-        self.threshold = threshold
+        self.threshold = SICK_THRESHOLD
         self.confirm = confirm
         self.check_interval = check_interval
         self.cooldown = cooldown

@@ -45,8 +45,8 @@ class LoadBalancer:
     """Routes client requests to cluster nodes."""
 
     def __init__(
-        self, kernel, nodes, url_path_map=None, metrics=None, hardening=None,
-        ring=None, shard_of_node=None,
+        self, kernel, nodes, url_path_map=None, hardening=None, ring=None,
+        shard_of_node=None,
     ):
         """``ring``/``shard_of_node`` switch on consistent-hash sharding:
         cookie-less requests route to their ``client_id``'s owner shard
@@ -80,7 +80,7 @@ class LoadBalancer:
         self._round_robin = 0
         #: node -> (FailoverMode, components being recovered)
         self._recovering = {}
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
+        self.metrics = MetricsRegistry()
         #: Span layer (wired by the rig): when set, traces are attached at
         #: the balancer, so the path records which node served the request.
         self.span_collector = None

@@ -6,15 +6,15 @@ memory, which an extra-JVM leak exhausts (Table 2: only an OS reboot
 cures that).
 """
 
-DEFAULT_OS_MEMORY = 2 * 1024 * 1024 * 1024  # paper nodes have 1-1.5 GB + swap
+OS_MEMORY = 2 * 1024 * 1024 * 1024  # paper nodes have 1-1.5 GB + swap
 
 
 class Node:
     """OS + JVM wrapper around one :class:`~repro.ebid.app.EbidSystem`."""
 
-    def __init__(self, system, os_memory=DEFAULT_OS_MEMORY):
+    def __init__(self, system):
         self.system = system
-        self.os_memory = os_memory
+        self.os_memory = OS_MEMORY
         self.os_leaked = 0
         self.os_reboots = 0
         self.jvm_restarts = 0

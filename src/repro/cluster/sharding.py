@@ -200,14 +200,13 @@ class BrickGroup:
     survives_microreboot = True
     survives_jvm_restart = True
 
-    def __init__(self, kernel, n_bricks=2, lease_ttl=SSM.DEFAULT_LEASE_TTL,
-                 name="BrickGroup"):
+    def __init__(self, kernel, n_bricks=2, name="BrickGroup"):
         if n_bricks <= 0:
             raise ValueError(f"a brick group needs >=1 brick, got {n_bricks}")
         self.kernel = kernel
         self.name = name
         self.bricks = [
-            SSM(kernel, lease_ttl=lease_ttl, name=f"{name}/brick{i}")
+            SSM(kernel, name=f"{name}/brick{i}")
             for i in range(n_bricks)
         ]
         self._access_time = 0.0

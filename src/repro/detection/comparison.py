@@ -53,10 +53,9 @@ COMPARABLE_FIELDS = {
 class ComparisonDetector:
     """Replays requests against a known-good shadow system."""
 
-    def __init__(self, shadow_system, metrics=None):
+    def __init__(self, shadow_system):
         self.shadow = shadow_system
         self._cookie_map = {}
-        self.metrics = metrics
         self.mismatches = 0
         self.checks = 0
 
@@ -83,12 +82,8 @@ class ComparisonDetector:
         if main_cookie and shadow_cookie:
             self._cookie_map[main_cookie] = shadow_cookie
 
-        if self.metrics is not None:
-            self.metrics.counter("detector.comparison.checks").inc()
         if self._differs(request.operation, response, shadow_response):
             self.mismatches += 1
-            if self.metrics is not None:
-                self.metrics.counter("detector.comparison.mismatches").inc()
             self.shadow.kernel.trace.publish(
                 "detector.mismatch",
                 operation=request.operation,

@@ -27,25 +27,10 @@ ID_LIST_KEYS = ("item_ids", "bid_ids", "old_item_ids")
 
 
 class SimpleDetector:
-    """Stateless response classifier; returns a FailureKind or None.
-
-    Optionally counts its verdicts into a telemetry registry
-    (``detector.evaluations`` counter, ``detector.flags`` family by kind).
-    """
-
-    def __init__(self, metrics=None):
-        self.metrics = metrics
+    """Stateless response classifier; returns a FailureKind or None."""
 
     def evaluate(self, request, response, believes_logged_in=False):
         """Classify one response.  None means "looks healthy"."""
-        verdict = self._classify(request, response, believes_logged_in)
-        if self.metrics is not None:
-            self.metrics.counter("detector.evaluations").inc()
-            if verdict is not None:
-                self.metrics.family("detector.flags").inc(verdict.value)
-        return verdict
-
-    def _classify(self, request, response, believes_logged_in):
         if response is None:
             return FailureKind.TIMEOUT
         if getattr(response, "network_error", False):

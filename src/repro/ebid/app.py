@@ -142,7 +142,6 @@ def build_ebid_system(
     dataset=None,
     timing=None,
     retry_policy=None,
-    cold_boot=False,
     name=None,
     shared_database=None,
     shared_ssm=None,
@@ -153,8 +152,8 @@ def build_ebid_system(
         session_store: ``"fasts"`` (in-JVM) or ``"ssm"`` (external).
         shared_database / shared_ssm: pass existing stores when assembling
             a multi-node cluster so all nodes see the same state.
-        cold_boot: charge the full 19 s JVM start instead of booting warm
-            at t=0.
+
+    The server boots warm, without charging the 19 s JVM start.
     """
     kernel = kernel or Kernel()
     rng = RngRegistry(seed)
@@ -187,7 +186,7 @@ def build_ebid_system(
     server.session_store = store
 
     server.deploy("ebid", ebid_descriptors())
-    boot = kernel.process(server.boot(cold=cold_boot))
+    boot = kernel.process(server.boot(cold=False))
     kernel.run_until_triggered(boot)
 
     coordinator = MicrorebootCoordinator(server, "ebid", retry_policy=retry_policy)

@@ -5,19 +5,17 @@ The LB-wired rigs (chaos, prediction, megascale, storm) share two parts:
 from :func:`~repro.observability.exporter.predictive_chain`, as replay's do.
 The Figure 3 and Figure 4 sweeps share :class:`ClusterRig` and
 :func:`failover_sweep`.  Every rig here ends its runs with the same audit
-(:func:`audit_run`).
+(:func:`~repro.experiments.common.audit_run`) as the single-node rig.
 """
 
-import os
-import traceback
 from collections import Counter
 
-import repro
 from repro.cluster.cluster import build_cluster
 from repro.cluster.load_balancer import FailoverMode
 from repro.core.hardening import RecoveryStormLimiter
 from repro.core.recovery_manager import NODE_WIDE_LEVELS, RecoveryManager
 from repro.ebid.descriptors import URL_PATH_MAP
+from repro.experiments.common import audit_run
 from repro.faults.injector import FaultInjector
 from repro.parallel import TrialSpec, run_campaign
 from repro.telemetry.spans import SpanCollector
@@ -153,35 +151,6 @@ class RecoveryPipeline:
         }
 
 
-class RunAuditError(RuntimeError):
-    """A finished run broke one of the invariants every run must hold."""
-
-
-def first_failure(kernel):
-    """``Type: message at file:line`` of the kernel's first retained
-    unhandled failure (the path relative to the ``repro`` package), or
-    None when no process died."""
-    if not kernel.unhandled_failures:
-        return None
-    exc = kernel.unhandled_failures[0].value
-    where = ""
-    if exc.__traceback__ is not None:
-        frame = traceback.extract_tb(exc.__traceback__)[-1]
-        path = os.path.relpath(frame.filename, os.path.dirname(repro.__file__))
-        where = f" at {path}:{frame.lineno}"
-    return f"{type(exc).__name__}: {exc}{where}"
-
-
-def audit_run(kernel):
-    """The run audit: a kernel process that died unhandled fails the run
-    with :class:`RunAuditError`, instead of leaving a clean-looking table."""
-    if kernel.unhandled_failure_count:
-        raise RunAuditError(
-            f"run audit: {kernel.unhandled_failure_count} kernel "
-            f"process(es) died unhandled; first: {first_failure(kernel)}"
-        )
-
-
 def end_run(kernel, horizon, tracker=None, slo_engine=None, registry=None):
     """The LB-wired rigs' one end-of-run step, at simulated ``horizon``.
 
@@ -198,6 +167,10 @@ def end_run(kernel, horizon, tracker=None, slo_engine=None, registry=None):
         registry.alert_engine.finalize(horizon)
 
 
+#: Failure reports that make :meth:`ClusterRig.script_recovery` act.
+DETECTION_THRESHOLD = 6
+
+
 class ClusterRig:
     """N nodes + load balancer + clients, with scripted recovery."""
 
@@ -206,17 +179,9 @@ class ClusterRig:
         n_nodes,
         clients_per_node,
         seed=0,
-        session_store="fasts",
         dataset=None,
-        retry_policy=None,
     ):
-        self.cluster = build_cluster(
-            n_nodes,
-            seed=seed,
-            session_store=session_store,
-            dataset=dataset,
-            retry_policy=retry_policy,
-        )
+        self.cluster = build_cluster(n_nodes, seed=seed, dataset=dataset)
         self.kernel = self.cluster.kernel
         # One collector for the whole cluster: traces start at the LB and
         # are tagged (by the admitting server) with the node that actually
@@ -260,15 +225,15 @@ class ClusterRig:
         recovery,  # "microreboot" or "process-restart"
         components=("BrowseCategories",),
         failover=FailoverMode.FULL,
-        detection_threshold=6,
         inject_at=None,
     ):
         """Spawn a watcher that performs one recovery once failures appear.
 
-        Mirrors §5.3's flow: detectors report failures; when the RM decides
-        to recover, it first notifies the LB (failover begins), recovers
-        the node, then notifies the LB again (affinity restored).  Returns
-        a dict filled with recovery timestamps.
+        Mirrors §5.3's flow: detectors report failures; once
+        ``DETECTION_THRESHOLD`` of them arrived since ``inject_at``, the
+        RM decides to recover: it first notifies the LB (failover begins),
+        recovers the node, then notifies the LB again (affinity
+        restored).  Returns a dict filled with recovery timestamps.
         """
         outcome = {"recovered_at": None, "detected_at": None}
         balancer = self.cluster.load_balancer
@@ -279,7 +244,7 @@ class ClusterRig:
                     r for r in self.reports
                     if inject_at is None or r.time >= inject_at
                 ]
-                if len(fresh) >= detection_threshold:
+                if len(fresh) >= DETECTION_THRESHOLD:
                     break
                 yield self.kernel.timeout(0.5)
             outcome["detected_at"] = self.kernel.now

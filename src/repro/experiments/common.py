@@ -1,7 +1,10 @@
 """Shared experiment scaffolding."""
 
+import os
+import traceback
 from dataclasses import dataclass, field
 
+import repro
 from repro.cluster.node import Node
 from repro.core.recovery_manager import RecoveryManager
 from repro.core.retry import RetryPolicy
@@ -12,6 +15,7 @@ from repro.ebid.descriptors import URL_PATH_MAP
 from repro.ebid.schema import DatasetConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.lowlevel import LowLevelInjector
+from repro.observability.report import text_table
 from repro.telemetry.spans import SpanCollector, spans_enabled_by_default
 from repro.workload.client import ClientPopulation
 from repro.workload.markov import WorkloadProfile
@@ -34,17 +38,7 @@ class ExperimentResult:
         """Text rendering that mirrors the paper's table/figure."""
         lines = [f"== {self.name} ==", f"(reproduces {self.paper_reference})", ""]
         if self.headers and self.rows:
-            widths = [
-                max(len(str(h)), *(len(str(r[i])) for r in self.rows))
-                for i, h in enumerate(self.headers)
-            ]
-            header = "  ".join(str(h).ljust(w) for h, w in zip(self.headers, widths))
-            lines.append(header)
-            lines.append("-" * len(header))
-            for row in self.rows:
-                lines.append(
-                    "  ".join(str(v).ljust(w) for v, w in zip(row, widths))
-                )
+            lines.extend(text_table(self.headers, self.rows))
         for label, points in self.series.items():
             lines.append(f"series {label}: {len(points)} points")
         for note in self.notes:
@@ -54,6 +48,35 @@ class ExperimentResult:
             lines.append(f"--- {label} ---")
             lines.append(chart)
         return "\n".join(lines)
+
+
+class RunAuditError(RuntimeError):
+    """A finished run broke one of the invariants every run must hold."""
+
+
+def first_failure(kernel):
+    """``Type: message at file:line`` of the kernel's first retained
+    unhandled failure (the path relative to the ``repro`` package), or
+    None when no process died."""
+    if not kernel.unhandled_failures:
+        return None
+    exc = kernel.unhandled_failures[0].value
+    where = ""
+    if exc.__traceback__ is not None:
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        path = os.path.relpath(frame.filename, os.path.dirname(repro.__file__))
+        where = f" at {path}:{frame.lineno}"
+    return f"{type(exc).__name__}: {exc}{where}"
+
+
+def audit_run(kernel):
+    """The run audit: a kernel process that died unhandled fails the run
+    with :class:`RunAuditError`, instead of leaving a clean-looking table."""
+    if kernel.unhandled_failure_count:
+        raise RunAuditError(
+            f"run audit: {kernel.unhandled_failure_count} kernel "
+            f"process(es) died unhandled; first: {first_failure(kernel)}"
+        )
 
 
 class SingleNodeRig:
@@ -167,13 +190,16 @@ class SingleNodeRig:
 
     # ------------------------------------------------------------------
     def start(self, warmup=0.0):
-        """Spawn the clients; optionally run a warm-up period."""
+        """Spawn the clients, run ``warmup`` seconds, then audit."""
         self.population.start()
         if warmup:
             self.kernel.run(until=self.kernel.now + warmup)
+        audit_run(self.kernel)
 
     def run_for(self, seconds):
+        """Run ``seconds`` more, then audit (:func:`audit_run`)."""
         self.kernel.run(until=self.kernel.now + seconds)
+        audit_run(self.kernel)
 
     def resync_shadow(self):
         """Re-baseline the known-good instance after a recovery.

@@ -26,7 +26,14 @@ SCALES = {
 }
 
 
-def run_delay_point(recovery, t_det, seed, n_clients, settle=45.0):
+#: Seconds each delay point runs on after its recovery.
+SETTLE = 45.0
+
+#: The false-positive series counts up to this many useless recoveries.
+MAX_USELESS_RECOVERIES = 200
+
+
+def run_delay_point(recovery, t_det, seed, n_clients):
     """Failed requests when recovery happens ``t_det`` s after injection."""
     rig = SingleNodeRig(
         seed=seed, n_clients=n_clients, with_recovery_manager=False
@@ -43,7 +50,7 @@ def run_delay_point(recovery, t_det, seed, n_clients, settle=45.0):
             yield from rig.node.restart_jvm()
 
     rig.kernel.run_until_triggered(rig.kernel.process(recover()))
-    rig.run_for(settle)
+    rig.run_for(SETTLE)
     return rig.metrics.failed_requests - before
 
 
@@ -57,10 +64,11 @@ def detection_crossover(series_restart, series_urb):
     return crossover, budget
 
 
-def false_positive_series(failed_per_restart, failed_per_urb, max_n=200):
+def false_positive_series(failed_per_restart, failed_per_urb):
     """f(n) = failures from n useless recoveries + one useful one."""
-    restart = {n: (n + 1) * failed_per_restart for n in range(max_n + 1)}
-    urb = {n: (n + 1) * failed_per_urb for n in range(max_n + 1)}
+    ns = range(MAX_USELESS_RECOVERIES + 1)
+    restart = {n: (n + 1) * failed_per_restart for n in ns}
+    urb = {n: (n + 1) * failed_per_urb for n in ns}
     # Largest n for which n useless µRBs + 1 useful µRB still beat one
     # perfect-detection restart; FP rate = n/(n+1).
     tolerable_n = max(

@@ -21,15 +21,18 @@ KB = 1024
 
 SCHEMES = ("jvm-restart", "microrejuvenation")
 
+#: Both schemes act when free heap drops below this share of capacity
+#: (``Malarm``), checking every ``CHECK_INTERVAL`` seconds.
+M_ALARM_FRACTION = 0.35
+CHECK_INTERVAL = 5.0
+
 
 class JvmRejuvenator:
     """The baseline: whole-JVM restart whenever memory runs low."""
 
-    def __init__(self, kernel, node, m_alarm_fraction=0.35, check_interval=5.0):
+    def __init__(self, kernel, node):
         self.kernel = kernel
         self.node = node
-        self.m_alarm_fraction = m_alarm_fraction
-        self.check_interval = check_interval
         self.restarts = 0
         self.memory_samples = []
 
@@ -39,9 +42,9 @@ class JvmRejuvenator:
     def _run(self):
         heap = self.node.server.heap
         while True:
-            yield self.kernel.timeout(self.check_interval)
+            yield self.kernel.timeout(CHECK_INTERVAL)
             self.memory_samples.append((self.kernel.now, heap.available))
-            if heap.available < heap.capacity * self.m_alarm_fraction:
+            if heap.available < heap.capacity * M_ALARM_FRACTION:
                 yield from self.node.restart_jvm()
                 self.restarts += 1
                 self.memory_samples.append((self.kernel.now, heap.available))
@@ -58,9 +61,9 @@ def run_one(scheme, seed, n_clients, duration, item_leak, viewitem_leak):
         service = RejuvenationService(
             rig.kernel,
             rig.system.coordinator,
-            m_alarm_fraction=0.35,
+            m_alarm_fraction=M_ALARM_FRACTION,
             m_sufficient_fraction=0.80,
-            check_interval=5.0,
+            check_interval=CHECK_INTERVAL,
         )
     else:
         service = JvmRejuvenator(rig.kernel, rig.node)

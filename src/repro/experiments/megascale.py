@@ -79,6 +79,14 @@ PROBE_PARAMS = {
     "ViewItem": {"item_id": 1},
 }
 
+#: Probe rounds: one every PROBE_INTERVAL seconds; a probe unanswered
+#: after PROBE_TIMEOUT seconds fails.  Each outcome moves its class's
+#: EWMAs by PROBE_ALPHA; a latency EWMA starts at PROBE_BASE_LATENCY.
+PROBE_INTERVAL = 1.0
+PROBE_TIMEOUT = 8.0
+PROBE_ALPHA = 0.4
+PROBE_BASE_LATENCY = 0.05
+
 
 def _probe_class(operation):
     """Map any of the 29 operations onto its probe class."""
@@ -107,16 +115,12 @@ class ProbeOutcomeModel:
     """
 
     def __init__(self, kernel, balancer, ring, shards, reporter=None,
-                 probe_timeout=8.0, alpha=0.4, base_latency=0.05,
                  load_skew=0.0):
         self.kernel = kernel
         self.balancer = balancer
         self.ring = ring
         self.shards = list(shards)
         self.reporter = reporter
-        self.probe_timeout = probe_timeout
-        self.alpha = alpha
-        self.base_latency = base_latency
         #: Optional passive hook ``observer(t, shard, op, ok, latency)``:
         #: the cluster observability plane samples per-probe outcomes here
         #: (the EWMAs keep no history, so p50/p99 need live observation).
@@ -132,7 +136,7 @@ class ProbeOutcomeModel:
         self.detector = SimpleDetector()
         #: (shard, probe class) -> [ewma fail probability, ewma latency]
         self._stats = {
-            (shard, op): [0.0, base_latency]
+            (shard, op): [0.0, PROBE_BASE_LATENCY]
             for shard in self.shards
             for op in PROBE_OPS
         }
@@ -171,7 +175,7 @@ class ProbeOutcomeModel:
         """
         self.shards.append(shard)
         for op in PROBE_OPS:
-            self._stats[(shard, op)] = [0.0, self.base_latency]
+            self._stats[(shard, op)] = [0.0, PROBE_BASE_LATENCY]
         self._probe_ids = self._assign_probe_ids(self.ring)
 
     def remove_shard(self, shard):
@@ -209,16 +213,16 @@ class ProbeOutcomeModel:
         }
 
     # ------------------------------------------------------------------
-    def start(self, duration, interval=1.0):
-        return self.kernel.process(
-            self._run(duration, interval), name="probe-model"
-        )
+    def start(self, duration):
+        return self.kernel.process(self._run(duration), name="probe-model")
 
-    def _run(self, duration, interval):
+    def _run(self, duration):
         end = self.kernel.now + duration
         rounds = 0
         while self.kernel.now < end - 1e-9:
-            yield self.kernel.timeout(min(interval, end - self.kernel.now))
+            yield self.kernel.timeout(
+                min(PROBE_INTERVAL, end - self.kernel.now)
+            )
             op = PROBE_OPS[rounds % len(PROBE_OPS)]
             for shard in self.shards:
                 self.kernel.process(
@@ -243,7 +247,7 @@ class ProbeOutcomeModel:
         self.probes_sent += 1
         issued = self.kernel.now
         event = self.balancer.handle_request(request)
-        patience = self.kernel.timeout(self.probe_timeout)
+        patience = self.kernel.timeout(PROBE_TIMEOUT)
         try:
             yield self.kernel.any_of([event, patience])
         except Exception:  # noqa: BLE001 - a dead forward = failed probe
@@ -263,11 +267,11 @@ class ProbeOutcomeModel:
             self.observer(
                 self.kernel.now, shard, op, failure is None, elapsed
             )
-        stats[0] += self.alpha * (failed - stats[0])
+        stats[0] += PROBE_ALPHA * (failed - stats[0])
         # A timed-out probe's only latency information is the censoring
         # point itself; feeding it keeps the cohort's modeled RT honest
         # about how long failing clicks hold users.
-        stats[1] += self.alpha * (elapsed - stats[1])
+        stats[1] += PROBE_ALPHA * (elapsed - stats[1])
         if failure is not None:
             self.probes_failed += 1
             self.last_failure_kind[shard] = failure

@@ -150,11 +150,10 @@ class ChaosSpec:
         )
 
     @classmethod
-    def leaky(cls, leak_faults=3, leak_bytes=36 * 1024 * 1024,
-              duration=420.0):
+    def leaky(cls, leak_bytes=36 * 1024 * 1024, duration=420.0):
         """Pure slow-burn memory leaks, no other fault noise.
 
-        The schedule that isolates *prediction*: distinct front-line
+        The schedule that isolates *prediction*: three distinct front-line
         components start leaking early in the window, heap drains over
         minutes, and nothing else breaks — so a reactive arm's failures
         are exactly the OOM exhaustion events a predictive arm should
@@ -172,7 +171,7 @@ class ChaosSpec:
             link_faults=0,
             slowdowns=0,
             ssm_outages=0,
-            leak_faults=leak_faults,
+            leak_faults=3,
             leak_bytes=leak_bytes,
         )
 
@@ -580,13 +579,13 @@ class ChaosEngine(FaultExecutor):
     """A chaos campaign: :func:`chaos_schedule` of ``spec``, drawn from
     the ``chaos`` stream and applied by the executor."""
 
-    def __init__(self, cluster, spec=None, rng=None, name="chaos"):
+    def __init__(self, cluster, spec=None):
         self.spec = spec or ChaosSpec.standard()
-        self.rng = rng if rng is not None else cluster.rng.stream("chaos")
+        self.rng = cluster.rng.stream("chaos")
         schedule = chaos_schedule(self.spec, self.rng, len(cluster.nodes),
                                   with_ssm=cluster.ssm is not None)
         super().__init__(
-            cluster, schedule, trace="chaos", name=name,
+            cluster, schedule, trace="chaos", name="chaos",
             drop_rng=cluster.rng.stream("chaos-link-drops"),
         )
 
@@ -603,9 +602,9 @@ class ShardStormEngine(FaultExecutor):
     distinct shards drawn from the ``storm`` stream, each given the next
     of ``spec.kinds`` in turn by :func:`storm_schedule`."""
 
-    def __init__(self, cluster, spec=None, rng=None, name="storm"):
+    def __init__(self, cluster, spec=None):
         self.spec = spec or StormSpec.standard()
-        self.rng = rng if rng is not None else cluster.rng.stream("storm")
+        self.rng = cluster.rng.stream("storm")
         if self.spec.k_shards > len(cluster.shard_names):
             raise ValueError(
                 f"storm wants {self.spec.k_shards} shards but the cluster "
@@ -616,7 +615,7 @@ class ShardStormEngine(FaultExecutor):
         )
         super().__init__(
             cluster, storm_schedule(self.spec, self.storm_shards),
-            trace="storm", where="shard", name=name,
+            trace="storm", where="shard", name="storm",
             drop_rng=cluster.rng.stream("storm-link-drops"),
         )
 

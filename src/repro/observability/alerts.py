@@ -271,15 +271,19 @@ class AlertEngine:
         return self.alerts
 
 
-def alert_lead_times(alerts, incidents, window=300.0):
+#: How long before an incident opens an alert still counts as its warning.
+LEAD_WINDOW = 300.0
+
+
+def alert_lead_times(alerts, incidents):
     """Seconds of warning each incident got from the alert stream.
 
-    For every incident, the earliest alert that fired within ``window``
-    seconds *before* the incident opened, on the same server (alerts
-    with no server — global rules — match any incident).  Returns a
-    sorted list of lead times, one per warned incident; incidents with
-    no preceding alert contribute nothing (coverage is reported
-    separately by callers that need it).
+    For every incident, the earliest alert that fired within
+    ``LEAD_WINDOW`` seconds *before* the incident opened, on the same
+    server (alerts with no server — global rules — match any incident).
+    Returns a sorted list of lead times, one per warned incident;
+    incidents with no preceding alert contribute nothing (coverage is
+    reported separately by callers that need it).
     """
     leads = []
     for incident in incidents:
@@ -288,7 +292,7 @@ def alert_lead_times(alerts, incidents, window=300.0):
             alert.fired_at
             for alert in alerts
             if alert.fired_at <= opened
-            and opened - alert.fired_at <= window
+            and opened - alert.fired_at <= LEAD_WINDOW
             and (
                 alert.server is None
                 or incident.server is None

@@ -31,7 +31,7 @@ seed ⇒ same rollup, jobs=1 ≡ jobs=N).
 
 import re
 
-from repro.observability.slo import SloPolicy, SloWindow, compute_windows
+from repro.observability.slo import SloPolicy, _build_window, compute_windows
 from repro.telemetry.metrics import Histogram
 
 #: Anything named ``shardNNN`` or ``shardNNN-<resource>`` belongs to that
@@ -52,6 +52,10 @@ SHARD_ROLLUP_KINDS = (
     "reshard.migrate",
     "reshard.policy",
 )
+
+#: Largest onset spread (seconds) of a meta-incident that still counts as
+#: shards failing together ("simultaneous") rather than in a "wave".
+SIMULTANEOUS_SPREAD = 5.0
 
 
 def shard_of_name(name):
@@ -129,8 +133,8 @@ class ShardMetricsAggregator:
 
     kinds = SHARD_ROLLUP_KINDS
 
-    def __init__(self, bus=None, cluster=None, policy=None):
-        self.policy = policy or SloPolicy()
+    def __init__(self, bus=None, cluster=None):
+        self.policy = SloPolicy()
         self.migrations = []  # reshard.migrate windows, for attribution
         self.replacement_checks = 0  # reshard.policy sightings
         self.storm = None
@@ -429,10 +433,10 @@ class MetaIncident:
         values = list(self.onsets.values())
         return max(values) - min(values)
 
-    def mode(self, simultaneous_threshold=5.0):
+    def mode(self):
         """``simultaneous`` vs ``wave`` via onset ordering spread."""
         return (
-            "simultaneous" if self.onset_spread <= simultaneous_threshold
+            "simultaneous" if self.onset_spread <= SIMULTANEOUS_SPREAD
             else "wave"
         )
 
@@ -696,25 +700,15 @@ class ShardView:
 
         Megascale/storm timelines carry no per-request ``request.end``
         events (the cohort engine accounts in batches), so the per-shard
-        SLO view replays the judged windows the plane exported instead.
+        SLO view replays the judged windows the plane exported instead:
+        each is a one-bucket series at its start, with no response times.
         """
         policy = policy or SloPolicy()
-        windows = []
-        for start, end, good, bad, _violated in self.windows.get(shard, ()):
-            window = SloWindow(
-                start=start, end=end, good=good, bad=bad,
-                availability_target=policy.availability_target,
-            )
-            availability = window.availability
-            if window.total >= policy.min_requests \
-                    and availability is not None \
-                    and availability < policy.availability_target:
-                window.reasons.append(
-                    f"availability {availability:.4f} < "
-                    f"{policy.availability_target:.4f}"
-                )
-            window.violated = bool(window.reasons)
-            windows.append(window)
+        windows = [
+            _build_window(start, end, {start: good}, {start: bad}, (), policy)
+            for start, end, good, bad, _violated
+            in self.windows.get(shard, ())
+        ]
         windows.sort(key=lambda w: w.start)
         return windows
 

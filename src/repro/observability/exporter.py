@@ -27,12 +27,16 @@ from repro.telemetry.metrics import (
 )
 
 
-def _metric_name(name, prefix):
+#: Every exposed metric name starts with this.
+PREFIX = "repro_"
+
+
+def _metric_name(name):
     """Registry name → Prometheus metric name (dots become underscores)."""
     safe = "".join(
         ch if ch.isalnum() or ch == "_" else "_" for ch in name
     )
-    return f"{prefix}{safe}"
+    return f"{PREFIX}{safe}"
 
 
 def _fmt_value(value):
@@ -54,10 +58,10 @@ def _escape_label(value):
     )
 
 
-def _families(registry, prefix):
+def _families(registry):
     """``(name, prom name, type, [(sample, labels, value)])`` per metric."""
     for name, metric in registry:
-        prom = _metric_name(name, prefix)
+        prom = _metric_name(name)
         if isinstance(metric, Counter):
             yield name, prom, "counter", [(prom, (), metric.value)]
         elif isinstance(metric, Gauge):
@@ -80,7 +84,7 @@ def _families(registry, prefix):
             yield name, prom, "summary", samples
 
 
-def render_prometheus(registry, prefix="repro_"):
+def render_prometheus(registry):
     """The registry in Prometheus text exposition format, one string.
 
     Counters and gauges render as single samples, counter families as one
@@ -89,10 +93,10 @@ def render_prometheus(registry, prefix="repro_"):
     Metrics and labels are emitted in sorted order so the output is
     byte-stable across runs — diffable, testable, cacheable.
     """
-    return render_prometheus_buses({None: registry}, prefix)
+    return render_prometheus_buses({None: registry})
 
 
-def render_prometheus_buses(registries, prefix="repro_"):
+def render_prometheus_buses(registries):
     """Several buses' registries (``{bus: registry}``) as one exposition.
 
     Each family keeps one ``# TYPE`` line; every sample gains a leading
@@ -100,7 +104,7 @@ def render_prometheus_buses(registries, prefix="repro_"):
     """
     families = {}
     for bus, registry in registries.items():
-        for name, prom, kind, samples in _families(registry, prefix):
+        for name, prom, kind, samples in _families(registry):
             families.setdefault(name, (prom, kind, []))[2].extend(
                 (sample, labels if bus is None else (("bus", bus),) + labels,
                  value)
@@ -119,15 +123,14 @@ def render_prometheus_buses(registries, prefix="repro_"):
     return "\n".join(lines) + "\n" if lines else ""
 
 
-def registry_from_observability(incidents, windows, registry=None):
-    """Fold incidents + SLO windows into a registry for exposition.
+def registry_from_observability(incidents, windows):
+    """Fold incidents + SLO windows into a new registry for exposition.
 
     Builds the scrape-shaped view of a finished run: incident counts by
     trigger and by how they closed, MTTR phase totals, and the SLO
-    window/violation tallies.  Pass an existing registry to merge into a
-    rig's own metrics.
+    window/violation tallies.
     """
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     count = registry.counter("incidents.count")
     by_trigger = registry.family("incidents.by_trigger")
     by_closed = registry.family("incidents.by_closed_by")
@@ -207,14 +210,14 @@ def predictive_chain(url_path_map=None, rules=None, bus=None):
     return [tracker, hub, registry]
 
 
-def registry_from_health(rows, registry=None):
-    """Fold a health snapshot into a registry for Prometheus exposition.
+def registry_from_health(rows):
+    """Fold a health snapshot into a new registry for Prometheus exposition.
 
     One ``health.score.<server>.<component>`` gauge per component plus
     per-signal gauges — scrape-shaped, sorted by
     :func:`render_prometheus` into byte-stable output.
     """
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     for row in rows:
         key = f"{row['server'] or '-'}.{row['component']}"
         registry.gauge(f"health.score.{key}").set(row["score"])
@@ -223,14 +226,14 @@ def registry_from_health(rows, registry=None):
     return registry
 
 
-def registry_from_cluster(rows, summary=None, registry=None):
+def registry_from_cluster(rows, summary=None):
     """Fold per-shard rollup rows into ``shard=``-labelled families.
 
     One gauge/counter family per rollup statistic, labelled by shard, plus
     the cluster-level reduction as flat gauges — scrape-shaped for the
     ``repro shards --prom`` surface.
     """
-    registry = registry if registry is not None else MetricsRegistry()
+    registry = MetricsRegistry()
     gauges = (
         ("shard.availability", "availability"),
         ("shard.sessions", "sessions"),

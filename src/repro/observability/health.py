@@ -97,9 +97,9 @@ class HeapTrendTracker:
     ``alarm_fraction × capacity`` free.
     """
 
-    def __init__(self, alarm_fraction=0.10, ring=HEAP_RING):
+    def __init__(self, alarm_fraction=0.10):
         self.alarm_fraction = alarm_fraction
-        self.samples = deque(maxlen=ring)
+        self.samples = deque(maxlen=HEAP_RING)
         self.capacity = None
 
     def observe(self, t, available, capacity=None):

@@ -26,8 +26,12 @@ _PHASE_GLYPHS = (
 )
 
 
-def _table(headers, rows):
-    """The repo's standard fixed-width table (ExperimentResult's layout)."""
+def text_table(headers, rows):
+    """The repo's standard fixed-width table, as a list of lines.
+
+    Every column is as wide as its widest cell; with no rows, the
+    headers are followed by ``(none)``.
+    """
     if not rows:
         return [
             "  ".join(str(h) for h in headers),
@@ -141,7 +145,7 @@ def summarize_incidents(incidents, waterfall_width=44):
         )
     )
     lines.append("")
-    lines.extend(_table(tuple(headers), rows))
+    lines.extend(text_table(tuple(headers), rows))
 
     lines.append("")
     lines.append(
@@ -219,7 +223,7 @@ def summarize_slo(windows, policy=None):
         )
     lines.append("")
     lines.extend(
-        _table(
+        text_table(
             (
                 "window", "good", "bad", "avail", "gaw/s", "p50", "p99",
                 "burn", "",
@@ -284,7 +288,7 @@ def summarize_health(rows):
         )
     lines.append("")
     lines.extend(
-        _table(
+        text_table(
             (
                 "server", "component", "score", "health", "hazard", "burn",
                 "flap", "heap", "mttf",
@@ -389,7 +393,7 @@ def summarize_shards(view, meta_incidents=None, shard=None):
         )
     lines.append("")
     lines.extend(
-        _table(
+        text_table(
             (
                 "shard", "sessions", "avail", "gaw/s", "p50", "p99",
                 "probes(f)", "failover", "in", "out", "slo viol", "",
@@ -459,7 +463,7 @@ def summarize_alerts(alerts, incidents=None):
             )
         lines.append("")
         lines.extend(
-            _table(
+            text_table(
                 (
                     "fired", "rule", "severity", "server", "component",
                     "value", "resolved",

@@ -41,6 +41,9 @@ from itertools import count, islice
 
 from repro.sim.resources import Lock
 
+#: Every table's primary-key column.
+PRIMARY_KEY = "id"
+
 
 class DatabaseError(Exception):
     """Base class for database failures."""
@@ -61,16 +64,15 @@ class SchemaError(DatabaseError):
 class _Table:
     """One table: rows keyed by an integer primary key, plus hash indexes."""
 
-    def __init__(self, name, primary_key="id"):
+    def __init__(self, name):
         self.name = name
-        self.primary_key = primary_key
         self.rows = {}
         self.indexes = {}  # column -> {value -> set(pk)}
 
     def validate_pk(self, pk):
         if not isinstance(pk, int) or isinstance(pk, bool):
             raise SchemaError(
-                f"{self.name}.{self.primary_key} must be an integer, got {pk!r}"
+                f"{self.name}.{PRIMARY_KEY} must be an integer, got {pk!r}"
             )
 
     # -- index maintenance ----------------------------------------------
@@ -188,10 +190,10 @@ class Database:
     # ------------------------------------------------------------------
     # Schema
     # ------------------------------------------------------------------
-    def create_table(self, name, primary_key="id"):
+    def create_table(self, name):
         if name in self.tables:
             raise SchemaError(f"table {name!r} already exists")
-        self.tables[name] = _Table(name, primary_key)
+        self.tables[name] = _Table(name)
 
     def _table(self, name):
         self._assert_up()
@@ -258,10 +260,10 @@ class Database:
     # ------------------------------------------------------------------
     def insert(self, table_name, row, tx_id=None):
         table = self._table(table_name)
-        pk = row.get(table.primary_key)
+        pk = row.get(PRIMARY_KEY)
         table.validate_pk(pk)
         if pk in table.rows:
-            raise DuplicateKeyError(f"{table_name}.{table.primary_key}={pk}")
+            raise DuplicateKeyError(f"{table_name}.{PRIMARY_KEY}={pk}")
         table.put_row(pk, dict(row))
         self._log_undo(tx_id, lambda: table.pop_row(pk))
 

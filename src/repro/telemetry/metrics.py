@@ -131,17 +131,20 @@ class GaugeFamily:
         return f"<GaugeFamily {self.name} labels={len(self._children)}>"
 
 
+#: Largest value a :class:`Histogram` counts in its exact zero-bucket.
+MIN_TRACKABLE = 1e-9
+
+
 class Histogram:
     """Streaming quantile sketch with bounded relative error.
 
     Buckets are powers of ``gamma = (1+α)/(1-α)``; an observation ``v`` goes
     to bucket ``ceil(log_gamma(v))``, whose representative midpoint is within
-    α of every value it absorbs.  Values at or below ``min_trackable`` share
-    one exact zero-bucket.
+    α of every value it absorbs.  Values at or below ``MIN_TRACKABLE``
+    share one exact zero-bucket.
     """
 
-    def __init__(self, name=None, relative_accuracy=0.01,
-                 min_trackable=1e-9):
+    def __init__(self, name=None, relative_accuracy=0.01):
         if not 0 < relative_accuracy < 1:
             raise ValueError("relative_accuracy must be in (0, 1)")
         self.name = name
@@ -149,7 +152,6 @@ class Histogram:
         gamma = (1 + relative_accuracy) / (1 - relative_accuracy)
         self._log_gamma = math.log(gamma)
         self._gamma = gamma
-        self._min_trackable = min_trackable
         self._buckets = {}
         self._zero_count = 0
         self.count = 0
@@ -165,32 +167,11 @@ class Histogram:
             self.min = value
         if self.max is None or value > self.max:
             self.max = value
-        if value <= self._min_trackable:
+        if value <= MIN_TRACKABLE:
             self._zero_count += 1
             return
         index = math.ceil(math.log(value) / self._log_gamma)
         self._buckets[index] = self._buckets.get(index, 0) + 1
-
-    def observe_many(self, value, n):
-        """Record ``n`` identical observations in O(1).
-
-        The batch workload engine observes whole cohorts at once — a
-        thousand clicks sharing one modeled latency land as one bucket
-        increment instead of a thousand :meth:`observe` calls.
-        """
-        if n <= 0:
-            return
-        self.count += n
-        self.sum += value * n
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
-        if value <= self._min_trackable:
-            self._zero_count += n
-            return
-        index = math.ceil(math.log(value) / self._log_gamma)
-        self._buckets[index] = self._buckets.get(index, 0) + n
 
     def merge(self, other):
         """Fold ``other``'s observations into this sketch, in place.
@@ -305,12 +286,8 @@ class MetricsRegistry:
             name, lambda: GaugeFamily(name, label=label), GaugeFamily
         )
 
-    def histogram(self, name, relative_accuracy=0.01):
-        return self._get_or_create(
-            name,
-            lambda: Histogram(name, relative_accuracy=relative_accuracy),
-            Histogram,
-        )
+    def histogram(self, name):
+        return self._get_or_create(name, lambda: Histogram(name), Histogram)
 
     def get(self, name):
         return self._metrics.get(name)

@@ -20,6 +20,9 @@ from repro.appserver.http import (
     status_key,
 )
 
+#: Retry-After retries a client makes per idempotent request (§6.2).
+MAX_RETRIES = 3
+
 
 class ParamSampler:
     """Plausible operation parameters for a generated dataset."""
@@ -56,10 +59,8 @@ class EmulatedClient:
         dataset,
         metrics=None,
         profile=None,
-        user_id=None,
         reporter=None,
         comparison=None,
-        max_retries=3,
     ):
         self.client_id = client_id
         self.kernel = kernel
@@ -68,11 +69,10 @@ class EmulatedClient:
         self.dataset = dataset
         self.metrics = metrics if metrics is not None else TawAccounting()
         self.profile = profile or WorkloadProfile()
-        self.user_id = user_id or (client_id % dataset.users) + 1
+        self.user_id = (client_id % dataset.users) + 1
         self.reporter = reporter
         self.detector = SimpleDetector()
         self.comparison = comparison
-        self.max_retries = max_retries
         self.sampler = ParamSampler(dataset, rng)
 
         self.cookie = None
@@ -224,7 +224,7 @@ class EmulatedClient:
                 response.status == HttpStatus.SERVICE_UNAVAILABLE
                 and response.retry_after
                 and request.idempotent
-                and attempts < self.max_retries
+                and attempts < MAX_RETRIES
             ):
                 attempts += 1
                 record.retries = attempts
@@ -323,16 +323,14 @@ class ClientPopulation:
         profile=None,
         reporter=None,
         comparison=None,
-        metrics=None,
-        name_prefix="client",
     ):
         self.kernel = kernel
-        self.metrics = metrics if metrics is not None else TawAccounting()
+        self.metrics = TawAccounting()
         self.clients = [
             EmulatedClient(
                 client_id=i,
                 kernel=kernel,
-                rng=rng_registry.stream(f"{name_prefix}-{i}"),
+                rng=rng_registry.stream(f"client-{i}"),
                 frontend=frontend,
                 dataset=dataset,
                 metrics=self.metrics,

@@ -11,9 +11,8 @@ from array import array
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from math import isfinite
 from operator import index as _index
-
-from repro.telemetry.metrics import MetricsRegistry
 
 
 @dataclass(slots=True)
@@ -51,8 +50,8 @@ def _stamp(op):
     return op.completed_at if op.completed_at is not None else op.issued_at
 
 
-#: What a float column holds for None.  A NaN is refused on the way in,
-#: so a NaN read back always means None.
+#: What a float column holds for None.  A non-finite time is refused on
+#: the way in, so a NaN read back always means None.
 _ABSENT = float("nan")
 
 
@@ -93,25 +92,20 @@ class TawAccounting:
     row of its own columns: :attr:`actions` and every per-request view
     (:attr:`response_times`, :attr:`failure_intervals`, ...) are read
     from them, so a request is held once: a one-request action takes
-    about 64 bytes, where its two records and list took about 400.
+    about 64 bytes, where its two records and list took about 400.  The
+    failure counts by operation and kind are read from the failed rows
+    too; the good/failed request and action counts are plain ints.
     """
 
-    def __init__(self, metrics=None):
-        #: All counts live in a telemetry registry (shareable with the rest
-        #: of a rig's instrumentation); the attribute API below is
-        #: unchanged — ``good_requests`` and friends read through to it.
-        self.registry = metrics if metrics is not None else MetricsRegistry()
-        self._good = self.registry.counter("taw.requests.good")
-        self._bad = self.registry.counter("taw.requests.failed")
-        self._good_actions = self.registry.counter("taw.actions.good")
-        self._bad_actions = self.registry.counter("taw.actions.failed")
-        self._failures_by_operation = self.registry.family(
-            "taw.failures.by_operation"
-        )
-        self._failures_by_kind = self.registry.family("taw.failures.by_kind")
-        self._response_time_hist = self.registry.histogram(
-            "taw.response_time"
-        )
+    def __init__(self):
+        #: Requests and actions counted good or failed, by both paths.
+        self.good_requests = 0
+        self.failed_requests = 0
+        self.good_actions = 0
+        self.failed_actions = 0
+        #: Response times the batch path recorded: their sum and count.
+        self._batch_seconds = 0.0
+        self._batch_timed = 0
         #: second → count of requests that (retro)counted good/bad there.
         self._good_series = {}
         self._bad_series = {}
@@ -236,11 +230,17 @@ class TawAccounting:
         try:
             for op in action.operations:
                 ok, seconds = op.ok, op.response_time
-                completed = op.completed_at
+                issued_at, completed = op.issued_at, op.completed_at
                 if ok is not True and ok is not False:
                     raise TypeError(f"ok must be a bool, got {ok!r}")
-                if completed != completed or seconds != seconds:
-                    raise ValueError("a NaN time would read back as None")
+                if not (
+                    isfinite(issued_at)
+                    and (completed is None or isfinite(completed))
+                    and (seconds is None or isfinite(seconds))
+                ):
+                    # A NaN would read back as None; an infinity has no
+                    # per-second bucket.
+                    raise ValueError("request times must be finite")
                 operation, url = op.operation, op.url
                 group, kind = op.functional_group, op.failure_kind
                 operations.append(
@@ -249,7 +249,7 @@ class TawAccounting:
                 urls.append(codes[url] if url in codes else code(url))
                 groups.append(codes[group] if group in codes else code(group))
                 kinds.append(codes[kind] if kind in codes else code(kind))
-                issued.append(op.issued_at)
+                issued.append(issued_at)
                 completed_at.append(
                     _ABSENT if completed is None else completed
                 )
@@ -281,88 +281,75 @@ class TawAccounting:
         """
         self._store(action)
         operations = action.operations
-        committed = action.committed
-        if committed:
-            self._good_actions.inc()
-            requests, series = self._good, self._good_series
+        if action.committed:
+            self.good_actions += 1
+            self.good_requests += len(operations)
+            series = self._good_series
         else:
-            self._bad_actions.inc()
-            requests, series = self._bad, self._bad_series
-        if operations:
-            # One counter bump per action: integral float counts add up
-            # exactly, so this equals one inc() per operation.
-            requests.inc(len(operations))
+            self.failed_actions += 1
+            self.failed_requests += len(operations)
+            series = self._bad_series
         for op in operations:
             bucket = int(_stamp(op))
             series[bucket] = series.get(bucket, 0) + 1
-            if op.response_time is not None:
-                self._response_time_hist.observe(op.response_time)
-            if not op.ok:
-                self._failures_by_operation.inc(op.operation)
-                if op.failure_kind:
-                    self._failures_by_kind.inc(op.failure_kind)
 
     def record_batch(self, bucket, good_ops=0, bad_ops=0,
                      good_actions=0, bad_actions=0):
         """Account a whole cohort of finished operations at once.
 
         The bounded counterpart of :meth:`record_action` for the batch
-        workload engine: it moves the same counters and per-second series
+        workload engine: it moves the same counts and per-second series
         (so availability, Taw windows and the SLO engine read identically)
-        but records **no** per-action or per-operation objects — a million
+        but records **no** per-action or per-request rows — a million
         sessions must not allocate a million records.  Response times go
         separately through :meth:`record_response_times`.
         """
-        if good_actions:
-            self._good_actions.inc(good_actions)
-        if bad_actions:
-            self._bad_actions.inc(bad_actions)
+        self.good_actions += good_actions
+        self.failed_actions += bad_actions
         if good_ops:
-            self._good.inc(good_ops)
+            self.good_requests += good_ops
             self._good_series[bucket] = (
                 self._good_series.get(bucket, 0) + good_ops
             )
         if bad_ops:
-            self._bad.inc(bad_ops)
+            self.failed_requests += bad_ops
             self._bad_series[bucket] = (
                 self._bad_series.get(bucket, 0) + bad_ops
             )
 
     def record_response_times(self, seconds, n=1):
-        """Feed ``n`` identical response times to the histogram sketch only.
+        """Count ``n`` requests of ``seconds`` each towards the mean.
 
-        Batch-path companion to :meth:`record_batch`: quantiles and the
-        mean stay available via the sketch; ``response_times`` stays empty,
-        as no action is recorded.
+        Batch-path companion to :meth:`record_batch`: only their sum and
+        count are kept, for :meth:`mean_response_time`; ``response_times``
+        stays empty, as no action is recorded.
         """
-        self._response_time_hist.observe_many(seconds, n)
+        self._batch_seconds += seconds * n
+        self._batch_timed += n
 
     # ------------------------------------------------------------------
     # Series and summaries
     # ------------------------------------------------------------------
-    @property
-    def good_requests(self):
-        return int(self._good.value)
-
-    @property
-    def failed_requests(self):
-        return int(self._bad.value)
-
-    @property
-    def good_actions(self):
-        return int(self._good_actions.value)
-
-    @property
-    def failed_actions(self):
-        return int(self._bad_actions.value)
+    def _failed_strings(self, column):
+        """String → failed requests, from ``column``'s failed rows, in the
+        order each string first failed."""
+        strings = self._strings
+        counts = Counter(code for code, ok in zip(column, self._ok) if not ok)
+        return {strings[code]: n for code, n in counts.items()}
 
     @property
     def failures_by_operation(self):
-        return self._failures_by_operation.as_dict()
+        return self._failed_strings(self._operation)
 
     @property
     def failures_by_kind(self):
-        return self._failures_by_kind.as_dict()
+        """Failure kind → failed requests; requests without one (None or
+        ``""``) are not counted."""
+        return {
+            kind: n
+            for kind, n in self._failed_strings(self._failure_kind).items()
+            if kind
+        }
 
     @property
     def total_requests(self):
@@ -411,10 +398,9 @@ class TawAccounting:
         seconds = self._response_time
         timed = sum(1 for rt in seconds if rt == rt)
         if not timed:
-            # Batch-recorded runs have no per-request rows; the sketch
-            # still knows the exact mean (count and sum are not sketched).
-            if self._response_time_hist.count:
-                return self._response_time_hist.mean
+            # Batch-recorded runs have no per-request rows.
+            if self._batch_timed:
+                return self._batch_seconds / self._batch_timed
             return None
         # The builtin sum over the same values in the same order: Python
         # 3.12's sum() compensates rounding, so a hand-written += loop

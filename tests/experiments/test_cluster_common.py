@@ -1,5 +1,6 @@
 """The LB-wired rigs' shared parts: the recovery pipeline and the
-end-of-run step with its run audit, which `ClusterRig` runs too."""
+end-of-run step with its run audit, which `ClusterRig` and
+`SingleNodeRig` run too."""
 
 import pytest
 
@@ -10,8 +11,11 @@ from repro.experiments.chaos import ChaosClusterRig
 from repro.experiments.cluster_common import (
     ClusterRig,
     RecoveryPipeline,
-    RunAuditError,
     end_run,
+)
+from repro.experiments.common import (
+    RunAuditError,
+    SingleNodeRig,
     first_failure,
 )
 from repro.experiments.megascale import MegascaleRig
@@ -135,6 +139,10 @@ def _cluster_rig():
     return ClusterRig(2, 2, seed=0, dataset=DatasetConfig.tiny())
 
 
+def _single_node_rig():
+    return SingleNodeRig(seed=0, n_clients=4, dataset=DatasetConfig.tiny())
+
+
 #: name -> (build the rig, run it past t = 1 s).
 RIGS = {
     "chaos": (lambda: ChaosClusterRig(
@@ -153,6 +161,12 @@ RIGS = {
     "cluster-warmup": (_cluster_rig, lambda rig: rig.start(warmup=5.0)),
     "cluster-run-for": (
         _cluster_rig, lambda rig: (rig.start(), rig.run_for(5.0)),
+    ),
+    "single-node-warmup": (
+        _single_node_rig, lambda rig: rig.start(warmup=5.0),
+    ),
+    "single-node-run-for": (
+        _single_node_rig, lambda rig: (rig.start(), rig.run_for(5.0)),
     ),
 }
 

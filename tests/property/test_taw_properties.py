@@ -1,5 +1,8 @@
 """Property-based tests: Taw accounting invariants."""
 
+import math
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,12 +21,17 @@ def action_batches(draw):
             issued = clock
             clock += draw(st.floats(min_value=0.01, max_value=5.0))
             record = OperationRecord(
-                operation="Op",
+                operation=draw(
+                    st.sampled_from(("Op", "ViewItem", "CommitBid"))
+                ),
                 url="/x",
                 issued_at=issued,
                 completed_at=clock,
                 ok=draw(st.booleans()),
                 response_time=clock - issued,
+                failure_kind=draw(
+                    st.sampled_from((None, "", "http-error", "timeout"))
+                ),
                 functional_group="G",
             )
             action.operations.append(record)
@@ -43,6 +51,76 @@ def test_every_operation_is_counted_exactly_once(actions):
         metrics.bad_taw_series().values()
     )
     assert series_total == total_ops
+    # The failure dicts are counted from the failed rows: same counts, in
+    # the order each operation or kind first failed; no kind, no count.
+    failed = [
+        op for action in metrics.actions for op in action.operations
+        if not op.ok
+    ]
+    by_operation = Counter(op.operation for op in failed)
+    by_kind = Counter(op.failure_kind for op in failed if op.failure_kind)
+    assert metrics.failures_by_operation == by_operation
+    assert list(metrics.failures_by_operation) == list(by_operation)
+    assert metrics.failures_by_kind == by_kind
+    assert list(metrics.failures_by_kind) == list(by_kind)
+
+
+def accounting_state(metrics):
+    """Everything a refused action must leave as it was."""
+    return (
+        [(a.name, a.client_id, a.started_at, a.operations)
+         for a in metrics.actions],
+        metrics.good_requests, metrics.failed_requests,
+        metrics.good_actions, metrics.failed_actions,
+        metrics.good_taw_series(), metrics.bad_taw_series(),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    actions=action_batches(),
+    bad=action_batches().filter(bool).map(lambda batch: batch[0]),
+    data=st.data(),
+)
+def test_a_non_finite_time_is_refused_whole(actions, bad, data):
+    metrics = TawAccounting()
+    for action in actions:
+        metrics.record_action(action)
+    before = accounting_state(metrics)
+    op = data.draw(st.sampled_from(bad.operations))
+    field = data.draw(
+        st.sampled_from(("issued_at", "completed_at", "response_time"))
+    )
+    setattr(op, field, data.draw(st.sampled_from((math.inf, -math.inf,
+                                                  math.nan))))
+    with pytest.raises(ValueError):
+        metrics.record_action(bad)
+    assert accounting_state(metrics) == before
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(st.floats(0.0, 100.0), st.integers(0, 1_000)),
+        max_size=8,
+    ),
+    idle=st.floats(0.0, 100.0),
+    at=st.integers(0, 8),
+)
+def test_batch_mean_is_the_sum_of_times_over_their_count(calls, idle, at):
+    calls.insert(min(at, len(calls)), (idle, 0))
+    metrics = TawAccounting()
+    for seconds, n in calls:
+        metrics.record_response_times(seconds, n)
+    # Added one call at a time, in call order (3.12's sum() would
+    # compensate the rounding and move the last bits).
+    total = 0.0
+    for seconds, n in calls:
+        total += seconds * n
+    count = sum(n for _seconds, n in calls)
+    expected = total / count if count else None
+    assert metrics.mean_response_time() == expected
+    assert metrics.response_times == []
 
 
 @settings(max_examples=150, deadline=None)
