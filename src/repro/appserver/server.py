@@ -62,6 +62,13 @@ class ConnectionPool:
         self.checkouts = 0
 
 
+def _purge(lease):
+    """An expired request lease's callback: interrupt the shepherd it was
+    armed for (the lease's value), which answers with a dropped
+    connection."""
+    lease.value.interrupt(cause="request-lease-expired")
+
+
 def network_error_response(reason):
     """What a client sees when the server process is not accepting."""
     return HttpResponse(
@@ -230,7 +237,9 @@ class ApplicationServer:
 
         The event always *succeeds* — failures are encoded in the response
         (HTTP status, error body, or a network-error marker), because that
-        is what the paper's client-side detectors observe.
+        is what the paper's client-side detectors observe.  An admitted
+        request gets one process, its shepherd thread (:meth:`_shepherd`),
+        which triggers the event once the response is counted.
         """
         done = self.kernel.event()
         if self.state is not ServerState.RUNNING:
@@ -241,39 +250,47 @@ class ApplicationServer:
         request.server = self.name
         if self.span_collector is not None:
             self.span_collector.attach(request, node=self.name)
-        self.kernel.process(
-            self._request_lifecycle(request, done),
-            name=f"lifecycle-{request.request_id}",
+        ctx = InvocationContext(self, request)
+        ctx.shepherd_process = self.kernel.process(
+            self._shepherd(ctx, request, done),
+            name=f"shepherd-{request.request_id}",
         )
         return done
 
-    def _request_lifecycle(self, request, done):
-        """Supervise one request: spawn the shepherd, enforce the lease."""
-        ctx = InvocationContext(self, request)
-        shepherd = self.kernel.process(
-            self._serve(ctx, request), name=f"shepherd-{request.request_id}"
+    def _shepherd(self, ctx, request, done):
+        """Generator: the shepherd thread, the one process of a request.
+
+        It arms the request lease first: a timer whose value is this
+        shepherd and whose callback (:func:`_purge`) interrupts it, so a
+        request still in flight when the lease expires is purged (§2,
+        "stuck requests can be automatically purged").  Once the response
+        is made, the shepherd retires the lease if it is still pending,
+        counts the response and triggers ``done`` with it, in that order:
+        whoever waits on ``done`` sees the counts already updated.
+        """
+        lease = self.kernel.timeout(
+            self.request_lease_ttl, ctx.shepherd_process
         )
-        ctx.shepherd_process = shepherd
-        lease = self.kernel.timeout(self.request_lease_ttl)
-        yield self.kernel.any_of([shepherd, lease])
-        if not shepherd.triggered:
-            # The lease expired with the request still in flight: purge it
-            # (§2, "stuck requests can be automatically purged").
-            shepherd.interrupt(cause="request-lease-expired")
-        else:
-            lease.cancel()
+        lease.callbacks.append(_purge)
         try:
-            response = yield shepherd
-        except BaseException:  # noqa: BLE001 - shepherd died uncleanly
+            response = yield from self._serve(ctx, request)
+        except Exception:  # noqa: BLE001 - the shepherd died uncleanly
             response = network_error_response("connection reset (thread died)")
+        if lease.callbacks:  # pending: unhook _purge, then retire the timer
+            lease.callbacks.clear()
+            lease.cancel()
         self.requests_completed += 1
         key = status_key(response)
         self.responses_by_status[key] = self.responses_by_status.get(key, 0) + 1
         done.succeed(response)
 
     def _serve(self, ctx, request):
-        """Generator: the shepherd thread.  Never raises — every outcome is
-        turned into an :class:`HttpResponse` for the detectors to inspect."""
+        """Generator: carry the request through the WAR and the EJBs.
+
+        Every outcome is turned into an :class:`HttpResponse` for the
+        detectors to inspect; only an error raised while building one
+        escapes (the shepherd dies uncleanly).
+        """
         try:
             response = yield from ctx.call(
                 self.web_component_name, "handle", request

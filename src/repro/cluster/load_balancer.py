@@ -237,7 +237,12 @@ class LoadBalancer:
     # Routing
     # ------------------------------------------------------------------
     def handle_request(self, request):
-        """Route one request; returns an event (same contract as a server)."""
+        """Route one request; returns an event (same contract as a server).
+
+        No process carries the hop: the request is forwarded at once, or
+        by a timer's callback once a faulted link's delay has passed, and
+        the server's reply settles the returned event (:meth:`_forward`).
+        """
         self._routed.inc()
         if self.span_collector is not None:
             self.span_collector.attach(request)
@@ -257,19 +262,25 @@ class LoadBalancer:
                     retry_after=self.hardening.shed_retry_after,
                 )
             )
-        self.kernel.process(
-            self._forward(node, request, done),
-            name=f"lb-{request.request_id}",
-        )
-        return done
-
-    def _forward(self, node, request, done):
         started = self.kernel.now
         fault = self._link_faults.get(node.name)
+        if fault is not None and fault[0] > 0:
+            self.kernel.timeout(fault[0]).callbacks.append(
+                lambda _delay: self._forward(
+                    node, request, done, started, fault
+                )
+            )
+        else:
+            self._forward(node, request, done, started, fault)
+        return done
+
+    def _forward(self, node, request, done, started, fault):
+        """Hand ``request`` over the link to ``node``'s server; a callback on
+        the server's reply event settles ``done``, after noting the latency
+        and the session affinity the reply carries.  A faulted link may
+        drop the request instead, decided now, when its delay has passed."""
         if fault is not None:
-            delay, drop_rate, rng = fault
-            if delay > 0:
-                yield self.kernel.timeout(delay)
+            _delay, drop_rate, rng = fault
             if drop_rate > 0 and rng.random() < drop_rate:
                 # The connection dies mid-flight; the client observes a
                 # network error, its strongest failure signal.
@@ -281,28 +292,40 @@ class LoadBalancer:
                 done.fail(LinkDropError(f"link to {node.name} dropped request"))
                 return
         try:
-            response = yield node.server.handle_request(request)
+            reply = node.server.handle_request(request)
         except Exception as exc:  # noqa: BLE001 - propagate, never hang
-            # The forwarded event failed: without failing ``done`` the
-            # client would wait on it forever and Taw would never account
-            # the request.
-            self._forward_failures.inc()
-            self._note_forward_failure(node)
-            self.kernel.trace.publish(
-                "lb.forward.error",
-                node=node.name,
-                url=request.url,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            done.fail(exc)
+            self._forward_failed(node, request, done, exc)
             return
-        if self._shedding():
-            self._note_latency(node, self.kernel.now - started)
-        payload = response.payload
-        cookie = payload.get("cookie") if payload else None
-        if cookie:
-            self._affinity[cookie] = node
-        done.succeed(response)
+
+        def settle(reply):
+            if not reply.ok:
+                reply.defused = True
+                self._forward_failed(node, request, done, reply.value)
+                return
+            if self._shedding():
+                self._note_latency(node, self.kernel.now - started)
+            response = reply.value
+            payload = response.payload
+            cookie = payload.get("cookie") if payload else None
+            if cookie:
+                self._affinity[cookie] = node
+            done.succeed(response)
+
+        reply.callbacks.append(settle)
+
+    def _forward_failed(self, node, request, done, exc):
+        """The forward raised or its reply failed: fail ``done`` too.
+        Otherwise the client would wait on it forever and Taw would never
+        account the request."""
+        self._forward_failures.inc()
+        self._note_forward_failure(node)
+        self.kernel.trace.publish(
+            "lb.forward.error",
+            node=node.name,
+            url=request.url,
+            error=f"{type(exc).__name__}: {exc}",
+        )
+        done.fail(exc)
 
     def _route(self, request):
         node = self._affinity.get(request.cookie) if request.cookie else None

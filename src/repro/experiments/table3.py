@@ -13,7 +13,7 @@ breakdown (56% services / 44% application deployment) holds.
 """
 
 from repro.ebid.descriptors import ebid_descriptors
-from repro.experiments.common import ExperimentResult, SingleNodeRig
+from repro.experiments.common import ExperimentResult, SingleNodeRig, audit_run
 
 #: Paper Table 3 values (msec): component -> (µRB total, crash, reinit).
 PAPER_TABLE3 = {
@@ -58,6 +58,8 @@ def _measure(rig, trials, generator_factory):
         event = rig.kernel.run_until_triggered(
             rig.kernel.process(generator_factory())
         )
+        # Audit the recovery too: no ``run_for`` follows the last one.
+        audit_run(rig.kernel)
         if event is not None:
             # The µRB time proper is crash + reinit; the post-µRB garbage-
             # collector nudge happens after the component is serving again.

@@ -127,8 +127,10 @@ class TraceEvent(namedtuple("TraceEvent", ("t", "seq", "kind", "fields"))):
     """One published event: simulation time (seconds), per-bus publication
     sequence number, dotted event type (e.g. ``"request.end"``) and payload.
 
-    A named tuple: one is built per publish, and a tuple needs no per-field
-    ``object.__setattr__`` and no ``__dict__``.
+    The rings keep no events: each record is one flat row (see
+    :class:`TraceBus`), and an event is built from it only when
+    :meth:`TraceBus.events` reads it back.  :meth:`TraceBus.publish`
+    returns one around the payload it was given.
     """
 
     __slots__ = ()
@@ -200,8 +202,14 @@ class TraceBus:
         self.kernel = kernel
         self.label = label
         self.enabled = _default_enabled if enabled is None else bool(enabled)
+        #: The two rings hold rows, one flat tuple per record:
+        #: ``(t, seq, kind, keys, *values)``.  ``keys`` is the payload's key
+        #: tuple, shared through ``_keysets`` by every row whose payload has
+        #: the same keys in the same order; a sticky row is one object in
+        #: both rings.
         self._buffer = deque(maxlen=capacity)
         self._sticky = deque(maxlen=self.STICKY_CAPACITY)
+        self._keysets = {}
         self._subscriptions = []
         #: kind -> (sticky?, matching callbacks): built on a kind's first
         #: publish, dropped whenever the subscriptions change.
@@ -221,19 +229,22 @@ class TraceBus:
         if not self.enabled:
             return None
         t = self.kernel.now if self.kernel is not None else 0.0
-        event = TraceEvent(t, self._seq, kind, fields)
-        self._seq += 1
+        seq = self._seq
+        self._seq = seq + 1
         self.published += 1
-        self._buffer.append(event)
+        keys = tuple(fields)
+        row = (t, seq, kind, self._keysets.setdefault(keys, keys),
+               *fields.values())
+        self._buffer.append(row)
         route = self._routes.get(kind)
         if route is None:
             route = self._route(kind)
         sticky, callbacks = route
         if sticky:
-            self._sticky.append(event)
+            self._sticky.append(row)
         for callback in callbacks:
             callback(t, kind, fields)
-        return event
+        return TraceEvent(t, seq, kind, fields)
 
     def _route(self, kind):
         """Build and cache ``kind``'s (sticky?, matching callbacks) route."""
@@ -290,7 +301,7 @@ class TraceBus:
         """Time of the main ring's oldest event (0.0 when it is empty):
         every event published since is buffered.  Sticky events kept from
         before it are what survived of the earlier ones."""
-        return self._buffer[0].t if self._buffer else 0.0
+        return self._buffer[0][0] if self._buffer else 0.0
 
     def __len__(self):
         return len(self._buffer)
@@ -300,17 +311,21 @@ class TraceBus:
 
         Merges the main ring with the reserved sticky ring (recovery /
         failover kinds survive request floods), deduplicated by sequence.
+        Each event is built from its row here, with a fresh payload dict.
         """
         if not self._sticky:
-            ordered = list(self._buffer)
+            rows = self._buffer
         else:
-            merged = {event.seq: event for event in self._sticky}
-            merged.update((event.seq, event) for event in self._buffer)
-            ordered = [merged[seq] for seq in sorted(merged)]
-        if kinds is None:
-            return ordered
-        matcher = _Subscription(None, kinds)
-        return [e for e in ordered if matcher.matches(e.kind)]
+            merged = {row[1]: row for row in self._sticky}
+            merged.update((row[1], row) for row in self._buffer)
+            rows = [merged[seq] for seq in sorted(merged)]
+        if kinds is not None:
+            matcher = _Subscription(None, kinds)
+            rows = [row for row in rows if matcher.matches(row[2])]
+        return [
+            TraceEvent(row[0], row[1], row[2], dict(zip(row[3], row[4:])))
+            for row in rows
+        ]
 
     def clear(self):
         self._buffer.clear()

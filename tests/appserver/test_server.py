@@ -8,6 +8,7 @@ from repro.appserver.memory import OWNER_SERVER
 from repro.appserver.server import ApplicationServer, ServerState
 from repro.experiments.common import SingleNodeRig
 from repro.sim import Kernel
+from repro.sim.kernel import INFINITY
 from tests.toyapp import build_toy_system, issue, toy_descriptors
 
 
@@ -132,6 +133,75 @@ def test_request_lease_purges_stuck_request():
     assert response.network_error
     assert "request-lease-expired" in response.body
     assert system.kernel.now - start == pytest.approx(0.5, abs=0.01)
+
+
+# --- one process per request: the shepherd and its lease -------------------
+
+def _hang_greeter(system):
+    """A deadlock lodged in the Greeter: every invocation waits forever."""
+
+    def stuck_hook(container_, ctx, method):
+        yield system.kernel.event()
+
+    system.server.containers["Greeter"].invocation_hooks.append(stuck_hook)
+
+
+def test_lease_purges_a_deadlocked_shepherd_and_counts_it_once():
+    system = build_toy_system()
+    server = system.server
+    server.request_lease_ttl = 0.5
+    _hang_greeter(system)
+    response = issue(system, "/toy/greet")
+    assert response.body == (
+        "network error: connection reset (request-lease-expired)"
+    )
+    system.kernel.run(until=system.kernel.now + 5.0)
+    assert server.responses_by_status == {"network": 1}
+    assert server.requests_completed == server.requests_accepted == 1
+
+
+def test_a_request_that_beats_its_lease_retires_it_unstepped():
+    system = build_toy_system()
+    kernel = system.kernel
+    assert issue(system, "/toy/greet").status == HttpStatus.OK
+    kernel.run(until=kernel.now)  # the events due now: the reply's waiters
+    # Nothing is left to fire: the lease was retired, not left to expire.
+    assert kernel.peek() == INFINITY
+    steps = kernel.events_processed
+    kernel.run(until=kernel.now + 2 * system.server.request_lease_ttl)
+    assert kernel.events_processed == steps
+
+
+def test_the_reply_triggers_after_the_response_is_counted():
+    system = build_toy_system()
+    server = system.server
+    reply = server.handle_request(
+        HttpRequest(url="/toy/greet", operation="greet")
+    )
+    assert system.kernel.run_until_triggered(reply).status == HttpStatus.OK
+    assert server.requests_completed == 1
+    assert server.responses_by_status == {200: 1}
+
+
+def test_a_shepherd_that_dies_uncleanly_answers_thread_died():
+    """An error raised while the shepherd builds its response (here by an
+    exception whose message cannot be rendered) still answers the client,
+    once, and kills no kernel process."""
+    system = build_toy_system()
+
+    class Unprintable(Exception):
+        def __str__(self):
+            raise RuntimeError("no message")
+
+    def failing_hook(container_, ctx, method):
+        raise Unprintable()
+        yield  # pragma: no cover - makes this a generator
+
+    system.server.containers["Greeter"].invocation_hooks.append(failing_hook)
+    response = issue(system, "/toy/greet")
+    assert response.body == "network error: connection reset (thread died)"
+    assert system.server.responses_by_status == {"network": 1}
+    assert system.kernel.unhandled_failure_count == 0
 
 
 def test_response_accounting_by_status():

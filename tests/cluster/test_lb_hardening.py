@@ -1,8 +1,11 @@
 """Tests for the load balancer's hardening surface: link faults, degraded
 marks, session rerouting, and the latency-only shed rule."""
 
+import pytest
+
 from repro.appserver.http import HttpRequest, HttpStatus
 from repro.cluster import FailoverMode, build_cluster
+from repro.cluster.load_balancer import LinkDropError
 from repro.core.hardening import HardeningPolicy
 from repro.core.retry import RetryPolicy
 from repro.ebid.schema import DatasetConfig
@@ -73,6 +76,71 @@ def test_link_fault_drops_forwards():
         raised = True
     assert raised
     assert int(balancer.metrics.counter("lb.link.dropped").value) == 1
+
+
+def browse():
+    return HttpRequest(
+        url="/ebid/BrowseCategories", operation="BrowseCategories"
+    )
+
+
+def test_a_delayed_forward_is_admitted_when_the_delay_ends():
+    """The fault is read at routing time: healing the link after a request
+    was routed does not spare that request its delay."""
+    cluster = make_cluster(n=1, hardened=False)
+    balancer, node, kernel = (
+        cluster.load_balancer, cluster.nodes[0], cluster.kernel
+    )
+    accepted = node.server.requests_accepted
+    balancer.inject_link_fault(node, delay=2.0)
+    start = kernel.now
+    reply = balancer.handle_request(browse())
+    balancer.clear_link_fault(node)
+    kernel.run(until=start + 1.9)
+    assert node.server.requests_accepted == accepted
+    assert not reply.triggered
+    assert kernel.run_until_triggered(reply).status == HttpStatus.OK
+    assert node.server.requests_accepted == accepted + 1
+    assert kernel.now - start > 2.0
+
+
+def test_a_delayed_drop_is_drawn_when_the_delay_ends():
+    cluster = make_cluster(n=1, hardened=False)
+    balancer, node, kernel = (
+        cluster.load_balancer, cluster.nodes[0], cluster.kernel
+    )
+    draws = []
+
+    class Draws:
+        def random(self):
+            draws.append(kernel.now)
+            return 0.0
+
+    balancer.inject_link_fault(node, delay=1.0, drop_rate=0.5, rng=Draws())
+    start = kernel.now
+    request = browse()
+    reply = balancer.handle_request(request)
+    balancer.clear_link_fault(node)
+    assert draws == []
+    with pytest.raises(LinkDropError):
+        kernel.run_until_triggered(reply)
+    assert draws == [start + 1.0]
+    assert request.server is None  # no server saw it
+    assert int(balancer.metrics.counter("lb.link.dropped").value) == 1
+    assert not kernel.unhandled_failures
+
+
+def test_forward_latency_is_timed_from_routing():
+    """The latency the shedding rule judges includes the link's delay."""
+    cluster = make_cluster(n=1)
+    balancer, node, kernel = (
+        cluster.load_balancer, cluster.nodes[0], cluster.kernel
+    )
+    balancer.inject_link_fault(node, delay=2.0)
+    start = kernel.now
+    issue(cluster, "/ebid/BrowseCategories")
+    assert balancer._latency[node.name] == [kernel.now - start]
+    assert kernel.now - start > 2.0
 
 
 # ----------------------------------------------------------------------

@@ -179,6 +179,73 @@ def test_forward_failure_reaches_waiting_process():
     assert outcomes == ["backend died"]
 
 
+class RaisingServer:
+    """A backend whose ``handle_request`` raises before returning an event."""
+
+    def handle_request(self, request):
+        raise RuntimeError("accept() blew up")
+
+
+def test_a_backend_raising_at_once_fails_the_balancer_event():
+    kernel = Kernel()
+    node = SimpleNamespace(name="n0", server=RaisingServer())
+    lb = LoadBalancer(kernel, [node])
+    done = lb.handle_request(HttpRequest(url="/x", operation="x"))
+    with pytest.raises(RuntimeError, match="accept"):
+        kernel.run_until_triggered(done)
+    assert lb.forward_failures == 1
+    assert not kernel.unhandled_failures
+
+
+def test_the_balancer_reply_triggers_after_affinity_is_set(cluster):
+    request = HttpRequest(
+        url="/ebid/Authenticate", operation="Authenticate",
+        params={"user_id": 1, "password": "pw1"},
+    )
+    response = cluster.kernel.run_until_triggered(
+        cluster.load_balancer.handle_request(request)
+    )
+    cookie = response.payload["cookie"]
+    home = cluster.load_balancer.node_for_session(cookie)
+    assert home is not None
+    assert served_by(cluster, cookie) == [home.name]
+
+
+def test_a_microreboot_mid_call_reaches_a_client_behind_the_balancer(cluster):
+    """The shepherd killed by a µRB answers with a dropped connection, and
+    the balancer hands that answer to its client as it is."""
+    kernel = cluster.kernel
+    stuck = []
+
+    def hang(container, ctx, method):
+        stuck.append(container.server)
+        yield kernel.event()  # a deadlock: only a kill ends it
+
+    for node in cluster.nodes:
+        node.server.containers["BrowseCategories"].invocation_hooks.append(
+            hang
+        )
+    replies = []
+
+    def client():
+        request = HttpRequest(
+            url="/ebid/BrowseCategories", operation="BrowseCategories"
+        )
+        replies.append((yield cluster.load_balancer.handle_request(request)))
+
+    kernel.process(client())
+    kernel.run(until=kernel.now + 1.0)
+    assert replies == [] and len(stuck) == 1
+    node = cluster.find_node(stuck[0].name)
+    kernel.process(node.system.coordinator.microreboot(["BrowseCategories"]))
+    kernel.run(until=kernel.now + 5.0)
+    (response,) = replies
+    assert response.network_error
+    assert response.body == (
+        "network error: connection reset (microreboot:BrowseCategories)"
+    )
+
+
 def ring_nodes(n=3):
     return [SimpleNamespace(name=f"n{i}") for i in range(n)]
 

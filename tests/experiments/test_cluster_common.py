@@ -7,6 +7,7 @@ import pytest
 from repro.cluster import FailoverMode, build_cluster
 from repro.core.hardening import HardeningPolicy
 from repro.ebid.schema import DatasetConfig
+from repro.experiments import table3
 from repro.experiments.chaos import ChaosClusterRig
 from repro.experiments.cluster_common import (
     ClusterRig,
@@ -184,6 +185,28 @@ def test_run_fails_when_a_kernel_process_died(name):
         "ZeroDivisionError: probe arithmetic at "
     )
     assert "test_cluster_common.py:" in message
+
+
+def test_table3_audits_its_last_recovery(monkeypatch):
+    """A process that dies during the last trial of the last row (a JVM
+    restart, which no ``run_for`` follows) fails the run."""
+
+    def rig_dying_in_restarts(**kwargs):
+        rig = SingleNodeRig(
+            dataset=DatasetConfig.tiny(), **{**kwargs, "n_clients": 4}
+        )
+        restart = rig.node.restart_jvm
+
+        def restart_jvm():
+            _die(rig.kernel)
+            yield from restart()
+
+        rig.node.restart_jvm = restart_jvm
+        return rig
+
+    monkeypatch.setattr(table3, "SingleNodeRig", rig_dying_in_restarts)
+    with pytest.raises(RunAuditError, match="ZeroDivisionError"):
+        table3.run(scale="quick")
 
 
 def test_clean_run_passes_the_audit():

@@ -86,5 +86,5 @@ def test_shard_fault_injects_then_heals_its_brick():
         (120.0, "megascale.brick.heal", [("shard", "shard001")]),
     ]
     assert rig.kernel.unhandled_failure_count == 0
-    assert rig.kernel.events_processed == 8964
+    assert rig.kernel.events_processed == 6376
     assert digest(outcome) == "9e94e0acf7647d55"

@@ -153,8 +153,9 @@ def test_fire_and_resolve_publish_sticky_bus_events():
     assert fired["rule"] == "low" and fired["server"] == "node1"
     assert events[1].fields["duration"] == pytest.approx(4.0)
     # Sticky: alert events live in the reserved ring that survives
-    # request-flood eviction of the main buffer.
-    assert any(e.kind == "alert.fired" for e in bus._sticky)
+    # request-flood eviction of the main buffer.  Its rows are flat
+    # tuples, (t, seq, kind, keys, *values).
+    assert any(row[2] == "alert.fired" for row in bus._sticky)
 
 
 def test_listeners_see_fires_and_resolves():

@@ -1,5 +1,7 @@
 """Tests for the trace bus: ordering, ring bounds, filtering, enablement."""
 
+from types import SimpleNamespace
+
 from repro.sim import Kernel
 from repro.telemetry import (
     TraceBus,
@@ -267,3 +269,43 @@ def test_trace_event_is_a_named_tuple_with_the_same_fields():
     assert event._fields == ("t", "seq", "kind", "fields")
     assert tuple(event) == (0.0, 0, "tick", {"i": 1})
     assert event.flatten() == {"t": 0.0, "seq": 0, "kind": "tick", "i": 1}
+
+
+# --- row layout and its cost -------------------------------------------------
+
+def test_rows_share_one_key_tuple_per_key_order():
+    bus = make_bus()
+    bus.publish("a", x=1, y=2)
+    bus.publish("b", x=3, y=4)
+    bus.publish("c", y=5, x=6)
+    first, second, third = bus._buffer
+    assert first == (0.0, 0, "a", ("x", "y"), 1, 2)
+    assert second[3] is first[3]
+    assert third[3] == ("y", "x")
+
+
+def test_a_buffered_request_end_costs_under_256_bytes():
+    """A record is one flat row: 20,000 buffered `request.end` records, with
+    payloads like a client's, cost under 256 B each (a `TraceEvent` and its
+    payload dict cost about 440 B)."""
+    import tracemalloc
+
+    clock = SimpleNamespace(now=0.0)
+    bus = TraceBus(clock, enabled=True)
+    operations = ("ViewItem", "BrowseCategories", "AboutMe", "MakeBid")
+    n = 20_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(n):
+            clock.now = i * 0.05
+            bus.publish(
+                "request.end", client=i % 200, operation=operations[i % 4],
+                ok=True, duration=0.01 + i * 1e-6, failure=None, retries=0,
+                server="server-1", status=200,
+            )
+        per_record = (tracemalloc.get_traced_memory()[0] - before) / n
+    finally:
+        tracemalloc.stop()
+    assert len(bus) == n
+    assert per_record < 256, per_record
