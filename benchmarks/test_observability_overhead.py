@@ -3,8 +3,8 @@
 Two configurations of the same smoke-sized chaos run are timed:
 
 * ``traced`` — the TraceBus enabled but nothing subscribed: every event is
-  published and ring-buffered, none is stitched.  This is the baseline the
-  observability layer's cost is measured against.
+  published and routed to no one, none is stored or stitched.  This is the
+  baseline the observability layer's cost is measured against.
 * ``observed`` — the same run with the :class:`IncidentTracker` and
   :class:`SloEngine` attached (the ``repro run chaos`` default).
 

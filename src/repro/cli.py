@@ -71,7 +71,6 @@ from repro.telemetry import (
     TimelineError,
     capture_to_jsonl,
     load_timeline,
-    split_capture_notes,
     summarize_timeline,
 )
 
@@ -253,7 +252,7 @@ def build_parser():
     return parser
 
 
-def _load_timeline(path, notes=False):
+def _load_timeline(path):
     """Read a JSONL timeline for a CLI subcommand.
 
     Missing, unreadable, corrupt, or empty files are reported as one-line
@@ -261,24 +260,12 @@ def _load_timeline(path, notes=False):
     loading and error classification live in
     :func:`repro.telemetry.export.load_timeline`, shared by every
     timeline-consuming subcommand.
-
-    A bus that lost records starts its section with a ``trace.evicted``
-    record.  Unless ``notes`` is set (``repro trace`` warns in its
-    summary), each one becomes a warning line on stderr and the
-    ``trace.*`` records are dropped, so stdout renders the kept records
-    alone.
     """
     try:
-        records = load_timeline(path)
+        return load_timeline(path)
     except TimelineError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
-    if notes:
-        return records
-    records, warnings = split_capture_notes(records)
-    for line in warnings:
-        print(line, file=sys.stderr)
-    return records
 
 
 def _tracker():
@@ -458,7 +445,7 @@ def main(argv=None):
         return 0
 
     if args.command == "trace":
-        records = _load_timeline(args.file, notes=True)
+        records = _load_timeline(args.file)
         if records is None:
             return 2
         print(summarize_timeline(records, slowest=args.slowest))
@@ -491,6 +478,11 @@ def main(argv=None):
             f"{args.experiment} (see 'repro run --list')",
             file=sys.stderr,
         )
+        return 2
+
+    if args.trace is not None and not args.trace.parent.is_dir():
+        print(f"error: no such directory: {args.trace.parent}",
+              file=sys.stderr)
         return 2
 
     jobs = args.jobs

@@ -759,8 +759,7 @@ class RecoveryManager:
                 self._defer("backoff", level, (hot,))
                 return True
         if level not in ("ejb", "human"):
-            key = "node" if level in NODE_WIDE_LEVELS else level
-            if now < self._backoff_until.get(key, 0.0):
+            if now < self._backoff_end(level, ()):
                 # A coarse recovery just ran (or was recently deferred):
                 # give the node room to breathe — and external trouble
                 # (a flaky LB link, a slow disk) time to pass — before
@@ -1032,17 +1031,7 @@ class RecoveryManager:
         # allowed to act again.
         ttl = 0.0
         if reason == "backoff":
-            if level == "ejb" and targets:
-                keys = tuple(targets)
-            elif level in NODE_WIDE_LEVELS:
-                keys = ("node",)
-            else:
-                keys = (level,)
-            until = max(
-                (self._backoff_until.get(key, 0.0) for key in keys),
-                default=0.0,
-            )
-            ttl = max(0.0, until - self.kernel.now)
+            ttl = max(0.0, self._backoff_end(level, targets) - self.kernel.now)
         for listener in self.defer_listeners:
             listener(reason, level, tuple(targets), ttl)
         return None
@@ -1056,6 +1045,30 @@ class RecoveryManager:
 
     def _in_backoff(self, key, now):
         return self.hardening.enabled and now < self._backoff_until.get(key, 0.0)
+
+    @staticmethod
+    def _backoff_keys(level, targets):
+        """The backoff keys of a recovery at ``level`` on ``targets``.
+
+        EJB-level recoveries are keyed per component (the whole expanded
+        recovery group); node-wide ones share the ``"node"`` key; any
+        other level is keyed by its level string — so a node that keeps
+        being recycled backs off exactly like a component that keeps
+        flapping.
+        """
+        if level == "ejb" and targets:
+            return tuple(targets)
+        if level in NODE_WIDE_LEVELS:
+            return ("node",)
+        return (level,)
+
+    def _backoff_end(self, level, targets):
+        """When the backoff of a recovery at ``level`` on ``targets`` ends:
+        the latest deadline among its keys (0.0 when none is set)."""
+        return max(
+            self._backoff_until.get(key, 0.0)
+            for key in self._backoff_keys(level, targets)
+        )
 
     def _explained_by_quarantine(self, report):
         """True when a quarantined component sits on the report's path.
@@ -1116,38 +1129,27 @@ class RecoveryManager:
         if history and now - history[-1] < self.hardening.flap_debounce:
             return
         repeats = self._record_repeat(name, now)
+        self._quarantine_if_flapping(name, repeats, now)
+
+    def _note_recovery(self, level, action):
+        """Record a finished recovery for backoff and flap accounting,
+        under each of its backoff keys (:meth:`_backoff_keys`)."""
+        finished = action.finished_at
+        for key in self._backoff_keys(level, action.target):
+            repeats = self._record_repeat(key, finished, level=level)
+            if level == "ejb":
+                self._quarantine_if_flapping(key, repeats, finished)
+
+    def _quarantine_if_flapping(self, name, repeats, now):
+        """Quarantine ``name`` once it has recurred ``flap_threshold``
+        times, unless it is already quarantined or is not a deployed
+        component."""
         if (
             repeats >= self.hardening.flap_threshold
             and name not in self.active_quarantines()
             and name in self.server.containers
         ):
             self._quarantine(name, now)
-
-    def _note_recovery(self, level, action):
-        """Record a finished recovery for backoff and flap accounting.
-
-        EJB-level actions are keyed per component (the whole expanded
-        recovery group); node-wide actions share the ``"node"`` key; the
-        WAR level is keyed by its level string — so a node that keeps
-        being recycled backs off exactly like a component that keeps
-        flapping.
-        """
-        finished = action.finished_at
-        if level == "ejb" and action.target:
-            keys = list(action.target)
-        elif level in NODE_WIDE_LEVELS:
-            keys = ["node"]
-        else:
-            keys = [level]
-        for key in keys:
-            repeats = self._record_repeat(key, finished, level=level)
-            if (
-                level == "ejb"
-                and repeats >= self.hardening.flap_threshold
-                and key not in self.active_quarantines()
-                and key in self.server.containers
-            ):
-                self._quarantine(key, finished)
 
     def _quarantine(self, name, now):
         """Flap detected: park ``name`` behind a fast-503 sentinel.

@@ -26,13 +26,13 @@ class LowLevelInjector:
     def server(self):
         return self.system.server
 
-    def _log(self, fault, target):
+    def _log(self, fault, target, **extra):
         kernel = self.system.kernel
         entry = InjectedFault(fault, target, kernel.now)
         self.injected.append(entry)
         kernel.trace.publish(
             "fault.injected", fault=fault, target=target,
-            server=self.server.name,
+            server=self.server.name, **extra,
         )
 
     # ------------------------------------------------------------------
@@ -92,14 +92,16 @@ class LowLevelInjector:
     # ------------------------------------------------------------------
     def leak_intra_jvm(self, nbytes):
         """Leak inside the JVM but outside any component (e.g. a server
-        service): cured only by a JVM restart."""
+        service): cured only by a JVM restart.  The fault's target is the
+        server; its size goes in ``bytes``."""
         try:
             self.server.heap.leak(OWNER_SERVER, nbytes)
         finally:
-            self._log("leak-intra-jvm", nbytes)
+            self._log("leak-intra-jvm", self.server.name, bytes=nbytes)
 
     def leak_extra_jvm(self, node, nbytes):
         """Leak in another OS process on the node: cured only by an OS
-        reboot.  ``node`` is a :class:`repro.cluster.node.Node`."""
+        reboot.  ``node`` is a :class:`repro.cluster.node.Node`, and the
+        fault's target; its size goes in ``bytes``."""
         node.leak_os_memory(nbytes)
-        self._log("leak-extra-jvm", nbytes)
+        self._log("leak-extra-jvm", node.name, bytes=nbytes)

@@ -9,7 +9,7 @@ Prometheus text exposition.  On top of that sits the predictive
 half: :class:`EstimatorHub` keeps streaming per-component MTTF /
 failure-rate / hazard estimates, :class:`ComponentHealthRegistry` blends
 hazard + SLO burn + flap history + heap trend into bounded 0–100 health
-scores, and :class:`AlertEngine` thresholds them into sticky
+scores, and :class:`AlertEngine` thresholds them into
 ``alert.fired`` / ``alert.resolved`` bus events.  Everything here is
 passive — it subscribes, it never schedules — so enabling observability
 cannot change what a simulation does, only what it tells you.

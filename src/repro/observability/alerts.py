@@ -10,9 +10,9 @@ those signals into *alerts* the way a production monitoring stack would:
 * the :class:`AlertEngine` tracks per-(rule, key) pending state, fires
   once when the condition has held long enough, stays silent while the
   alert is active (dedup), and resolves once the condition clears;
-* every transition publishes a sticky ``alert.fired`` /
-  ``alert.resolved`` bus event, so alerts land in recorded timelines and
-  survive ring eviction like the rest of the recovery story.
+* every transition publishes an ``alert.fired`` /
+  ``alert.resolved`` bus event, so alerts land in recorded timelines
+  with the rest of the recovery story.
 
 The engine never schedules kernel events: :meth:`AlertEngine.evaluate`
 is called by the health registry on every intake event (and by anyone

@@ -16,7 +16,7 @@ from repro.observability.alerts import AlertEngine
 from repro.observability.estimators import EstimatorHub
 from repro.observability.health import ComponentHealthRegistry
 from repro.observability.incidents import IncidentTracker
-from repro.telemetry.trace import CAPTURE_PREFIX, _Subscription, record_fields
+from repro.telemetry.trace import _Subscription, record_fields
 from repro.telemetry.metrics import (
     Counter,
     CounterFamily,
@@ -163,15 +163,13 @@ def replay(records, build):
     kernel per policy, megascale/storm one per arm.  Each bus's records
     are fed in ``(t, seq)`` order — the order its subscribers saw them
     live — to every consumer whose ``kinds`` match, in list order.
-    ``trace.*`` records describe the capture, not the run, and reach no
-    consumer.  Returns ``[(bus, consumers, end)]`` sorted by bus, ``end``
+    Returns ``[(bus, consumers, end)]`` sorted by bus, ``end``
     being the last timestamp any of that bus's consumers matched (0.0 if
     none).
     """
     by_bus = {}
     for record in records:
-        if not record["kind"].startswith(CAPTURE_PREFIX):
-            by_bus.setdefault(record.get("bus"), []).append(record)
+        by_bus.setdefault(record.get("bus"), []).append(record)
     replayed = []
     for bus in sorted(by_bus, key=str):
         consumers = build()

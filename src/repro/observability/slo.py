@@ -226,8 +226,7 @@ class SloEngine:
     Entirely passive: it subscribes to ``request.end`` on the TraceBus and
     judges windows as the observed clock crosses their settle point — it
     schedules nothing on the kernel, so enabling it cannot perturb a
-    simulation.  Violations publish ``slo.violated`` (a sticky kind, so
-    they survive request floods in the ring buffer) and accumulate in
+    simulation.  Violations publish ``slo.violated`` and accumulate in
     :attr:`live_violations`; call :meth:`evaluate` at end of run for the
     canonical window series.
     """

@@ -7,17 +7,18 @@ counters:
 
 * :class:`TraceBus` — every :class:`~repro.sim.kernel.Kernel` owns one.
   Components publish typed, timestamped events (``request.end``, one per
-  client request; ``component.microreboot.begin`` …) into a bounded ring
-  buffer with optional subscriber callbacks.  Disabled by default: a run
-  that does not opt in records zero events and pays one attribute check
-  per publish.
+  client request; ``component.microreboot.begin`` …) to subscriber
+  callbacks; the bus itself stores none.  Disabled by default: a run that
+  does not opt in counts zero events and pays one attribute check per
+  publish.
 * :class:`MetricsRegistry` — named counters, gauges, counter families and
   streaming histograms (p50/p95/p99 without storing samples) that back the
   accounting in ``workload.metrics``, ``cluster.load_balancer`` and
   ``core.recovery_manager``.
-* JSONL timeline export plus ``python -m repro trace <file>`` to summarize
-  a run (recovery timeline, failover windows, slowest requests).  A bus
-  whose ring evicted records says so with a ``trace.evicted`` record.
+* JSONL timeline capture (:func:`capture_to_jsonl` writes every event of
+  the buses built inside it as it is published) plus ``python -m repro
+  trace <file>`` to summarize a run (recovery timeline, failover windows,
+  slowest requests).
 """
 
 from repro.telemetry.export import (
@@ -25,9 +26,7 @@ from repro.telemetry.export import (
     capture_to_jsonl,
     load_timeline,
     read_timeline,
-    split_capture_notes,
     summarize_timeline,
-    write_timeline,
 )
 from repro.telemetry.metrics import (
     Counter,
@@ -47,8 +46,6 @@ from repro.telemetry.spans import (
 )
 from repro.telemetry.trace import (
     TraceBus,
-    TraceEvent,
-    all_buses,
     set_default_tracing,
     tracing_enabled_by_default,
 )
@@ -66,16 +63,12 @@ __all__ = [
     "TimelineError",
     "TraceBus",
     "TraceContext",
-    "TraceEvent",
-    "all_buses",
     "capture_to_jsonl",
     "load_timeline",
     "read_timeline",
     "set_default_spans",
     "set_default_tracing",
     "spans_enabled_by_default",
-    "split_capture_notes",
     "summarize_timeline",
     "tracing_enabled_by_default",
-    "write_timeline",
 ]

@@ -1,4 +1,4 @@
-"""JSONL timeline export and the run summarizer behind ``repro trace``.
+"""JSONL timeline capture and the run summarizer behind ``repro trace``.
 
 One JSONL line per event, envelope keys ``t``/``seq``/``kind``/``bus`` plus
 the event's own payload fields flattened alongside.  A timeline may contain
@@ -7,70 +7,19 @@ events from several buses (figure-1 runs two kernels, one per policy); the
 """
 
 import json
+import shutil
+import tempfile
+import weakref
 from contextlib import contextmanager
 from pathlib import Path
 
 from repro.telemetry.spans import set_default_spans
 from repro.telemetry.trace import (
-    CAPTURE_PREFIX,
-    all_buses,
+    RESERVED_KEYS,
     begin_capture,
     end_capture,
     set_default_tracing,
 )
-
-#: The record :func:`write_timeline` puts first in the section of a bus
-#: whose rings evicted records: ``evicted`` of them are lost, and its ``t``
-#: is the time from which the bus kept every record
-#: (:attr:`~repro.telemetry.trace.TraceBus.complete_from`).
-EVICTED = "trace.evicted"
-
-
-def write_timeline(path, buses=None):
-    """Write every buffered event of ``buses`` to ``path`` as JSONL.
-
-    Events are grouped by bus (in the given order) and time-ordered within
-    each bus.  A bus that published more records than it kept starts its
-    section with one :data:`EVICTED` record.  Returns the number of lines
-    written.
-    """
-    if buses is None:
-        buses = all_buses()
-    written = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for index, bus in enumerate(buses):
-            bus_id = bus.label or index
-            events = bus.events()
-            evicted = bus.published - len(events)
-            if evicted:
-                note = {"t": bus.complete_from, "kind": EVICTED,
-                        "bus": bus_id, "evicted": evicted}
-                fh.write(json.dumps(note) + "\n")
-                written += 1
-            for event in events:
-                fh.write(json.dumps(event.flatten(bus=bus_id)) + "\n")
-                written += 1
-    return written
-
-
-def split_capture_notes(records):
-    """(the run's records, one warning line per bus that lost records).
-
-    The ``trace.*`` records describe the capture, not the run; each
-    :data:`EVICTED` one becomes a warning naming its bus.
-    """
-    kept, warnings = [], []
-    for record in records:
-        kind = record["kind"]
-        if not kind.startswith(CAPTURE_PREFIX):
-            kept.append(record)
-        elif kind == EVICTED:
-            warnings.append(
-                f"warning: bus {record.get('bus')} evicted "
-                f"{record['evicted']} records; its timeline is complete "
-                f"from t={record['t']:.3f}s"
-            )
-    return kept, warnings
 
 
 class TimelineError(Exception):
@@ -128,25 +77,77 @@ def load_timeline(path):
     return records
 
 
+class _Section:
+    """One bus's records in a capture, appended to a file as published.
+
+    The writer subscribes when its bus is constructed, before any other
+    subscriber, so it sees every event in publish order (a subscriber's
+    nested publish lands after the event that caused it) and counting them
+    gives each its ``seq``.  It holds its bus only weakly: the file closes
+    when the bus is collected, or when the capture ends.
+    """
+
+    def __init__(self, bus, bus_id, path):
+        self.bus_id = bus_id
+        self.seq = 0
+        self.file = open(path, "w", encoding="utf-8")
+        self.bus = weakref.ref(bus)
+        self.token = bus.subscribe(self.write)
+        self.close = weakref.finalize(bus, self.file.close)
+
+    def write(self, t, kind, fields):
+        record = {"t": t, "seq": self.seq, "kind": kind, "bus": self.bus_id}
+        self.seq += 1
+        for key, value in fields.items():
+            record[key if key not in RESERVED_KEYS else f"x_{key}"] = value
+        self.file.write(json.dumps(record) + "\n")
+
+    def detach(self):
+        bus = self.bus()
+        if bus is not None:
+            bus.unsubscribe(self.token)
+        self.close()
+
+
 @contextmanager
 def capture_to_jsonl(path):
-    """Enable tracing for buses created inside the block; export on exit.
+    """Enable tracing for buses created inside the block and write every
+    event they publish in it to ``path``.
 
-    Only buses *created during* the block are exported, so timelines do not
-    pick up stray events from unrelated kernels alive in the process.  The
-    capture scope holds strong references: a kernel garbage-collected
-    mid-run still gets its timeline written.
+    Each bus constructed in the block writes its own section, one line per
+    event as it is published; at exit the sections are joined into
+    ``path`` in bus-creation order, each bus named by its label or else by
+    its position among them.  Buses created before the block, and events
+    published after it, are not written.  The capture holds no bus: a
+    kernel collected mid-run keeps what it wrote.
     """
-    scope = begin_capture()
-    previous = set_default_tracing(True)
-    previous_spans = set_default_spans(True)
-    try:
-        yield scope
-    finally:
-        set_default_tracing(previous)
-        set_default_spans(previous_spans)
-        end_capture(scope)
-        write_timeline(path, scope)
+    path = Path(path)
+    sections = []
+    with tempfile.TemporaryDirectory(
+        dir=path.parent, prefix=f".{path.name}."
+    ) as parts:
+
+        def attach(bus):
+            index = len(sections)
+            sections.append(
+                _Section(bus, bus.label or index, Path(parts) / f"{index}")
+            )
+
+        begin_capture(attach)
+        previous = set_default_tracing(True)
+        previous_spans = set_default_spans(True)
+        try:
+            yield
+        finally:
+            set_default_tracing(previous)
+            set_default_spans(previous_spans)
+            end_capture(attach)
+            for section in sections:
+                section.detach()
+            with open(path, "wb") as out:
+                for section in sections:
+                    with open(section.file.name, "rb") as part:
+                        shutil.copyfileobj(part, out)
 
 
 # ----------------------------------------------------------------------
@@ -187,7 +188,6 @@ _describe = describe_record  # internal alias kept for the summarizer below
 def summarize_timeline(records, slowest=5):
     """Human-readable summary of a JSONL timeline; returns one string."""
     lines = []
-    records, warnings = split_capture_notes(records)
     if not records:
         return "empty timeline (0 events)"
 
@@ -198,7 +198,6 @@ def summarize_timeline(records, slowest=5):
         f"{len(records)} events from {len(buses)} bus(es), "
         f"t={t_low:.3f}..{t_high:.3f}s"
     )
-    lines.extend(warnings)
 
     counts = {}
     for record in records:

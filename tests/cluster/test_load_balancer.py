@@ -8,6 +8,7 @@ from repro.appserver.http import HttpRequest, HttpStatus
 from repro.cluster import FailoverMode, LoadBalancer, build_cluster
 from repro.ebid.schema import DatasetConfig
 from repro.sim import Kernel
+from tests.tracing import record
 
 
 @pytest.fixture
@@ -286,10 +287,11 @@ def test_failover_begin_publishes_components_sorted():
     """Callers pass sets; the timeline must not follow string hashing."""
     kernel = Kernel()
     kernel.trace.enabled = True
+    begins = record(kernel.trace, "lb.failover.begin")
     nodes = ring_nodes()
     lb = LoadBalancer(kernel, nodes)
     lb.begin_failover(nodes[0], FailoverMode.MICRO, components=("Item", "Bid"))
-    (begin,) = kernel.trace.events(kinds="lb.failover.begin")
+    (begin,) = begins
     assert begin.fields["components"] == ("Bid", "Item")
 
 

@@ -8,6 +8,7 @@ from repro.appserver.memory import OWNER_SERVER
 from repro.core import FailureKind, RecoveryManager
 from repro.core.proactive import DEFAULT_TRIGGER_RULES, ProactiveRejuvenationPolicy
 from tests.toyapp import URL_PATH_MAP, build_toy_system
+from tests.tracing import record
 
 MB = 1024 * 1024
 
@@ -57,9 +58,9 @@ def test_start_is_idempotent():
 def test_monitor_publishes_heap_samples():
     system, _rm, policy = make_rig(check_interval=2.0)
     system.kernel.trace.enabled = True
+    samples = record(system.kernel.trace, "heap.sample")
     policy.start()
     system.kernel.run(until=7.0)
-    samples = system.kernel.trace.events(kinds=("heap.sample",))
     assert [e.t for e in samples] == [2.0, 4.0, 6.0]
     assert samples[0].fields["server"] == system.server.name
     assert samples[0].fields["capacity"] == system.server.heap.capacity

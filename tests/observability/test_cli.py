@@ -4,23 +4,29 @@ subcommands."""
 import json
 
 from repro.cli import main
-from repro.telemetry import TraceBus, write_timeline
+from repro.cluster.node import Node
+from repro.ebid.app import build_ebid_system
+from repro.ebid.schema import DatasetConfig
+from repro.faults import FaultInjector
+from repro.faults.lowlevel import LowLevelInjector
+from repro.telemetry import TraceBus, capture_to_jsonl, read_timeline
 
 MB = 1024 * 1024
 
 
 def make_timeline(path):
-    bus = TraceBus(enabled=True, label="run")
-    bus.publish("fault.injected", target="Item", fault="corrupt-tx",
-                server="node1")
-    bus.publish("rm.report", url="/ebid/ViewItem", server="node1")
-    bus.publish("rm.decision", level="ejb", target=("Item",), server="node1")
-    bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
-                duration=1.0, server="node1")
-    for i in range(4):
-        bus.publish("request.end", operation="ViewItem", ok=(i != 0),
-                    duration=0.3)
-    write_timeline(path, [bus])
+    with capture_to_jsonl(path):
+        bus = TraceBus(label="run")
+        bus.publish("fault.injected", target="Item", fault="corrupt-tx",
+                    server="node1")
+        bus.publish("rm.report", url="/ebid/ViewItem", server="node1")
+        bus.publish("rm.decision", level="ejb", target=("Item",),
+                    server="node1")
+        bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
+                    duration=1.0, server="node1")
+        for i in range(4):
+            bus.publish("request.end", operation="ViewItem", ok=(i != 0),
+                        duration=0.3)
     return path
 
 
@@ -163,53 +169,54 @@ def make_shard_timeline(path):
     """A two-shard storm timeline with rollups, windows, and one shard
     replacement (a policy verdict, then the add naming the fresh shard)."""
     clock = ShardClock()
-    bus = TraceBus(kernel=clock, enabled=True, label="run")
-    clock.now = 10.0
-    bus.publish("storm.begin", shards=["shard001", "shard002"], events=4,
-                horizon=60.0)
-    clock.now = 20.0
-    bus.publish("fault.injected", target="Item", fault="deadlock",
-                server="shard001-n1")
-    clock.now = 20.5
-    bus.publish("fault.injected", target="Item", fault="deadlock",
-                server="shard002-n1")
-    clock.now = 21.0
-    bus.publish("rm.report", url="/ebid/ViewItem", server="shard001-n1")
-    clock.now = 23.0
-    bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
-                duration=1.0, server="shard001-n1")
-    clock.now = 24.0
-    bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
-                duration=1.0, server="shard002-n1")
-    clock.now = 28.0
-    bus.publish("reshard.policy", shard="shard001", fail_rate=0.9)
-    bus.publish("reshard.begin", op="add", shard="shard128")
-    clock.now = 30.0
-    bus.publish("reshard.migrate", source="shard001", target="shard128",
-                sessions=100, window=2.0)
-    clock.now = 120.0
-    for start, good, bad in ((0.0, 3000, 0), (30.0, 1500, 900),
-                             (60.0, 3000, 0), (90.0, 3000, 0)):
-        bus.publish("shard.window", shard="shard001", start=start,
-                    end=start + 30.0, good=good, bad=bad,
-                    violated=bad > 0)
-    bus.publish("shard.window", shard="shard002", start=0.0, end=30.0,
-                good=1500, bad=0, violated=False)
-    bus.publish("shard.rollup", shard="shard001", sessions=1000,
-                good=10500, bad=900, availability=0.921053,
-                gaw_per_second=87.5, probes=120, probe_failures=9,
-                probe_p50=0.002, probe_p99=0.011, failovers=1,
-                link_faults=0, brick_crashes=0, storm_events=2,
-                storm_kinds=["deadlock"], migrated_in=0, migrated_out=100,
-                slo_windows=4, slo_violations=1, slo_min_availability=0.625)
-    bus.publish("shard.rollup", shard="shard002", sessions=500,
-                good=1500, bad=0, availability=1.0, gaw_per_second=50.0,
-                probes=120, probe_failures=0, probe_p50=0.002,
-                probe_p99=0.004, failovers=0, link_faults=0,
-                brick_crashes=0, storm_events=2, storm_kinds=["deadlock"],
-                migrated_in=0, migrated_out=0, slo_windows=1,
-                slo_violations=0, slo_min_availability=1.0)
-    write_timeline(path, [bus])
+    with capture_to_jsonl(path):
+        bus = TraceBus(kernel=clock, label="run")
+        clock.now = 10.0
+        bus.publish("storm.begin", shards=["shard001", "shard002"], events=4,
+                    horizon=60.0)
+        clock.now = 20.0
+        bus.publish("fault.injected", target="Item", fault="deadlock",
+                    server="shard001-n1")
+        clock.now = 20.5
+        bus.publish("fault.injected", target="Item", fault="deadlock",
+                    server="shard002-n1")
+        clock.now = 21.0
+        bus.publish("rm.report", url="/ebid/ViewItem", server="shard001-n1")
+        clock.now = 23.0
+        bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
+                    duration=1.0, server="shard001-n1")
+        clock.now = 24.0
+        bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
+                    duration=1.0, server="shard002-n1")
+        clock.now = 28.0
+        bus.publish("reshard.policy", shard="shard001", fail_rate=0.9)
+        bus.publish("reshard.begin", op="add", shard="shard128")
+        clock.now = 30.0
+        bus.publish("reshard.migrate", source="shard001", target="shard128",
+                    sessions=100, window=2.0)
+        clock.now = 120.0
+        for start, good, bad in ((0.0, 3000, 0), (30.0, 1500, 900),
+                                 (60.0, 3000, 0), (90.0, 3000, 0)):
+            bus.publish("shard.window", shard="shard001", start=start,
+                        end=start + 30.0, good=good, bad=bad,
+                        violated=bad > 0)
+        bus.publish("shard.window", shard="shard002", start=0.0, end=30.0,
+                    good=1500, bad=0, violated=False)
+        bus.publish("shard.rollup", shard="shard001", sessions=1000,
+                    good=10500, bad=900, availability=0.921053,
+                    gaw_per_second=87.5, probes=120, probe_failures=9,
+                    probe_p50=0.002, probe_p99=0.011, failovers=1,
+                    link_faults=0, brick_crashes=0, storm_events=2,
+                    storm_kinds=["deadlock"], migrated_in=0,
+                    migrated_out=100, slo_windows=4, slo_violations=1,
+                    slo_min_availability=0.625)
+        bus.publish("shard.rollup", shard="shard002", sessions=500,
+                    good=1500, bad=0, availability=1.0, gaw_per_second=50.0,
+                    probes=120, probe_failures=0, probe_p50=0.002,
+                    probe_p99=0.004, failovers=0, link_faults=0,
+                    brick_crashes=0, storm_events=2, storm_kinds=["deadlock"],
+                    migrated_in=0, migrated_out=0, slo_windows=1,
+                    slo_violations=0, slo_min_availability=1.0)
     return path
 
 
@@ -292,3 +299,28 @@ def test_incidents_flat_timeline_keeps_its_shardless_rendering(
         if line.startswith("id")
     ][0]
     assert "shard" not in header
+
+
+def test_every_timeline_command_reads_a_leak_timeline(tmp_path, capsys):
+    """Leaks outside the application name what leaked (the server, the
+    node) as their target and carry their size in ``bytes``, so incident,
+    health and shard replays key them like any other fault."""
+    path = tmp_path / "leaks.jsonl"
+    with capture_to_jsonl(path):
+        system = build_ebid_system(dataset=DatasetConfig.tiny(), seed=4)
+        node = Node(system)
+        lowlevel = LowLevelInjector(system, system.rng.stream("lowlevel"))
+        lowlevel.leak_intra_jvm(64 * MB)
+        lowlevel.leak_extra_jvm(node, 32 * MB)
+        FaultInjector(system).inject_deadlock("ViewItem")
+        system.kernel.run(until=5.0)
+    faults = [r for r in read_timeline(path) if r["kind"] == "fault.injected"]
+    assert [(r["fault"], r["target"], r.get("bytes")) for r in faults] == [
+        ("leak-intra-jvm", system.server.name, 64 * MB),
+        ("leak-extra-jvm", node.name, 32 * MB),
+        ("deadlock", "ViewItem", None),
+    ]
+    for command in ("trace", "paths", "incidents", "slo", "health",
+                    "alerts", "shards"):
+        assert main([command, str(path)]) == 0, command
+        assert capsys.readouterr().err == "", command

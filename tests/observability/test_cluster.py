@@ -12,7 +12,7 @@ from repro.observability import (
     shard_of_name,
     timeline_shards,
 )
-from repro.telemetry import TraceBus, read_timeline, write_timeline
+from repro.telemetry import TraceBus, capture_to_jsonl, read_timeline
 
 
 class Clock:
@@ -356,17 +356,16 @@ def test_shard_view_pairs_policy_verdicts_with_the_fresh_shard():
 
 def test_shards_from_timeline_round_trips_the_live_view(tmp_path):
     clock = Clock()
-    bus = TraceBus(kernel=clock, enabled=True, label="run")
-    plane = ShardMetricsAggregator(bus=bus)
-    for k in range(40):
-        clock.now = float(k)
-        plane.observe_probe(clock.now, "shard002", "probe", k % 2 == 0,
-                            0.005)
-    clock.now = 120.0
-    plane.collect(make_engine(), duration=120.0)
-
     path = tmp_path / "timeline.jsonl"
-    write_timeline(path, [bus])
+    with capture_to_jsonl(path):
+        bus = TraceBus(kernel=clock, label="run")
+        plane = ShardMetricsAggregator(bus=bus)
+        for k in range(40):
+            clock.now = float(k)
+            plane.observe_probe(clock.now, "shard002", "probe", k % 2 == 0,
+                                0.005)
+        clock.now = 120.0
+        plane.collect(make_engine(), duration=120.0)
     [(_bus, [shard_view], _end)] = replay(read_timeline(path), _views)
     view = shard_view.snapshot()
 

@@ -16,7 +16,8 @@ from repro.observability.incidents import IncidentTracker
 from repro.observability.slo import SloPolicy, compute_windows
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.trace import TraceBus
-from repro.telemetry.export import write_timeline
+from repro.telemetry.export import capture_to_jsonl
+from tests.tracing import record
 
 URL_PATH_MAP = {"/ebid/ViewItem": ("EbidWAR", "ViewItem", "Item")}
 
@@ -123,16 +124,19 @@ def _trackers():
 
 
 def test_incidents_from_timeline_matches_live_stitching(tmp_path):
-    bus = TraceBus(enabled=True, label="run")
-    live = IncidentTracker(bus=bus, url_path_map=URL_PATH_MAP)
-    bus.publish("fault.injected", target="Item", fault="x", server="node1")
-    bus.publish("rm.report", url="/ebid/ViewItem", server="node1")
-    bus.publish("rm.decision", level="ejb", target=("Item",), server="node1")
-    bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
-                duration=1.0, server="node1")
-    bus.publish("request.end", operation="ViewItem", ok=True, duration=0.1)
     path = tmp_path / "timeline.jsonl"
-    write_timeline(path, [bus])
+    with capture_to_jsonl(path):
+        bus = TraceBus(label="run")
+        live = IncidentTracker(bus=bus, url_path_map=URL_PATH_MAP)
+        bus.publish("fault.injected", target="Item", fault="x",
+                    server="node1")
+        bus.publish("rm.report", url="/ebid/ViewItem", server="node1")
+        bus.publish("rm.decision", level="ejb", target=("Item",),
+                    server="node1")
+        bus.publish("rm.action.end", level="ejb", target=("Item",), ok=True,
+                    duration=1.0, server="node1")
+        bus.publish("request.end", operation="ViewItem", ok=True,
+                    duration=0.1)
     with open(path, encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh]
 
@@ -268,6 +272,7 @@ def test_predictive_chain_without_a_bus_subscribes_nothing():
 
 def test_predictive_chain_alert_engine_publishes_on_the_bus():
     bus = RecordingBus()
+    published = record(bus)  # first subscriber: sees publish order
     flapping = AlertRule(name="flapping", signal="flap", threshold=0.5,
                          below=False)
     _tracker, _hub, registry = predictive_chain(
@@ -286,6 +291,6 @@ def test_predictive_chain_alert_engine_publishes_on_the_bus():
     assert [kind for kind, _fields in alerts] == [
         "alert.fired", "alert.resolved",
     ]
-    assert [kind for _t, _seq, kind, _fields in bus.events()] == [
+    assert [event.kind for event in published] == [
         "rm.quarantine.begin", "alert.fired", "alert.resolved",
     ]

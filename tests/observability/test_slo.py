@@ -14,6 +14,7 @@ from repro.observability.slo import (
 )
 from repro.sim.kernel import Kernel
 from repro.workload.metrics import ActionRecord, OperationRecord, TawAccounting
+from tests.tracing import record
 
 
 def _action(t, ok=True, rt=0.5):
@@ -148,6 +149,7 @@ def test_live_engine_judges_lagged_windows_and_publishes_violations():
     taw = TawAccounting()
     policy = SloPolicy(window=10.0, availability_target=0.999)
     engine = SloEngine(taw, bus=kernel.trace, policy=policy)
+    violated = record(kernel.trace, "slo.violated")
 
     schedule = [(1.0, True), (5.0, True), (12.0, False), (15.0, True),
                 (25.0, True), (35.0, True), (45.0, True)]
@@ -167,7 +169,6 @@ def test_live_engine_judges_lagged_windows_and_publishes_violations():
     # Window 1 ([10, 20): one bad request) settles once the clock clears
     # window 2 — the 35s event judges windows 0 and 1.
     assert [w.start for w in engine.live_violations] == [10.0]
-    violated = [e for e in kernel.trace.events() if e.kind == "slo.violated"]
     assert len(violated) == 1
     assert violated[0].fields["window_start"] == 10.0
     assert violated[0].fields["reasons"]

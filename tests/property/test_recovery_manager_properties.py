@@ -18,6 +18,7 @@ from repro.core import (
     RecoveryStormLimiter,
 )
 from tests.toyapp import URL_PATH_MAP, build_toy_system
+from tests.tracing import record
 
 KINDS = (
     FailureKind.HTTP_ERROR,
@@ -57,6 +58,8 @@ def test_every_decided_recovery_completes_once(scheduler, hardened, limit, plan)
     system = build_toy_system()
     kernel = system.kernel
     kernel.trace.enabled = True
+    decisions = record(kernel.trace, "rm.decision")
+    ends = record(kernel.trace, "rm.action.end")
     limiter = RecoveryStormLimiter(kernel, limit=limit)
     rm = RecoveryManager(
         kernel,
@@ -95,7 +98,5 @@ def test_every_decided_recovery_completes_once(scheduler, hardened, limit, plan)
     assert kernel.unhandled_failure_count == 0, kernel.unhandled_failures
     assert limiter.active == 0
     assert not rm.recovering
-    decisions = kernel.trace.events(kinds="rm.decision")
-    ends = kernel.trace.events(kinds="rm.action.end")
     assert len(decisions) == len(ends) == len(rm.actions)
     assert all(a.finished_at >= a.decided_at for a in rm.actions)

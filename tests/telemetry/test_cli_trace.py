@@ -4,16 +4,16 @@ import json
 from types import SimpleNamespace
 
 from repro.cli import build_parser, main
-from repro.observability import replay
-from repro.telemetry import TraceBus, read_timeline, write_timeline
+from repro.telemetry import TraceBus, capture_to_jsonl, read_timeline
 
 
 def make_timeline(path):
-    bus = TraceBus(enabled=True, label="run")
-    bus.publish("request.end", operation="ViewItem", ok=True, duration=0.3)
-    bus.publish("rm.decision", level="ejb", target=("SB_ViewItem",))
-    bus.publish("rm.action.end", level="ejb", ok=True, duration=0.6)
-    write_timeline(path, [bus])
+    with capture_to_jsonl(path):
+        bus = TraceBus(label="run")
+        bus.publish("request.end", operation="ViewItem", ok=True,
+                    duration=0.3)
+        bus.publish("rm.decision", level="ejb", target=("SB_ViewItem",))
+        bus.publish("rm.action.end", level="ejb", ok=True, duration=0.6)
     return path
 
 
@@ -28,12 +28,12 @@ def test_trace_command_summarizes_timeline(tmp_path, capsys):
 
 
 def test_trace_command_slowest_flag(tmp_path, capsys):
-    bus = TraceBus(enabled=True)
-    for i in range(6):
-        bus.publish("request.end", operation=f"Op{i}", ok=True,
-                    duration=float(i))
     path = tmp_path / "timeline.jsonl"
-    write_timeline(path, [bus])
+    with capture_to_jsonl(path):
+        bus = TraceBus()
+        for i in range(6):
+            bus.publish("request.end", operation=f"Op{i}", ok=True,
+                        duration=float(i))
     main(["trace", str(path), "--slowest", "2"])
     out = capsys.readouterr().out
     assert "Op5" in out and "Op4" in out
@@ -77,6 +77,16 @@ def test_run_parser_accepts_trace_flag(tmp_path):
     assert build_parser().parse_args(["run", "figure1"]).trace is None
 
 
+def test_run_trace_into_a_missing_directory_is_a_clean_error(
+        tmp_path, capsys):
+    path = tmp_path / "nope" / "t.jsonl"
+    argv = ["run", "availability", "--quick", "--trace", str(path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"error: no such directory: {path.parent}\n"
+    )
+
+
 def test_timeline_is_valid_jsonl(tmp_path):
     path = make_timeline(tmp_path / "timeline.jsonl")
     with open(path, encoding="utf-8") as fh:
@@ -89,21 +99,22 @@ def test_timeline_is_valid_jsonl(tmp_path):
 # ----------------------------------------------------------------------
 
 def make_span_timeline(path):
-    bus = TraceBus(enabled=True, label="run")
-    for span_id, (parent, comp, outcome) in enumerate(
-        [(None, "EbidWAR", "ok"), (0, "CommitBid", "ok"),
-         (1, "IdentityManager", "AppError")]
-    ):
-        bus.publish("span", trace=1, span=span_id, parent=parent,
-                    component=comp, start=0.0, end=1.0, outcome=outcome)
-    bus.publish(
-        "path.end", trace=1, url="/ebid/CommitBid", operation="CommitBid",
-        client=0, node="server-1", ok=False, failure="http-error",
-        duration=1.0, components=("EbidWAR", "CommitBid", "IdentityManager"),
-        failed_in=("IdentityManager",),
-    )
-    bus.publish("rm.decision", level="ejb", target=("IdentityManager",))
-    write_timeline(path, [bus])
+    with capture_to_jsonl(path):
+        bus = TraceBus(label="run")
+        for span_id, (parent, comp, outcome) in enumerate(
+            [(None, "EbidWAR", "ok"), (0, "CommitBid", "ok"),
+             (1, "IdentityManager", "AppError")]
+        ):
+            bus.publish("span", trace=1, span=span_id, parent=parent,
+                        component=comp, start=0.0, end=1.0, outcome=outcome)
+        bus.publish(
+            "path.end", trace=1, url="/ebid/CommitBid", operation="CommitBid",
+            client=0, node="server-1", ok=False, failure="http-error",
+            duration=1.0,
+            components=("EbidWAR", "CommitBid", "IdentityManager"),
+            failed_in=("IdentityManager",),
+        )
+        bus.publish("rm.decision", level="ejb", target=("IdentityManager",))
     return path
 
 
@@ -146,16 +157,14 @@ def test_paths_command_spanless_timeline_degrades_gracefully(tmp_path, capsys):
 
 
 # ----------------------------------------------------------------------
-# Truncated timelines: a bus whose ring evicted records says so
+# Whole timelines
 # ----------------------------------------------------------------------
 
 TIMELINE_COMMANDS = ("incidents", "slo", "health", "alerts", "shards", "paths")
 
 
-def publish_run(capacity):
-    """A bus of ``capacity`` that saw a small incident among requests."""
-    clock = SimpleNamespace(now=0.0)
-    bus = TraceBus(kernel=clock, capacity=capacity, enabled=True, label="run")
+def publish_run(bus, clock):
+    """A small incident among requests, published on ``bus``."""
     for i in range(40):
         clock.now = float(i)
         if i == 12:
@@ -171,7 +180,6 @@ def publish_run(capacity):
                     duration=0.2, failure=None if ok else "network",
                     retries=0, server="node1",
                     status=200 if ok else "network")
-    return bus
 
 
 def run_cli(capsys, *argv):
@@ -180,88 +188,17 @@ def run_cli(capsys, *argv):
     return captured.out, captured.err
 
 
-def test_overflowed_bus_writes_one_evicted_record(tmp_path):
-    """Its ``t`` is the main ring's oldest record, from which the bus kept
-    every record, not the older sticky records that survived before it."""
-    bus = publish_run(capacity=16)
-    path = tmp_path / "run.jsonl"
-    kept = len(bus.events())
-    assert write_timeline(path, [bus]) == kept + 1
-    records = read_timeline(path)
-    sticky, main_ring = records[1:-16], records[-16:]
-    assert [(r["t"], r["kind"]) for r in sticky] == [
-        (12.0, "fault.injected"), (20.0, "rm.decision"),
-        (20.0, "rm.action.end"),
-    ]
-    assert records[0] == {"t": 24.0, "kind": "trace.evicted",
-                          "bus": "run", "evicted": bus.published - kept}
-    assert main_ring[0]["t"] == 24.0
-    assert [r for r in records if r["kind"] == "trace.evicted"] == records[:1]
-
-
-def test_evicted_record_without_sticky_records_names_the_first_kept(tmp_path):
-    clock = SimpleNamespace(now=0.0)
-    bus = TraceBus(kernel=clock, capacity=4, enabled=True, label="plain")
-    for i in range(10):
-        clock.now = float(i)
-        bus.publish("request.end", client=0, ok=True)
-    path = tmp_path / "plain.jsonl"
-    assert write_timeline(path, [bus]) == 5
-    records = read_timeline(path)
-    assert records[0] == {"t": 6.0, "kind": "trace.evicted",
-                          "bus": "plain", "evicted": 6}
-    assert records[1]["t"] == 6.0
-
-
-def test_truncation_is_loud_and_changes_no_output(tmp_path, capsys):
-    bus = publish_run(capacity=16)
-    path = tmp_path / "run.jsonl"
-    write_timeline(path, [bus])
-    lines = path.read_text().splitlines(keepends=True)
-    bare = tmp_path / "bare.jsonl"
-    bare.write_text("".join(lines[1:]))
-    evicted = json.loads(lines[0])
-    warning = (
-        f"warning: bus run evicted {evicted['evicted']} records; "
-        f"its timeline is complete from t={evicted['t']:.3f}s"
-    )
-
-    out, err = run_cli(capsys, "trace", str(path))
-    assert warning in out.splitlines()
-    assert out.replace(warning + "\n", "") == run_cli(
-        capsys, "trace", str(bare))[0]
-    assert err == ""
-    for command in TIMELINE_COMMANDS:
-        out, err = run_cli(capsys, command, str(path))
-        assert err == warning + "\n", command
-        assert (out, "") == run_cli(capsys, command, str(bare)), command
-
-
 def test_bus_that_fits_writes_no_evicted_record(tmp_path, capsys):
-    bus = publish_run(capacity=1024)
+    """Every bus fits: the timeline holds each record it published, in
+    order, and no subcommand warns."""
     path = tmp_path / "run.jsonl"
-    assert write_timeline(path, [bus]) == bus.published
+    clock = SimpleNamespace(now=0.0)
+    with capture_to_jsonl(path):
+        bus = TraceBus(kernel=clock, label="run")
+        publish_run(bus, clock)
     records = read_timeline(path)
     assert [r["seq"] for r in records] == list(range(bus.published))
     out, err = run_cli(capsys, "trace", str(path))
     assert "warning" not in out and err == ""
     for command in TIMELINE_COMMANDS:
         assert run_cli(capsys, command, str(path))[1] == "", command
-
-
-def test_replay_feeds_no_capture_record(tmp_path):
-    class Everything:
-        kinds = None
-
-        def __init__(self):
-            self.seen = []
-
-        def feed(self, t, kind, fields):
-            self.seen.append(kind)
-
-    path = tmp_path / "run.jsonl"
-    write_timeline(path, [publish_run(capacity=16)])
-    records = read_timeline(path)
-    [(bus, [consumer], _end)] = replay(records, lambda: [Everything()])
-    assert bus == "run"
-    assert consumer.seen == [r["kind"] for r in records[1:]]

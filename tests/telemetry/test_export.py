@@ -1,5 +1,8 @@
 """Tests for JSONL timeline export, capture scopes, and the summarizer."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Kernel
@@ -11,21 +14,20 @@ from repro.telemetry import (
     read_timeline,
     summarize_timeline,
     tracing_enabled_by_default,
-    write_timeline,
 )
 
 
 def test_write_read_roundtrip(tmp_path):
-    bus_a = TraceBus(enabled=True, label="alpha")
-    bus_b = TraceBus(enabled=True, label="beta")
-    bus_a.publish("request.end", operation="ViewItem", duration=0.2)
-    bus_b.publish("rm.decision", level="ejb")
     path = tmp_path / "timeline.jsonl"
-
-    written = write_timeline(path, [bus_a, bus_b])
+    with capture_to_jsonl(path):
+        bus_a = TraceBus(label="alpha")
+        bus_b = TraceBus(label="beta")
+        bus_b.publish("rm.decision", level="ejb")
+        bus_a.publish("request.end", operation="ViewItem", duration=0.2)
     records = read_timeline(path)
 
-    assert written == len(records) == 2
+    # Sections follow bus creation, not publish order.
+    assert len(records) == 2
     assert records[0]["bus"] == "alpha"
     assert records[0]["kind"] == "request.end"
     assert records[0]["operation"] == "ViewItem"
@@ -34,16 +36,17 @@ def test_write_read_roundtrip(tmp_path):
 
 
 def test_unlabelled_buses_get_positional_ids(tmp_path):
-    buses = [TraceBus(enabled=True), TraceBus(enabled=True)]
-    for bus in buses:
-        bus.publish("tick")
     path = tmp_path / "timeline.jsonl"
-    write_timeline(path, buses)
-    assert [r["bus"] for r in read_timeline(path)] == [0, 1]
+    with capture_to_jsonl(path):
+        buses = [TraceBus(), TraceBus(enabled=False), TraceBus()]
+        for bus in buses:
+            bus.publish("tick")
+    assert [r["bus"] for r in read_timeline(path)] == [0, 2]
 
 
 def test_capture_to_jsonl_exports_buses_created_inside(tmp_path):
     outside = Kernel()  # exists before the capture: must not leak in
+    outside.trace.enabled = True
     path = tmp_path / "timeline.jsonl"
     with capture_to_jsonl(path):
         assert tracing_enabled_by_default()
@@ -52,25 +55,34 @@ def test_capture_to_jsonl_exports_buses_created_inside(tmp_path):
         inside.trace.publish("tick", origin="inside")
         outside.trace.publish("tick", origin="outside")
     assert not tracing_enabled_by_default()
+    inside.trace.publish("tick", origin="after")  # the block is over
 
     records = read_timeline(path)
     assert [r.get("origin") for r in records] == ["inside"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["timeline.jsonl"]
 
 
 def test_capture_to_jsonl_survives_kernel_garbage_collection(tmp_path):
+    """The capture holds no bus: a kernel dropped inside the block is
+    collected before it ends, and what it published is still written."""
     path = tmp_path / "timeline.jsonl"
     with capture_to_jsonl(path):
         kernel = Kernel()
         kernel.trace.publish("tick")
-        del kernel  # capture scope keeps the bus alive for export
-    assert len(read_timeline(path)) == 1
+        gone = weakref.ref(kernel)
+        del kernel
+        gc.collect()
+        assert gone() is None
+        Kernel().trace.publish("tock")
+    assert [(r["bus"], r["kind"]) for r in read_timeline(path)] == [
+        (0, "tick"), (1, "tock"),
+    ]
 
 
 def test_load_timeline_returns_records(tmp_path):
-    bus = TraceBus(enabled=True, label="run")
-    bus.publish("tick")
     path = tmp_path / "timeline.jsonl"
-    write_timeline(path, [bus])
+    with capture_to_jsonl(path):
+        TraceBus(label="run").publish("tick")
     records = load_timeline(path)
     assert len(records) == 1 and records[0]["kind"] == "tick"
 

@@ -11,34 +11,32 @@ from repro.experiments.common import SingleNodeRig
 from repro.telemetry import set_default_tracing
 from tests.cluster.test_load_balancer import issue, login, served_by
 from tests.toyapp import URL_PATH_MAP, build_toy_system
+from tests.tracing import record
 
 #: Per-request kinds the stack no longer publishes: a client request's one
 #: record is its ``request.end``.
 REMOVED_KINDS = ("request.start", "server.request.start", "server.request.end")
 
 
-def kinds(bus):
-    return [event.kind for event in bus.events()]
-
-
 def test_server_names_itself_on_admission_and_publishes_nothing():
     system = build_toy_system()
     system.kernel.trace.enabled = True
+    events = record(system.kernel.trace)
     request = HttpRequest(url="/toy/greet", operation="greet",
                           params={"who": "x"})
     system.kernel.run_until_triggered(system.server.handle_request(request))
-    assert kinds(system.kernel.trace) == []
+    assert events == []
     assert request.server == system.server.name
 
 
 def test_microreboot_publishes_begin_and_end():
     system = build_toy_system()
     system.kernel.trace.enabled = True
+    begin = record(system.kernel.trace, "component.microreboot.begin")
+    end = record(system.kernel.trace, "component.microreboot.end")
     system.kernel.run_until_triggered(
         system.kernel.process(system.coordinator.microreboot(["Greeter"]))
     )
-    begin = system.kernel.trace.events(kinds="component.microreboot.begin")
-    end = system.kernel.trace.events(kinds="component.microreboot.end")
     assert len(begin) == len(end) == 1
     assert begin[0].fields["components"] == ("Greeter",)
     assert begin[0].fields["level"] == "ejb"
@@ -48,6 +46,10 @@ def test_microreboot_publishes_begin_and_end():
 def test_recovery_manager_publishes_decision_and_action():
     system = build_toy_system()
     system.kernel.trace.enabled = True
+    trace = system.kernel.trace
+    reports = record(trace, "rm.report")
+    decisions = record(trace, "rm.decision")
+    ends = record(trace, "rm.action.end")
     rm = RecoveryManager(
         system.kernel, system.coordinator, URL_PATH_MAP, score_threshold=3
     )
@@ -62,11 +64,8 @@ def test_recovery_manager_publishes_decision_and_action():
             )
         )
     system.kernel.run(until=5.0)
-    trace = system.kernel.trace
-    assert len(trace.events(kinds="rm.report")) == 3
-    decisions = trace.events(kinds="rm.decision")
+    assert len(reports) == 3
     assert [e.fields["level"] for e in decisions] == ["ejb"]
-    ends = trace.events(kinds="rm.action.end")
     assert len(ends) == 1
     assert ends[0].fields["ok"] is True
 
@@ -74,6 +73,10 @@ def test_recovery_manager_publishes_decision_and_action():
 def test_load_balancer_publishes_failover_events():
     cluster = build_cluster(3, dataset=DatasetConfig.tiny(), seed=2)
     cluster.kernel.trace.enabled = True
+    trace = cluster.kernel.trace
+    begins = record(trace, "lb.failover.begin")
+    redirects = record(trace, "lb.failover")
+    ends = record(trace, "lb.failover.end")
     cookie = login(cluster, 1)
     bad = cluster.find_node(served_by(cluster, cookie)[0])
 
@@ -82,10 +85,6 @@ def test_load_balancer_publishes_failover_events():
     cluster.load_balancer.end_failover(bad)
     cluster.load_balancer.end_failover(bad)  # idempotent: no second event
 
-    trace = cluster.kernel.trace
-    begins = trace.events(kinds="lb.failover.begin")
-    redirects = trace.events(kinds="lb.failover")
-    ends = trace.events(kinds="lb.failover.end")
     assert len(begins) == len(ends) == 1
     assert begins[0].fields["node"] == bad.name
     assert len(redirects) == 1
@@ -99,13 +98,14 @@ def test_traced_rig_emits_client_events_and_untraced_rig_none():
         rig = SingleNodeRig(seed=0, n_clients=5)
     finally:
         set_default_tracing(previous)
+    events = record(rig.kernel.trace)
     rig.start()
     rig.run_for(30.0)
-    seen = set(kinds(rig.kernel.trace))
+    seen = {event.kind for event in events}
     assert "request.end" in seen
     assert not seen & set(REMOVED_KINDS)
     assert rig.kernel.trace.published > 0
-    for event in rig.kernel.trace.events(kinds="request.end"):
+    for event in (e for e in events if e.kind == "request.end"):
         assert event.fields["server"] == rig.system.server.name
         if event.fields["ok"]:
             assert event.fields["status"] == 200
@@ -127,6 +127,8 @@ def test_one_request_end_per_operation_on_a_faulty_cluster():
     first, second = rig.cluster.nodes
     # Hung requests on the second node outlast the client's patience.
     second.system.server.request_lease_ttl = 1e9
+    removed = record(rig.kernel.trace, REMOVED_KINDS)
+    ends = record(rig.kernel.trace, "request.end")
     rig.start()
     rig.run_for(20.0)
     # The first node refuses connections while its JVM reboots; the second
@@ -139,9 +141,7 @@ def test_one_request_end_per_operation_on_a_faulty_cluster():
     )
     rig.run_for(30.0)
 
-    trace = rig.kernel.trace
-    assert not trace.events(kinds=REMOVED_KINDS)
-    ends = trace.events(kinds="request.end")
+    assert not removed
     recorded = Counter(
         (action.client_id, op.operation, op.completed_at)
         for action in rig.metrics.actions

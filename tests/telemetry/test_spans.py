@@ -10,6 +10,7 @@ from repro.telemetry.spans import (
     set_default_spans,
     spans_enabled_by_default,
 )
+from tests.tracing import record
 
 
 # ----------------------------------------------------------------------
@@ -88,12 +89,13 @@ def test_default_spans_flag_round_trips():
 def test_paths_publish_to_an_enabled_trace_bus():
     kernel = Kernel()
     kernel.trace.enabled = True
+    events = record(kernel.trace)
     collector = SpanCollector(kernel, enabled=True)
     trace = collector.start_trace("/ebid/ViewItem", "ViewItem")
     span = trace.start_span("EbidWAR")
     trace.finish_span(span)
     trace.finish(ok=True)
-    kinds = [event.kind for event in kernel.trace.events()]
+    kinds = [event.kind for event in events]
     assert kinds == ["span", "path.end"]
 
 

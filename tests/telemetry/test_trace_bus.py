@@ -1,14 +1,18 @@
-"""Tests for the trace bus: ordering, ring bounds, filtering, enablement."""
+"""Tests for the trace bus: ordering, routing, retention, enablement."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 from repro.sim import Kernel
 from repro.telemetry import (
     TraceBus,
+    capture_to_jsonl,
+    read_timeline,
     set_default_tracing,
     tracing_enabled_by_default,
 )
 from repro.telemetry.trace import record_fields
+from tests.tracing import record
 
 
 def make_bus(**kwargs):
@@ -16,18 +20,21 @@ def make_bus(**kwargs):
     return TraceBus(**kwargs)
 
 
-def test_events_preserve_publish_order_and_sequence():
-    bus = make_bus()
-    for i in range(5):
-        bus.publish("tick", i=i)
-    events = bus.events()
-    assert [e.fields["i"] for e in events] == [0, 1, 2, 3, 4]
-    assert [e.seq for e in events] == [0, 1, 2, 3, 4]
+def test_events_preserve_publish_order_and_sequence(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with capture_to_jsonl(path):
+        bus = TraceBus()
+        for i in range(5):
+            bus.publish("tick", i=i)
+    records = read_timeline(path)
+    assert [r["i"] for r in records] == [0, 1, 2, 3, 4]
+    assert [r["seq"] for r in records] == [0, 1, 2, 3, 4]
 
 
 def test_events_stamped_with_kernel_time():
     kernel = Kernel()
     bus = TraceBus(kernel, enabled=True)
+    events = record(bus)
 
     def proc():
         bus.publish("before")
@@ -36,49 +43,43 @@ def test_events_stamped_with_kernel_time():
 
     kernel.process(proc())
     kernel.run()
-    before, after = bus.events()
+    before, after = events
     assert before.t == 0.0
     assert after.t == 2.5
 
 
-def test_ring_buffer_keeps_only_newest_events():
-    bus = make_bus(capacity=4)
-    for i in range(10):
-        bus.publish("tick", i=i)
-    assert len(bus) == 4
-    assert bus.capacity == 4
-    assert bus.published == 10
-    assert bus.dropped == 6
-    assert [e.fields["i"] for e in bus.events()] == [6, 7, 8, 9]
-
-
-def test_recovery_events_survive_request_floods():
-    """Sticky kinds keep the recovery story when per-request events have
-    long since evicted everything else from the main ring."""
-    bus = make_bus(capacity=8)
-    bus.publish("rm.decision", level="ejb")
-    bus.publish("component.microreboot.end", duration=0.5)
-    bus.publish("lb.failover.begin", node="n1")
-    for i in range(100):
-        bus.publish("request.end", i=i)
-    kinds_seen = [e.kind for e in bus.events()]
+def test_recovery_events_survive_request_floods(tmp_path):
+    """A capture writes every record: the recovery story stays whole
+    however many per-request events follow it."""
+    path = tmp_path / "t.jsonl"
+    with capture_to_jsonl(path):
+        bus = TraceBus()
+        bus.publish("rm.decision", level="ejb")
+        bus.publish("component.microreboot.end", duration=0.5)
+        bus.publish("lb.failover.begin", node="n1")
+        for i in range(100_000):
+            bus.publish("request.end", i=i)
+    kinds_seen = [r["kind"] for r in read_timeline(path)]
     assert kinds_seen[:3] == [
         "rm.decision", "component.microreboot.end", "lb.failover.begin",
     ]
-    assert kinds_seen[3:] == ["request.end"] * 8
-    # Still time/sequence ordered, and no duplicates when a sticky event
-    # also remains in the main ring.
-    bus2 = make_bus(capacity=8)
-    bus2.publish("request.start")
-    bus2.publish("rm.decision")
-    assert [e.seq for e in bus2.events()] == [0, 1]
+    assert kinds_seen[3:] == ["request.end"] * 100_000
 
 
 def test_disabled_bus_records_nothing():
     bus = TraceBus(enabled=False)
+    events = record(bus)
     assert bus.publish("tick") is None
-    assert len(bus) == 0
+    assert events == []
     assert bus.published == 0
+    assert bus.dropped == 0
+
+
+def test_enabled_publish_counts_returns_nothing_and_drops_nothing():
+    bus = make_bus()
+    assert bus.publish("tick", i=1) is None
+    assert bus.publish("tick", i=2) is None
+    assert bus.published == 2
     assert bus.dropped == 0
 
 
@@ -143,38 +144,36 @@ def test_unsubscribe_stops_delivery():
 
 def test_events_filtered_like_subscriptions():
     bus = make_bus()
+    failovers = record(bus, kinds="lb.failover.*")
+    either = record(bus, kinds=("lb.failover", "x"))
     for kind in ("lb.failover.begin", "lb.failover", "lb.failover.end", "x"):
         bus.publish(kind)
-    assert [e.kind for e in bus.events(kinds="lb.failover.*")] == [
+    assert [e.kind for e in failovers] == [
         "lb.failover.begin",
         "lb.failover.end",
     ]
-    assert len(bus.events(kinds=("lb.failover", "x"))) == 2
+    assert len(either) == 2
 
 
-def test_flatten_remaps_reserved_payload_keys():
-    bus = make_bus()
-    event = bus.publish("tick", t=99, node="n1")
-    record = event.flatten(bus="b0")
-    assert record["bus"] == "b0"
-    assert record["kind"] == "tick"
-    assert record["node"] == "n1"
-    assert record["x_t"] == 99  # payload "t" must not clobber the envelope
-    assert record["t"] == 0.0
+def test_flatten_remaps_reserved_payload_keys(tmp_path):
+    path = tmp_path / "t.jsonl"
+    with capture_to_jsonl(path):
+        TraceBus(label="b0").publish("tick", t=99, node="n1")
+    [written] = read_timeline(path)
+    assert written["bus"] == "b0"
+    assert written["kind"] == "tick"
+    assert written["node"] == "n1"
+    assert written["x_t"] == 99  # payload "t" must not clobber the envelope
+    assert written["t"] == 0.0
 
 
-def test_record_fields_inverts_flatten():
-    bus = make_bus()
-    event = bus.publish("chaos.event", kind="link", node="n1", seq=None)
-    assert record_fields(event.flatten(bus="b0")) == event.fields
-
-
-def test_clear_empties_buffer_but_keeps_totals():
-    bus = make_bus()
-    bus.publish("tick")
-    bus.clear()
-    assert len(bus) == 0
-    assert bus.published == 1
+def test_record_fields_inverts_flatten(tmp_path):
+    path = tmp_path / "t.jsonl"
+    fields = {"kind": "link", "node": "n1", "seq": None}
+    with capture_to_jsonl(path):
+        TraceBus(label="b0").publish("chaos.event", **fields)
+    [written] = read_timeline(path)
+    assert record_fields(written) == fields
 
 
 # --- per-kind routes ---------------------------------------------------------
@@ -242,70 +241,33 @@ def test_subscribing_during_a_publish_takes_effect_from_the_next():
     assert seen == [("first", 0), ("first", 1), ("second", 1)]
 
 
-def test_sticky_ring_and_kind_filters_unchanged_by_routing():
-    bus = make_bus(capacity=2)
-    bus.subscribe(lambda t, kind, fields: None, kinds="rm.*")
-    for _ in range(2):
-        bus.publish("rm.decision", level="ejb")
-        bus.publish("lb.failover.begin")
-        bus.publish("request.end")
-        bus.publish("request.end")
-    # The main ring kept the last two per-request events; the sticky ring
-    # kept every recovery/failover event, routed or not.
-    assert [e.kind for e in bus.events()] == [
-        "rm.decision", "lb.failover.begin",
-        "rm.decision", "lb.failover.begin",
-        "request.end", "request.end",
-    ]
-    assert [e.seq for e in bus.events(kinds="rm.*")] == [0, 4]
-    assert [e.kind for e in bus.events(kinds=("request.end",))] == [
-        "request.end", "request.end",
-    ]
+# --- retention -------------------------------------------------------------
 
-
-def test_trace_event_is_a_named_tuple_with_the_same_fields():
-    bus = make_bus()
-    event = bus.publish("tick", i=1)
-    assert event._fields == ("t", "seq", "kind", "fields")
-    assert tuple(event) == (0.0, 0, "tick", {"i": 1})
-    assert event.flatten() == {"t": 0.0, "seq": 0, "kind": "tick", "i": 1}
-
-
-# --- row layout and its cost -------------------------------------------------
-
-def test_rows_share_one_key_tuple_per_key_order():
-    bus = make_bus()
-    bus.publish("a", x=1, y=2)
-    bus.publish("b", x=3, y=4)
-    bus.publish("c", y=5, x=6)
-    first, second, third = bus._buffer
-    assert first == (0.0, 0, "a", ("x", "y"), 1, 2)
-    assert second[3] is first[3]
-    assert third[3] == ("y", "x")
-
-
-def test_a_buffered_request_end_costs_under_256_bytes():
-    """A record is one flat row: 20,000 buffered `request.end` records, with
-    payloads like a client's, cost under 256 B each (a `TraceEvent` and its
-    payload dict cost about 440 B)."""
-    import tracemalloc
-
+def test_an_uncaptured_bus_retains_no_record():
+    """An enabled bus that no capture writes routes and forgets: 20,000
+    `request.end` publishes, with payloads like a client's, leave nothing
+    behind."""
     clock = SimpleNamespace(now=0.0)
     bus = TraceBus(clock, enabled=True)
     operations = ("ViewItem", "BrowseCategories", "AboutMe", "MakeBid")
     n = 20_000
+
+    def publish(i):
+        clock.now = i * 0.05
+        bus.publish(
+            "request.end", client=i % 200, operation=operations[i % 4],
+            ok=True, duration=0.01 + i * 1e-6, failure=None, retries=0,
+            server="server-1", status=200,
+        )
+
+    publish(0)  # routes "request.end"
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        for i in range(n):
-            clock.now = i * 0.05
-            bus.publish(
-                "request.end", client=i % 200, operation=operations[i % 4],
-                ok=True, duration=0.01 + i * 1e-6, failure=None, retries=0,
-                server="server-1", status=200,
-            )
-        per_record = (tracemalloc.get_traced_memory()[0] - before) / n
+        for i in range(1, n + 1):
+            publish(i)
+        grown = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert len(bus) == n
-    assert per_record < 256, per_record
+    assert bus.published == n + 1
+    assert grown < 1024, grown
