@@ -28,9 +28,6 @@ class InvocationContext:
             (None for internally-generated work).
         transaction: the active :class:`~repro.appserver.transactions
             .Transaction`, or None.
-        call_path: names of the components this request has entered, in
-            order — the ground truth against which the recovery manager's
-            static URL→path map is validated in tests.
         shepherd_process: the simulated process carrying the request; the
             microreboot machinery interrupts it to kill the thread.
         nontx_write_count: auto-committed (non-transactional) persistent
@@ -44,7 +41,7 @@ class InvocationContext:
     """
 
     __slots__ = (
-        "server", "request", "transaction", "call_path", "shepherd_process",
+        "server", "request", "transaction", "shepherd_process",
         "nontx_write_count", "trace", "current_span",
     )
 
@@ -52,7 +49,6 @@ class InvocationContext:
         self.server = server
         self.request = request
         self.transaction = None
-        self.call_path = []
         self.shepherd_process = None
         self.nontx_write_count = 0
         self.trace = getattr(request, "trace", None) if request is not None else None

@@ -193,7 +193,6 @@ class Container:
                 self.invocation_count += 1
                 if ctx.transaction is not None:
                     ctx.transaction.touch(self.name)
-                ctx.call_path.append(self.name)
 
                 handler = getattr(instance, method, None)
                 if method.startswith("_") or not callable(handler):
@@ -225,15 +224,13 @@ class Container:
                     ctx.nontx_write_count += saved_write_count
                 if suspended_tx is not None:
                     ctx.transaction = suspended_tx
-        except BaseException as exc:
+        except BaseException:
             if trace is not None:
                 if span is not None:
-                    trace.finish_span(span, outcome=type(exc).__name__)
+                    span.failed = True
                 ctx.current_span = parent
             raise
         if trace is not None:
-            if span is not None:
-                trace.finish_span(span, outcome=None)
             ctx.current_span = parent
         return result
 

@@ -50,16 +50,13 @@ class ConnectionPool:
 
     def __init__(self):
         self.healthy = True
-        self.checkouts = 0
 
     def checkout(self):
         if not self.healthy:
             raise AppServerError("database connection pool is corrupted")
-        self.checkouts += 1
 
     def reset(self):
         self.healthy = True
-        self.checkouts = 0
 
 
 def _purge(lease):
@@ -85,8 +82,8 @@ class ApplicationServer:
         self.kernel = kernel
         self.rng = rng
         self.timing = timing or TimingModel()
-        # Numbered per kernel: the name reaches traces, spans and session
-        # cookies, so it must not depend on what the process built before.
+        # Numbered per kernel: the name reaches traces and session cookies,
+        # so it must not depend on what the process built before.
         self.name = name or f"server-{next(kernel.server_ids)}"
         self.heap = HeapModel()
         self.cpu = ProcessorSharingCpu(kernel, quantum=self.timing.cpu_quantum)
@@ -124,7 +121,7 @@ class ApplicationServer:
         self.accept_fault = None
 
         #: Span layer (wired by the rig): admitted requests get a
-        #: TraceContext attached here, tagged with this server's name.
+        #: TraceContext attached here unless one is already attached.
         self.span_collector = None
 
         # Statistics.
@@ -249,7 +246,7 @@ class ApplicationServer:
         self.requests_accepted += 1
         request.server = self.name
         if self.span_collector is not None:
-            self.span_collector.attach(request, node=self.name)
+            self.span_collector.attach(request)
         ctx = InvocationContext(self, request)
         ctx.shepherd_process = self.kernel.process(
             self._shepherd(ctx, request, done),

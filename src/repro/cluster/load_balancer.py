@@ -81,8 +81,8 @@ class LoadBalancer:
         #: node -> (FailoverMode, components being recovered)
         self._recovering = {}
         self.metrics = MetricsRegistry()
-        #: Span layer (wired by the rig): when set, traces are attached at
-        #: the balancer, so the path records which node served the request.
+        #: Span layer (wired by the rig): when set, every routed request
+        #: gets its trace here, so one that no node admits still has one.
         self.span_collector = None
         self._routed = self.metrics.counter("lb.requests.routed")
         self._failed_over = self.metrics.counter("lb.requests.failed_over")

@@ -161,7 +161,6 @@ class RecoveryStormLimiter:
         self.window_limit = window_limit
         self.active = 0
         self.denied = 0
-        self.admitted = 0
         self._admit_times = []
 
     def _in_window(self):
@@ -182,7 +181,6 @@ class RecoveryStormLimiter:
             )
             return False
         self.active += 1
-        self.admitted += 1
         self._admit_times.append(self.kernel.now)
         return True
 

@@ -40,8 +40,6 @@ class MicrocheckpointStore:
         #: discarded instead of returned (the persistent-fault guard).
         self.max_resumptions = max_resumptions
         self._checkpoints = {}  # key -> {"progress": ..., "resumptions": n}
-        self.saves = 0
-        self.resumes = 0
         self.discards = 0
 
     def __len__(self):
@@ -55,7 +53,6 @@ class MicrocheckpointStore:
         ``progress`` must be self-contained (copied on the way in and out):
         a fresh instance on any node must be able to continue from it.
         """
-        self.saves += 1
         entry = self._checkpoints.get(key)
         resumptions = entry["resumptions"] if entry else 0
         self._checkpoints[key] = {
@@ -84,7 +81,6 @@ class MicrocheckpointStore:
             self._drop(key)
             return None
         entry["resumptions"] += 1
-        self.resumes += 1
         self.leases.renew(key)
         return copy.deepcopy(entry["progress"])
 

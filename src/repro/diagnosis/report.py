@@ -2,40 +2,27 @@
 anomaly ranking, and the recovery-decision audit, from a JSONL timeline.
 
 Works on the flat record dicts of :func:`repro.telemetry.export
-.read_timeline`; only timelines captured with the span layer enabled carry
-``span``/``path.end`` events (``repro run --trace`` enables both).
+.read_timeline`.  A request traced by the span layer (``repro run --trace``
+enables it) carries its observed path on its ``request.end`` record:
+``calls``, one ``[parent, component]`` pair per span in span order
+(``parent`` is the calling span's index, or null), and ``failed_in``, the
+components whose call raised.  Untraced requests carry neither.
 """
 
 from repro.diagnosis.path_analysis import PathAnalyzer
-from repro.telemetry.export import describe_record
+from repro.ebid.descriptors import operation_url
+from repro.telemetry.export import describe_record, timeline_order
 
 #: Event kinds rendered in the recovery-decision audit section.
 AUDIT_KINDS = ("rm.diagnosis", "rm.report", "rm.decision", "rm.action.end")
 
 
-def _trace_key(record):
-    return (record.get("bus"), record.get("trace"))
-
-
-def _span_trees(span_records):
-    """(bus, trace) → that trace's span records, in start order."""
-    traces = {}
-    for record in span_records:
-        traces.setdefault(_trace_key(record), []).append(record)
-    for spans in traces.values():
-        spans.sort(key=lambda r: r.get("span", 0))
-    return traces
-
-
-def _tree_signature(spans):
-    """Tuple of (depth, component) per span — the call-tree shape."""
-    depths = {}
+def _tree_signature(calls):
+    """Tuple of (depth, component) per call — the call-tree shape."""
     signature = []
-    for span in spans:
-        parent = span.get("parent")
-        depth = 0 if parent is None else depths.get(parent, 0) + 1
-        depths[span.get("span")] = depth
-        signature.append((depth, span.get("component", "?")))
+    for parent, component in calls:
+        depth = 0 if parent is None else signature[parent][0] + 1
+        signature.append((depth, component))
     return tuple(signature)
 
 
@@ -44,20 +31,22 @@ def _render_tree(signature, indent="      "):
             for depth, component in signature]
 
 
-def _call_tree_section(trees, path_records, limit):
+def _call_tree_section(paths, limit):
     lines = ["observed call trees (by URL):"]
-    if not path_records:
-        lines.append("  (no path.end events — was the span layer enabled?)")
+    if not paths:
+        lines.append(
+            "  (no request.end carries calls — was the span layer enabled?)"
+        )
         return lines
 
     by_url = {}
-    for record in path_records:
-        url = record.get("url", "?")
+    for record in paths:
+        url = operation_url(record["operation"])
         stats = by_url.setdefault(url, {"ok": 0, "failed": 0, "shapes": {}})
         stats["ok" if record.get("ok") else "failed"] += 1
-        spans = trees.get(_trace_key(record))
-        if spans:
-            signature = _tree_signature(spans)
+        calls = record["calls"]
+        if calls:
+            signature = _tree_signature(calls)
             stats["shapes"][signature] = stats["shapes"].get(signature, 0) + 1
 
     for url, stats in sorted(by_url.items())[:limit]:
@@ -76,17 +65,15 @@ def _call_tree_section(trees, path_records, limit):
     return lines
 
 
-def _dependency_graph(trees):
-    """Observed parent→child call counts across every trace."""
+def _dependency_graph(paths):
+    """Observed parent→child call counts across every path."""
     graph = {}
-    for spans in trees.values():
-        names = {s.get("span"): s.get("component", "?") for s in spans}
-        for span in spans:
-            parent = span.get("parent")
-            if parent is None or parent not in names:
+    for record in paths:
+        calls = record["calls"]
+        for parent, child in calls:
+            if parent is None:
                 continue
-            children = graph.setdefault(names[parent], {})
-            child = span.get("component", "?")
+            children = graph.setdefault(calls[parent][1], {})
             children[child] = children.get(child, 0) + 1
     return graph
 
@@ -128,7 +115,7 @@ def _audit_section(records):
     lines = [f"recovery decision audit ({len(audit)} events):"]
     if not audit:
         lines.append("  (no recovery-manager events in this timeline)")
-    for record in sorted(audit, key=lambda r: (r["t"], r.get("seq", 0))):
+    for record in sorted(audit, key=timeline_order):
         bus = record.get("bus", "")
         lines.append(
             f"  [{bus}] t={record['t']:9.3f}  {record['kind']:<14} "
@@ -139,28 +126,27 @@ def _audit_section(records):
 
 def summarize_paths(records, limit=20):
     """Human-readable path/diagnosis report for one JSONL timeline."""
-    spans = [r for r in records if r.get("kind") == "span"]
-    paths = [r for r in records if r.get("kind") == "path.end"]
-    trees = _span_trees(spans)
+    paths = [r for r in records if r["kind"] == "request.end" and "calls" in r]
 
     analyzer = PathAnalyzer(kernel=None, window=None,
                             min_paths=1, min_failed=1)
     for record in paths:
         analyzer.record_path(
             record["t"],
-            record.get("components") or (),
+            [component for _parent, component in record["calls"]],
             record.get("ok", False),
-            failed_in=record.get("failed_in") or (),
+            failed_in=record["failed_in"],
         )
 
+    spans = sum(len(record["calls"]) for record in paths)
     lines = [
-        f"{len(records)} events: {len(spans)} spans across "
+        f"{len(records)} events: {spans} spans across "
         f"{len(paths)} completed paths"
     ]
     lines.append("")
-    lines.extend(_call_tree_section(trees, paths, limit))
+    lines.extend(_call_tree_section(paths, limit))
     lines.append("")
-    lines.extend(_dependency_section(_dependency_graph(trees), limit))
+    lines.extend(_dependency_section(_dependency_graph(paths), limit))
     lines.append("")
     lines.extend(_ranking_section(analyzer))
     lines.append("")

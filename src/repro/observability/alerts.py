@@ -164,7 +164,6 @@ class AlertEngine:
         self._pending = {}  # (rule.name, key) -> since timestamp
         self.on_fire = []  # callables(alert)
         self.on_resolve = []  # callables(alert)
-        self.evaluations = 0
 
     # ------------------------------------------------------------------
     def _keys_for(self, rule, registry):
@@ -195,7 +194,6 @@ class AlertEngine:
 
     def evaluate(self, now, registry):
         """One evaluation sweep; returns alerts fired during it."""
-        self.evaluations += 1
         fired = []
         for rule in self.rules:
             for server, component in self._keys_for(rule, registry):

@@ -410,7 +410,6 @@ class MetaIncident:
         # members: [(incident, shard)] sorted by onset.
         self.id = mid
         self.incidents = [incident for incident, _ in members]
-        self._members = members
         self.window = window
         self.shards = sorted({shard for _, shard in members})
         onsets = {}

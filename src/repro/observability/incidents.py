@@ -95,7 +95,6 @@ class Incident:
     closed_by: str = None  # recovered | failover | quarantine | quiesced
     faults: list = field(default_factory=list)  # (t, fault kind, target)
     first_report_at: float = None
-    last_report_at: float = None
     reports: int = 0
     suppressed_reports: int = 0  # quarantine-explained, never incident-opening
     deferrals: int = 0  # backoff-deferred recoveries
@@ -424,7 +423,6 @@ class IncidentTracker:
             incident.reports += 1
             if incident.first_report_at is None:
                 incident.first_report_at = t
-            incident.last_report_at = t
         elif incident.first_report_at is None:
             # Detection evidence from a forwarded detector.report: stamps
             # the detection phase without double-counting the rm.report

@@ -184,8 +184,6 @@ class Database:
         self._undo_seq = 0
         self._locks = {}  # (table, pk) -> Lock
         self._sessions = {}
-        self.commit_count = 0
-        self.rollback_count = 0
 
     # ------------------------------------------------------------------
     # Schema
@@ -294,7 +292,6 @@ class Database:
     def commit_transaction(self, tx_id):
         self._assert_up()
         self._undo.pop(tx_id, None)
-        self.commit_count += 1
 
     def rollback_transaction(self, tx_id):
         # Rollback must work even "during" a server-side crash cleanup;
@@ -303,7 +300,6 @@ class Database:
             return
         for _seq, action in reversed(self._undo.pop(tx_id, [])):
             action()
-        self.rollback_count += 1
 
     @property
     def in_flight_transactions(self):
@@ -368,14 +364,12 @@ class Database:
         if self.running:
             raise DatabaseError("recover() on a running database")
         yield self.kernel.timeout(self.recovery_time)
-        in_flight = len(self._undo)
         entries = [
             entry for actions in self._undo.values() for entry in actions
         ]
         self._undo.clear()
         for _seq, action in sorted(entries, key=lambda e: -e[0]):
             action()
-        self.rollback_count += in_flight
         self.running = True
 
     # ------------------------------------------------------------------

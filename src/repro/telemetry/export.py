@@ -163,6 +163,21 @@ RECOVERY_KINDS = (
     "node.restart",
 )
 
+#: Kinds that open and close a failover window.
+FAILOVER_BOUNDS = ("lb.failover.begin", "lb.failover.end")
+
+
+def timeline_order(record):
+    """Sort key that lists the records of several buses together.
+
+    ``seq`` counts one bus's records, so it orders records of one bus
+    only: same-time records are ordered by bus (compared as ``str``, the
+    order :func:`~repro.observability.exporter.replay` feeds buses in)
+    and then by ``seq``.  Records published elsewhere on either bus then
+    cannot move them.
+    """
+    return (record["t"], str(record.get("bus", "")), record.get("seq", 0))
+
 
 def _fmt(value):
     if isinstance(value, float):
@@ -210,7 +225,7 @@ def summarize_timeline(records, slowest=5):
     recovery = [r for r in records if r["kind"] in RECOVERY_KINDS]
     lines.append("")
     lines.append(f"recovery timeline ({len(recovery)} events):")
-    for record in sorted(recovery, key=lambda r: (r["t"], r.get("seq", 0))):
+    for record in sorted(recovery, key=timeline_order):
         bus = record.get("bus", "")
         lines.append(
             f"  [{bus}] t={record['t']:9.3f}  {record['kind']:<28} "
@@ -231,7 +246,8 @@ def _failover_windows(records):
     open_windows = {}  # (bus, node) -> (t, mode)
     windows = []
     redirected = sum(1 for r in records if r["kind"] == "lb.failover")
-    for record in sorted(records, key=lambda r: (r["t"], r.get("seq", 0))):
+    bounds = [r for r in records if r["kind"] in FAILOVER_BOUNDS]
+    for record in sorted(bounds, key=timeline_order):
         key = (record.get("bus"), record.get("node"))
         if record["kind"] == "lb.failover.begin":
             open_windows[key] = (record["t"], record.get("mode"))

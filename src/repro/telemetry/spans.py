@@ -1,27 +1,28 @@
 """Causal request-path spans: who actually called whom, per request.
 
-PR 1's :class:`~repro.telemetry.trace.TraceBus` records flat events; this
+The :class:`~repro.telemetry.trace.TraceBus` records flat events; this
 layer adds *causality*.  A per-request :class:`TraceContext` travels on the
 :class:`~repro.appserver.http.HttpRequest` through the load balancer, the
 application server, and every container invocation, recording one
-:class:`Span` per component entered (component, start/end sim-time,
-outcome).  When the request finishes — the issuing client knows the
-detector verdict, so it closes the trace — the completed path feeds two
-consumers:
+:class:`Span` per component call (the calling span, the component, and
+whether the call raised).  When the request finishes — the issuing client
+knows the detector verdict, so it closes the trace — the completed
+:class:`RequestPath` goes two ways:
 
-* the kernel's TraceBus: one ``span`` event per span plus one ``path.end``
-  summary event, so ``--trace`` JSONL timelines carry observed call trees
-  that ``repro paths`` can render;
-* registered *path sinks* (the :class:`~repro.diagnosis.PathAnalyzer`),
-  which aggregate failed-vs-successful path membership for Pinpoint-style
+* the client's ``request.end`` record carries its ``calls`` (one
+  ``[parent, component]`` pair per span, ``parent`` being the calling
+  span's index or null) and ``failed_in``, so ``--trace`` JSONL timelines
+  carry observed call trees that ``repro paths`` can render;
+* registered *path sinks* (the :class:`~repro.diagnosis.PathAnalyzer`)
+  aggregate failed-vs-successful path membership for Pinpoint-style
   fault localization feeding the recovery manager.
 
-Memory stays bounded: spans live only inside their trace context, which is
-dropped when the request finishes (sinks receive a compact
-:class:`RequestPath`, never the span objects), a per-trace span cap guards
-against runaway recursion, and the collector itself holds no references to
-open traces — an abandoned request's context is garbage the moment its
-request object is.
+The collector itself publishes nothing.  Memory stays bounded: spans live
+only inside their trace context, which is dropped when the request
+finishes (sinks receive a compact :class:`RequestPath`, never the span
+objects), a per-trace span cap guards against runaway recursion, and the
+collector holds no references to open traces — an abandoned request's
+context is garbage the moment its request object is.
 
 A disabled collector (the default) costs one attribute check per request
 at the server edge and one ``ctx.trace is None`` check per component call,
@@ -50,69 +51,48 @@ def spans_enabled_by_default():
 
 
 class Span:
-    """One component's participation in one request."""
+    """One component call in one request."""
 
-    __slots__ = ("span_id", "parent_id", "component", "started_at",
-                 "finished_at", "outcome")
+    __slots__ = ("span_id", "parent_id", "component", "failed")
 
-    def __init__(self, span_id, parent_id, component, started_at):
+    def __init__(self, span_id, parent_id, component):
         self.span_id = span_id
         self.parent_id = parent_id
         self.component = component
-        self.started_at = started_at
-        #: None while the span is open (the request may abandon it there:
-        #: a deadlocked component holds its span until the thread is
-        #: killed, and the trace may finish first).
-        self.finished_at = None
-        #: "ok", an exception class name, or None while open.
-        self.outcome = None
-
-    @property
-    def ok(self):
-        return self.outcome == "ok"
-
-    @property
-    def failed(self):
-        return self.outcome is not None and self.outcome != "ok"
+        #: Set when the call raises.  A span the request abandons open (a
+        #: deadlocked component holds its span until the thread is killed,
+        #: and the trace may finish first) has not failed.
+        self.failed = False
 
     def __repr__(self):
-        return (
-            f"<Span {self.span_id} {self.component} "
-            f"{self.outcome or 'open'}>"
-        )
+        state = " failed" if self.failed else ""
+        return f"<Span {self.span_id} {self.component}{state}>"
 
 
 class RequestPath:
     """Compact record of one completed request's observed call path.
 
-    This — not the span objects — is what path sinks receive: component
-    membership in first-entry order, the observed parent→child call edges,
-    the components whose invocation raised, and the client-side verdict.
+    This — not the span objects — is what path sinks receive: the calls in
+    span order, component membership in first-call order, the observed
+    parent→child call edges, the components whose call raised, and the
+    client-side verdict.
     """
 
-    __slots__ = ("trace_id", "url", "operation", "client_id", "node", "ok",
-                 "failure", "started_at", "finished_at", "components",
-                 "edges", "failed_in")
+    __slots__ = ("trace_id", "operation", "ok", "failure", "finished_at",
+                 "calls", "components", "edges", "failed_in", "truncated")
 
-    def __init__(self, trace_id, url, operation, client_id, node, ok,
-                 failure, started_at, finished_at, components, edges,
-                 failed_in):
+    def __init__(self, trace_id, operation, ok, failure, finished_at, calls,
+                 components, edges, failed_in, truncated):
         self.trace_id = trace_id
-        self.url = url
         self.operation = operation
-        self.client_id = client_id
-        self.node = node
         self.ok = ok
         self.failure = failure
-        self.started_at = started_at
         self.finished_at = finished_at
-        self.components = components  # tuple, first-entry order, unique
+        self.calls = calls  # tuple of (parent span index or None, component)
+        self.components = components  # tuple, first-call order, unique
         self.edges = edges  # tuple of (parent_component, child_component)
-        self.failed_in = failed_in  # components whose invocation raised
-
-    @property
-    def duration(self):
-        return self.finished_at - self.started_at
+        self.failed_in = failed_in  # components whose call raised
+        self.truncated = truncated  # the span cap cut the trace
 
     def __repr__(self):
         state = "ok" if self.ok else f"FAILED({self.failure})"
@@ -125,30 +105,24 @@ class RequestPath:
 class TraceContext:
     """Per-request span book-keeping, carried on the HttpRequest."""
 
-    __slots__ = ("collector", "trace_id", "url", "operation", "client_id",
-                 "started_at", "node", "spans", "finished", "truncated")
+    __slots__ = ("collector", "trace_id", "operation", "spans", "finished",
+                 "truncated")
 
-    def __init__(self, collector, trace_id, url, operation, client_id):
+    def __init__(self, collector, trace_id, operation):
         self.collector = collector
         self.trace_id = trace_id
-        self.url = url
         self.operation = operation
-        self.client_id = client_id
-        self.started_at = collector.now
-        self.node = None  # set by the first server that admits the request
         self.spans = []
         self.finished = False
         self.truncated = False
 
-    # ------------------------------------------------------------------
-    # Span lifecycle (containers call these)
-    # ------------------------------------------------------------------
     def start_span(self, component, parent=None):
         """Open a span for ``component``; returns None past the span cap.
 
-        Callers must tolerate None (and :meth:`finish_span` does): a trace
-        that blew its cap keeps its truncation visible instead of growing
-        without bound under runaway recursion.
+        Callers must tolerate None: a trace that blew its cap keeps its
+        truncation visible instead of growing without bound under runaway
+        recursion.  The container marks the span ``failed`` if the call
+        raises.
         """
         if self.finished:
             return None
@@ -159,21 +133,10 @@ class TraceContext:
             span_id=len(self.spans),
             parent_id=parent.span_id if parent is not None else None,
             component=component,
-            started_at=self.collector.now,
         )
         self.spans.append(span)
         return span
 
-    def finish_span(self, span, outcome=None):
-        """Close ``span`` (no-op for None) with "ok" or an error name."""
-        if span is None:
-            return
-        span.finished_at = self.collector.now
-        span.outcome = "ok" if outcome is None else outcome
-
-    # ------------------------------------------------------------------
-    # Trace completion (the issuing client calls this)
-    # ------------------------------------------------------------------
     def finish(self, ok, failure=None):
         """Close the trace with the client-side verdict; returns the
         :class:`RequestPath` delivered to the sinks (or None if already
@@ -224,100 +187,55 @@ class SpanCollector:
     # ------------------------------------------------------------------
     # Trace creation
     # ------------------------------------------------------------------
-    def start_trace(self, url, operation, client_id=0):
+    def start_trace(self, operation):
         """New TraceContext (even when disabled — use :meth:`attach`)."""
         self.traces_started += 1
-        return TraceContext(
-            self, next(self._trace_ids), url, operation, client_id
-        )
+        return TraceContext(self, next(self._trace_ids), operation)
 
-    def attach(self, request, node=None):
+    def attach(self, request):
         """Ensure ``request`` carries a trace context; no-op when disabled.
 
         Idempotent across hops: the load balancer and the server may both
-        call this, and only the first creates the context.  ``node`` names
-        the serving node on first admission (failover redirects keep the
-        node that actually served the request).
+        call this, and only the first creates the context.
         """
         if not self.enabled:
             return None
-        trace = request.trace
-        if trace is None:
-            trace = self.start_trace(
-                url=request.url,
-                operation=request.operation,
-                client_id=request.client_id,
-            )
-            request.trace = trace
-        if node is not None and trace.node is None:
-            trace.node = node
-        return trace
+        if request.trace is None:
+            request.trace = self.start_trace(request.operation)
+        return request.trace
 
     # ------------------------------------------------------------------
     # Trace completion
     # ------------------------------------------------------------------
     def _finish(self, trace, ok, failure):
+        spans = trace.spans
         components, edges, failed_in = [], [], []
-        by_id = {span.span_id: span for span in trace.spans}
-        for span in trace.spans:
-            if span.component not in components:
-                components.append(span.component)
+        for span in spans:
+            component = span.component
+            if component not in components:
+                components.append(component)
             if span.parent_id is not None:
-                edge = (by_id[span.parent_id].component, span.component)
+                edge = (spans[span.parent_id].component, component)
                 if edge not in edges:
                     edges.append(edge)
-            if span.failed and span.component not in failed_in:
-                failed_in.append(span.component)
+            if span.failed and component not in failed_in:
+                failed_in.append(component)
         path = RequestPath(
             trace_id=trace.trace_id,
-            url=trace.url,
             operation=trace.operation,
-            client_id=trace.client_id,
-            node=trace.node,
             ok=ok,
             failure=failure,
-            started_at=trace.started_at,
             finished_at=self.now,
+            calls=tuple((span.parent_id, span.component) for span in spans),
             components=tuple(components),
             edges=tuple(edges),
             failed_in=tuple(failed_in),
+            truncated=trace.truncated,
         )
         self.paths_recorded += 1
-        self._publish(trace, path)
         for sink in self.sinks:
             sink(path)
         return path
-
-    def _publish(self, trace, path):
-        """Mirror the trace into the TraceBus (no-op when bus disabled)."""
-        bus = self.kernel.trace if self.kernel is not None else None
-        if bus is None or not bus.enabled:
-            return
-        for span in trace.spans:
-            bus.publish(
-                "span",
-                trace=trace.trace_id,
-                span=span.span_id,
-                parent=span.parent_id,
-                component=span.component,
-                start=span.started_at,
-                end=span.finished_at,
-                outcome=span.outcome or "open",
-            )
-        bus.publish(
-            "path.end",
-            trace=trace.trace_id,
-            url=path.url,
-            operation=path.operation,
-            client=path.client_id,
-            node=path.node,
-            ok=path.ok,
-            failure=path.failure,
-            duration=path.duration,
-            components=path.components,
-            failed_in=path.failed_in,
-            truncated=trace.truncated or None,
-        )
 
     def __repr__(self):
         state = "enabled" if self.enabled else "disabled"

@@ -19,7 +19,13 @@ kind                                      published by / payload highlights
                                           failure kind, retries, server (that
                                           admitted the last attempt, or None)
                                           and status (HTTP status, "network",
-                                          or None when the client gave up)
+                                          or None when the client gave up);
+                                          a request the span layer traced
+                                          adds calls (one (parent span index
+                                          or None, component) pair per span),
+                                          failed_in (components whose call
+                                          raised) and, only when the span cap
+                                          cut the trace, truncated=True
 ``component.destroy``                     container teardown; cause
 ``component.microreboot.begin`` / ``.end``  microreboot coordinator; level,
                                           components, duration

@@ -144,19 +144,23 @@ class EmulatedClient:
 
         # The client knows the end-to-end verdict, so it closes the span
         # trace (if admission attached one): the completed path carries the
-        # gold failure label the path analyzer correlates against.
-        trace_ctx = request.trace
-        if trace_ctx is not None:
-            trace_ctx.finish(
+        # gold failure label the path analyzer correlates against, and the
+        # request's record carries the calls it observed.
+        observed = {}
+        if request.trace is not None:
+            path = request.trace.finish(
                 ok=failure is None,
                 failure=failure.value if failure is not None else None,
             )
+            observed = {"calls": path.calls, "failed_in": path.failed_in}
+            if path.truncated:
+                observed["truncated"] = True
 
         # ``enabled`` is checked here rather than inside publish() so the
         # disabled (default) case does not even build the kwargs dict —
         # this path runs once per request.  This is the request's one
         # record: the client's verdict, where the last attempt was
-        # admitted and what the client judged.
+        # admitted, what the client judged and, when traced, its calls.
         trace = self.kernel.trace
         if trace.enabled:
             trace.publish(
@@ -169,6 +173,7 @@ class EmulatedClient:
                 retries=record.retries,
                 server=request.server,
                 status=status_key(response),
+                **observed,
             )
         if failure is None:
             record.ok = True

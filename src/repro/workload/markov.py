@@ -111,8 +111,6 @@ class WorkloadProfile:
         for name in self._actions:
             acc += self.mid_action_weights[name] / total
             self._cumulative.append(acc)
-        #: Mean number of mid-session actions (geometric).
-        self.mean_mid_actions = total
         self._continue_probability = total / (total + 1.0)
 
     # ------------------------------------------------------------------

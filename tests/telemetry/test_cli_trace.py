@@ -101,17 +101,12 @@ def test_timeline_is_valid_jsonl(tmp_path):
 def make_span_timeline(path):
     with capture_to_jsonl(path):
         bus = TraceBus(label="run")
-        for span_id, (parent, comp, outcome) in enumerate(
-            [(None, "EbidWAR", "ok"), (0, "CommitBid", "ok"),
-             (1, "IdentityManager", "AppError")]
-        ):
-            bus.publish("span", trace=1, span=span_id, parent=parent,
-                        component=comp, start=0.0, end=1.0, outcome=outcome)
         bus.publish(
-            "path.end", trace=1, url="/ebid/CommitBid", operation="CommitBid",
-            client=0, node="server-1", ok=False, failure="http-error",
-            duration=1.0,
-            components=("EbidWAR", "CommitBid", "IdentityManager"),
+            "request.end", client=0, operation="CommitBid", ok=False,
+            duration=1.0, failure="http-error", retries=0, server="server-1",
+            status=500,
+            calls=((None, "EbidWAR"), (0, "CommitBid"),
+                   (1, "IdentityManager")),
             failed_in=("IdentityManager",),
         )
         bus.publish("rm.decision", level="ejb", target=("IdentityManager",))
@@ -122,6 +117,7 @@ def test_paths_command_renders_call_tree_and_ranking(tmp_path, capsys):
     path = make_span_timeline(tmp_path / "spans.jsonl")
     assert main(["paths", str(path)]) == 0
     out = capsys.readouterr().out
+    assert out.startswith("2 events: 3 spans across 1 completed paths\n")
     assert "observed call trees" in out
     assert "/ebid/CommitBid" in out
     assert "EbidWAR -> CommitBid" in out
@@ -153,7 +149,7 @@ def test_paths_command_spanless_timeline_degrades_gracefully(tmp_path, capsys):
     path = make_timeline(tmp_path / "plain.jsonl")
     assert main(["paths", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "no path.end events" in out
+    assert "no request.end carries calls" in out
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 import gc
 import weakref
+from types import SimpleNamespace
 
 import pytest
 
+from repro.diagnosis.report import summarize_paths
 from repro.sim import Kernel
 from repro.telemetry import (
     TimelineError,
@@ -148,3 +150,33 @@ def test_summarize_respects_slowest_limit():
     listed = [line for line in text.splitlines() if "  Op" in line]
     assert len(listed) == 3
     assert "Op9" in listed[0]  # slowest first
+
+
+def test_same_time_records_of_two_buses_list_in_one_order(tmp_path):
+    """``seq`` counts one bus's records, so listings that mix buses order
+    same-time records by bus first: what else a bus published earlier
+    does not move its lines in the recovery timeline, the failover
+    windows or the recovery decision audit."""
+
+    def listed(extra):
+        clock = SimpleNamespace(now=0.0)
+        path = tmp_path / f"extra-{extra}.jsonl"
+        with capture_to_jsonl(path):
+            buses = [TraceBus(kernel=clock, label=name) for name in "ab"]
+            for _ in range(extra):
+                buses[0].publish("tick")
+            for clock.now, kind, fields in (
+                (1.0, "lb.failover.begin", {"node": "node-1", "mode": "micro"}),
+                (2.0, "rm.decision", {"level": "ejb"}),
+                (3.0, "lb.failover.end", {"node": "node-1"}),
+            ):
+                for bus in buses:
+                    bus.publish(kind, **fields)
+        records = read_timeline(path)
+        text = summarize_timeline(records) + "\n" + summarize_paths(records)
+        return [line.split()[0] for line in text.splitlines()
+                if line.startswith("  [")]
+
+    expected = ["[a]", "[b]"] * 3  # recovery timeline, windows, audit
+    assert listed(0) == expected
+    assert listed(3) == expected
