@@ -34,18 +34,20 @@ MTTF/hazard estimators, blended component health scores, and the
 declarative alert rules — rendering scores (sickest first) and
 fired/resolved alerts with lead times versus the stitched incidents;
 ``shards`` renders the cluster plane's per-shard rollups and storm
-meta-incidents.  These five replay the timeline bus by bus (one kernel
-per arm or policy) and print one ``[bus <id>]`` section per bus.
+meta-incidents.  All seven stream the timeline through one replay, bus by
+bus (one kernel per arm or policy), and print one ``[bus <id>]`` section
+per bus, each what that bus's records alone render.
 """
 
 import argparse
 import json
+import math
 import sys
 import time
 from contextlib import nullcontext
 from pathlib import Path
 
-from repro.diagnosis.report import summarize_paths
+from repro.diagnosis.report import PathSummary
 from repro.ebid.descriptors import URL_PATH_MAP
 from repro.observability import (
     ClusterIncidentCorrelator,
@@ -65,13 +67,12 @@ from repro.observability import (
     summarize_incidents,
     summarize_shards,
     summarize_slo,
-    timeline_shards,
 )
 from repro.telemetry import (
     TimelineError,
+    TimelineSummary,
     capture_to_jsonl,
-    load_timeline,
-    summarize_timeline,
+    read_timeline,
 )
 
 from repro.experiments import (
@@ -128,6 +129,26 @@ def _print_experiments():
         print(f"  {name.ljust(width)}  {description}")
 
 
+def _option(convert, accept, rule):
+    """An argparse ``type`` that rejects values outside ``rule``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not accept(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+        return value
+
+    return parse
+
+
+_COUNT = _option(int, lambda v: v >= 0, "an integer >= 0")
+_POSITIVE = _option(float, lambda v: 0 < v < math.inf, "a finite number > 0")
+_FRACTION = _option(float, lambda v: 0 < v <= 1, "in (0, 1]")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -169,7 +190,7 @@ def build_parser():
         "trace", help="summarize a JSONL trace timeline written by run --trace"
     )
     trace.add_argument("file", type=Path)
-    trace.add_argument("--slowest", type=int, default=5,
+    trace.add_argument("--slowest", type=_COUNT, default=5,
                        help="how many slowest requests to show")
 
     paths = sub.add_parser(
@@ -178,7 +199,7 @@ def build_parser():
              "ranking from a JSONL timeline",
     )
     paths.add_argument("file", type=Path)
-    paths.add_argument("--limit", type=int, default=20,
+    paths.add_argument("--limit", type=_COUNT, default=20,
                        help="how many URLs/edges to show per section")
 
     incidents = sub.add_parser(
@@ -203,11 +224,11 @@ def build_parser():
              "error-budget burn) over a JSONL timeline",
     )
     slo.add_argument("file", type=Path)
-    slo.add_argument("--window", type=float, default=30.0,
+    slo.add_argument("--window", type=_POSITIVE, default=30.0,
                      help="window width in simulated seconds")
-    slo.add_argument("--availability", type=float, default=0.999,
+    slo.add_argument("--availability", type=_FRACTION, default=0.999,
                      help="per-window availability target")
-    slo.add_argument("--latency", type=float, default=8.0,
+    slo.add_argument("--latency", type=_POSITIVE, default=8.0,
                      help="per-window p99 ceiling in seconds")
     slo.add_argument("--shard", default=None,
                      help="judge one shard's windows from the cluster "
@@ -252,24 +273,13 @@ def build_parser():
     return parser
 
 
-def _load_timeline(path):
-    """Read a JSONL timeline for a CLI subcommand.
-
-    Missing, unreadable, corrupt, or empty files are reported as one-line
-    errors on stderr (exit code 2), never as tracebacks.  The actual
-    loading and error classification live in
-    :func:`repro.telemetry.export.load_timeline`, shared by every
-    timeline-consuming subcommand.
-    """
-    try:
-        return load_timeline(path)
-    except TimelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
-
-
 def _tracker():
     return IncidentTracker(url_path_map=URL_PATH_MAP)
+
+
+def _text(args, consumers, end):
+    [summary] = consumers
+    return summary.render(), None, None
 
 
 def _incidents(args, consumers, end):
@@ -339,6 +349,8 @@ def _shards(args, consumers, end):
 #: Timeline subcommand -> (fresh consumers for one bus, renderer of one
 #: replayed bus returning (text, exported data, Prometheus registry)).
 REPLAYS = {
+    "trace": (lambda args: [TimelineSummary(args.slowest)], _text),
+    "paths": (lambda args: [PathSummary(args.limit)], _text),
     "incidents": (lambda args: [_tracker(), RequestWindows()], _incidents),
     "slo": (
         lambda args: [
@@ -379,25 +391,29 @@ def _write_json(args, sections):
 
 
 def replay_command(args):
-    """``repro incidents|slo|health|alerts|shards``: one replay per bus.
+    """``repro trace|paths|incidents|slo|health|alerts|shards``.
 
-    A multi-bus timeline (one bus per kernel: per policy, per arm)
-    renders one ``[bus <id>]`` section per bus, each exactly what that
-    bus's records alone would render; Prometheus samples gain a
-    ``bus`` label.
+    Streams the timeline through one replay: a multi-bus timeline (one
+    bus per kernel: per policy, per arm) renders one ``[bus <id>]``
+    section per bus, each exactly what that bus's records alone would
+    render; Prometheus samples gain a ``bus`` label.  A timeline that
+    cannot be read is one ``error:`` line on stderr and exit 2.
     """
-    records = _load_timeline(args.file)
-    if records is None:
-        return 2
     build, render = REPLAYS[args.command]
+    try:
+        replayed = replay(read_timeline(args.file), lambda: build(args))
+    except TimelineError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     sections = [
         (bus, *render(args, consumers, end))
-        for bus, consumers, end in replay(records, lambda: build(args))
+        for bus, consumers, end in replayed
     ]
     if args.command == "slo" and args.shard is not None \
             and not any(windows for _bus, _text, windows, _r in sections):
-        seen = timeline_shards(records)
-        hint = f" (shards in timeline: {', '.join(seen)})" if seen else ""
+        views = [consumers[0] for _bus, consumers, _end in replayed]
+        seen = sorted({shard for view in views for shard in view.windows})
+        hint = f" (shards with windows: {', '.join(seen)})" if seen else ""
         print(
             f"error: no shard SLO windows for {args.shard!r}{hint}",
             file=sys.stderr,
@@ -442,20 +458,6 @@ def main(argv=None):
 
     if args.command == "list":
         _print_experiments()
-        return 0
-
-    if args.command == "trace":
-        records = _load_timeline(args.file)
-        if records is None:
-            return 2
-        print(summarize_timeline(records, slowest=args.slowest))
-        return 0
-
-    if args.command == "paths":
-        records = _load_timeline(args.file)
-        if records is None:
-            return 2
-        print(summarize_paths(records, limit=args.limit))
         return 0
 
     if args.command in REPLAYS:

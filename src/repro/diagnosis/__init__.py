@@ -10,6 +10,6 @@ contrasting the component membership of failed vs. successful paths.
 """
 
 from repro.diagnosis.path_analysis import PathAnalyzer, chi_square_2x2
-from repro.diagnosis.report import summarize_paths
+from repro.diagnosis.report import PathSummary
 
-__all__ = ["PathAnalyzer", "chi_square_2x2", "summarize_paths"]
+__all__ = ["PathAnalyzer", "PathSummary", "chi_square_2x2"]

@@ -26,7 +26,6 @@ from repro.observability.cluster import (
     ShardView,
     shard_of_incident,
     shard_of_name,
-    timeline_shards,
 )
 from repro.observability.alerts import (
     Alert,
@@ -126,5 +125,4 @@ __all__ = [
     "summarize_incidents",
     "summarize_shards",
     "summarize_slo",
-    "timeline_shards",
 ]

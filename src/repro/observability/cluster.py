@@ -710,17 +710,3 @@ class ShardView:
         ]
         windows.sort(key=lambda w: w.start)
         return windows
-
-
-def timeline_shards(records):
-    """Sorted shard names seen anywhere in a timeline (for --shard help)."""
-    shards = set()
-    for record in records:
-        shard = record.get("shard")
-        if shard:
-            shards.add(shard)
-        for key in ("source", "target", "server", "node"):
-            shard = shard_of_name(record.get(key))
-            if shard:
-                shards.add(shard)
-    return sorted(shards)

@@ -5,11 +5,10 @@
   text exposition format (``# TYPE`` headers, ``{label="..."}`` series,
   quantile summaries for histogram sketches) — scrape-shaped, entirely
   deterministic line order;
-* :func:`replay` pushes a recorded JSONL timeline through fresh
-  consumers — the same ``kinds`` + ``feed(t, kind, fields)`` objects a
-  live run subscribes to its bus — so ``repro incidents|slo|health|
-  alerts|shards`` on a recorded timeline agree with what the live
-  consumers saw.
+* :func:`replay` streams a recorded JSONL timeline through fresh
+  consumers, bus by bus — the same ``kinds`` + ``feed(t, kind, fields)``
+  objects a live run subscribes to its bus — so the timeline subcommands
+  on a recorded timeline agree with what the live consumers saw.
 """
 
 from repro.observability.alerts import AlertEngine
@@ -158,36 +157,40 @@ def replay(records, build):
     """Feed a recorded timeline through fresh consumers, bus by bus.
 
     ``build()`` returns a new list of consumers (objects with ``kinds``
-    and ``feed(t, kind, fields)``, as subscribed live) for each bus, so
-    one bus's events can never touch another's state — figure-1 runs one
-    kernel per policy, megascale/storm one per arm.  Each bus's records
-    are fed in ``(t, seq)`` order — the order its subscribers saw them
-    live — to every consumer whose ``kinds`` match, in list order.
-    Returns ``[(bus, consumers, end)]`` sorted by bus, ``end``
-    being the last timestamp any of that bus's consumers matched (0.0 if
-    none).
+    and ``feed(t, kind, fields)``, as subscribed live) when a bus's first
+    record arrives, so one bus's events can never touch another's state —
+    figure-1 runs one kernel per policy, megascale/storm one per arm.
+    Each record goes, as it arrives, to every consumer of its bus whose
+    ``kinds`` match, in list order: :func:`~repro.telemetry.export
+    .read_timeline` yields each bus's records in ``(t, seq)`` order, the
+    order its subscribers saw them live.  Returns ``[(bus, consumers,
+    end)]`` sorted by bus (as ``str``), ``end`` being the last timestamp
+    any of that bus's consumers matched (0.0 if none).
     """
-    by_bus = {}
+    buses = {}  # bus -> [consumers, subscriptions, {kind: feeds}, end]
     for record in records:
-        by_bus.setdefault(record.get("bus"), []).append(record)
-    replayed = []
-    for bus in sorted(by_bus, key=str):
-        consumers = build()
-        feeds = [_Subscription(c.feed, c.kinds) for c in consumers]
-        end = 0.0
-        for record in sorted(
-            by_bus[bus], key=lambda r: (r["t"], r.get("seq", 0))
-        ):
-            t, kind = record["t"], record["kind"]
-            fields = None
-            for subscription in feeds:
-                if subscription.matches(kind):
-                    if fields is None:
-                        end = t
-                        fields = record_fields(record)
-                    subscription.callback(t, kind, fields)
-        replayed.append((bus, consumers, end))
-    return replayed
+        bus = record.get("bus")
+        state = buses.get(bus)
+        if state is None:
+            consumers = build()
+            subscriptions = [_Subscription(c.feed, c.kinds) for c in consumers]
+            state = buses[bus] = [consumers, subscriptions, {}, 0.0]
+        t, kind = record["t"], record["kind"]
+        feeds = state[2].get(kind)
+        if feeds is None:  # the kind's first record on this bus
+            feeds = state[2][kind] = tuple(
+                s.callback for s in state[1] if s.matches(kind)
+            )
+        if feeds:
+            state[3] = t
+            fields = record_fields(record)
+            for feed in feeds:
+                feed(t, kind, fields)
+    return [
+        (bus, consumers, end)
+        for bus, (consumers, _subscriptions, _routes, end)
+        in sorted(buses.items(), key=lambda item: str(item[0]))
+    ]
 
 
 def predictive_chain(url_path_map=None, rules=None, bus=None):

@@ -13,20 +13,19 @@ counters:
   publish.
 * :class:`MetricsRegistry` — named counters, gauges, counter families and
   streaming histograms (p50/p95/p99 without storing samples) that back the
-  accounting in ``workload.metrics``, ``cluster.load_balancer`` and
-  ``core.recovery_manager``.
+  counters of ``cluster.load_balancer`` and ``core.recovery_manager``.
 * JSONL timeline capture (:func:`capture_to_jsonl` writes every event of
-  the buses built inside it as it is published) plus ``python -m repro
-  trace <file>`` to summarize a run (recovery timeline, failover windows,
-  slowest requests).
+  the buses built inside it as it is published), the streaming reader
+  every timeline subcommand replays through (:func:`read_timeline`), and
+  :class:`TimelineSummary`, behind ``python -m repro trace <file>``: per
+  bus, the recovery timeline, failover windows and slowest requests.
 """
 
 from repro.telemetry.export import (
     TimelineError,
+    TimelineSummary,
     capture_to_jsonl,
-    load_timeline,
     read_timeline,
-    summarize_timeline,
 )
 from repro.telemetry.metrics import (
     Counter,
@@ -61,14 +60,13 @@ __all__ = [
     "Span",
     "SpanCollector",
     "TimelineError",
+    "TimelineSummary",
     "TraceBus",
     "TraceContext",
     "capture_to_jsonl",
-    "load_timeline",
     "read_timeline",
     "set_default_spans",
     "set_default_tracing",
     "spans_enabled_by_default",
-    "summarize_timeline",
     "tracing_enabled_by_default",
 ]

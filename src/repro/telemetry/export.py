@@ -1,12 +1,15 @@
-"""JSONL timeline capture and the run summarizer behind ``repro trace``.
+"""JSONL timeline capture, the streaming reader, and ``repro trace``.
 
 One JSONL line per event, envelope keys ``t``/``seq``/``kind``/``bus`` plus
 the event's own payload fields flattened alongside.  A timeline may contain
 events from several buses (figure-1 runs two kernels, one per policy); the
-``bus`` field keeps them tellable-apart while the summary stays readable.
+``bus`` field keeps them apart, and the timeline subcommands replay each
+bus on its own (:func:`repro.observability.replay`).
 """
 
+import heapq
 import json
+import math
 import shutil
 import tempfile
 import weakref
@@ -27,54 +30,63 @@ class TimelineError(Exception):
 
 
 def read_timeline(path):
-    """Parse a JSONL timeline back into a list of flat dicts.
+    """Yield a JSONL timeline's records one at a time, as flat dicts.
 
-    Raises :class:`TimelineError` (with the offending line number) on
-    malformed JSON or on records missing the ``t``/``kind`` envelope, so
-    the CLI can report corrupt files as one-line errors.
+    A capture writes each bus's records in ``(t, seq)`` order, the order
+    its subscribers saw them, so a reader can feed them on as they come
+    and hold none.  A missing, unreadable or empty file, a line that is
+    not JSON, a malformed envelope and a bus whose ``(t, seq)`` goes
+    backwards (two captures concatenated, a hand-edited file) each raise
+    :class:`TimelineError`, one line naming the file and the line.
     """
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TimelineError(
-                    f"{path}:{lineno}: not valid JSONL ({exc.msg})"
-                ) from exc
-            if not isinstance(record, dict) or "t" not in record \
-                    or "kind" not in record:
-                raise TimelineError(
-                    f"{path}:{lineno}: not a trace timeline record "
-                    "(missing 't'/'kind' envelope)"
-                )
-            records.append(record)
-    return records
-
-
-def load_timeline(path):
-    """Read a timeline for a CLI subcommand, with uniform error handling.
-
-    Wraps :func:`read_timeline` so every timeline-consuming subcommand
-    (``trace``, ``paths``, ``incidents``, ``slo``) reports bad input the
-    same way: missing, unreadable, corrupt, and empty files all raise
-    :class:`TimelineError` with a one-line message the CLI can print
-    verbatim (prefixed ``error:``) instead of a traceback.
-    """
-    if not Path(path).exists():
-        raise TimelineError(f"no such trace file: {path}")
     try:
-        records = read_timeline(path)
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        raise TimelineError(f"no such trace file: {path}") from None
     except OSError as exc:
-        raise TimelineError(
-            f"cannot read {path}: {exc.strerror}"
-        ) from exc
-    if not records:
+        raise TimelineError(f"cannot read {path}: {exc.strerror}") from exc
+    last = {}  # bus -> (t, seq) of its latest record
+    with fh:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                if line.isspace():
+                    continue
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise TimelineError(
+                        f"{path}:{lineno}: not valid JSONL ({exc.msg})"
+                    ) from exc
+                problem = _envelope_problem(record, last)
+                if problem:
+                    raise TimelineError(f"{path}:{lineno}: {problem}")
+                yield record
+        except UnicodeDecodeError as exc:
+            raise TimelineError(f"{path}: not UTF-8 ({exc.reason})") from exc
+    if not last:
         raise TimelineError(f"{path} is an empty timeline (0 events)")
-    return records
+
+
+def _envelope_problem(record, last):
+    """What is wrong with a record's envelope, or None once its ``(t,
+    seq)`` is in ``last``, the latest of each bus so far."""
+    if not isinstance(record, dict) or "t" not in record \
+            or "kind" not in record:
+        return "not a trace timeline record (missing 't'/'kind' envelope)"
+    t, seq, bus = record["t"], record.get("seq", 0), record.get("bus")
+    if type(t) not in (int, float) or not abs(t) < math.inf:
+        return f"'t' is not a finite number: {t!r}"
+    if type(record["kind"]) is not str:
+        return f"'kind' is not a string: {record['kind']!r}"
+    if type(seq) is not int:
+        return f"'seq' is not an integer: {seq!r}"
+    if type(bus) not in (int, str, type(None)):
+        return f"'bus' is not an integer or a string: {bus!r}"
+    if (t, seq) < last.get(bus, (t, seq)):
+        return (f"bus {bus}'s (t, seq) goes backwards: ({t}, {seq}) after "
+                f"{last[bus]}")
+    last[bus] = (t, seq)
+    return None
 
 
 class _Section:
@@ -163,21 +175,6 @@ RECOVERY_KINDS = (
     "node.restart",
 )
 
-#: Kinds that open and close a failover window.
-FAILOVER_BOUNDS = ("lb.failover.begin", "lb.failover.end")
-
-
-def timeline_order(record):
-    """Sort key that lists the records of several buses together.
-
-    ``seq`` counts one bus's records, so it orders records of one bus
-    only: same-time records are ordered by bus (compared as ``str``, the
-    order :func:`~repro.observability.exporter.replay` feeds buses in)
-    and then by ``seq``.  Records published elsewhere on either bus then
-    cannot move them.
-    """
-    return (record["t"], str(record.get("bus", "")), record.get("seq", 0))
-
 
 def _fmt(value):
     if isinstance(value, float):
@@ -187,106 +184,108 @@ def _fmt(value):
     return str(value)
 
 
-def describe_record(record):
-    """Payload fields of one record as `key=value` text, stable order."""
-    skip = {"t", "seq", "kind", "bus"}
+def describe_fields(fields):
+    """An event's payload fields as `key=value` text, stable order."""
     return " ".join(
-        f"{key}={_fmt(record[key])}"
-        for key in sorted(record)
-        if key not in skip and record[key] is not None
+        f"{key}={_fmt(value)}"
+        for key, value in sorted(fields.items())
+        if value is not None
     )
 
 
-_describe = describe_record  # internal alias kept for the summarizer below
+class TimelineSummary:
+    """``repro trace`` for one bus: a replay consumer fed every record.
 
+    Keeps counts, the recovery timeline, the failover windows and the
+    ``slowest`` slowest requests, never the records themselves;
+    :meth:`render` returns the summary as one string.  A bus's records
+    arrive in time order, so its first and last give the span.
+    """
 
-def summarize_timeline(records, slowest=5):
-    """Human-readable summary of a JSONL timeline; returns one string."""
-    lines = []
-    if not records:
-        return "empty timeline (0 events)"
+    kinds = None
 
-    buses = sorted({str(r.get("bus", "")) for r in records})
-    t_low = min(r["t"] for r in records)
-    t_high = max(r["t"] for r in records)
-    lines.append(
-        f"{len(records)} events from {len(buses)} bus(es), "
-        f"t={t_low:.3f}..{t_high:.3f}s"
-    )
+    def __init__(self, slowest=5):
+        self.slowest = slowest
+        self.first = self.last = None
+        self.counts = {}
+        self.recovery = []
+        #: Failover windows: (node, mode, start, end) as they close, and
+        #: node -> (start, mode) while open.
+        self.windows = []
+        self.open = {}
+        self.redirected = 0
+        self.completed = 0
+        #: Min-heap of the slowest requests so far:
+        #: (duration, -arrival, t, fields), the fastest of them on top.
+        self.heap = []
 
-    counts = {}
-    for record in records:
-        counts[record["kind"]] = counts.get(record["kind"], 0) + 1
-    lines.append("")
-    lines.append("events by kind:")
-    for kind, count in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        lines.append(f"  {count:>8}  {kind}")
+    def feed(self, t, kind, fields):
+        if self.first is None:
+            self.first = t
+        self.last = t
+        self.counts[kind] = self.counts.get(kind, 0) + 1
+        if kind == "request.end" and fields.get("duration") is not None:
+            self.completed += 1
+            entry = (fields["duration"], -self.completed, t, fields)
+            if len(self.heap) < self.slowest:
+                heapq.heappush(self.heap, entry)
+            elif self.slowest:
+                heapq.heappushpop(self.heap, entry)
+        elif kind in RECOVERY_KINDS:
+            self.recovery.append(
+                f"  t={t:9.3f}  {kind:<28} {describe_fields(fields)}"
+            )
+        elif kind == "lb.failover":
+            self.redirected += 1
+        elif kind == "lb.failover.begin":
+            self.open[fields.get("node")] = (t, fields.get("mode"))
+        elif kind == "lb.failover.end" and fields.get("node") in self.open:
+            node = fields.get("node")
+            start, mode = self.open.pop(node)
+            self.windows.append((node, mode, start, t))
 
-    recovery = [r for r in records if r["kind"] in RECOVERY_KINDS]
-    lines.append("")
-    lines.append(f"recovery timeline ({len(recovery)} events):")
-    for record in sorted(recovery, key=timeline_order):
-        bus = record.get("bus", "")
+    def render(self):
+        events = sum(self.counts.values())
+        lines = [
+            f"{events} events, t={self.first:.3f}..{self.last:.3f}s",
+            "",
+            "events by kind:",
+        ]
+        for kind, count in sorted(
+            self.counts.items(), key=lambda kv: (-kv[1], kv[0])
+        ):
+            lines.append(f"  {count:>8}  {kind}")
+        lines.append("")
+        lines.append(f"recovery timeline ({len(self.recovery)} events):")
+        lines.extend(self.recovery)
+        lines.append("")
+        lines.append("failover windows:")
+        for node, mode, start, end in self.windows:
+            lines.append(
+                f"  {node}: {mode} failover "
+                f"t={start:.3f}..{end:.3f}s ({end - start:.3f}s)"
+            )
+        for node, (start, mode) in sorted(
+            self.open.items(), key=lambda kv: kv[1][0]
+        ):
+            lines.append(
+                f"  {node}: {mode} failover began t={start:.3f}s, "
+                "never ended (wedged?)"
+            )
+        if not self.windows and not self.open:
+            lines.append("  (none)")
         lines.append(
-            f"  [{bus}] t={record['t']:9.3f}  {record['kind']:<28} "
-            f"{_describe(record)}"
+            f"  requests redirected during failover: {self.redirected}"
         )
-
-    lines.append("")
-    lines.extend(_failover_windows(records))
-
-    lines.append("")
-    lines.extend(_slowest_requests(records, slowest))
-    return "\n".join(lines)
-
-
-def _failover_windows(records):
-    """Pair lb.failover.begin/end per (bus, node) into windows."""
-    lines = ["failover windows:"]
-    open_windows = {}  # (bus, node) -> (t, mode)
-    windows = []
-    redirected = sum(1 for r in records if r["kind"] == "lb.failover")
-    bounds = [r for r in records if r["kind"] in FAILOVER_BOUNDS]
-    for record in sorted(bounds, key=timeline_order):
-        key = (record.get("bus"), record.get("node"))
-        if record["kind"] == "lb.failover.begin":
-            open_windows[key] = (record["t"], record.get("mode"))
-        elif record["kind"] == "lb.failover.end" and key in open_windows:
-            start, mode = open_windows.pop(key)
-            windows.append((key[0], key[1], mode, start, record["t"]))
-    for bus, node, mode, start, end in windows:
-        lines.append(
-            f"  [{bus}] {node}: {mode} failover "
-            f"t={start:.3f}..{end:.3f}s ({end - start:.3f}s)"
-        )
-    for (bus, node), (start, mode) in sorted(
-        open_windows.items(), key=lambda kv: kv[1][0]
-    ):
-        lines.append(
-            f"  [{bus}] {node}: {mode} failover began t={start:.3f}s, "
-            "never ended (wedged?)"
-        )
-    if not windows and not open_windows:
-        lines.append("  (none)")
-    lines.append(f"  requests redirected during failover: {redirected}")
-    return lines
-
-
-def _slowest_requests(records, limit):
-    ends = [
-        r for r in records
-        if r["kind"] == "request.end" and r.get("duration") is not None
-    ]
-    lines = [f"slowest requests (of {len(ends)} completed):"]
-    if not ends:
-        lines.append("  (none)")
-        return lines
-    ends.sort(key=lambda r: -r["duration"])
-    for record in ends[:limit]:
-        ok = "ok" if record.get("ok") else f"FAILED({record.get('failure')})"
-        lines.append(
-            f"  [{record.get('bus', '')}] t={record['t']:9.3f}  "
-            f"{record['duration']:7.3f}s  {record.get('operation')}  "
-            f"{record.get('server') or '-'}  {ok}"
-        )
-    return lines
+        lines.append("")
+        lines.append(f"slowest requests (of {self.completed} completed):")
+        if not self.completed:
+            lines.append("  (none)")
+        for duration, _arrival, t, fields in sorted(self.heap, reverse=True):
+            failure = fields.get("failure")
+            ok = "ok" if fields.get("ok") else f"FAILED({failure})"
+            lines.append(
+                f"  t={t:9.3f}  {duration:7.3f}s  {fields.get('operation')}  "
+                f"{fields.get('server') or '-'}  {ok}"
+            )
+        return "\n".join(lines)

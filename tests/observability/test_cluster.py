@@ -10,7 +10,6 @@ from repro.observability import (
     replay,
     shard_of_incident,
     shard_of_name,
-    timeline_shards,
 )
 from repro.telemetry import TraceBus, capture_to_jsonl, read_timeline
 
@@ -400,16 +399,3 @@ def test_shard_windows_from_records_rejudges_availability(tmp_path):
     assert windows[0].violated is False
     assert windows[1].violated is True
     assert "availability" in windows[1].reasons[0]
-
-
-def test_timeline_shards_lists_every_shard_mentioned():
-    records = [
-        {"t": 1.0, "kind": "shard.rollup", "shard": "shard002"},
-        {"t": 2.0, "kind": "reshard.migrate", "source": "shard001",
-         "target": "shard128"},
-        {"t": 3.0, "kind": "lb.failover.begin", "node": "shard004-n1"},
-        {"t": 4.0, "kind": "rm.report", "server": "node1"},  # flat: ignored
-    ]
-    assert timeline_shards(records) == [
-        "shard001", "shard002", "shard004", "shard128"
-    ]

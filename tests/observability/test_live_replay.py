@@ -2,12 +2,14 @@
 
 One in-process capture records four small rigs, one kernel (so one bus)
 each: a hardened chaos campaign, the leak schedule under shadow and
-proactive prediction, and a smoke storm with elastic resharding.
-Replaying that multi-bus timeline through fresh consumers must rebuild,
-bus by bus, what each rig's live consumers computed — the contract that
-makes ``repro incidents|slo|health|alerts|shards`` on a recorded
-timeline trustworthy — and every one of those subcommands must render
-each ``[bus <id>]`` section exactly as it renders that bus alone.
+proactive prediction, and a smoke storm with elastic resharding; then
+two span-traced single-node rigs with a transient fault, whose
+``request.end`` records carry their calls.  Replaying that multi-bus
+timeline through fresh consumers must rebuild, bus by bus, what each of
+the first four rigs' live consumers computed — the contract that makes
+``repro incidents|slo|health|alerts|shards`` on a recorded timeline
+trustworthy — and every timeline subcommand must render each
+``[bus <id>]`` section exactly as it renders that bus alone.
 """
 
 import json
@@ -15,7 +17,9 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.ebid.schema import DatasetConfig
 from repro.experiments.chaos import ChaosClusterRig
+from repro.experiments.common import SingleNodeRig
 from repro.experiments.megascale import URL_PATH_MAP
 from repro.experiments.storm import StormRig
 from repro.faults.chaos import ChaosSpec, StormSpec
@@ -52,6 +56,18 @@ RIGS = {
 }
 
 
+def _span_traced(seed):
+    """A single-node rig whose requests the span layer traces."""
+    rig = SingleNodeRig(seed=seed, n_clients=10, dataset=DatasetConfig.tiny())
+    rig.start()
+    rig.injector.inject_transient_exception("ViewItem")
+    rig.run_for(30.0)
+
+
+#: Buses in the capture: RIGS, then two span-traced rigs.
+BUSES = len(RIGS) + 2
+
+
 @pytest.fixture(scope="module")
 def capture(tmp_path_factory):
     directory = tmp_path_factory.mktemp("replay")
@@ -61,8 +77,10 @@ def capture(tmp_path_factory):
         for build in RIGS.values():
             rig = build()
             runs.append((rig, rig.run()))
-    records = read_timeline(path)
-    for bus in range(len(RIGS)):  # each bus's records alone, for the CLI
+        for seed in (0, 1):
+            _span_traced(seed)
+    records = list(read_timeline(path))
+    for bus in range(BUSES):  # each bus's records alone, for the CLI
         (directory / f"bus{bus}.jsonl").write_text(
             "".join(json.dumps(r) + "\n" for r in records if r["bus"] == bus),
             encoding="utf-8",
@@ -70,7 +88,7 @@ def capture(tmp_path_factory):
     replayed = replay(
         records, lambda: predictive_chain(URL_PATH_MAP) + [ShardView()]
     )
-    assert [bus for bus, *_rest in replayed] == list(range(len(RIGS)))
+    assert [bus for bus, *_rest in replayed] == list(range(BUSES))
     by_name = {
         name: (rig, outcome, consumers, end)
         for name, (rig, outcome), (_bus, consumers, end)
@@ -140,6 +158,10 @@ def test_live_equals_replay(capture, name):
 
 #: Timeline subcommands; ``{shard}`` is a shard the storm struck.
 COMMANDS = (
+    "trace",
+    "trace --slowest 2",
+    "paths",
+    "paths --limit 3",
     "incidents",
     "incidents --shard {shard}",
     "slo",
@@ -165,7 +187,7 @@ def test_each_bus_section_renders_that_bus_alone(capture, capsys, command):
     assert code == 0
 
     sections = []
-    for bus in range(len(RIGS)):
+    for bus in range(BUSES):
         alone = path.with_name(f"bus{bus}.jsonl")
         code, text = _main(capsys, [name, str(alone), *options])
         if code == 2:  # only slo --shard: no windows for it on this bus
@@ -173,6 +195,10 @@ def test_each_bus_section_renders_that_bus_alone(capture, capsys, command):
             text = summarize_slo([], policy=SloPolicy()) + "\n"
         sections.append(f"[bus {bus}]\n{text}")
     assert out == "\n".join(sections)
+    if name == "paths":  # the span-traced buses rank their paths
+        for section in sections[len(RIGS):]:
+            assert " 0 spans across" not in section
+            assert "(empty — no failures observed)" not in section
 
 
 def test_multi_bus_exports_carry_the_bus(capture, tmp_path, capsys):
@@ -189,13 +215,13 @@ def test_multi_bus_exports_carry_the_bus(capture, tmp_path, capsys):
         assert by_bus[bus] == [i.to_dict() for i in live]
     exposition = prom.read_text()
     assert exposition.count("# TYPE repro_incidents_count counter") == 1
-    for bus in range(len(RIGS)):
+    for bus in range(BUSES):
         assert f'repro_incidents_count{{bus="{bus}"}} ' in exposition
 
     view = tmp_path / "view.json"
     assert main(["shards", str(path), "--json", str(view)]) == 0
     views = json.loads(view.read_text())
-    assert sorted(views) == ["0", "1", "2", "3"]
+    assert sorted(views) == [str(bus) for bus in range(BUSES)]
     assert views["3"]["meta_incidents"][0]["replacements"]
 
     # An unknown shard is an error only when no bus has windows for it.

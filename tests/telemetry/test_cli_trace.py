@@ -3,6 +3,8 @@
 import json
 from types import SimpleNamespace
 
+import pytest
+
 from repro.cli import build_parser, main
 from repro.telemetry import TraceBus, capture_to_jsonl, read_timeline
 
@@ -21,7 +23,7 @@ def test_trace_command_summarizes_timeline(tmp_path, capsys):
     path = make_timeline(tmp_path / "timeline.jsonl")
     assert main(["trace", str(path)]) == 0
     out = capsys.readouterr().out
-    assert "3 events from 1 bus(es)" in out
+    assert out.startswith("3 events, t=0.000..0.000s\n")
     assert "events by kind:" in out
     assert "recovery timeline (2 events)" in out
     assert "slowest requests" in out
@@ -152,11 +154,98 @@ def test_paths_command_spanless_timeline_degrades_gracefully(tmp_path, capsys):
     assert "no request.end carries calls" in out
 
 
+def test_paths_ranking_counts_every_traced_request(tmp_path, capsys):
+    """A bus's failed requests come first and more than 4,096 successful
+    ones follow: the ranking still judges every one of them."""
+    path = tmp_path / "many.jsonl"
+    failed, succeeded = 3, 4200
+    with capture_to_jsonl(path):
+        bus = TraceBus(label="run")
+        for i in range(failed + succeeded):
+            ok = i >= failed
+            component = "ViewItem" if ok else "CommitBid"
+            bus.publish(
+                "request.end", operation=component, ok=ok, duration=0.1,
+                calls=((None, "EbidWAR"), (0, component)),
+                failed_in=() if ok else (component,),
+            )
+    assert main(["paths", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert (
+        f"{failed + succeeded} paths / {failed} failed):\n"
+        "    1. CommitBid"
+    ) in out
+
+
 # ----------------------------------------------------------------------
 # Whole timelines
 # ----------------------------------------------------------------------
 
 TIMELINE_COMMANDS = ("incidents", "slo", "health", "alerts", "shards", "paths")
+
+#: A second line that breaks the envelope, and what the error names.
+MALFORMED = {
+    "t-not-a-number": ('{"t": "2.0", "seq": 1, "kind": "tick", "bus": 0}',
+                       "'t' is not a finite number"),
+    "kind-not-a-string": ('{"t": 2.0, "seq": 1, "kind": 5, "bus": 0}',
+                          "'kind' is not a string"),
+    "seq-not-an-integer": ('{"t": 2.0, "seq": "1", "kind": "tick", "bus": 0}',
+                           "'seq' is not an integer"),
+    "bus-not-a-name": ('{"t": 2.0, "seq": 1, "kind": "tick", "bus": [0]}',
+                       "'bus' is not an integer or a string"),
+    "bus-goes-backwards": ('{"t": 0.5, "seq": 1, "kind": "tick", "bus": 0}',
+                           "bus 0's (t, seq) goes backwards"),
+}
+
+
+@pytest.mark.parametrize("command", ("trace",) + TIMELINE_COMMANDS)
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_envelope_is_a_one_line_error(tmp_path, capsys, case,
+                                                command):
+    line, message = MALFORMED[case]
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"t": 1.0, "seq": 0, "kind": "tick", "bus": 0}\n' + line + "\n"
+    )
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:2: {message}")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["trace", "--slowest", "-2"],
+    ["paths", "--limit", "-1"],
+    ["slo", "--window", "0"],
+    ["slo", "--window", "nan"],
+    ["slo", "--latency", "-1"],
+    ["slo", "--latency", "0"],
+    ["slo", "--availability", "1.5"],
+    ["slo", "--availability", "0"],
+    ["trace", "--slowest", "two"],
+])
+def test_out_of_range_options_are_usage_errors(tmp_path, capsys, argv):
+    path = make_timeline(tmp_path / "timeline.jsonl")
+    command, *options = argv
+    with pytest.raises(SystemExit) as exited:
+        main([command, str(path), *options])
+    assert exited.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage:")
+    assert f"argument {options[0]}: {options[1]!r} is not" in captured.err
+
+
+def test_options_at_their_bounds_are_accepted(tmp_path, capsys):
+    path = make_timeline(tmp_path / "timeline.jsonl")
+    assert main(["trace", str(path), "--slowest", "0"]) == 0
+    assert capsys.readouterr().out.endswith(
+        "slowest requests (of 1 completed):\n"
+    )
+    assert main(["paths", str(path), "--limit", "0"]) == 0
+    assert main(["slo", str(path), "--availability", "1",
+                 "--window", "0.5", "--latency", "0.1"]) == 0
 
 
 def publish_run(bus, clock):
@@ -192,7 +281,7 @@ def test_bus_that_fits_writes_no_evicted_record(tmp_path, capsys):
     with capture_to_jsonl(path):
         bus = TraceBus(kernel=clock, label="run")
         publish_run(bus, clock)
-    records = read_timeline(path)
+    records = list(read_timeline(path))
     assert [r["seq"] for r in records] == list(range(bus.published))
     out, err = run_cli(capsys, "trace", str(path))
     assert "warning" not in out and err == ""

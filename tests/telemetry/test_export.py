@@ -2,19 +2,18 @@
 
 import gc
 import weakref
-from types import SimpleNamespace
 
 import pytest
 
-from repro.diagnosis.report import summarize_paths
+from repro.cli import main
+from repro.observability import replay
 from repro.sim import Kernel
 from repro.telemetry import (
     TimelineError,
+    TimelineSummary,
     TraceBus,
     capture_to_jsonl,
-    load_timeline,
     read_timeline,
-    summarize_timeline,
     tracing_enabled_by_default,
 )
 
@@ -26,7 +25,7 @@ def test_write_read_roundtrip(tmp_path):
         bus_b = TraceBus(label="beta")
         bus_b.publish("rm.decision", level="ejb")
         bus_a.publish("request.end", operation="ViewItem", duration=0.2)
-    records = read_timeline(path)
+    records = list(read_timeline(path))
 
     # Sections follow bus creation, not publish order.
     assert len(records) == 2
@@ -59,7 +58,7 @@ def test_capture_to_jsonl_exports_buses_created_inside(tmp_path):
     assert not tracing_enabled_by_default()
     inside.trace.publish("tick", origin="after")  # the block is over
 
-    records = read_timeline(path)
+    records = list(read_timeline(path))
     assert [r.get("origin") for r in records] == ["inside"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["timeline.jsonl"]
 
@@ -82,30 +81,55 @@ def test_capture_to_jsonl_survives_kernel_garbage_collection(tmp_path):
 
 
 def test_load_timeline_returns_records(tmp_path):
+    """Reading yields one record at a time: a record is in hand before
+    the reader has looked at the line after it."""
     path = tmp_path / "timeline.jsonl"
     with capture_to_jsonl(path):
         TraceBus(label="run").publish("tick")
-    records = load_timeline(path)
-    assert len(records) == 1 and records[0]["kind"] == "tick"
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("not json at all\n")
+    records = read_timeline(path)
+    first = next(records)
+    assert first["kind"] == "tick" and first["bus"] == "run"
+    with pytest.raises(TimelineError, match=r"timeline.jsonl:2: not valid"):
+        next(records)
 
 
 def test_load_timeline_classifies_errors(tmp_path):
     with pytest.raises(TimelineError, match="no such trace file"):
-        load_timeline(tmp_path / "nope.jsonl")
+        list(read_timeline(tmp_path / "nope.jsonl"))
 
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
     with pytest.raises(TimelineError, match="empty timeline"):
-        load_timeline(empty)
+        list(read_timeline(empty))
 
     unreadable = tmp_path / "dir.jsonl"
     unreadable.mkdir()
     with pytest.raises(TimelineError, match="cannot read"):
-        load_timeline(unreadable)
+        list(read_timeline(unreadable))
+
+    binary = tmp_path / "binary.jsonl"
+    binary.write_bytes(b'{"t": 0.0, "kind": "tick"}\n\xff\xfe\n')
+    with pytest.raises(TimelineError, match="binary.jsonl: not UTF-8"):
+        list(read_timeline(binary))
 
 
-def test_summarize_empty_timeline():
-    assert "empty timeline" in summarize_timeline([])
+def test_summarize_empty_timeline(tmp_path, capsys):
+    """Blank lines hold no record: the file is an empty timeline."""
+    path = tmp_path / "blank.jsonl"
+    path.write_text("\n  \n")
+    assert main(["trace", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "empty timeline" in captured.err
+
+
+def _summarize(records, slowest=5):
+    [(_bus, [summary], _end)] = replay(
+        records, lambda: [TimelineSummary(slowest)]
+    )
+    return summary.render()
 
 
 def test_summarize_timeline_sections():
@@ -128,8 +152,8 @@ def test_summarize_timeline_sections():
         {"t": 9.0, "seq": 7, "kind": "lb.failover.begin", "bus": 0,
          "node": "node-3", "mode": "full"},
     ]
-    text = summarize_timeline(records)
-    assert "8 events from 1 bus(es)" in text
+    text = _summarize(records)
+    assert text.startswith("8 events, t=0.500..9.000s\n")
     assert "events by kind" in text
     assert "recovery timeline (2 events)" in text
     assert "rm.decision" in text and "level=ejb" in text
@@ -146,37 +170,7 @@ def test_summarize_respects_slowest_limit():
          "operation": f"Op{i}", "ok": True, "duration": float(i)}
         for i in range(10)
     ]
-    text = summarize_timeline(records, slowest=3)
+    text = _summarize(records, slowest=3)
     listed = [line for line in text.splitlines() if "  Op" in line]
     assert len(listed) == 3
     assert "Op9" in listed[0]  # slowest first
-
-
-def test_same_time_records_of_two_buses_list_in_one_order(tmp_path):
-    """``seq`` counts one bus's records, so listings that mix buses order
-    same-time records by bus first: what else a bus published earlier
-    does not move its lines in the recovery timeline, the failover
-    windows or the recovery decision audit."""
-
-    def listed(extra):
-        clock = SimpleNamespace(now=0.0)
-        path = tmp_path / f"extra-{extra}.jsonl"
-        with capture_to_jsonl(path):
-            buses = [TraceBus(kernel=clock, label=name) for name in "ab"]
-            for _ in range(extra):
-                buses[0].publish("tick")
-            for clock.now, kind, fields in (
-                (1.0, "lb.failover.begin", {"node": "node-1", "mode": "micro"}),
-                (2.0, "rm.decision", {"level": "ejb"}),
-                (3.0, "lb.failover.end", {"node": "node-1"}),
-            ):
-                for bus in buses:
-                    bus.publish(kind, **fields)
-        records = read_timeline(path)
-        text = summarize_timeline(records) + "\n" + summarize_paths(records)
-        return [line.split()[0] for line in text.splitlines()
-                if line.startswith("  [")]
-
-    expected = ["[a]", "[b]"] * 3  # recovery timeline, windows, audit
-    assert listed(0) == expected
-    assert listed(3) == expected

@@ -206,7 +206,7 @@ def test_request_end_carries_each_traced_path(tmp_path, capsys, cluster):
         rig.run_for(20.0)
         rig.kernel.process(node.restart_jvm())  # refuses while it reboots
         rig.run_for(40.0)
-    records = read_timeline(timeline)
+    records = list(read_timeline(timeline))
 
     assert not {r["kind"] for r in records} & {"span", "path.end"}
     ends = [r for r in records if r["kind"] == "request.end"]

@@ -26,7 +26,7 @@ def test_events_preserve_publish_order_and_sequence(tmp_path):
         bus = TraceBus()
         for i in range(5):
             bus.publish("tick", i=i)
-    records = read_timeline(path)
+    records = list(read_timeline(path))
     assert [r["i"] for r in records] == [0, 1, 2, 3, 4]
     assert [r["seq"] for r in records] == [0, 1, 2, 3, 4]
 
