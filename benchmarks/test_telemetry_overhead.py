@@ -6,8 +6,11 @@ timed:
 * ``plain`` — tracing and spans disabled (the default).  Instrumentation
   publishes unconditionally and the bus/collector no-op, so no events
   exist afterwards; this run pins the *disabled-mode* overhead budget.
-* ``spans`` — the causal span layer enabled (per-request call trees
-  feeding a PathAnalyzer), TraceBus still off.
+* ``spans`` — the causal span layer enabled, TraceBus still off: every
+  request records its call tree and closes it into the fields its
+  ``request.end`` would carry.  No PathAnalyzer is fed: the rig's
+  analyzer reads ``request.end`` off the bus, and with the bus off none
+  is published, so nothing reaches one.
 * ``traced`` — the TraceBus enabled, spans off: every event is published
   and routed, none is written.
 

@@ -296,17 +296,21 @@ def _incidents(args, consumers, end):
     )
 
 
-def _slo(args, consumers, end):
-    source, tracker = consumers
-    policy = SloPolicy(
+def _slo_policy(args):
+    return SloPolicy(
         window=args.window,
         availability_target=args.availability,
         latency_target=args.latency,
     )
+
+
+def _slo(args, consumers, end):
+    source, tracker = consumers
+    policy = _slo_policy(args)
     if args.shard is not None:
         windows = source.slo_windows(args.shard, policy=policy)
     else:
-        windows = source.windows(end, policy=policy)
+        windows = source.windows(end)
     return (
         summarize_slo(windows, policy=policy),
         windows,
@@ -315,14 +319,14 @@ def _slo(args, consumers, end):
 
 
 def _health(args, consumers, end):
-    tracker, _hub, registry = consumers
+    tracker, registry = consumers
     tracker.finalize()
     rows = registry.snapshot(end)
     return summarize_health(rows), rows, registry_from_health(rows)
 
 
 def _alerts(args, consumers, end):
-    tracker, _hub, registry = consumers
+    tracker, registry = consumers
     incidents = tracker.finalize()
     alerts = registry.alert_engine.finalize(end)
     return summarize_alerts(alerts, incidents=incidents), alerts, None
@@ -354,7 +358,8 @@ REPLAYS = {
     "incidents": (lambda args: [_tracker(), RequestWindows()], _incidents),
     "slo": (
         lambda args: [
-            ShardView() if args.shard is not None else RequestWindows(),
+            ShardView() if args.shard is not None
+            else RequestWindows(_slo_policy(args)),
             _tracker(),
         ],
         _slo,
@@ -390,6 +395,17 @@ def _write_json(args, sections):
     return f"[shard rollup view written to {args.json}]"
 
 
+def _no_directory(*paths):
+    """Print the ``error:`` line for the first output path whose directory
+    does not exist, and say whether there was one."""
+    for path in paths:
+        if path is not None and not path.parent.is_dir():
+            print(f"error: no such directory: {path.parent}",
+                  file=sys.stderr)
+            return True
+    return False
+
+
 def replay_command(args):
     """``repro trace|paths|incidents|slo|health|alerts|shards``.
 
@@ -397,8 +413,11 @@ def replay_command(args):
     bus per kernel: per policy, per arm) renders one ``[bus <id>]``
     section per bus, each exactly what that bus's records alone would
     render; Prometheus samples gain a ``bus`` label.  A timeline that
-    cannot be read is one ``error:`` line on stderr and exit 2.
+    cannot be read, or an export path in a directory that does not exist,
+    is one ``error:`` line on stderr and exit 2.
     """
+    if _no_directory(getattr(args, "json", None), getattr(args, "prom", None)):
+        return 2
     build, render = REPLAYS[args.command]
     try:
         replayed = replay(read_timeline(args.file), lambda: build(args))
@@ -482,9 +501,7 @@ def main(argv=None):
         )
         return 2
 
-    if args.trace is not None and not args.trace.parent.is_dir():
-        print(f"error: no such directory: {args.trace.parent}",
-              file=sys.stderr)
+    if _no_directory(args.trace):
         return 2
 
     jobs = args.jobs

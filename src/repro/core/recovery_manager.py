@@ -17,10 +17,12 @@ biggest leaker gets microrebooted) rather than by call-path scores.
 
 A second, opt-in diagnosis mode (``diagnosis="path-analysis"``) replaces
 the static map with the live Pinpoint-style anomaly ranking of a
-:class:`~repro.diagnosis.PathAnalyzer` fed by the span layer: µRB targets
-are picked by observed failed-vs-successful path membership, falling back
-to the static map while too few paths have been observed.  The static mode
-stays the default so the paper's Table 1–4 experiments reproduce unchanged.
+:class:`~repro.diagnosis.PathAnalyzer` that reads the traced requests'
+``request.end`` records off the bus: µRB targets are picked by observed
+failed-vs-successful path membership, falling back to the static map while
+too few paths have been observed (or when no analyzer is given).  The
+static mode stays the default so the paper's Table 1–4 experiments
+reproduce unchanged.
 
 The RM runs one of two schedulers:
 
@@ -60,7 +62,6 @@ from repro.appserver.errors import AppServerError
 from repro.appserver.http import longest_prefix
 from repro.core.hardening import HardeningPolicy
 from repro.core.recovery_graph import RecoveryGraph
-from repro.diagnosis.path_analysis import PathAnalyzer
 from repro.sim.resources import Queue
 from repro.telemetry.metrics import MetricsRegistry
 
@@ -244,10 +245,9 @@ class RecoveryManager:
         self._reports_quarantined = self.metrics.counter("rm.reports.quarantined")
 
         #: "static-map" (the paper's §4 diagnosis) or "path-analysis"
-        #: (Pinpoint-style ranking fed by the span layer).
+        #: (the Pinpoint-style ranking of ``path_analyzer``, the static map
+        #: while it is not ready or absent).
         self.diagnosis = diagnosis
-        if diagnosis == "path-analysis" and path_analyzer is None:
-            path_analyzer = PathAnalyzer(kernel=kernel)
         self.path_analyzer = path_analyzer
         #: Audit log of every EJB-level target choice: which mode produced
         #: it and what the analyzer saw at that moment.

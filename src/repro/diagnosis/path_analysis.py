@@ -1,9 +1,10 @@
 """Pinpoint-style anomaly scoring over observed request paths.
 
 Each completed request contributes one observation: the set of components
-its shepherd thread actually entered (from the span layer) and whether the
-client-side detectors judged it failed.  For every component the analyzer
-maintains the 2×2 contingency table
+its shepherd thread actually entered and whether the client-side detectors
+judged it failed, both read off the request's ``request.end`` record (the
+span layer adds its ``calls`` and ``failed_in``).  For every component the
+analyzer maintains the 2×2 contingency table
 
     =============  ==================  ======================
                    path contains C     path does not contain C
@@ -42,13 +43,15 @@ class PathAnalyzer:
     """Aggregates request paths into a live dependency graph + anomaly
     ranking.
 
-    Register :meth:`record` as a sink on a
-    :class:`~repro.telemetry.spans.SpanCollector`; ask :meth:`rank` for the
-    current most-suspicious components.  ``ready()`` gates consumers (the
-    recovery manager falls back to its static map until enough paths, and
-    enough *failed* paths, have been observed for the statistic to mean
-    anything).
+    A bus consumer of ``request.end`` (subscribe :meth:`feed` with
+    :attr:`kinds`): every record that carries ``calls`` is one observed
+    path.  Ask :meth:`rank` for the current most-suspicious components.
+    ``ready()`` gates consumers (the recovery manager falls back to its
+    static map until enough paths, and enough *failed* paths, have been
+    observed for the statistic to mean anything).
     """
+
+    kinds = ("request.end",)
 
     def __init__(self, kernel=None, window=180.0, max_paths=4096,
                  min_paths=20, min_failed=4):
@@ -64,15 +67,23 @@ class PathAnalyzer:
     # ------------------------------------------------------------------
     # Recording
     # ------------------------------------------------------------------
-    def record(self, path):
-        """SpanCollector sink: absorb one completed RequestPath."""
+    def feed(self, t, kind, fields):
+        """One ``request.end``: its ``calls`` give the path's members and
+        unique call edges; an untraced request (no ``calls``) is skipped."""
+        calls = fields.get("calls")
+        if calls is None:
+            return
         self.record_path(
-            path.finished_at, path.components, path.ok,
-            edges=path.edges, failed_in=path.failed_in,
+            t, [component for _parent, component in calls], fields["ok"],
+            edges=dict.fromkeys(
+                (calls[parent][1], component)
+                for parent, component in calls if parent is not None
+            ),
+            failed_in=fields["failed_in"],
         )
 
     def record_path(self, t, components, ok, edges=(), failed_in=()):
-        """Primitive form (also used to replay JSONL timelines offline)."""
+        """Primitive form (``repro paths`` ranks through it offline)."""
         self._paths.append(
             (t, frozenset(components), bool(ok), tuple(edges),
              tuple(failed_in))

@@ -124,7 +124,7 @@ class ChaosClusterRig:
                     bus=bus, url_path_map=URL_PATH_MAP
                 )
             else:
-                self.incident_tracker, _hub, self.health_registry = (
+                self.incident_tracker, self.health_registry = (
                     predictive_chain(URL_PATH_MAP, bus=bus)
                 )
                 self.alert_engine = self.health_registry.alert_engine

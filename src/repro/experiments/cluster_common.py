@@ -187,7 +187,7 @@ class ClusterRig:
         # are tagged (by the admitting server) with the node that actually
         # served the request — failover redirects stay visible per-path.
         # Enabled only via the spans default (e.g. `repro run --trace`).
-        self.span_collector = SpanCollector(self.kernel)
+        self.span_collector = SpanCollector()
         self.cluster.load_balancer.span_collector = self.span_collector
         for node in self.cluster.nodes:
             node.system.server.span_collector = self.span_collector

@@ -16,7 +16,7 @@ from repro.ebid.schema import DatasetConfig
 from repro.faults.injector import FaultInjector
 from repro.faults.lowlevel import LowLevelInjector
 from repro.observability.report import text_table
-from repro.telemetry.spans import SpanCollector, spans_enabled_by_default
+from repro.telemetry.spans import SpanCollector
 from repro.workload.client import ClientPopulation
 from repro.workload.markov import WorkloadProfile
 
@@ -120,18 +120,23 @@ class SingleNodeRig:
         )
 
         # Span layer: always built (so `repro run --trace` timelines carry
-        # call trees), but only *enabled* — and only feeding a PathAnalyzer
-        # — when path-analysis diagnosis or the --trace default asks for it.
-        # Disabled, it costs one attribute check per request.
+        # call trees), but only *enabled* when path-analysis diagnosis or
+        # the --trace default asks for it; disabled, it costs one attribute
+        # check per request.  A traced request's calls travel on its
+        # request.end, so with the bus on too a PathAnalyzer reads them off
+        # the bus: path-analysis diagnosis turns both on, as --trace does.
+        path_analysis = diagnosis == "path-analysis"
         self.span_collector = SpanCollector(
-            self.kernel,
-            enabled=True if diagnosis == "path-analysis" else None,
+            enabled=True if path_analysis else None
         )
-        self.path_analyzer = None
-        if diagnosis == "path-analysis" or spans_enabled_by_default():
-            self.path_analyzer = PathAnalyzer(kernel=self.kernel)
-            self.span_collector.add_sink(self.path_analyzer.record)
         self.system.server.span_collector = self.span_collector
+        bus = self.kernel.trace
+        if path_analysis:
+            bus.enabled = True
+        self.path_analyzer = None
+        if self.span_collector.enabled and bus.enabled:
+            self.path_analyzer = PathAnalyzer(kernel=self.kernel)
+            bus.subscribe(self.path_analyzer.feed, self.path_analyzer.kinds)
         # The comparison detector's shadow stays untraced: mirrored probes
         # are not real user requests and would dilute the path statistics.
 

@@ -383,7 +383,7 @@ class MegascaleRig:
         # No alert rules: nothing here acts on alerts.
         bus = self.kernel.trace
         bus.enabled = True
-        self.incident_tracker, _hub, self.health_registry = predictive_chain(
+        self.incident_tracker, self.health_registry = predictive_chain(
             URL_PATH_MAP, rules=(), bus=bus
         )
         self.slo_engine = SloEngine(self.metrics, bus=bus)

@@ -6,13 +6,14 @@ recovery → quiet into per-incident MTTR phase decompositions,
 :class:`SloEngine` judges rolling availability/latency windows (publishing
 ``slo.violated`` back onto the bus), and the exporter renders both as
 Prometheus text exposition.  On top of that sits the predictive
-half: :class:`EstimatorHub` keeps streaming per-component MTTF /
-failure-rate / hazard estimates, :class:`ComponentHealthRegistry` blends
-hazard + SLO burn + flap history + heap trend into bounded 0–100 health
-scores, and :class:`AlertEngine` thresholds them into
-``alert.fired`` / ``alert.resolved`` bus events.  Everything here is
-passive — it subscribes, it never schedules — so enabling observability
-cannot change what a simulation does, only what it tells you.
+half: :class:`ComponentHealthRegistry` keeps a streaming MTTF /
+failure-rate / hazard estimator per component, fed by the tracker's
+incident closures, and blends hazard + SLO burn + flap history + heap
+trend into bounded 0–100 health scores, which :class:`AlertEngine`
+thresholds into ``alert.fired`` / ``alert.resolved`` bus events.
+Everything here is passive — it subscribes, it never schedules — so
+enabling observability cannot change what a simulation does, only what it
+tells you.
 
 Every consumer speaks one protocol, a ``kinds`` filter plus
 ``feed(t, kind, fields)``: a live run subscribes ``feed`` to its bus,
@@ -36,7 +37,6 @@ from repro.observability.alerts import (
     median,
 )
 from repro.observability.estimators import (
-    EstimatorHub,
     Ewma,
     FailureRateEstimator,
     MovingAverage,
@@ -87,7 +87,6 @@ __all__ = [
     "ClusterIncidentCorrelator",
     "ComponentHealthRegistry",
     "DEFAULT_QUIET_PERIOD",
-    "EstimatorHub",
     "Ewma",
     "FailureRateEstimator",
     "HeapTrendTracker",

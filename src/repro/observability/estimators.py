@@ -20,13 +20,13 @@ stitches:
   that has been quiet for several expected lifetimes converges back
   towards zero.
 
-Failures are *observed* events, never ground truth: the hub is fed by
-:class:`~repro.observability.incidents.IncidentTracker` closures (one
-failure per component per incident, stamped at the incident's open time)
-and by detector/RM failure reports on the TraceBus (a per-component
-report-rate EWMA — denser, noisier, earlier than incidents).  It never
-reads injected-fault events, so the estimates measure what a production
-operator could measure.
+Failures are *observed* events, never ground truth: the
+:class:`~repro.observability.health.ComponentHealthRegistry` keeps one
+:class:`FailureRateEstimator` per ``(server, component)`` and feeds it the
+:class:`~repro.observability.incidents.IncidentTracker`'s closures (one
+failure per component per incident, stamped at the incident's open time).
+It never reads injected-fault events, so the estimates measure what a
+production operator could measure.
 
 Warm-up is explicit: every estimate answers ``None`` (the documented
 warm-up sentinel) until it has the samples it needs — an MTTF needs two
@@ -34,14 +34,12 @@ failures (one interval), a hazard needs one.  Callers must treat ``None``
 as "no opinion yet", never as zero.
 
 Everything here is passive and deterministic: no kernel events are
-scheduled, state is a pure function of the fed event stream, and
-:meth:`EstimatorHub.state` exposes it for the same-seed ⇒ same-state
-contract the tests gate on.
+scheduled, state is a pure function of the fed failure times, and
+:meth:`FailureRateEstimator.state` exposes it for the same-seed ⇒
+same-state contract the tests gate on.
 """
 
 from collections import deque
-
-from repro.observability.incidents import path_for_url
 
 #: The documented warm-up sentinel: estimates are ``None`` until enough
 #: samples exist, and callers must treat that as "no opinion yet".
@@ -137,11 +135,6 @@ class FailureRateEstimator:
             self.last_failure_at = t
 
     # ------------------------------------------------------------------
-    @property
-    def intervals(self):
-        """How many inter-failure intervals have been observed."""
-        return max(0, self.failures - 1)
-
     def mttf(self):
         """Moving-average mean time to failure (:data:`WARMUP` until the
         second failure provides the first interval)."""
@@ -185,124 +178,4 @@ class FailureRateEstimator:
             "mttf_ewma": self.mttf_ewma(),
             "failure_rate": self.failure_rate(),
             "rate_ewma": self._rate_ewma.value,
-        }
-
-
-#: Bus kinds the hub listens to.  Reports are failure *evidence* (dense,
-#: early); incident closures (via the tracker's close listeners) are the
-#: failure *unit* MTTF is measured over.
-REPORT_KINDS = ("detector.report", "rm.report")
-
-
-class EstimatorHub:
-    """Per-component estimator registry fed live from the incident stream.
-
-    Two feeds, both observational:
-
-    * **incident closures** — wire via ``tracker.close_listeners.append(
-      hub.on_incident_closed)`` (or pass ``tracker=`` and the hub wires
-      itself).  Each closure records one failure per involved component,
-      stamped at the incident's *open* time, into that component's
-      :class:`FailureRateEstimator`;
-    * **failure reports** — :data:`kinds` through :meth:`feed` (live
-      when given a ``bus``): a per-component report-rate EWMA (reports
-      per second), mapping URLs to components through the same
-      longest-prefix map the RM diagnoses with.
-
-    Components are keyed ``(server, component)`` with ``server=None`` when
-    the event stream does not attribute one, so a cluster's same-named
-    components on different nodes estimate independently.
-    """
-
-    kinds = REPORT_KINDS
-
-    def __init__(self, bus=None, tracker=None, url_path_map=None,
-                 window=DEFAULT_WINDOW, alpha=DEFAULT_ALPHA):
-        self.url_path_map = dict(url_path_map or {})
-        self.window = window
-        self.alpha = alpha
-        self.estimators = {}  # (server, component) -> FailureRateEstimator
-        self._report_rate = {}  # (server, component) -> Ewma of report rate
-        self._last_report_at = {}
-        self.reports_seen = 0
-        self.incidents_seen = 0
-        if bus is not None:
-            bus.subscribe(self.feed, self.kinds)
-        if tracker is not None:
-            tracker.close_listeners.append(self.on_incident_closed)
-
-    # ------------------------------------------------------------------
-    # Intake
-    # ------------------------------------------------------------------
-    def _estimator(self, key):
-        estimator = self.estimators.get(key)
-        if estimator is None:
-            estimator = FailureRateEstimator(self.window, self.alpha)
-            self.estimators[key] = estimator
-        return estimator
-
-    def on_incident_closed(self, incident):
-        """IncidentTracker close listener: one failure per component."""
-        self.incidents_seen += 1
-        components = incident.components or {incident.key}
-        for component in components:
-            self._estimator((incident.server, component)).record_failure(
-                incident.opened_at
-            )
-
-    def feed(self, t, kind, fields):
-        """One failure report: bump the report-rate EWMA of its components."""
-        self.reports_seen += 1
-        server = fields.get("server")
-        url = fields.get("url", "")
-        for component in path_for_url(url, self.url_path_map):
-            key = (server, component)
-            last = self._last_report_at.get(key)
-            if last is not None and t > last:
-                rate = self._report_rate.get(key)
-                if rate is None:
-                    rate = self._report_rate[key] = Ewma(self.alpha)
-                rate.observe(1.0 / (t - last))
-            self._last_report_at[key] = t
-
-    # ------------------------------------------------------------------
-    # Queries (all honor the WARMUP sentinel)
-    # ------------------------------------------------------------------
-    def keys(self):
-        """Every (server, component) key seen so far, sorted."""
-        seen = set(self.estimators) | set(self._last_report_at)
-        return sorted(seen, key=lambda k: (str(k[0]), k[1]))
-
-    def failure_keys(self):
-        """Keys with incident-attributed failures (excludes report-rate
-        keys, which are unattributed when the report stream carries no
-        server — e.g. client-side ``detector.report``)."""
-        return sorted(self.estimators, key=lambda k: (str(k[0]), k[1]))
-
-    def mttf(self, component, server=None):
-        estimator = self.estimators.get((server, component))
-        return estimator.mttf() if estimator is not None else WARMUP
-
-    def failure_rate(self, component, server=None):
-        estimator = self.estimators.get((server, component))
-        return estimator.failure_rate() if estimator is not None else WARMUP
-
-    def hazard(self, component, server=None, now=0.0):
-        estimator = self.estimators.get((server, component))
-        return estimator.hazard(now) if estimator is not None else WARMUP
-
-    def report_rate(self, component, server=None):
-        """Failure reports per second touching ``component`` (EWMA)."""
-        rate = self._report_rate.get((server, component))
-        return rate.value if rate is not None else WARMUP
-
-    def state(self):
-        """Deterministic plain-data snapshot of every estimator."""
-        return {
-            f"{server or '-'}/{component}": {
-                **self.estimators[(server, component)].state(),
-            }
-            for server, component in sorted(
-                self.estimators, key=lambda k: (str(k[0]), k[1])
-            )
         }

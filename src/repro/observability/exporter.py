@@ -12,7 +12,6 @@
 """
 
 from repro.observability.alerts import AlertEngine
-from repro.observability.estimators import EstimatorHub
 from repro.observability.health import ComponentHealthRegistry
 from repro.observability.incidents import IncidentTracker
 from repro.telemetry.trace import _Subscription, record_fields
@@ -196,19 +195,19 @@ def replay(records, build):
 def predictive_chain(url_path_map=None, rules=None, bus=None):
     """The predictive stack, live on ``bus`` or unsubscribed for :func:`replay`.
 
-    IncidentTracker → EstimatorHub → ComponentHealthRegistry (which
-    drives an AlertEngine with ``rules``, the default rules when None).
-    Given a ``bus``, each consumer subscribes to it in that order and the
-    alert engine publishes ``alert.*`` on it: the live rigs build their
-    consumers here, so replay feeds each event to the same consumers in
-    the order the live run did.
+    IncidentTracker → ComponentHealthRegistry (which listens for the
+    tracker's incident closures and drives an AlertEngine with ``rules``,
+    the default rules when None).  Given a ``bus``, each consumer
+    subscribes to it in that order and the alert engine publishes
+    ``alert.*`` on it: the live rigs build their consumers here, so replay
+    feeds each event to the same consumers in the order the live run did.
     """
     tracker = IncidentTracker(bus=bus, url_path_map=url_path_map)
-    hub = EstimatorHub(bus=bus, tracker=tracker, url_path_map=url_path_map)
     registry = ComponentHealthRegistry(
-        bus=bus, hub=hub, alert_engine=AlertEngine(rules=rules, bus=bus)
+        bus=bus, tracker=tracker,
+        alert_engine=AlertEngine(rules=rules, bus=bus),
     )
-    return [tracker, hub, registry]
+    return [tracker, registry]
 
 
 def registry_from_health(rows):

@@ -1,10 +1,11 @@
 """Component health scoring: many weak signals → one bounded number.
 
-The estimators (:mod:`repro.observability.estimators`) answer "how often
-does this component fail?"; the SLO engine answers "is the service inside
-its error budget?"; the recovery manager's hardening state answers "is
-this component flapping?"; and the heap model answers "is this node
-leaking towards an alarm?".  Each signal alone is noisy — the
+The failure estimators (:mod:`repro.observability.estimators`, one per
+component, fed by the incident tracker's closures) answer "how often does
+this component fail?"; the SLO engine answers "is the service inside its
+error budget?"; the recovery manager's hardening state answers "is this
+component flapping?"; and the heap model answers "is this node leaking
+towards an alarm?".  Each signal alone is noisy — the
 :class:`ComponentHealthRegistry` combines them into a single bounded
 **0–100 health score** per ``(server, component)``, the quantity alert
 rules threshold on and operators skim:
@@ -13,9 +14,11 @@ rules threshold on and operators skim:
 
 with every penalty term normalized into ``[0, 1]``:
 
-* **hazard** — the component's instantaneous failure intensity from its
-  :class:`~repro.observability.estimators.FailureRateEstimator`, scaled so
-  one expected failure per :data:`HAZARD_FULL_SCALE` seconds saturates;
+* **hazard** — the component's instantaneous failure intensity from the
+  :class:`~repro.observability.estimators.FailureRateEstimator` the
+  registry keeps for it (one failure per component per closed incident,
+  stamped at the incident's open time), scaled so one expected failure per
+  :data:`HAZARD_FULL_SCALE` seconds saturates;
 * **burn** — the cluster's SLO error-budget burn rate from live
   ``slo.violated`` publishes (a cluster-wide signal: every component on a
   burning cluster is suspect), decaying once windows stop violating;
@@ -33,9 +36,10 @@ with every penalty term normalized into ``[0, 1]``:
 Warm signals only subtract: a component with no evidence of trouble
 scores 100, and the score can never leave ``[0, 100]``.
 
-The registry is a passive TraceBus subscriber — it never schedules
-kernel events.  When an :class:`~repro.observability.alerts.AlertEngine`
-is attached, each intake event pokes ``engine.evaluate(now, self)``, so
+The registry is a passive TraceBus subscriber and incident close
+listener — it never schedules kernel events.  When an
+:class:`~repro.observability.alerts.AlertEngine` is attached, each intake
+event pokes ``engine.evaluate(now, self)``, so
 alerting piggybacks on event arrival instead of polling: zero run
 perturbation, which is what lets a "shadow" arm measure alert lead time
 on a byte-identical schedule.
@@ -43,7 +47,7 @@ on a byte-identical schedule.
 
 from collections import deque
 
-from repro.observability.estimators import Ewma
+from repro.observability.estimators import Ewma, FailureRateEstimator
 
 #: Penalty weights (sum 100 — each term's ceiling on the score).
 WEIGHTS = {"hazard": 30.0, "burn": 25.0, "flap": 20.0, "heap": 25.0}
@@ -74,6 +78,9 @@ BURN_DECAY = 90.0
 #: heap.sample observations kept per server for the trend fit.
 HEAP_RING = 32
 
+#: Fraction of heap capacity left free at which the heap alarm fires.
+HEAP_ALARM_FRACTION = 0.10
+
 #: An available-memory jump of this fraction of capacity between samples
 #: means memory was *reclaimed* (µRB, restart): the old trend is obsolete.
 HEAP_RESET_FRACTION = 0.05
@@ -94,11 +101,10 @@ class HeapTrendTracker:
     Keeps the last :data:`HEAP_RING` ``(t, available)`` samples; the
     fitted slope (bytes/second, negative while leaking) extrapolates to a
     predicted time-to-alarm — the moment ``available`` crosses
-    ``alarm_fraction × capacity`` free.
+    :data:`HEAP_ALARM_FRACTION` × capacity free.
     """
 
-    def __init__(self, alarm_fraction=0.10):
-        self.alarm_fraction = alarm_fraction
+    def __init__(self):
         self.samples = deque(maxlen=HEAP_RING)
         self.capacity = None
 
@@ -150,7 +156,7 @@ class HeapTrendTracker:
         """
         if not self.samples or self.capacity is None:
             return None
-        floor = self.alarm_fraction * self.capacity
+        floor = HEAP_ALARM_FRACTION * self.capacity
         available = self.samples[-1][1]
         if available <= floor:
             return 0.0
@@ -169,19 +175,19 @@ class ComponentHealthRegistry:
 
     A consumer of :data:`kinds` through :meth:`feed` — live when given a
     ``bus``, offline under :func:`~repro.observability.exporter.replay` —
-    with the :class:`~repro.observability.estimators.EstimatorHub`
-    supplying hazards.  Components become known the first time any
-    signal names them, or eagerly via :meth:`register`.
+    and, given a ``tracker``, a listener for its incident closures, which
+    feed the per-component failure estimators its hazards and MTTFs come
+    from.  Components become known the first time any signal names them,
+    or eagerly via :meth:`register`.
     """
 
     kinds = HEALTH_KINDS
 
-    def __init__(self, bus=None, hub=None, alert_engine=None,
-                 weights=None, heap_alarm_fraction=0.10):
-        self.hub = hub
+    def __init__(self, bus=None, tracker=None, alert_engine=None):
         self.alert_engine = alert_engine
-        self.weights = dict(weights or WEIGHTS)
-        self.heap_alarm_fraction = heap_alarm_fraction
+        #: (server, component) -> FailureRateEstimator, keyed per server so
+        #: a cluster's same-named components estimate independently.
+        self.estimators = {}
         self._keys = set()  # (server, component)
         self._heap = {}  # server -> HeapTrendTracker
         #: (server, component) -> {"repeats", "last_at", "quarantined_until"}
@@ -193,6 +199,8 @@ class ComponentHealthRegistry:
         self._last_eval = None
         if bus is not None:
             bus.subscribe(self.feed, self.kinds)
+        if tracker is not None:
+            tracker.close_listeners.append(self.on_incident_closed)
 
     def register(self, server, components):
         """Pre-seed the component universe (healthy = visible at 100)."""
@@ -202,6 +210,16 @@ class ComponentHealthRegistry:
     # ------------------------------------------------------------------
     # Intake
     # ------------------------------------------------------------------
+    def on_incident_closed(self, incident):
+        """Incident close listener: one failure per involved component,
+        stamped at the incident's open time."""
+        for component in incident.components or {incident.key}:
+            key = (incident.server, component)
+            estimator = self.estimators.get(key)
+            if estimator is None:
+                estimator = self.estimators[key] = FailureRateEstimator()
+            estimator.record_failure(incident.opened_at)
+
     def feed(self, t, kind, fields):
         self.now = max(self.now, t)
         self.events_seen += 1
@@ -256,9 +274,7 @@ class ComponentHealthRegistry:
     def _heap_tracker(self, server):
         tracker = self._heap.get(server)
         if tracker is None:
-            tracker = self._heap[server] = HeapTrendTracker(
-                alarm_fraction=self.heap_alarm_fraction
-            )
+            tracker = self._heap[server] = HeapTrendTracker()
         return tracker
 
     def _flap_state(self, server, component):
@@ -275,9 +291,8 @@ class ComponentHealthRegistry:
     # Signals (each normalized into [0, 1])
     # ------------------------------------------------------------------
     def hazard_signal(self, server, component, now):
-        if self.hub is None:
-            return 0.0
-        hazard = self.hub.hazard(component, server=server, now=now)
+        estimator = self.estimators.get((server, component))
+        hazard = estimator.hazard(now) if estimator is not None else None
         if hazard is None:
             return 0.0
         return min(1.0, hazard * HAZARD_FULL_SCALE)
@@ -331,7 +346,7 @@ class ComponentHealthRegistry:
             "heap": self.heap_signal(server, now),
         }
         penalty = sum(
-            self.weights[name] * value for name, value in signals.items()
+            WEIGHTS[name] * value for name, value in signals.items()
         )
         score = min(100.0, max(0.0, 100.0 - penalty))
         return {"score": score, "signals": signals}
@@ -341,12 +356,7 @@ class ComponentHealthRegistry:
 
     def keys(self):
         """Every (server, component) known, sorted deterministically."""
-        seen = set(self._keys)
-        if self.hub is not None:
-            # Only incident-attributed keys: report-rate keys may carry
-            # server=None (client-side reports) and would duplicate every
-            # registered component as a phantom "-" row.
-            seen.update(self.hub.failure_keys())
+        seen = self._keys.union(self.estimators)
         return sorted(seen, key=lambda k: (str(k[0]), str(k[1])))
 
     def servers(self):
@@ -360,6 +370,7 @@ class ComponentHealthRegistry:
         rows = []
         for server, component in self.keys():
             health = self.health(component, server=server, now=now)
+            estimator = self.estimators.get((server, component))
             rows.append(
                 {
                     "server": server,
@@ -370,8 +381,7 @@ class ComponentHealthRegistry:
                         for name, value in health["signals"].items()
                     },
                     "mttf": (
-                        self.hub.mttf(component, server=server)
-                        if self.hub is not None else None
+                        estimator.mttf() if estimator is not None else None
                     ),
                 }
             )

@@ -123,7 +123,20 @@ def _quantile(sorted_values, q):
     return sorted_values[index]
 
 
+def _quantiles(response_times):
+    """(p50, p99) of one window's response times (Nones when empty)."""
+    rts = sorted(response_times)
+    return _quantile(rts, 0.50), _quantile(rts, 0.99)
+
+
 def _build_window(start, end, good_series, bad_series, window_rts, policy):
+    return _judge_window(start, end, good_series, bad_series,
+                         _quantiles(window_rts), policy)
+
+
+def _judge_window(start, end, good_series, bad_series, quantiles, policy):
+    """``[start, end)`` judged from per-second good/bad buckets and the
+    window's ``(p50, p99)``."""
     window = SloWindow(
         start=start, end=end,
         availability_target=policy.availability_target,
@@ -134,9 +147,7 @@ def _build_window(start, end, good_series, bad_series, window_rts, policy):
     window.bad = sum(
         v for t, v in bad_series.items() if start <= t < end
     )
-    rts = sorted(window_rts)
-    window.p50 = _quantile(rts, 0.50)
-    window.p99 = _quantile(rts, 0.99)
+    window.p50, window.p99 = quantiles
     if window.total >= policy.min_requests:
         availability = window.availability
         if availability is not None and availability < policy.availability_target:
@@ -193,16 +204,29 @@ class RequestWindows:
     Timelines carry ``request.end`` events (ok, duration) but not the
     action grouping Taw needs, so this mode approximates Taw with
     per-request accounting: each request counts good or bad individually
-    at its completion time.  For live runs the canonical Taw-weighted
-    series from :class:`TawAccounting` is used instead.
+    in the per-second bucket of its completion time.  For live runs the
+    canonical Taw-weighted series from :class:`TawAccounting` is used
+    instead.
+
+    Response times are held only for the ``policy`` window the bus clock
+    is in: records arrive in time order, so a window's p50/p99 are final,
+    and kept, once a later request ends.  Only they close early — the
+    good/bad buckets go by whole second and are summed per window when
+    :meth:`windows` judges them, so with a 2.5 s window a request ending
+    at t=7.6 counts in [5, 7.5) while its response time belongs to
+    [7.5, 10), as in :func:`compute_windows`.
     """
 
     #: Every record, not just ``request.end``: the judged span runs to the
     #: timeline's last event, whatever its kind.
     kinds = None
 
-    def __init__(self):
-        self.good, self.bad, self.response_times = {}, {}, []
+    def __init__(self, policy=None):
+        self.policy = policy or SloPolicy()
+        self.good, self.bad = {}, {}
+        #: The window index the bus clock is in and its response times;
+        #: (p50, p99) per earlier window that held one.
+        self._index, self._current, self._closed = 0, [], {}
 
     def feed(self, t, kind, fields):
         if kind != "request.end":
@@ -212,12 +236,26 @@ class RequestWindows:
         series[bucket] = series.get(bucket, 0) + 1
         duration = fields.get("duration")
         if duration is not None:
-            self.response_times.append((t, duration))
+            index = int(t // self.policy.window)
+            if index != self._index:
+                if self._current:
+                    self._closed[self._index] = _quantiles(self._current)
+                self._index, self._current = index, []
+            self._current.append(duration)
 
-    def windows(self, t_end, policy=None):
-        """Every full window in ``[0, t_end)``, judged against ``policy``."""
-        return compute_windows(self.good, self.bad, self.response_times,
-                               t_end, policy=policy)
+    def windows(self, t_end):
+        """Every full window in ``[0, t_end)``, judged against the policy."""
+        quantiles = dict(self._closed)
+        if self._current:
+            quantiles[self._index] = _quantiles(self._current)
+        width = self.policy.window
+        return [
+            _judge_window(
+                k * width, k * width + width, self.good, self.bad,
+                quantiles.get(k, (None, None)), self.policy,
+            )
+            for k in range(int(t_end // width))
+        ]
 
 
 class SloEngine:

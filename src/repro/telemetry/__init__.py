@@ -11,6 +11,11 @@ counters:
   callbacks; the bus itself stores none.  Disabled by default: a run that
   does not opt in counts zero events and pays one attribute check per
   publish.
+* the causal span layer (:class:`SpanCollector`, :class:`TraceContext`,
+  :class:`Span`) — off by default; a traced request records one span per
+  component call, and its ``request.end`` carries the observed ``calls``
+  and ``failed_in``.  The layer keeps no sinks: ``repro paths`` and the
+  live path analyzer both read that record.
 * :class:`MetricsRegistry` — named counters, gauges, counter families and
   streaming histograms (p50/p95/p99 without storing samples) that back the
   counters of ``cluster.load_balancer`` and ``core.recovery_manager``.
@@ -36,7 +41,6 @@ from repro.telemetry.metrics import (
     MetricsRegistry,
 )
 from repro.telemetry.spans import (
-    RequestPath,
     Span,
     SpanCollector,
     TraceContext,
@@ -56,7 +60,6 @@ __all__ = [
     "GaugeFamily",
     "Histogram",
     "MetricsRegistry",
-    "RequestPath",
     "Span",
     "SpanCollector",
     "TimelineError",

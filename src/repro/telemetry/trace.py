@@ -82,14 +82,22 @@ def tracing_enabled_by_default():
     return _default_enabled
 
 
+#: ``(written name, payload name)`` of a payload key named like an
+#: envelope key: a capture writes it with an ``x_`` prefix.
+_REMAPS = tuple((f"x_{key}", key) for key in RESERVED_KEYS)
+
+
 def record_fields(record):
     """A timeline record's payload as published: the envelope dropped and
-    the ``x_`` remaps of payload keys named like envelope keys undone."""
-    return {
-        key[2:] if key[:2] == "x_" and key[2:] in RESERVED_KEYS else key: value
-        for key, value in record.items()
-        if key not in RESERVED_KEYS
-    }
+    the ``x_`` remaps of payload keys named like envelope keys undone
+    (a remapped key moves to the end of the payload)."""
+    fields = dict(record)
+    for key in RESERVED_KEYS:
+        fields.pop(key, None)
+    for written, key in _REMAPS:
+        if written in fields:
+            fields[key] = fields.pop(written)
+    return fields
 
 
 def _normalize_kinds(kinds):

@@ -143,18 +143,12 @@ class EmulatedClient:
             failure = yield from self.comparison.check(request, response)
 
         # The client knows the end-to-end verdict, so it closes the span
-        # trace (if admission attached one): the completed path carries the
-        # gold failure label the path analyzer correlates against, and the
-        # request's record carries the calls it observed.
+        # trace (if admission attached one): the request's record carries
+        # the calls it observed beside the verdict, the gold failure label
+        # the path analyzer correlates them against.
         observed = {}
         if request.trace is not None:
-            path = request.trace.finish(
-                ok=failure is None,
-                failure=failure.value if failure is not None else None,
-            )
-            observed = {"calls": path.calls, "failed_in": path.failed_in}
-            if path.truncated:
-                observed["truncated"] = True
+            observed = request.trace.finish()
 
         # ``enabled`` is checked here rather than inside publish() so the
         # disabled (default) case does not even build the kwargs dict —

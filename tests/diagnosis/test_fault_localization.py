@@ -1,4 +1,5 @@
-"""End-to-end fault localization: spans → PathAnalyzer → RecoveryManager.
+"""End-to-end fault localization: spans → ``request.end`` →
+PathAnalyzer → RecoveryManager.
 
 The acceptance scenario for path-analysis diagnosis: a transient exception
 seeded into one EJB, with the RM's static URL map *stale* (it predates the
@@ -57,23 +58,29 @@ def test_static_default_keeps_span_layer_disabled():
     assert not rig.span_collector.enabled
 
 
-def test_path_analysis_rig_wires_analyzer_as_sink():
+def test_path_analysis_rig_subscribes_its_analyzer_to_its_bus():
+    """Path-analysis diagnosis turns the span layer and the bus on, and the
+    analyzer the RM ranks with reads ``request.end`` off that bus."""
     rig = SingleNodeRig(n_clients=1, diagnosis="path-analysis")
-    assert rig.span_collector.enabled
+    assert rig.span_collector.enabled and rig.kernel.trace.enabled
     assert rig.path_analyzer is not None
     assert rig.recovery_manager.path_analyzer is rig.path_analyzer
-    assert rig.path_analyzer.record in rig.span_collector.sinks
+    rig.kernel.trace.publish("request.end", ok=False,
+                             calls=((None, "EbidWAR"),), failed_in=())
+    assert rig.path_analyzer.recorded == 1
 
 
 def test_rm_falls_back_to_static_before_enough_paths():
     """With no observed paths the analyzer is not ready; the diagnosis
     audit must show the static fallback, not a path-analysis pick."""
     rig = SingleNodeRig(n_clients=30, diagnosis="path-analysis")
-    # Starve the analyzer: detach the sink so it never sees a path.
-    rig.span_collector.remove_sink(rig.path_analyzer.record)
+    # Starve the analyzer: untraced requests end without calls, which it
+    # skips.
+    rig.span_collector.enabled = False
     rig.injector.inject_transient_exception("BrowseCategories")
     rig.start()
     rig.run_for(60.0)
     assert rig.recovery_manager.actions, "RM never acted"
     assert rig.recovery_manager.diagnosis_log
+    assert rig.path_analyzer.recorded == 0
     assert rig.recovery_manager.diagnosis_log[0]["mode"] == "static-fallback"

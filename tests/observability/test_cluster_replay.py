@@ -39,7 +39,7 @@ def storm_run(tmp_path_factory):
 
 
 def test_replayed_incidents_match_live(storm_run):
-    rig, outcome, (tracker, _hub, _registry, view), _end = storm_run
+    rig, outcome, (tracker, _registry, view), _end = storm_run
     assert [i.to_dict() for i in tracker.incidents] == [
         i.to_dict() for i in rig.incident_tracker.incidents
     ]
@@ -55,7 +55,7 @@ def test_replayed_incidents_match_live(storm_run):
 
 
 def test_replayed_health_scores_match_live(storm_run):
-    rig, _outcome, (_tracker, _hub, registry, _view), end = storm_run
+    rig, _outcome, (_tracker, registry, _view), end = storm_run
     # Scores decay with time: score the live registry at the replay's end.
     live = {
         (row["server"], row["component"]): row

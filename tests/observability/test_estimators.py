@@ -5,12 +5,11 @@ import pytest
 from repro.observability.estimators import (
     WARMUP,
     Ewma,
-    EstimatorHub,
     FailureRateEstimator,
     MovingAverage,
 )
+from repro.observability.health import ComponentHealthRegistry
 from repro.observability.incidents import IncidentTracker
-from repro.telemetry.trace import TraceBus
 
 URL_PATH_MAP = {
     "/ebid/ViewItem": ("EbidWAR", "ViewItem", "Item"),
@@ -97,25 +96,25 @@ def test_estimator_state_is_plain_data():
 
 
 # ----------------------------------------------------------------------
-# EstimatorHub
+# The health registry's estimators, fed by incident closures
 # ----------------------------------------------------------------------
 
-def make_hub(**kwargs):
-    kwargs.setdefault("url_path_map", URL_PATH_MAP)
-    return EstimatorHub(**kwargs)
+def make_registry():
+    tracker = IncidentTracker(url_path_map=URL_PATH_MAP)
+    return tracker, ComponentHealthRegistry(tracker=tracker)
 
 
 def test_empty_incident_stream_has_empty_state():
-    hub = make_hub()
-    assert hub.keys() == []
-    assert hub.failure_keys() == []
-    assert hub.state() == {}
-    assert hub.mttf("Item", server="node1") is WARMUP
+    tracker, registry = make_registry()
+    tracker.finalize(400.0)
+    assert registry.estimators == {}
+    assert registry.keys() == []
+    assert registry.snapshot() == []
+    assert tracker.close_listeners == [registry.on_incident_closed]
 
 
 def test_incident_closures_feed_per_component_estimators():
-    tracker = IncidentTracker(url_path_map=URL_PATH_MAP)
-    hub = make_hub(tracker=tracker)
+    tracker, registry = make_registry()
     for opened in (100.0, 200.0, 300.0):
         tracker.feed(opened, "fault.injected",
                      {"target": "Item", "fault": "x", "server": "node1"})
@@ -123,36 +122,22 @@ def test_incident_closures_feed_per_component_estimators():
                      {"level": "ejb", "target": ("Item",), "ok": True,
                       "duration": 1.0, "server": "node1"})
     tracker.finalize(400.0)
-    assert hub.incidents_seen == 3
+    assert list(registry.estimators) == [("node1", "Item")]
+    estimator = registry.estimators[("node1", "Item")]
+    assert estimator.failures == 3
     # Failures are stamped at incident *open* times: intervals of 100 s.
-    assert hub.mttf("Item", server="node1") == pytest.approx(100.0)
-    assert hub.failure_rate("Item", server="node1") == pytest.approx(0.01)
-
-
-def test_report_feed_tracks_rate_but_not_failure_keys():
-    hub = make_hub()
-    report = {"url": "/ebid/ViewItem", "server": "node1"}
-    hub.feed(10.0, "rm.report", report)
-    hub.feed(12.0, "rm.report", report)
-    assert hub.report_rate("ViewItem", server="node1") == pytest.approx(0.5)
-    assert ("node1", "ViewItem") in hub.keys()
-    # No incident-attributed failures yet: failure_keys stays empty.
-    assert hub.failure_keys() == []
-
-
-def test_bus_subscription_and_detach():
-    bus = TraceBus(enabled=True)
-    hub = make_hub(bus=bus)
-    bus.publish("rm.report", url="/ebid/ViewItem", server="node1")
-    bus.publish("rm.decision", level="ejb", server="node1")  # not a report
-    assert hub.reports_seen == 1
+    assert estimator.mttf() == pytest.approx(100.0)
+    assert estimator.failure_rate() == pytest.approx(0.01)
+    [row] = registry.snapshot(now=400.0)
+    assert (row["server"], row["component"]) == ("node1", "Item")
+    assert row["mttf"] == pytest.approx(100.0)
+    assert row["hazard"] > 0.0
 
 
 def test_same_stream_yields_identical_state():
-    """Determinism: two hubs fed the same history agree exactly."""
-    def feed(hub):
-        tracker = IncidentTracker(url_path_map=URL_PATH_MAP)
-        tracker.close_listeners.append(hub.on_incident_closed)
+    """Determinism: two registries fed the same history agree exactly."""
+    def feed():
+        tracker, registry = make_registry()
         for opened in (50.0, 125.0, 280.0, 333.0):
             tracker.feed(opened, "fault.injected",
                          {"target": "Bid", "fault": "x", "server": "node2"})
@@ -160,9 +145,9 @@ def test_same_stream_yields_identical_state():
                          {"level": "ejb", "target": ("Bid",), "ok": True,
                           "duration": 1.0, "server": "node2"})
         tracker.finalize(400.0)
-        report = {"url": "/ebid/CommitBid", "server": "node2"}
-        hub.feed(60.0, "rm.report", report)
-        hub.feed(65.0, "rm.report", report)
-        return hub.state()
+        return (
+            {key: est.state() for key, est in registry.estimators.items()},
+            registry.snapshot(now=400.0),
+        )
 
-    assert feed(make_hub()) == feed(make_hub())
+    assert feed() == feed()

@@ -254,20 +254,20 @@ class RecordingBus(TraceBus):
 def test_predictive_chain_on_a_bus_subscribes_in_replay_order():
     bus = RecordingBus()
     chain = predictive_chain(URL_PATH_MAP, bus=bus)
-    tracker, hub, registry = chain
+    tracker, registry = chain
     assert bus.subscribers == chain
-    assert hub.url_path_map == tracker.url_path_map == URL_PATH_MAP
-    assert registry.hub is hub
+    assert tracker.url_path_map == URL_PATH_MAP
+    assert tracker.close_listeners == [registry.on_incident_closed]
     assert registry.alert_engine.bus is bus
     assert len(registry.alert_engine.rules) == 3  # the default rules
-    _tracker, _hub, quiet = predictive_chain(rules=(), bus=RecordingBus())
+    _tracker, quiet = predictive_chain(rules=(), bus=RecordingBus())
     assert quiet.alert_engine.rules == ()
 
 
 def test_predictive_chain_without_a_bus_subscribes_nothing():
-    tracker, hub, registry = predictive_chain(URL_PATH_MAP)
+    tracker, registry = predictive_chain(URL_PATH_MAP)
     assert registry.alert_engine.bus is None
-    assert tracker.close_listeners == [hub.on_incident_closed]
+    assert tracker.close_listeners == [registry.on_incident_closed]
 
 
 def test_predictive_chain_alert_engine_publishes_on_the_bus():
@@ -275,7 +275,7 @@ def test_predictive_chain_alert_engine_publishes_on_the_bus():
     published = record(bus)  # first subscriber: sees publish order
     flapping = AlertRule(name="flapping", signal="flap", threshold=0.5,
                          below=False)
-    _tracker, _hub, registry = predictive_chain(
+    _tracker, registry = predictive_chain(
         URL_PATH_MAP, rules=(flapping,), bus=bus
     )
     alerts = []

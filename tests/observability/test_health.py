@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.observability.estimators import EstimatorHub
+from repro.observability.estimators import FailureRateEstimator
 from repro.observability.health import (
     HEAP_RESET_FRACTION,
     ComponentHealthRegistry,
@@ -12,10 +12,6 @@ from repro.telemetry.trace import TraceBus
 
 MB = 1024 * 1024
 CAPACITY = 1024 * MB
-
-URL_PATH_MAP = {
-    "/ebid/ViewItem": ("EbidWAR", "ViewItem", "Item"),
-}
 
 
 # ----------------------------------------------------------------------
@@ -37,7 +33,7 @@ def test_trend_needs_two_samples():
 
 
 def test_linear_drain_extrapolates_to_alarm():
-    tracker = HeapTrendTracker(alarm_fraction=0.10)
+    tracker = HeapTrendTracker()
     last = drain(tracker, start=900 * MB, rate=3 * MB)
     assert tracker.slope() == pytest.approx(-3 * MB, rel=1e-6)
     # From ~825 MB down to the ~102 MB alarm floor at 3 MB/s.
@@ -53,7 +49,7 @@ def test_flat_heap_predicts_no_alarm():
 
 
 def test_already_below_alarm_is_zero():
-    tracker = HeapTrendTracker(alarm_fraction=0.10)
+    tracker = HeapTrendTracker()
     drain(tracker, start=110 * MB, rate=3 * MB, samples=3)
     assert tracker.time_to_alarm(10.0) == 0.0
 
@@ -156,11 +152,10 @@ def test_bus_subscription_feeds_the_registry():
     assert registry.events_seen == 1  # only its own kinds
 
 
-def test_snapshot_includes_hub_mttf():
-    hub = EstimatorHub(url_path_map=URL_PATH_MAP)
-    registry = make_registry(hub=hub)
+def test_snapshot_includes_estimator_mttf():
+    registry = make_registry()
     registry.register("node1", ("Item",))
-    est = hub._estimator(("node1", "Item"))
+    est = registry.estimators[("node1", "Item")] = FailureRateEstimator()
     est.record_failure(100.0)
     est.record_failure(160.0)
     rows = registry.snapshot(now=200.0)

@@ -100,7 +100,7 @@ def capture(tmp_path_factory):
 @pytest.mark.parametrize("name", list(RIGS))
 def test_live_equals_replay(capture, name):
     _path, by_name = capture
-    rig, outcome, (tracker, _hub, registry, view), end = by_name[name]
+    rig, outcome, (tracker, registry, view), end = by_name[name]
 
     incidents = tracker.finalize()
     assert incidents

@@ -1,5 +1,7 @@
 """Rolling SLO windows: canonical computation and the live engine."""
 
+import tracemalloc
+
 import pytest
 
 from repro.observability.exporter import replay
@@ -130,13 +132,60 @@ def test_windows_from_records_per_request_approximation():
         {"t": 12.0, "kind": "request.end", "ok": True, "duration": 0.3},
         {"t": 21.0, "kind": "rm.decision", "level": "ejb"},  # not a request
     ]
-    [(_bus, [requests], end)] = replay(records, lambda: [RequestWindows()])
+    [(_bus, [requests], end)] = replay(
+        records, lambda: [RequestWindows(SloPolicy(window=10.0))]
+    )
     assert end == 21.0  # the latest event of any kind ends the span
-    windows = requests.windows(end, policy=SloPolicy(window=10.0))
+    windows = requests.windows(end)
     assert len(windows) == 2
     assert (windows[0].good, windows[0].bad) == (1, 1)
     assert (windows[1].good, windows[1].bad) == (1, 0)
     assert windows[0].violated
+
+
+def test_request_windows_split_counts_by_second_and_times_by_window():
+    """Good/bad go by whole second, response times by exact time: with a
+    2.5 s window, a request ending at t=7.6 counts in [5, 7.5) while its
+    response time belongs to [7.5, 10) — as :func:`compute_windows`
+    judges the same requests."""
+    policy = SloPolicy(window=2.5, latency_target=1.0)
+    requests = RequestWindows(policy)
+    ends = [(1.0, True, 0.2), (6.0, True, 0.4), (7.6, False, 5.0),
+            (8.0, True, 0.3), (9.0, True, 4.0), (12.4, True, 0.1)]
+    for t, ok, duration in ends:
+        requests.feed(t, "request.end", {"ok": ok, "duration": duration})
+    windows = requests.windows(12.5)
+    assert [(w.start, w.good, w.bad) for w in windows] == [
+        (0.0, 1, 0), (2.5, 0, 0), (5.0, 1, 1), (7.5, 2, 0), (10.0, 1, 0),
+    ]
+    assert (windows[2].p50, windows[2].p99) == (0.4, 0.4)
+    # [0.3, 4.0, 5.0]: without the 7.6 s request's 5.0 s, p99 would be 0.3.
+    assert (windows[3].p50, windows[3].p99) == (4.0, 4.0)
+    assert [w.violated for w in windows] == [False, False, True, True, False]
+    assert [w.to_dict() for w in windows] == [
+        w.to_dict() for w in compute_windows(
+            requests.good, requests.bad, [(t, d) for t, _ok, d in ends],
+            12.5, policy=policy,
+        )
+    ]
+
+
+def test_request_windows_hold_one_window_of_response_times():
+    """Memory does not grow with the timeline: 200,000 requests over
+    2,000 s hold the response times of one 30 s window at a time."""
+    requests = RequestWindows()
+    tracemalloc.start()
+    try:
+        for i in range(200_000):
+            requests.feed(i / 100, "request.end",
+                          {"ok": i % 97 != 0, "duration": 0.05 + i % 13 / 7})
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    windows = requests.windows(2_000.0)
+    assert len(windows) == 66
+    assert sum(w.total for w in windows) == 198_000
 
 
 # ----------------------------------------------------------------------

@@ -89,6 +89,23 @@ def test_run_trace_into_a_missing_directory_is_a_clean_error(
     )
 
 
+@pytest.mark.parametrize("argv", [
+    ("incidents", "--json"), ("incidents", "--prom"), ("slo", "--prom"),
+    ("shards", "--json"), ("shards", "--prom"), ("health", "--prom"),
+], ids=" ".join)
+def test_export_into_a_missing_directory_is_a_clean_error(
+        tmp_path, capsys, argv):
+    """Checked before the replay: nothing is rendered, one error line."""
+    command, flag = argv
+    timeline = make_timeline(tmp_path / "t.jsonl")
+    export = tmp_path / "nope" / "x.out"
+    assert main([command, str(timeline), flag, str(export)]) == 2
+    assert capsys.readouterr() == (
+        "", f"error: no such directory: {export.parent}\n"
+    )
+    assert not export.parent.exists()
+
+
 def test_timeline_is_valid_jsonl(tmp_path):
     path = make_timeline(tmp_path / "timeline.jsonl")
     with open(path, encoding="utf-8") as fh:

@@ -9,10 +9,10 @@ from repro.ebid.schema import DatasetConfig
 from repro.experiments.cluster_common import ClusterRig
 from repro.experiments.common import SingleNodeRig
 from repro.faults import FaultInjector
-from repro.sim.kernel import Kernel
 from repro.telemetry import capture_to_jsonl, read_timeline
 from repro.telemetry.spans import (
     SpanCollector,
+    TraceContext,
     set_default_spans,
     spans_enabled_by_default,
 )
@@ -31,7 +31,7 @@ UNTRACED_KEYS = {
 # ----------------------------------------------------------------------
 
 def test_disabled_collector_attaches_nothing():
-    collector = SpanCollector(Kernel())
+    collector = SpanCollector()
     request = HttpRequest(url="/ebid/ViewItem", operation="ViewItem")
     assert collector.attach(request) is None
     assert request.trace is None
@@ -39,7 +39,7 @@ def test_disabled_collector_attaches_nothing():
 
 
 def test_attach_is_idempotent():
-    collector = SpanCollector(Kernel(), enabled=True)
+    collector = SpanCollector(enabled=True)
     request = HttpRequest(url="/ebid/ViewItem", operation="ViewItem")
     trace = collector.attach(request)  # the LB attaches first
     assert collector.attach(request) is trace  # the admitting server
@@ -48,53 +48,47 @@ def test_attach_is_idempotent():
 
 
 def test_finished_path_carries_components_edges_and_error_sites():
-    kernel = Kernel()
-    collector = SpanCollector(kernel, enabled=True)
-    seen = []
-    collector.add_sink(seen.append)
-
-    trace = collector.start_trace("CommitBid")
+    """``finish`` returns the fields ``request.end`` adds: the calls (the
+    components and the parent→child edges) and the error sites."""
+    collector = SpanCollector(enabled=True)
+    trace = collector.start_trace()
     war = trace.start_span("EbidWAR")
     bean = trace.start_span("CommitBid", parent=war)
     entity = trace.start_span("IdentityManager", parent=bean)
-    entity.failed = bean.failed = True  # both calls raised
-    path = trace.finish(ok=False, failure="http-error")
+    trace.start_span("IdentityManager", parent=bean).failed = True
+    entity.failed = bean.failed = True  # every call below the WAR raised
 
-    assert seen == [path]
-    assert path.calls == (
-        (None, "EbidWAR"), (0, "CommitBid"), (1, "IdentityManager"),
-    )
-    assert path.components == ("EbidWAR", "CommitBid", "IdentityManager")
-    assert path.edges == (
-        ("EbidWAR", "CommitBid"), ("CommitBid", "IdentityManager"),
-    )
-    assert path.failed_in == ("CommitBid", "IdentityManager")
-    assert path.operation == "CommitBid" and not path.ok
-    # Finishing twice delivers nothing new.
-    assert trace.finish(ok=False) is None
-    assert collector.paths_recorded == 1
+    assert trace.finish() == {
+        "calls": (
+            (None, "EbidWAR"), (0, "CommitBid"), (1, "IdentityManager"),
+            (1, "IdentityManager"),
+        ),
+        "failed_in": ("CommitBid", "IdentityManager"),
+    }
+    # A finished trace records no later call.
+    assert trace.start_span("Item", parent=bean) is None
 
 
 def test_span_cap_truncates_instead_of_growing():
-    collector = SpanCollector(Kernel(), enabled=True, max_spans_per_trace=2)
-    trace = collector.start_trace("ViewItem")
+    collector = SpanCollector(enabled=True, max_spans_per_trace=2)
+    trace = collector.start_trace()
     first = trace.start_span("A")
     assert trace.start_span("B", parent=first) is not None
     assert trace.start_span("C") is None  # over the cap
     assert trace.truncated
-    path = trace.finish(ok=True)
-    assert path.components == ("A", "B")
-    assert path.truncated
+    assert trace.finish() == {
+        "calls": ((None, "A"), (0, "B")), "failed_in": (), "truncated": True,
+    }
 
 
 def test_default_spans_flag_round_trips():
     previous = set_default_spans(True)
     try:
         assert spans_enabled_by_default()
-        assert SpanCollector(Kernel()).enabled
+        assert SpanCollector().enabled
     finally:
         set_default_spans(previous)
-    assert SpanCollector(Kernel()).enabled is previous
+    assert SpanCollector().enabled is previous
 
 
 def test_paths_publish_to_an_enabled_trace_bus():
@@ -104,8 +98,6 @@ def test_paths_publish_to_an_enabled_trace_bus():
     system, collector = make_system()
     system.kernel.trace.enabled = True
     events = record(system.kernel.trace)
-    paths = []
-    collector.add_sink(paths.append)
     client = EmulatedClient(
         0, system.kernel, system.rng.stream("client-0"), system.server,
         DatasetConfig.tiny(),
@@ -118,8 +110,8 @@ def test_paths_publish_to_an_enabled_trace_bus():
 
     assert [event.kind for event in events] == ["request.end"] * 2
     whole, cut = (event.fields for event in events)
-    assert whole["calls"] == paths[0].calls and len(whole["calls"]) > 1
-    assert whole["failed_in"] == paths[0].failed_in == ()
+    assert whole["calls"][:2] == ((None, "EbidWAR"), (0, "ViewItem"))
+    assert whole["failed_in"] == ()
     assert "truncated" not in whole
     assert cut["calls"] == ((None, "EbidWAR"),) and cut["truncated"] is True
 
@@ -130,7 +122,7 @@ def test_paths_publish_to_an_enabled_trace_bus():
 
 def make_system():
     system = build_ebid_system(dataset=DatasetConfig.tiny(), seed=3)
-    collector = SpanCollector(system.kernel, enabled=True)
+    collector = SpanCollector(enabled=True)
     system.server.span_collector = collector
     return system, collector
 
@@ -149,12 +141,12 @@ def test_request_through_server_records_observed_call_tree():
         system, "/ebid/ViewItem", "ViewItem", {"item_id": 1}
     )
     assert int(response.status) == 200
-    path = request.trace.finish(ok=True)
-    assert path.components[0] == "EbidWAR"
-    assert "ViewItem" in path.components and "Item" in path.components
-    assert path.edges[0] == ("EbidWAR", "ViewItem")
-    assert path.ok and path.failed_in == ()
-    assert collector.paths_recorded == 1
+    observed = request.trace.finish()
+    calls = observed["calls"]
+    assert calls[:2] == ((None, "EbidWAR"), (0, "ViewItem"))
+    assert "Item" in {component for _parent, component in calls}
+    assert observed["failed_in"] == ()
+    assert collector.traces_started == 1
 
 
 def test_pre_dispatch_fault_still_lands_on_the_failed_path():
@@ -166,9 +158,9 @@ def test_pre_dispatch_fault_still_lands_on_the_failed_path():
         system, "/ebid/BrowseCategories", "BrowseCategories"
     )
     assert int(response.status) == 500
-    path = request.trace.finish(ok=False, failure="http-error")
-    assert "BrowseCategories" in path.components
-    assert "BrowseCategories" in path.failed_in
+    observed = request.trace.finish()
+    assert (0, "BrowseCategories") in observed["calls"]
+    assert "BrowseCategories" in observed["failed_in"]
 
 
 def test_untraced_request_pays_no_span_cost():
@@ -184,14 +176,22 @@ def test_untraced_request_pays_no_span_cost():
 
 @pytest.mark.parametrize("cluster", [False, True],
                          ids=["single-node", "cluster"])
-def test_request_end_carries_each_traced_path(tmp_path, capsys, cluster):
+def test_request_end_carries_each_traced_path(tmp_path, capsys, monkeypatch,
+                                              cluster):
     """A captured run writes one record per request: a traced request's
-    ``request.end`` rebuilds the path its sinks received, a request no
+    ``request.end`` carries what its trace finished with, a request no
     trace followed keeps the untraced record, and ``repro paths`` reads
     the paths back.  In the cluster the balancer attaches the trace, so a
     request that no node admits closes a path with no calls."""
+    finished = []
+    finish = TraceContext.finish
+
+    def spy(trace):
+        finished.append(finish(trace))
+        return finished[-1]
+
+    monkeypatch.setattr(TraceContext, "finish", spy)
     timeline = tmp_path / "run.jsonl"
-    paths = []
     with capture_to_jsonl(timeline):
         if cluster:
             rig = ClusterRig(2, 10, seed=0, dataset=DatasetConfig.tiny())
@@ -200,7 +200,6 @@ def test_request_end_carries_each_traced_path(tmp_path, capsys, cluster):
             rig = SingleNodeRig(seed=0, n_clients=10,
                                 dataset=DatasetConfig.tiny())
             node, injector = rig.node, rig.injector
-        rig.span_collector.add_sink(paths.append)
         rig.start()
         injector.inject_transient_exception("ViewItem")
         rig.run_for(20.0)
@@ -211,21 +210,12 @@ def test_request_end_carries_each_traced_path(tmp_path, capsys, cluster):
     assert not {r["kind"] for r in records} & {"span", "path.end"}
     ends = [r for r in records if r["kind"] == "request.end"]
     traced = [r for r in ends if "calls" in r]
-    assert len(traced) == len(paths) > 0
-    for end, path in zip(traced, paths):
-        calls = [tuple(call) for call in end["calls"]]
-        assert tuple(calls) == path.calls
-        components = dict.fromkeys(component for _parent, component in calls)
-        edges = dict.fromkeys(
-            (calls[parent][1], component)
-            for parent, component in calls if parent is not None
-        )
-        assert tuple(components) == path.components
-        assert tuple(edges) == path.edges
-        assert tuple(end["failed_in"]) == path.failed_in
-        assert (end["operation"], end["ok"]) == (path.operation, path.ok)
-        assert "truncated" not in end
-    assert any(path.failed_in for path in paths)
+    assert len(traced) == len(finished) > 0
+    for end, observed in zip(traced, finished):
+        assert tuple(tuple(call) for call in end["calls"]) == observed["calls"]
+        assert tuple(end["failed_in"]) == observed["failed_in"]
+        assert "truncated" not in end and "truncated" not in observed
+    assert any(observed["failed_in"] for observed in finished)
     refused = [r for r in ends if r["status"] == "network"
                and r["server"] is None]
     assert refused
@@ -238,8 +228,41 @@ def test_request_end_carries_each_traced_path(tmp_path, capsys, cluster):
         assert all(set(r) == UNTRACED_KEYS for r in untraced)
 
     assert main(["paths", str(timeline)]) == 0
-    spans = sum(len(path.calls) for path in paths)
+    spans = sum(len(observed["calls"]) for observed in finished)
     assert capsys.readouterr().out.splitlines()[0] == (
         f"{len(records)} events: {spans} spans across "
-        f"{len(paths)} completed paths"
+        f"{len(finished)} completed paths"
     )
+
+
+def test_live_analyzer_holds_the_paths_its_capture_wrote(tmp_path):
+    """With the span layer and the bus on, a rig's live PathAnalyzer reads
+    each traced ``request.end`` off the bus: it holds exactly the paths
+    rebuilt from the records its capture wrote, in the same order.  No
+    recovery manager runs, so nothing clears the analyzer, and the run
+    stays inside its window."""
+    timeline = tmp_path / "run.jsonl"
+    with capture_to_jsonl(timeline):
+        rig = SingleNodeRig(seed=0, n_clients=10, with_recovery_manager=False,
+                            dataset=DatasetConfig.tiny())
+        rig.start()
+        rig.injector.inject_transient_exception("ViewItem")
+        rig.run_for(60.0)
+    rebuilt = []
+    for record in read_timeline(timeline):
+        if record["kind"] != "request.end" or "calls" not in record:
+            continue
+        calls = record["calls"]
+        edges = dict.fromkeys(
+            (calls[parent][1], component)
+            for parent, component in calls if parent is not None
+        )
+        rebuilt.append((
+            record["t"], frozenset(component for _parent, component in calls),
+            record["ok"], tuple(edges), tuple(record["failed_in"]),
+        ))
+
+    assert rig.path_analyzer.recorded == len(rebuilt) > 0
+    assert list(rig.path_analyzer._paths) == rebuilt
+    assert any(not ok for _t, _members, ok, _edges, _sites in rebuilt)
+    assert any(sites for _t, _members, _ok, _edges, sites in rebuilt)

@@ -168,12 +168,19 @@ def test_flatten_remaps_reserved_payload_keys(tmp_path):
 
 
 def test_record_fields_inverts_flatten(tmp_path):
+    """Every envelope name a payload may carry comes back under its own
+    name (``storm.event`` publishes a ``kind``), and an ``x_`` key that
+    remaps no envelope name stays as written."""
     path = tmp_path / "t.jsonl"
-    fields = {"kind": "link", "node": "n1", "seq": None}
+    fields = {"kind": "link", "node": "n1", "seq": None, "t": 7.5,
+              "bus": "other", "x_node": 3}
     with capture_to_jsonl(path):
         TraceBus(label="b0").publish("chaos.event", **fields)
-    [written] = read_timeline(path)
-    assert record_fields(written) == fields
+        TraceBus(label="b1").publish("storm.event", kind="brick", shard=2)
+    first, second = read_timeline(path)
+    assert record_fields(first) == fields
+    assert record_fields(second) == {"kind": "brick", "shard": 2}
+    assert (second["kind"], second["x_kind"]) == ("storm.event", "brick")
 
 
 # --- per-kind routes ---------------------------------------------------------
