@@ -113,11 +113,14 @@ class Kernel:
     # the head: it never enters the lane, never moves the clock, and
     # ``peek()`` never reports its time.  Once retired entries outnumber
     # live ones the heap is compacted in place (``run()`` holds the list in
-    # a local).  Keys ``(time, seq)`` are unique, so the live entries pop in
-    # the same order after ``heapify`` as before; dropping an entry nobody
-    # waits on changes no callback, so the order of every other event is
-    # unchanged.  Each compaction costs O(retired + live) = O(retired), so
-    # a cancel costs amortized O(1).
+    # a local).  Two things can tip that balance: a cancel, and the clock
+    # advancing, which lanes live entries and leaves retired ones behind;
+    # both check it.  Keys ``(time, seq)`` are unique, so the live entries
+    # pop in the same order after ``heapify`` as before; dropping an entry
+    # nobody waits on changes no callback, so the order of every other
+    # event is unchanged.  Each compaction costs O(retired + live) =
+    # O(retired) and removes every retired entry, so a cancel costs
+    # amortized O(1).
 
     def _record_unhandled(self, event):
         """Remember a failed event nobody handled (bounded retention)."""
@@ -129,13 +132,17 @@ class Kernel:
         """Mark ``timeout``'s heap entry retired (see "Retiring")."""
         timeout.callbacks = _RETIRED
         self._retired += 1
+        if 2 * self._retired > len(self._queue):
+            self._compact()
+
+    def _compact(self):
+        """Drop every retired entry from the heap, in place."""
         queue = self._queue
-        if 2 * self._retired > len(queue):
-            queue[:] = [
-                entry for entry in queue if entry[2].callbacks is not _RETIRED
-            ]
-            heapq.heapify(queue)
-            self._retired = 0
+        queue[:] = [
+            entry for entry in queue if entry[2].callbacks is not _RETIRED
+        ]
+        heapq.heapify(queue)
+        self._retired = 0
 
     def peek(self):
         """Time of the next scheduled event, or ``INFINITY`` if none."""
@@ -166,6 +173,8 @@ class Kernel:
                     self._retired -= 1
                 else:
                     ready.append(event)
+            if 2 * self._retired > len(queue):
+                self._compact()
         event = ready.popleft()
         self.events_processed += 1
         callbacks, event.callbacks = event.callbacks, None
@@ -225,6 +234,8 @@ class Kernel:
                     self._retired -= 1
                 else:
                     lane(event)
+            if 2 * self._retired > len(queue):
+                self._compact()
         self.events_processed += steps
         if until is not None:
             self._now = until

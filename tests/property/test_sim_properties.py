@@ -276,6 +276,16 @@ def run_program(kernel, scripts, plan, idle):
     plan=[("step", 4), ("run", 0.5), ("step", 3), ("run", 1.0)],
     idle=[4.0, 4.0, 4.0],
 )
+# Retires two timers due at 1.0, then lanes every live entry at 0.5: the
+# retired pair outnumbers the empty rest of the heap until it is compacted.
+@example(
+    scripts=[
+        [("succeed", 0), ("timeout", 0.0), ("race", (1.0, 0))],
+        [("race", (1.0, 0)), ("timeout", 0.5), ("race", (0.0, 0))],
+    ],
+    plan=[],
+    idle=[0.5],
+)
 def test_ready_lane_matches_heap_only_order(scripts, plan, idle):
     """Same-instant events skip the heap and retired timers are never
     stepped, yet every resume happens at the same time and in the same
